@@ -65,9 +65,6 @@ class CountingAutomaton:
         self.accepting = frozenset(accepting)
         self.transitions = dict(transitions)
 
-    def step(self, state: int, letter: int) -> int | None:
-        return self.transitions.get((state, letter))
-
     def accepts(self, word: ReducedWord) -> bool:
         state = self.initial
         for x in word.letters:
@@ -214,14 +211,19 @@ def avoid_factors(
     return product.trimmed()
 
 
+def _edge_weights(aut: CountingAutomaton) -> dict[tuple[int, int], int]:
+    """Transfer-matrix entries as {(s, t): number of letters from s to t}."""
+    weights: dict[tuple[int, int], int] = {}
+    for (s, _), t in aut.transitions.items():
+        weights[(s, t)] = weights.get((s, t), 0) + 1
+    return weights
+
+
 def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
     """Exact counts of accepted words of each length 0..r_max."""
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
-    edges: dict[tuple[int, int], int] = {}
-    for (s, _), t in aut.transitions.items():
-        edges[(s, t)] = edges.get((s, t), 0) + 1
-    edge_list = [(s, t, w) for (s, t), w in edges.items()]
+    edge_list = [(s, t, w) for (s, t), w in _edge_weights(aut).items()]
     v = [0] * aut.n_states
     v[aut.initial] = 1
     counts = [sum(v[s] for s in aut.accepting)]
@@ -278,16 +280,22 @@ def _strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[i
     return components
 
 
-def _collatz_wielandt(matrix: list[list[int]], tol: float, max_iter: int) -> tuple[float, float]:
+def _collatz_wielandt(
+    rows: list[list[tuple[int, int]]], tol: float, max_iter: int
+) -> tuple[float, float]:
     """Rigorous two-sided bounds on the Perron root of an irreducible
-    non-negative integer matrix.
+    non-negative integer matrix M given by sparse rows: rows[i] lists the
+    (j, M[i][j]) with M[i][j] > 0 in increasing j.
 
     Iterates x -> (M + I)x in floats for speed; the returned bounds come from
     one exact Fraction evaluation of the ratios ((M+I)x)_i / x_i, which bound
     rho(M) + 1 on both sides for any positive test vector.  The +I shift makes
-    the iteration aperiodic so the gap actually closes.
+    the iteration aperiodic so the gap actually closes.  A pass costs O(edges).
+    Row sums run in increasing column order, the order of a dense row scan,
+    so every float, stopping decision and bound is the one a dense n x n
+    iteration gives.
     """
-    n = len(matrix)
+    n = len(rows)
     x = [1.0] * n
 
     def exact_bounds(vec: list[float]) -> tuple[float, float]:
@@ -295,7 +303,7 @@ def _collatz_wielandt(matrix: list[list[int]], tol: float, max_iter: int) -> tup
         xf = [v if v > 0 else Fraction(1, 10**12) for v in xf]
         lo = hi = None
         for i in range(n):
-            yi = xf[i] + sum(Fraction(matrix[i][j]) * xf[j] for j in range(n) if matrix[i][j])
+            yi = xf[i] + sum(w * xf[j] for j, w in rows[i])
             ratio = yi / xf[i] - 1
             lo = ratio if lo is None or ratio < lo else lo
             hi = ratio if hi is None or ratio > hi else hi
@@ -308,7 +316,7 @@ def _collatz_wielandt(matrix: list[list[int]], tol: float, max_iter: int) -> tup
         return lo_f, hi_f
 
     for it in range(1, max_iter + 1):
-        y = [x[i] + sum(matrix[i][j] * x[j] for j in range(n) if matrix[i][j]) for i in range(n)]
+        y = [x[i] + sum(w * x[j] for j, w in rows[i]) for i in range(n)]
         ratios = [y[i] / x[i] for i in range(n)]
         top = max(y)
         x = [v / top for v in y]
@@ -327,24 +335,31 @@ def perron_root(aut: CountingAutomaton, tol: float = 1e-9, max_iter: int = 200_0
     The spectral radius of a block-triangular non-negative matrix is the max
     over its strongly connected components, each of which is irreducible, so
     Collatz-Wielandt bounds per component are combined by max.  A cycle-free
-    automaton gets the -inf sentinel.
+    automaton gets the -inf sentinel.  The matrix is never built densely:
+    each component gets sparse rows of aggregated edge weights.
     """
     if tol < 1e-13:
         raise InvalidInputError(f"tol {tol} below float resolution")
     trimmed = aut.trimmed()
-    mat = trimmed.transfer_matrix()
+    weights = _edge_weights(trimmed)
     n = trimmed.n_states
-    succ = [[t for t in range(n) if mat[s][t]] for s in range(n)]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for s, t in sorted(weights):
+        succ[s].append(t)
     lo_best = hi_best = None
     for comp in _strongly_connected_components(n, succ):
         if len(comp) == 1:
             s = comp[0]
-            if mat[s][s] == 0:
+            if (s, s) not in weights:
                 continue
-            lo = hi = float(mat[s][s])
+            lo = hi = float(weights[(s, s)])
         else:
-            sub = [[mat[s][t] for t in comp] for s in comp]
-            lo, hi = _collatz_wielandt(sub, tol, max_iter)
+            local = {s: j for j, s in enumerate(comp)}
+            rows = [
+                [(local[t], weights[(s, t)]) for t in succ[s] if t in local]
+                for s in comp
+            ]
+            lo, hi = _collatz_wielandt(rows, tol, max_iter)
         if hi_best is None or hi > hi_best:
             hi_best = hi
         if lo_best is None or lo > lo_best:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy
 import pytest
 
 from growthtight import (
@@ -12,7 +13,9 @@ from growthtight import (
     avoid_factors,
     count_lengths,
     enumerate_sphere,
+    ghat_automaton,
     oriented_vs_unoriented_gap,
+    parse_word,
     perron_root,
     reduced_word_automaton,
 )
@@ -162,6 +165,67 @@ class TestPerronBrackets:
         first = inside.index(True)
         assert first <= 29
         assert all(inside[first:])
+
+
+def log_spectral_radius(aut: CountingAutomaton) -> float:
+    mat = numpy.array(aut.trimmed().transfer_matrix(), dtype=float)
+    return math.log(max(abs(numpy.linalg.eigvals(mat))))
+
+
+def assert_brackets_log_rho(br, log_rho: float, tol: float) -> None:
+    assert br.lower <= log_rho + 1e-7
+    assert br.upper >= log_rho - 1e-7
+    assert br.upper - br.lower <= 2 * tol
+
+
+class TestPerronAgainstEigensolver:
+    """perron_root works on sparse rows; numpy's dense eigensolver is an
+    independent check of the brackets."""
+
+    @pytest.mark.parametrize(
+        "alphabet,max_len", [(RANK2, 3), (RANK3, 2)], ids=["rank2", "rank3"]
+    )
+    def test_avoid_single_factor(self, alphabet, max_len):
+        base = reduced_word_automaton(alphabet)
+        for length in range(1, max_len + 1):
+            for f in enumerate_sphere(alphabet, length):
+                aut = avoid_factors(base, [f])
+                assert_brackets_log_rho(perron_root(aut, 1e-9), log_spectral_radius(aut), 1e-9)
+
+    @pytest.mark.parametrize(
+        "h,m",
+        [("a", 2), ("a b", 4), ("a a b", 6), ("a b a- b-", 8), ("a b a b-", 10), ("a b- a b a- b", 12)],
+    )
+    def test_ghat(self, h, m):
+        aut = ghat_automaton(RANK2, parse_word(RANK2, h), m)
+        assert_brackets_log_rho(perron_root(aut, 1e-9), log_spectral_radius(aut), 1e-9)
+
+
+class TestWeightedAutomata:
+    """Hand-built automata with parallel edges (transfer-matrix weights > 1)."""
+
+    def test_two_letters_out_one_back_is_sqrt2(self):
+        # M = [[0, 2], [1, 0]]: rho = sqrt(2), and the component has period 2
+        aut = CountingAutomaton(RANK2, 2, 0, (0, 1), {(0, 0): 1, (0, 2): 1, (1, 0): 0})
+        assert aut.transfer_matrix() == [[0, 2], [1, 0]]
+        br = perron_root(aut, 1e-9)
+        assert br.contains(math.log(2) / 2) and br.width <= 2e-9
+
+    @pytest.mark.parametrize("first,second", [(2, 2), (1, 2), (2, 1)])
+    def test_two_components(self, first, second):
+        # blocks [[0, w], [w, 0]] (radius w) joined by one edge 1 -> 2; at
+        # equal radii the Perron eigenvalue 2 is defective (spheres ~ r 2^r)
+        transitions = {}
+        for (s, t), w in zip(((0, 1), (1, 0), (2, 3), (3, 2)), (first, first, second, second)):
+            for x in range(w):
+                transitions[(s, x)] = t
+        transitions[(1, 2)] = 2
+        aut = CountingAutomaton(RANK2, 4, 0, range(4), transitions)
+        assert aut.transfer_matrix() == [
+            [0, first, 0, 0], [first, 0, 1, 0], [0, 0, 0, second], [0, 0, second, 0]
+        ]
+        br = perron_root(aut, 1e-9)
+        assert br.contains(math.log(2)) and br.width <= 2e-9
 
 
 class TestOrientedGap:

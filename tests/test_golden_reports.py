@@ -1,0 +1,24 @@
+"""Golden gate: every repo job's canonical report is byte-identical to the
+file under tests/golden/ captured before any change to the numerics."""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from growthtight import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = sorted((ROOT / "jobs").glob("*.json"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_every_job_has_a_golden_and_vice_versa():
+    assert [p.name for p in JOBS] == sorted(p.name for p in GOLDEN.glob("*.json"))
+
+
+@pytest.mark.parametrize("job", JOBS, ids=[p.stem for p in JOBS])
+def test_report_is_byte_identical(job, tmp_path):
+    out = tmp_path / job.name
+    assert cli.main(["run", str(job), "--quiet", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / job.name).read_bytes()
