@@ -31,6 +31,11 @@ class CountSequence:
     def __iter__(self):
         return iter(self.spheres)
 
+    @classmethod
+    def from_balls(cls, balls: Sequence[int]) -> "CountSequence":
+        """The sphere counts whose running sums are the given ball counts."""
+        return cls(tuple(b - a for a, b in zip([0, *balls], balls)))
+
     def balls(self) -> list[int]:
         out = []
         total = 0

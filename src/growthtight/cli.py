@@ -21,7 +21,13 @@ import random
 import sys
 
 from . import __version__
-from .automata import avoid_factors, count_lengths, perron_root, reduced_word_automaton
+from .automata import (
+    CountSequence,
+    avoid_factors,
+    count_lengths,
+    perron_root,
+    reduced_word_automaton,
+)
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .growth import (
     check_subadditivity,
@@ -33,7 +39,6 @@ from .products import LpProductSpec, parse_exponent, verify_duality
 from .quotients import (
     QuotientOracle,
     check_prop_minimal,
-    minimal_section,
     quotient_ball_counts,
     tightness_verdict,
 )
@@ -308,19 +313,12 @@ def _product_spec(params: dict) -> LpProductSpec:
     return LpProductSpec(tuple(alphabets), parse_exponent(_require(params, "p")))
 
 
-def _factor_counts(spec: LpProductSpec, r_max: int):
-    return [
-        count_lengths(reduced_word_automaton(a), r_max) for a in spec.factors
-    ]
-
-
 def _cmd_product(params: dict, budgets: dict):
     spec = _product_spec(params)
     r_max = budgets["r_max"]
-    factor_counts = _factor_counts(spec, r_max)
-    brackets = [
-        perron_root(reduced_word_automaton(a), budgets["tol"]) for a in spec.factors
-    ]
+    automata = [reduced_word_automaton(a) for a in spec.factors]
+    factor_counts = [count_lengths(aut, r_max) for aut in automata]
+    brackets = [perron_root(aut, budgets["tol"]) for aut in automata]
     exponents = [(b.lower + b.upper) / 2 for b in brackets]
     report = verify_duality(spec, factor_counts, r_max, exponents)
     results = report.to_dict()
@@ -335,13 +333,7 @@ def _cmd_product(params: dict, budgets: dict):
             ("contains predicted", report.contains_predicted),
         ],
     )
-    seq_csv_lines = ["r,sphere,ball"]
-    spheres = [report.balls[0]] + [
-        report.balls[r] - report.balls[r - 1] for r in range(1, len(report.balls))
-    ]
-    for r, (s, bl) in enumerate(zip(spheres, report.balls)):
-        seq_csv_lines.append(f"{r},{s},{bl}")
-    return results, table, "\n".join(seq_csv_lines) + "\n"
+    return results, table, CountSequence.from_balls(report.balls).to_csv()
 
 
 def _parse_oracle(block) -> QuotientOracle:
@@ -369,10 +361,7 @@ def _cmd_quotient(params: dict, budgets: dict):
     spec = _product_spec(params)
     oracle = _parse_oracle(_require(params, "oracle"))
     r_max = budgets["r_max"]
-    factor_counts = _factor_counts(spec, r_max)
-    seq = quotient_ball_counts(
-        spec, oracle, r_max, factor_counts, cutoff=budgets["cutoff"]
-    )
+    seq = quotient_ball_counts(spec, oracle, r_max, cutoff=budgets["cutoff"])
     balls = seq.balls()
     b, _ = check_subadditivity(balls)
     fek = fekete_bracket(balls, b)
@@ -394,9 +383,7 @@ def _cmd_quotient(params: dict, budgets: dict):
         )
         results["structure_check"] = struct.to_dict()
     elif oracle.kind != "factor-kernel":
-        results["section_size"] = minimal_section(
-            spec, oracle, r_max, cutoff=budgets["cutoff"]
-        ).size
+        results["section_size"] = balls[-1]
     return results, _counts_table(seq), seq.to_csv()
 
 

@@ -1,14 +1,16 @@
 """L^p product metrics on tuples of free-group elements and exact ball counts.
 
 Ball counts of an L^p product come from the factor sphere counts by summing
-over the integer lattice points inside the p-ball; the exponent of the product
-is the conjugate-norm of the factor exponents, which verify_duality checks
-numerically against exact counts.
+over the integer lattice points inside the p-ball (LatticeTable); the exponent
+of the product is the conjugate-norm of the factor exponents, which
+verify_duality checks numerically against exact counts.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -186,68 +188,128 @@ def generating_set_correspondence(spec: LpProductSpec, max_radius: int = 5) -> C
     )
 
 
+def _key_ops(p: float):
+    """(weight, add) for the exact norm key of a radius profile: the key of
+    (r_1, ..., r_n) folds add over weight(r_1), ..., weight(r_n) from 0, left
+    to right.  Keys are ints for p = inf and integer p, floats otherwise."""
+    if p == math.inf:
+        return (lambda r: r), max
+    if p == int(p):
+        e = int(p)
+        return (lambda r: r**e), operator.add
+    return (lambda r: float(r) ** p), operator.add
+
+
+def norm_key(p: float, profile: Sequence[int]):
+    """Exact norm key of one radius profile (see _key_ops)."""
+    weight, add = _key_ops(p)
+    key = 0
+    for r in profile:
+        key = add(key, weight(r))
+    return key
+
+
+def norm_budget(p: float, R):
+    """Largest norm key inside the radius-R ball: a profile lies in the ball
+    exactly when norm_key(p, profile) <= norm_budget(p, R).
+
+    The test is exact integer arithmetic for integer p and p = inf; only
+    non-integer p compares floats, with a 1e-9 allowance at the boundary.
+    """
+    if p == math.inf:
+        return math.floor(R)
+    if p == int(p):
+        return math.floor(Fraction(R) ** int(p))
+    return R**p + 1e-9
+
+
+class LatticeTable:
+    """Radius profiles of an L^p product, folded by exact norm key.
+
+    values[i][r] is what factor i contributes at radius r.  The factors are
+    folded in one at a time into {key: value}: a profile's value combines its
+    factors' values with `extend`, profiles that share a key are combined with
+    `merge`, and keys above the radius-R budget are pruned.  The keys are
+    sorted once and their values merged cumulatively, so the ball at any
+    radius up to R is one bisect.  With the defaults the values are factor
+    sphere counts and a ball is the lattice-weighted point count.
+    """
+
+    def __init__(
+        self,
+        p: float,
+        values: Sequence[Sequence],
+        R,
+        *,
+        start=1,
+        extend=operator.mul,
+        merge=operator.add,
+    ):
+        if R < 0:
+            raise InvalidInputError(f"radius must be >= 0, got {R}")
+        rfloor = math.floor(R)
+        for i, parts in enumerate(values):
+            if len(parts) <= rfloor:
+                raise ResourceLimitError(
+                    f"factor {i} counts reach radius {len(parts) - 1}, need {rfloor}"
+                )
+        self.p = p
+        self.R = R
+        budget = norm_budget(p, R)
+        weight, add = _key_ops(p)
+        steps = [weight(r) for r in range(rfloor + 1)]
+        table = {0: start}
+        for parts in values:
+            folded: dict = {}
+            for key, acc in table.items():
+                for step, part in zip(steps, parts):
+                    k = add(key, step)
+                    if k > budget:
+                        break
+                    value = extend(acc, part)
+                    folded[k] = merge(folded[k], value) if k in folded else value
+            table = folded
+        self.keys = sorted(table)
+        self.balls = list(itertools.accumulate((table[k] for k in self.keys), merge))
+
+    def ball(self, R):
+        """Merged value of the profiles with norm at most R (R <= the table's R)."""
+        if R > self.R:
+            raise InvalidInputError(f"radius {R} exceeds the table radius {self.R}")
+        return self.balls[bisect.bisect_right(self.keys, norm_budget(self.p, R)) - 1]
+
+    def sequence(self, r_max: int) -> CountSequence:
+        """Sphere counts for integer radii 0..r_max."""
+        return CountSequence.from_balls([self.ball(r) for r in range(r_max + 1)])
+
+
+def _check_factor_count(spec: LpProductSpec, factor_counts) -> None:
+    if len(factor_counts) != spec.n:
+        raise InvalidInputError(
+            f"{len(factor_counts)} count sequences for {spec.n} factors"
+        )
+
+
 def product_ball_counts(
     spec: LpProductSpec, factor_counts: Sequence[CountSequence | Sequence[int]], R
 ) -> int:
     """Exact number of lattice-weighted points with ||(r_1..r_n)||_p <= R:
     sum over admissible radius profiles of the product of factor sphere counts.
 
-    The boundary test is exact integer/rational arithmetic whenever p is an
-    integer (or inf); only non-integer p falls back to floats.
+    One LatticeTable at radius R; the boundary test is exact whenever p is an
+    integer or inf (see norm_budget).
     """
-    if len(factor_counts) != spec.n:
-        raise InvalidInputError(
-            f"{len(factor_counts)} count sequences for {spec.n} factors"
-        )
-    if R < 0:
-        raise InvalidInputError(f"radius must be >= 0, got {R}")
-    rfloor = math.floor(R)
-    for i, fc in enumerate(factor_counts):
-        if len(fc) <= rfloor:
-            raise ResourceLimitError(
-                f"factor {i} counts reach radius {len(fc) - 1}, need {rfloor}"
-            )
-    p = spec.p
-    if p == math.inf:
-        result = 1
-        for fc in factor_counts:
-            result *= sum(fc[r] for r in range(rfloor + 1))
-        return result
-    if p == 1:
-        budget = rfloor
-        weight = lambda r: r
-    elif p == int(p):
-        budget = Fraction(R) ** int(p)
-        weight = lambda r: r ** int(p)
-    else:
-        budget = R**p + 1e-9
-        weight = lambda r: float(r) ** p
-
-    def rec(i: int, remaining) -> int:
-        if i == spec.n:
-            return 1
-        total = 0
-        fc = factor_counts[i]
-        for r in range(rfloor + 1):
-            w = weight(r)
-            if w > remaining:
-                break
-            if fc[r]:
-                total += fc[r] * rec(i + 1, remaining - w)
-        return total
-
-    return rec(0, budget)
+    _check_factor_count(spec, factor_counts)
+    return LatticeTable(spec.p, factor_counts, R).ball(R)
 
 
 def product_ball_sequence(
     spec: LpProductSpec, factor_counts: Sequence[CountSequence | Sequence[int]], r_max: int
 ) -> CountSequence:
-    """Product sphere counts for integer radii 0..r_max (balls via .balls())."""
-    if r_max < 0:
-        raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
-    balls = [product_ball_counts(spec, factor_counts, r) for r in range(r_max + 1)]
-    spheres = [balls[0]] + [balls[r] - balls[r - 1] for r in range(1, r_max + 1)]
-    return CountSequence(tuple(spheres))
+    """Product sphere counts for integer radii 0..r_max (balls via .balls()),
+    all read from one LatticeTable."""
+    _check_factor_count(spec, factor_counts)
+    return LatticeTable(spec.p, factor_counts, r_max).sequence(r_max)
 
 
 def duality_exponent(deltas: Sequence[float], p: float) -> float:
@@ -317,23 +379,22 @@ def verify_duality(
     for 1 < p < inf that drowns the fit at desk radii.  The regression also
     absorbs the polynomial correction (plain Fekete upper bounds at desk radii
     overshoot by ~0.3 for p = 1); the Fekete bracket on integer radii is
-    reported alongside as the certified-upper-bound view.
+    reported alongside as the certified-upper-bound view.  Integer-radius and
+    support balls all come from one LatticeTable.
     """
     if len(factor_exponents) != spec.n:
         raise InvalidInputError(
             f"{len(factor_exponents)} exponents for {spec.n} factors"
         )
-    seq = product_ball_sequence(spec, factor_counts, r_max)
-    balls = seq.balls()
+    _check_factor_count(spec, factor_counts)
     step = 1.0 if spec.p == math.inf else spec.n ** (1.0 / spec.p)
     # nudge up so exact-budget arithmetic keeps the corner profile inside
     support_radii = [
         step * j * (1 + 1e-12) for j in range(1, int(r_max / step + 1e-9) + 1)
     ]
-    support_balls = [
-        product_ball_counts(spec, factor_counts, radius)
-        for radius in support_radii
-    ]
+    table = LatticeTable(spec.p, factor_counts, max([r_max, *support_radii]))
+    balls = [table.ball(r) for r in range(r_max + 1)]
+    support_balls = [table.ball(radius) for radius in support_radii]
     measured = regression_bracket(support_balls, radii=support_radii)
     b, _ = check_subadditivity(balls)
     fek = fekete_bracket(balls, b)

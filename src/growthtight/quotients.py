@@ -4,27 +4,31 @@ growth-tightness verdict engine.
 A QuotientOracle maps group elements to canonical coset identifiers for the
 kernel N of a computable homomorphism; counting distinct keys by L^p length
 realizes the quotient pseudo-metric's ball counts without solving any word
-problem.
+problem.  The built-in kernels act coordinate by coordinate, so their counts
+come from per-factor images; minimal sections enumerate product points.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .automata import CountSequence, perron_root, reduced_word_automaton
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .growth import GrowthBracket, bracket_gap, check_subadditivity, fekete_bracket
 from .products import (
+    LatticeTable,
     LpProductSpec,
     ProductPoint,
+    _check_factor_count,
     _check_shape,
     _lp_norm,
     duality_exponent,
-    product_ball_sequence,
+    norm_budget,
+    norm_key,
 )
 from .tree import ghat_membership_exact
 from .words import (
@@ -32,6 +36,7 @@ from .words import (
     ReducedWord,
     enumerate_sphere,
     format_word,
+    sphere_size,
 )
 
 ORACLE_KINDS = (
@@ -152,16 +157,6 @@ class MinimalSection:
         return len(self.entries)
 
 
-def _profile_norm_key(profile: tuple[int, ...], p: float):
-    if p == math.inf:
-        return max(profile) if profile else 0
-    if p == 1:
-        return sum(profile)
-    if p == int(p):
-        return sum(r ** int(p) for r in profile)
-    return sum(float(r) ** p for r in profile)
-
-
 def _section_scan(
     spec: LpProductSpec,
     oracle: QuotientOracle,
@@ -183,22 +178,14 @@ def _section_scan(
         ]
         spheres.append(per_radius)
         parts.append([[oracle.part(i, w) for w in sphere] for sphere in per_radius])
-    if spec.p == math.inf:
-        budget = rfloor
-    elif spec.p == 1:
-        budget = rfloor
-    elif spec.p == int(spec.p):
-        budget = Fraction(r_max) ** int(spec.p)
-    else:
-        budget = r_max**spec.p + 1e-9
-    profiles = [
-        prof
+    budget = norm_budget(spec.p, r_max)
+    keyed = [
+        (norm_key(spec.p, prof), prof)
         for prof in itertools.product(range(rfloor + 1), repeat=spec.n)
-        if _profile_norm_key(prof, spec.p) <= budget
     ]
-    profiles.sort(key=lambda prof: (_profile_norm_key(prof, spec.p), prof))
+    profiles = sorted(item for item in keyed if item[0] <= budget)
     section: dict = {}
-    for prof in profiles:
+    for _, prof in profiles:
         length = float(_lp_norm(prof, spec.p))
         part_lists = [parts[i][r] for i, r in enumerate(prof)]
         word_lists = [spheres[i][r] for i, r in enumerate(prof)]
@@ -223,6 +210,54 @@ def minimal_section(
     )
 
 
+def _l1_sphere_counts(k: int, r_max: int) -> list[int]:
+    """Points of Z^k at l^1 norm r: sum_j 2^j C(k, j) C(r-1, j-1), and 1 at r = 0."""
+    return [1] + [
+        sum(2**j * math.comb(k, j) * math.comb(r - 1, j - 1) for j in range(1, k + 1))
+        for r in range(1, r_max + 1)
+    ]
+
+
+def _image_spheres(
+    spec: LpProductSpec, oracle: QuotientOracle, r_max: int, factor_counts
+) -> list[Sequence[int]]:
+    """Per-factor quotient sphere counts of a coordinate-wise kernel: a killed
+    factor is trivial, a surviving one free, an abelianized F_k is Z^k."""
+    if oracle.kind == "abelianization-kernel":
+        return [_l1_sphere_counts(a.rank, r_max) for a in spec.factors]
+    if factor_counts is None:
+        factor_counts = [
+            [sphere_size(a, r) for r in range(r_max + 1)] for a in spec.factors
+        ]
+    _check_factor_count(spec, factor_counts)
+    return [
+        [1] + [0] * r_max if i in oracle.killed else counts
+        for i, counts in enumerate(factor_counts)
+    ]
+
+
+def _sumset(xs: set, ys: set) -> set:
+    return {x + y for x in xs for y in ys}
+
+
+def _hom_balls(spec: LpProductSpec, oracle: QuotientOracle, r_max: int) -> list[int]:
+    """Ball counts of the sum-combined homomorphism to Z: a LatticeTable over
+    image sets.  Factor i within word length r reaches {c_i . v : ||v||_1 <= r},
+    the r-fold sumset of {0, +-c_ij}; profiles extend partial images by sumset
+    and merge by union, so Ball(R) is the union over keys within R's budget."""
+    images = []
+    for row in oracle.coefficients:
+        moves = {0, *row, *(-c for c in row)}
+        balls = [{0}]
+        for _ in range(r_max):
+            balls.append(_sumset(balls[-1], moves))
+        images.append(balls)
+    table = LatticeTable(
+        spec.p, images, r_max, start={0}, extend=_sumset, merge=operator.or_
+    )
+    return [len(table.ball(r)) for r in range(r_max + 1)]
+
+
 def quotient_ball_counts(
     spec: LpProductSpec,
     oracle: QuotientOracle,
@@ -232,27 +267,34 @@ def quotient_ball_counts(
 ) -> CountSequence:
     """counts[r] = number of distinct coset keys within L^p length r.
 
-    Factor-kernel oracles take the exact shortcut: the quotient is the
-    surviving sub-product with the inherited metric, so its counts come from
-    the lattice sum instead of enumeration.
+    The built-in kernels are counted from per-factor images, with no
+    enumeration: the distance to a coset is the L^p norm of per-factor
+    quotient lengths.  Factor kernels and the abelianization are lattice sums
+    (LatticeTable) over per-factor quotient sphere counts: (1, 0, 0, ...) for
+    a killed factor, the free counts (factor_counts when given) for a
+    surviving one, the l^1 spheres of Z^k for an abelianized F_k.  The
+    homomorphism to Z is a fold over (profile key, partial images).  Only
+    user-table oracles enumerate the minimal section.
+
+    cutoff caps r_max (ResourceLimitError) for every kind but the factor
+    kernel, whose quotient is a sub-product of free groups; it stands in for
+    a work budget.
     """
     oracle.validate_for(spec)
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
-    if oracle.kind == "factor-kernel" and factor_counts is not None:
-        survivors = [i for i in range(spec.n) if i not in oracle.killed]
-        if not survivors:
-            return CountSequence((1,) + (0,) * r_max)
-        sub_spec = LpProductSpec(
-            tuple(spec.factors[i] for i in survivors), spec.p
-        )
-        sub_counts = [factor_counts[i] for i in survivors]
-        return product_ball_sequence(sub_spec, sub_counts, r_max)
-    section = _section_scan(spec, oracle, r_max, cutoff)
-    lengths = sorted(length for _, length in section.values())
-    balls = [bisect.bisect_right(lengths, r + 1e-9) for r in range(r_max + 1)]
-    spheres = [balls[0]] + [balls[r] - balls[r - 1] for r in range(1, r_max + 1)]
-    return CountSequence(tuple(spheres))
+    if oracle.kind != "factor-kernel" and r_max > cutoff:
+        raise ResourceLimitError(f"radius {r_max} exceeds enumeration cutoff {cutoff}")
+    if oracle.kind == "user-table":
+        section = _section_scan(spec, oracle, r_max, cutoff)
+        lengths = sorted(length for _, length in section.values())
+        balls = [bisect.bisect_right(lengths, r + 1e-9) for r in range(r_max + 1)]
+    elif oracle.kind == "homomorphism-to-integers":
+        balls = _hom_balls(spec, oracle, r_max)
+    else:
+        images = _image_spheres(spec, oracle, r_max, factor_counts)
+        return LatticeTable(spec.p, images, r_max).sequence(r_max)
+    return CountSequence.from_balls(balls)
 
 
 @dataclass(frozen=True)
@@ -365,7 +407,7 @@ def tightness_verdict(
 
     delta_G combines per-factor spectral brackets by the conjugate norm.  For
     factor kernels delta_G/N is the same combination over survivors (exact);
-    other oracles get a Fekete bracket from enumerated quotient counts, whose
+    other oracles get a Fekete bracket from exact quotient counts, whose
     lower end is heuristic, so only tight/inconclusive can be concluded there.
     """
     oracle.validate_for(spec)

@@ -167,6 +167,28 @@ class TestBallCounts:
             product_ball_counts(F2F2[1], (F2_SPHERES, F2_SPHERES), -1)
 
 
+class TestFloatBoundary:
+    @pytest.mark.parametrize("p", [1.5, 3])
+    @pytest.mark.parametrize("ranks", [(2, 2), (1, 2, 3)])
+    def test_matches_brute_at_random_and_support_radii(self, p, ranks):
+        spec = LpProductSpec(tuple(Alphabet(k) for k in ranks), p)
+        spheres = [[sphere_size(a, r) for r in range(13)] for a in spec.factors]
+        report = verify_duality(spec, spheres, 12, [1.0] * len(ranks))
+        step = len(ranks) ** (1 / p)
+        assert report.support_radii == tuple(
+            step * j * (1 + 1e-12) for j in range(1, len(report.support_radii) + 1)
+        )
+        rng = random.Random(f"{p}{ranks}")
+        radii = [rng.uniform(0, 12) for _ in range(30)] + list(report.support_radii)
+        for R in radii:
+            want = oracles.product_ball_brute(p, [s[: math.floor(R) + 1] for s in spheres], R)
+            assert product_ball_counts(spec, spheres, R) == want, R
+        assert list(report.support_balls) == [
+            oracles.product_ball_brute(p, [s[: math.floor(R) + 1] for s in spheres], R)
+            for R in report.support_radii
+        ]
+
+
 class TestGeneratingSetCorrespondence:
     def test_f2xf2_distances_match_lengths(self):
         rep = generating_set_correspondence(F2F2[2], max_radius=3)

@@ -1,11 +1,15 @@
 """Quotient oracles: minimal sections, coset ball counts, tightness verdicts."""
 from __future__ import annotations
 
+import bisect
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from growthtight import (
+    Alphabet,
     InvalidInputError,
     LpProductSpec,
     QuotientOracle,
@@ -194,6 +198,12 @@ class TestQuotientBallCounts:
         )
         assert scanned.balls() == shortcut.balls()
 
+    def test_factor_counts_must_cover_every_factor(self):
+        with pytest.raises(InvalidInputError, match="count sequences"):
+            quotient_ball_counts(
+                F2F2_P1, QuotientOracle.factor_kernel([0]), 3, factor_counts=(F2_SPHERES,)
+            )
+
     def test_hom_quotient_grows_linearly(self):
         got = quotient_ball_counts(F2F2_P1, HOM, 4)
         assert got.balls() == [1, 3, 5, 7, 9]
@@ -210,6 +220,50 @@ class TestQuotientBallCounts:
                 for x in enumerate_ball(RANK2, 4)
             }
             assert len(shifted) == len(ball_keys) == 41
+
+
+def scanned_balls(spec: LpProductSpec, oracle: QuotientOracle, r_max: int) -> list[int]:
+    """Quotient balls read off the enumerated minimal section."""
+    lengths = sorted(length for _, length in minimal_section(spec, oracle, r_max).entries.values())
+    return [bisect.bisect_right(lengths, r + 1e-9) for r in range(r_max + 1)]
+
+
+@st.composite
+def coordinatewise_quotients(draw):
+    ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    p = draw(st.sampled_from((1, 1.5, 2, 3, INF)))
+    spec = LpProductSpec(tuple(Alphabet(k) for k in ranks), p)
+    kind = draw(st.sampled_from(("factor", "abelianization", "hom")))
+    if kind == "factor":
+        oracle = QuotientOracle.factor_kernel(draw(st.sets(st.integers(0, len(ranks) - 1))))
+    elif kind == "abelianization":
+        oracle = QuotientOracle.abelianization()
+    else:
+        oracle = QuotientOracle.hom_to_integers(
+            [draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)) for k in ranks]
+        )
+    r_max = draw(st.integers(0, 4))
+    # keep the reference enumeration to tens of thousands of product points
+    while math.prod(oracles.ball_sizes(k, r_max)[-1] for k in ranks) > 40_000:
+        r_max -= 1
+    return spec, oracle, r_max
+
+
+class TestImagesAgainstEnumeration:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(coordinatewise_quotients())
+    @example((F2F2_P1, QuotientOracle.hom_to_integers(((0, 0), (2, 2))), 4))
+    @example((F2F2_INF, QuotientOracle.hom_to_integers(((2, 0), (0, 2))), 4))
+    @example(
+        (LpProductSpec((RANK2, Alphabet(1)), 1.5), QuotientOracle.hom_to_integers(((1, 1), (1,))), 4)
+    )
+    @example((LpProductSpec((Alphabet(3),), 2), QuotientOracle.hom_to_integers(((2, -2, 0),)), 4))
+    @example((F2F2_INF, QuotientOracle.abelianization(), 4))
+    @example((F2F2_P1, QuotientOracle.factor_kernel([0, 1]), 4))
+    def test_image_balls_equal_section_balls(self, case):
+        spec, oracle, r_max = case
+        images = quotient_ball_counts(spec, oracle, r_max)
+        assert images.balls() == scanned_balls(spec, oracle, r_max)
 
 
 class TestSectionStructure:
@@ -268,6 +322,21 @@ class TestTightnessVerdict:
         assert rep.verdict == "tight"
         assert rep.gap > 0.2
         assert rep.rationale
+
+    def test_abelianized_f2xf2_at_linf_is_tight(self):
+        # Z^2 x Z^2 with the max of the two l^1 norms: the ball is the square
+        # of the l^1 diamond 2r^2 + 2r + 1.
+        oracle = QuotientOracle.abelianization()
+        rep = tightness_verdict(F2F2_INF, oracle, 8, 0.08)
+        assert rep.verdict == "tight"
+        assert quotient_ball_counts(F2F2_INF, oracle, 8).balls() == [
+            (2 * r * r + 2 * r + 1) ** 2 for r in range(9)
+        ]
+        # at p = 1 the quotient is Z^4 with its l^1 norm
+        assert quotient_ball_counts(F2F2_P1, oracle, 8).balls() == [
+            sum(2**j * math.comb(4, j) * math.comb(r, j) for j in range(5))
+            for r in range(9)
+        ]
 
     def test_killing_nothing_is_inconclusive(self):
         rep = tightness_verdict(F2F2_P1, QuotientOracle.factor_kernel([]), 6, 0.08)
