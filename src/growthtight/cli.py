@@ -48,11 +48,11 @@ from .tree import (
     Axis,
     check_projection_axioms,
     ghat_automaton,
-    ghat_membership_exact,
     lemma31_bound_check,
     same_line,
     shorten,
     shorten_threshold,
+    walk_ghat_ball,
 )
 from .words import Alphabet, ReducedWord, enumerate_sphere, format_word, parse_word
 
@@ -231,6 +231,9 @@ def _cmd_ghat(params: dict, budgets: dict):
     alphabet = _alphabet(params)
     h = parse_word(alphabet, _require(params, "h"))
     m = _require(params, "m")
+    sweep = None
+    if "shorten_sweep" in params:
+        sweep = _shorten_sweep_params(h, params["shorten_sweep"], budgets)
     aut = ghat_automaton(alphabet, h, m)
     bracket = perron_root(aut, budgets["tol"])
     seq = count_lengths(aut, budgets["r_max"])
@@ -256,11 +259,8 @@ def _cmd_ghat(params: dict, budgets: dict):
         ("restricted", f"{bracket.lower:.9f}", f"{bracket.upper:.9f}"),
         ("full", f"{base_bracket.lower:.9f}", f"{base_bracket.upper:.9f}"),
     ]
-    if "shorten_sweep" in params:
-        results["shorten_sweep"] = _shorten_sweep(
-            alphabet, h, params["shorten_sweep"], budgets
-        )
-        sw = results["shorten_sweep"]
+    if sweep is not None:
+        sw = results["shorten_sweep"] = _shorten_sweep(alphabet, h, *sweep)
         rows.append(("swept words", f"{sw['checked']}", ""))
         rows.append(("shortened", f"{sw['shortened']}", ""))
         rows.append(("failures", f"{len(sw['failures'])}", ""))
@@ -268,36 +268,66 @@ def _cmd_ghat(params: dict, budgets: dict):
     return results, table, seq.to_csv()
 
 
-def _shorten_sweep(alphabet: Alphabet, h: ReducedWord, block, budgets: dict) -> dict:
-    """Exhaustive shortening check: every g outside Ghat(K) must get shorter."""
+def _sweep_radius(g_max, budgets: dict) -> int:
+    """A sweep radius, checked against the cutoff before any word is visited."""
+    if not isinstance(g_max, int) or g_max < 0:
+        raise InvalidInputError(f"g_max must be a non-negative integer, got {g_max!r}")
+    if g_max > budgets["cutoff"]:
+        raise ResourceLimitError(
+            f"g_max {g_max} exceeds enumeration cutoff {budgets['cutoff']}"
+        )
+    return g_max
+
+
+def _shorten_sweep_params(h: ReducedWord, block, budgets: dict) -> tuple[int, int]:
+    """(g_max, K) of a shorten_sweep block; K defaults to shorten_threshold(h)
+    and may not lie below it."""
     if not isinstance(block, dict):
         raise InvalidInputError("shorten_sweep must be an object")
-    g_max = _require(block, "g_max")
-    K = block.get("K", shorten_threshold(h))
-    checked = in_ghat = shortened = 0
-    failures = []
-    for r in range(g_max + 1):
-        for g in enumerate_sphere(alphabet, r, cutoff=budgets["cutoff"]):
-            checked += 1
-            if ghat_membership_exact(g, h, K):
-                in_ghat += 1
-                continue
-            res = shorten(g, h, K)
-            recomposed = (
-                res is not None
-                and res.g_prime == res.k * h ** (-res.alpha) * ~res.k * g
-            )
-            if res is None or len(res.g_prime) >= len(g) or not recomposed:
-                failures.append(format_word(g))
-            else:
-                shortened += 1
+    g_max = _sweep_radius(_require(block, "g_max"), budgets)
+    threshold = shorten_threshold(h)
+    K = block.get("K", threshold)
+    if not isinstance(K, int):
+        raise InvalidInputError(f"shorten_sweep K must be an integer, got {K!r}")
+    if K < threshold:
+        raise InvalidInputError(
+            f"shorten_sweep K={K!r} below the shortening threshold {threshold} of h"
+        )
+    return g_max, K
+
+
+def _shorten_sweep(alphabet: Alphabet, h: ReducedWord, g_max: int, K: int) -> dict:
+    """Exhaustive shortening check: every g with |g| <= g_max outside Ghat(K)
+    must get strictly shorter, to k h^-alpha k^-1 g.
+
+    The ball is walked through the Ghat(K) automaton (walk_ghat_ball), so only
+    the words outside Ghat(K) reach shorten.  checked counts the ball,
+    in_ghat the words in Ghat(K), shortened the other words that passed;
+    failures lists the rest in shortlex order.
+    """
+    shortened = 0
+    failures: list[ReducedWord] = []
+
+    def check(g: ReducedWord) -> None:
+        nonlocal shortened
+        res = shorten(g, h, K)
+        recomposed = (
+            res is not None
+            and res.g_prime == res.k * h ** (-res.alpha) * ~res.k * g
+        )
+        if res is None or len(res.g_prime) >= len(g) or not recomposed:
+            failures.append(g)
+        else:
+            shortened += 1
+
+    checked, in_ghat = walk_ghat_ball(alphabet, h, K, g_max, check)
     return {
         "g_max": g_max,
         "K": K,
         "checked": checked,
         "in_ghat": in_ghat,
         "shortened": shortened,
-        "failures": failures,
+        "failures": [format_word(g) for g in sorted(failures)],
     }
 
 
@@ -437,7 +467,7 @@ def _lemma31_sweep(alphabet: Alphabet, block, budgets: dict):
     if not isinstance(block, dict):
         raise InvalidInputError("lemma31 must be an object")
     h = parse_word(alphabet, _require(block, "h"))
-    g_max = block.get("g_max", 4)
+    g_max = _sweep_radius(block.get("g_max", 4), budgets)
     n_max = block.get("n_max", 8)
     ax = Axis.from_element(h)
     checked = failures = 0

@@ -9,7 +9,7 @@ reduce to longest-common-prefix scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .automata import CountingAutomaton, avoid_factors, reduced_word_automaton
 from .errors import InternalInvariantError, InvalidInputError
@@ -309,22 +309,23 @@ def _maximal_positive_runs(
     return runs
 
 
-def find_long_projections(
-    g: ReducedWord, h: ReducedWord, K: int
-) -> list[LongProjectionWitness]:
-    """All K-long positive projections of the geodesic [o, g.o] onto translates
-    of h's axis.
-
-    In the tree the projection diameter onto a translated axis equals the
-    overlap of [o, g.o] with that line, and positively aligned overlaps are
-    exactly the maximal runs of g reading core^infinity forward.
-    """
+def _axis_parts(h: ReducedWord) -> tuple[ReducedWord, ReducedWord, ReducedWord, int]:
+    """(core, conjugator, root, exponent) of non-trivial h: h = conjugator *
+    core * conjugator^-1 with core = root^exponent cyclically reduced."""
     if not h:
         raise InvalidInputError("h must be non-trivial")
-    if K < 1:
-        raise InvalidInputError(f"K must be >= 1, got {K}")
     core, conjugator = cyclic_reduce(h)
-    root, _ = primitive_root(core)
+    root, exponent = primitive_root(core)
+    return core, conjugator, root, exponent
+
+
+def _threshold(core: ReducedWord, conjugator: ReducedWord) -> int:
+    return 2 * (len(core) + 2 * len(conjugator)) + 2
+
+
+def _long_projections(
+    g: ReducedWord, core: ReducedWord, conjugator: ReducedWord, root: ReducedWord, K: int
+) -> list[LongProjectionWitness]:
     ray = root.letters
     witnesses = []
     for start, phase, length in _maximal_positive_runs(g.letters, ray):
@@ -345,6 +346,22 @@ def find_long_projections(
         )
     witnesses.sort(key=lambda w: (w.start, w.phase))
     return witnesses
+
+
+def find_long_projections(
+    g: ReducedWord, h: ReducedWord, K: int
+) -> list[LongProjectionWitness]:
+    """All K-long positive projections of the geodesic [o, g.o] onto translates
+    of h's axis.
+
+    In the tree the projection diameter onto a translated axis equals the
+    overlap of [o, g.o] with that line, and positively aligned overlaps are
+    exactly the maximal runs of g reading core^infinity forward.
+    """
+    core, conjugator, root, _ = _axis_parts(h)
+    if K < 1:
+        raise InvalidInputError(f"K must be >= 1, got {K}")
+    return _long_projections(g, core, conjugator, root, K)
 
 
 def format_witnesses(g: ReducedWord, witnesses: Sequence[LongProjectionWitness]) -> str:
@@ -387,12 +404,57 @@ def ghat_automaton(alphabet: Alphabet, h: ReducedWord, m: int) -> CountingAutoma
     return avoid_factors(reduced_word_automaton(alphabet), forbidden)
 
 
+def walk_ghat_ball(
+    alphabet: Alphabet,
+    h: ReducedWord,
+    K: int,
+    g_max: int,
+    outside: Callable[[ReducedWord], None],
+) -> tuple[int, int]:
+    """Depth-first walk of the reduced words of length <= g_max through
+    ghat_automaton(alphabet, h, K); returns (words visited, words in Ghat(K))
+    and calls outside(g) on every other word.
+
+    Shared prefixes are matched once, so membership costs one transition
+    lookup per tree edge.  Ghat(K) is closed under taking subwords, so every
+    state of the automaton accepts and a missing transition on a reduced
+    word puts it and its whole subtree outside; the subtree is then listed
+    without further lookups (state None).  Only the current root-to-leaf
+    path is held.  Words come in lexicographic, not shortlex, order.
+    """
+    if g_max < 0:
+        raise InvalidInputError(f"g_max must be >= 0, got {g_max}")
+    aut = ghat_automaton(alphabet, h, K)
+    step = aut.transitions
+    letters = tuple(alphabet.letters)
+    path: list[int] = []
+    checked = in_ghat = 0
+
+    def visit(state: int | None, depth: int) -> None:
+        nonlocal checked, in_ghat
+        checked += 1
+        if state is None:
+            outside(ReducedWord(alphabet, tuple(path)))
+        else:
+            in_ghat += 1
+        if depth == g_max:
+            return
+        back = path[-1] ^ 1 if path else -1
+        for x in letters:
+            if x != back:
+                path.append(x)
+                visit(None if state is None else step.get((state, x)), depth + 1)
+                path.pop()
+
+    visit(aut.initial, 0)
+    return checked, in_ghat
+
+
 def shorten_threshold(h: ReducedWord) -> int:
     """Smallest K accepted by shorten: 2 D' + 2 with D' = |core| + 2|conjugator|."""
     if not h:
         raise InvalidInputError("h must be non-trivial")
-    core, conjugator = cyclic_reduce(h)
-    return 2 * (len(core) + 2 * len(conjugator)) + 2
+    return _threshold(*cyclic_reduce(h))
 
 
 @dataclass(frozen=True)
@@ -415,15 +477,14 @@ def shorten(
     stays inside the matched run); the result stays in the coset g N for every
     normal N containing h.
     """
-    threshold = shorten_threshold(h)
+    core, conjugator, root, exponent = _axis_parts(h)
+    threshold = _threshold(core, conjugator)
     if K < threshold:
         raise InvalidInputError(f"K={K} below shortening threshold {threshold}")
-    witnesses = find_long_projections(g, h, K)
+    witnesses = _long_projections(g, core, conjugator, root, K)
     if not witnesses:
         return None
     best = max(witnesses, key=lambda w: (w.projection_diameter, -w.start, -w.phase))
-    core, _ = cyclic_reduce(h)
-    root, exponent = primitive_root(core)
     periods = (best.phase + best.projection_diameter) // len(root)
     alpha_max = max(1, periods // exponent)
     chosen = 1 if alpha is None else alpha

@@ -8,10 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from growthtight import __version__
 from growthtight import cli
 from growthtight.errors import InternalInvariantError
+from growthtight.tree import ghat_membership_exact, shorten, shorten_threshold
+from growthtight.words import Alphabet, ReducedWord, enumerate_sphere, format_word, parse_word
 
 
 def write_job(tmp_path, command: str, params: dict, budgets: dict | None = None, **extra):
@@ -366,3 +370,120 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema"] == "growthtight/report-v1"
+
+
+def per_word_sweep(alphabet, h, g_max, K) -> dict:
+    """The shorten sweep as one membership test per enumerated word (the
+    reference the automaton walk must reproduce)."""
+    checked = in_ghat = shortened = 0
+    failures = []
+    for r in range(g_max + 1):
+        for g in enumerate_sphere(alphabet, r):
+            checked += 1
+            if ghat_membership_exact(g, h, K):
+                in_ghat += 1
+                continue
+            res = shorten(g, h, K)
+            recomposed = (
+                res is not None
+                and res.g_prime == res.k * h ** (-res.alpha) * ~res.k * g
+            )
+            if res is None or len(res.g_prime) >= len(g) or not recomposed:
+                failures.append(format_word(g))
+            else:
+                shortened += 1
+    return {
+        "g_max": g_max,
+        "K": K,
+        "checked": checked,
+        "in_ghat": in_ghat,
+        "shortened": shortened,
+        "failures": failures,
+    }
+
+
+@st.composite
+def reduced_words(draw, alphabet, min_size, max_size, cyclic=False):
+    letters = []
+    size = draw(st.integers(min_size, max_size))
+    while len(letters) < size:
+        x = draw(st.sampled_from(alphabet.letters))
+        if letters and x == letters[-1] ^ 1:
+            continue
+        if cyclic and len(letters) == size - 1 and letters and x == letters[0] ^ 1:
+            continue
+        letters.append(x)
+    return ReducedWord(alphabet, tuple(letters))
+
+
+@st.composite
+def sweep_cases(draw):
+    alphabet = Alphabet(draw(st.integers(1, 3)))
+    core = draw(reduced_words(alphabet, 1, 2, cyclic=True))
+    conjugator = draw(reduced_words(alphabet, 1, 1)) if draw(st.booleans()) else alphabet.identity
+    h = conjugator * core * ~conjugator
+    K = shorten_threshold(h) + draw(st.integers(0, 3))
+    # only radii >= K reach shorten, so lean towards the top of the range
+    top = 5 if alphabet.rank == 3 else 6
+    g_max = draw(st.sampled_from(range(top, -1, -1)))
+    return alphabet, h, g_max, K
+
+
+class TestShortenSweep:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(sweep_cases())
+    @example((Alphabet(2), parse_word(Alphabet(2), "a"), 6, 4))
+    @example((Alphabet(2), parse_word(Alphabet(2), "b a b-"), 6, 8))
+    @example((Alphabet(1), parse_word(Alphabet(1), "a a"), 6, 6))
+    @example((Alphabet(3), parse_word(Alphabet(3), "c a b"), 5, 8))
+    def test_walk_equals_per_word_sweep(self, case):
+        alphabet, h, g_max, K = case
+        assert cli._shorten_sweep(alphabet, h, g_max, K) == per_word_sweep(alphabet, h, g_max, K)
+
+    def test_failures_come_in_shortlex_order(self, monkeypatch):
+        alphabet = Alphabet(2)
+        h = parse_word(alphabet, "a b")
+        # the walk reaches the longer word first (a < b); shortlex puts it last
+        broken = {"a b a b a b a", "b a b a b a"}
+
+        def shorten_or_fail(g, h, K):
+            return None if format_word(g) in broken else shorten(g, h, K)
+
+        monkeypatch.setattr(cli, "shorten", shorten_or_fail)
+        sweep = cli._shorten_sweep(alphabet, h, 8, 6)
+        assert sweep["failures"] == ["b a b a b a", "a b a b a b a"]
+        reference = per_word_sweep(alphabet, h, 8, 6)
+        assert sweep["shortened"] == reference["shortened"] - 2
+        assert sweep["in_ghat"] == reference["in_ghat"]
+
+    @pytest.mark.parametrize("command,params", [
+        ("ghat", {"rank": 2, "h": "a b", "m": 6, "shorten_sweep": {"g_max": 15}}),
+        ("axioms", {"rank": 2, "lemma31": {"h": "a b", "g_max": 15}}),
+    ])
+    def test_radius_above_cutoff_exits_3_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, params
+    ):
+        def untouchable(*args, **kwargs):
+            raise AssertionError("sweep work ran past the cutoff guard")
+
+        for name in ("shorten", "walk_ghat_ball", "lemma31_bound_check", "enumerate_sphere"):
+            monkeypatch.setattr(cli, name, untouchable)
+        job = write_job(tmp_path, command, params, {"cutoff": 14})
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 3
+        assert "g_max 15 exceeds enumeration cutoff 14" in err
+
+    @pytest.mark.parametrize("g_max", [3, 5])
+    def test_K_below_threshold_is_rejected(self, tmp_path, capsys, g_max):
+        job = write_job(
+            tmp_path, "ghat", {"rank": 2, "h": "a b", "m": 6, "shorten_sweep": {"g_max": g_max, "K": 4}}
+        )
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2
+        assert "below the shortening threshold 6" in err
+
+    @pytest.mark.parametrize("g_max", [-1, 2.5, "4"])
+    def test_bad_radius_is_rejected(self, tmp_path, capsys, g_max):
+        job = write_job(tmp_path, "ghat", {"rank": 2, "h": "a", "m": 4, "shorten_sweep": {"g_max": g_max}})
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2 and "g_max must be a non-negative integer" in err

@@ -23,6 +23,7 @@ from growthtight import (
     same_line,
     shorten,
     shorten_threshold,
+    walk_ghat_ball,
 )
 from growthtight.tree import D_TREE
 
@@ -346,6 +347,26 @@ class TestGhatAutomaton:
     def test_cutoff_at_core_length(self):
         aut = ghat_automaton(RANK2, word2("ab"), 2)
         assert list(count_lengths(aut, 3).spheres) == [1, 4, 10, 26]
+
+    @pytest.mark.parametrize("h,m", [("ab", 6), ("a", 4), ("baB", 8)])
+    def test_walk_visits_the_ball_and_lists_the_complement(self, h, m):
+        outside = []
+        checked, in_ghat = walk_ghat_ball(RANK2, word2(h), m, 6, outside.append)
+        ball = [g for r in range(7) for g in enumerate_sphere(RANK2, r)]
+        assert checked == len(ball) == 1457
+        aut = ghat_automaton(RANK2, word2(h), m)
+        assert aut.accepting == frozenset(range(aut.n_states))
+        assert in_ghat == sum(count_lengths(aut, 6))
+        expected = [g for g in ball if not ghat_membership_exact(g, word2(h), m)]
+        assert len(outside) == checked - in_ghat
+        assert outside == sorted(expected, key=lambda g: g.letters)
+
+    def test_walk_of_the_identity_ball(self):
+        seen = []
+        assert walk_ghat_ball(RANK2, word2("ab"), 6, 0, seen.append) == (1, 1)
+        assert seen == []
+        with pytest.raises(InvalidInputError, match="g_max"):
+            walk_ghat_ball(RANK2, word2("ab"), 6, -1, seen.append)
 
     def test_cutoff_below_core_is_rejected(self):
         with pytest.raises(InvalidInputError, match="below core length"):
