@@ -287,7 +287,7 @@ def _shorten_sweep_params(h: ReducedWord, block, budgets: dict) -> tuple[int, in
     g_max = _sweep_radius(_require(block, "g_max"), budgets)
     threshold = shorten_threshold(h)
     K = block.get("K", threshold)
-    if not isinstance(K, int):
+    if not isinstance(K, int) or isinstance(K, bool):
         raise InvalidInputError(f"shorten_sweep K must be an integer, got {K!r}")
     if K < threshold:
         raise InvalidInputError(

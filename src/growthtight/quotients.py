@@ -5,7 +5,10 @@ A QuotientOracle maps group elements to canonical coset identifiers for the
 kernel N of a computable homomorphism; counting distinct keys by L^p length
 realizes the quotient pseudo-metric's ball counts without solving any word
 problem.  The built-in kernels act coordinate by coordinate, so their counts
-come from per-factor images; minimal sections enumerate product points.
+come from per-factor images.  A minimal section keeps the first product point
+per key in (length, tuple-shortlex) order; since a key depends only on the
+per-coordinate parts, its scan runs over the first word of each part value in
+each factor sphere, not over every product point (see _section_scan).
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .products import (
     norm_budget,
     norm_key,
 )
-from .tree import ghat_membership_exact
+from .tree import ghat_membership_exact, shorten_threshold
 from .words import (
     DEFAULT_ENUMERATION_CUTOFF,
     ReducedWord,
@@ -163,21 +166,29 @@ def _section_scan(
     r_max: float,
     cutoff: int = DEFAULT_ENUMERATION_CUTOFF,
 ) -> dict:
-    """Enumerate all orbit points with ||profile||_p <= r_max in (length,
-    tuple-shortlex) order; first hit per key is the minimal representative."""
+    """Scan the orbit points with ||profile||_p <= r_max in (length,
+    tuple-shortlex) order; the first hit per key is the minimal representative.
+
+    A key depends only on the per-coordinate parts, and itertools.product walks
+    index tuples lexicographically, so the first tuple to hit a key is made of
+    the first word of each part value in every sphere.  Each sphere is
+    therefore reduced to its first word per distinct part, in order of first
+    occurrence; the reduced product visits those tuples in the same relative
+    order, so the entries and their insertion order are those of the full scan.
+    """
     oracle.validate_for(spec)
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
     rfloor = math.floor(r_max)
-    spheres = []
-    parts = []
+    reps = []  # reps[i][r] = [(part, first word with that part), ...]
     for i, alphabet in enumerate(spec.factors):
-        per_radius = [
-            enumerate_sphere(alphabet, r, cutoff=cutoff)
-            for r in range(rfloor + 1)
-        ]
-        spheres.append(per_radius)
-        parts.append([[oracle.part(i, w) for w in sphere] for sphere in per_radius])
+        per_radius = []
+        for r in range(rfloor + 1):
+            first: dict = {}
+            for w in enumerate_sphere(alphabet, r, cutoff=cutoff):
+                first.setdefault(oracle.part(i, w), w)
+            per_radius.append(list(first.items()))
+        reps.append(per_radius)
     budget = norm_budget(spec.p, r_max)
     keyed = [
         (norm_key(spec.p, prof), prof)
@@ -187,15 +198,10 @@ def _section_scan(
     section: dict = {}
     for _, prof in profiles:
         length = float(_lp_norm(prof, spec.p))
-        part_lists = [parts[i][r] for i, r in enumerate(prof)]
-        word_lists = [spheres[i][r] for i, r in enumerate(prof)]
-        for idx in itertools.product(*(range(len(pl)) for pl in part_lists)):
-            key = oracle.combine([pl[j] for pl, j in zip(part_lists, idx)])
+        for combo in itertools.product(*(reps[i][r] for i, r in enumerate(prof))):
+            key = oracle.combine([part for part, _ in combo])
             if key not in section:
-                point = ProductPoint(
-                    tuple(wl[j] for wl, j in zip(word_lists, idx))
-                )
-                section[key] = (point, length)
+                section[key] = (ProductPoint(tuple(w for _, w in combo)), length)
     return section
 
 
@@ -205,6 +211,10 @@ def minimal_section(
     r_max: float,
     cutoff: int = DEFAULT_ENUMERATION_CUTOFF,
 ) -> MinimalSection:
+    """One representative per coset key within L^p length r_max: the first
+    orbit point of the key in (length, tuple-shortlex) order.  The scan runs
+    over the first word per part value of each factor sphere, not over every
+    product point (see _section_scan)."""
     return MinimalSection(
         entries=_section_scan(spec, oracle, r_max, cutoff), radius=r_max
     )
@@ -349,11 +359,20 @@ def check_prop_minimal(
 
     Rationale: if every coordinate of a representative had a K-long positive
     projection, one common shortening step in each coordinate would produce a
-    strictly shorter point in the same coset, contradicting minimality.
+    strictly shorter point in the same coset, contradicting minimality.  That
+    step exists in every coordinate only when K is at least each coordinate's
+    shortening threshold, so a smaller K is invalid input.
     """
     _check_shape(spec, h_tuple)
     if any(not w for w in h_tuple.coords):
         raise InvalidInputError("every coordinate of h_tuple must be non-trivial")
+    if not isinstance(K, int) or isinstance(K, bool):
+        raise InvalidInputError(f"check K must be an integer, got {K!r}")
+    threshold = max(shorten_threshold(h) for h in h_tuple.coords)
+    if K < threshold:
+        raise InvalidInputError(
+            f"check K={K!r} below the shortening threshold {threshold} of h"
+        )
     if oracle.key(h_tuple) != oracle.key(spec.identity()):
         raise InvalidInputError("h_tuple is not in the oracle's kernel")
     section = minimal_section(spec, oracle, r_max, cutoff)

@@ -88,8 +88,9 @@ def _common_prefix_with_ray(letters: Sequence[int], ray: Sequence[int]) -> int:
     return m
 
 
-def project_to_axis(x: ReducedWord, ax: Axis) -> ProjectionResult:
-    """Nearest-point projection of the vertex x onto the axis (unique in a tree)."""
+def _axis_coordinate(x: ReducedWord, ax: Axis) -> tuple[int, int]:
+    """(axis coordinate, distance) of the projection of x, without building
+    the foot vertex."""
     v = ~ax.origin * x
     forward = _common_prefix_with_ray(v.letters, ax.root.letters)
     backward = _common_prefix_with_ray(v.letters, (~ax.root).letters)
@@ -98,10 +99,14 @@ def project_to_axis(x: ReducedWord, ax: Axis) -> ProjectionResult:
             "both rays match a positive prefix; root not cyclically reduced?"
         )
     coordinate = forward if forward >= backward else -backward
+    return coordinate, len(v) - max(forward, backward)
+
+
+def project_to_axis(x: ReducedWord, ax: Axis) -> ProjectionResult:
+    """Nearest-point projection of the vertex x onto the axis (unique in a tree)."""
+    coordinate, distance = _axis_coordinate(x, ax)
     return ProjectionResult(
-        foot=ax.point(coordinate),
-        distance=len(v) - max(forward, backward),
-        axis_coordinate=coordinate,
+        foot=ax.point(coordinate), distance=distance, axis_coordinate=coordinate
     )
 
 
@@ -257,15 +262,15 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
             power_witness=(exp_h, sign * exp_g),
         )
     p = project_to_axis(g.alphabet.identity, ax).foot
-    base_coord = project_to_axis(p, ax).axis_coordinate
+    base_coord, _ = _axis_coordinate(p, ax)
     bound = 2 * len(~p * (g * p)) + D_TREE
     rows = []
     ok = True
     x = p
     for n in range(1, n_max + 1):
         x = g * x
-        res = project_to_axis(x, ax)
-        dpi = abs(res.axis_coordinate - base_coord)
+        coord, _ = _axis_coordinate(x, ax)
+        dpi = abs(coord - base_coord)
         rows.append((n, dpi))
         ok = ok and dpi <= bound
     return Lemma31Report(

@@ -7,6 +7,7 @@ from these oracles, not from the library.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -210,20 +211,23 @@ def product_ball_brute(p, factor_spheres: list[list[int]], R) -> int:
     return total
 
 
-def minimal_section_brute(p, rank: int, n: int, key_fn, r_max: int) -> dict:
-    """key -> (coordinate tuple, length), scanning in the library's documented
-    deterministic order: norm, then profile, then per-coordinate word order."""
-    spheres = words_by_radius(rank, r_max)
+def minimal_section_brute(p, ranks: list[int], key_fn, r_max) -> dict:
+    """key -> (coordinate tuple, length), scanning every product point in the
+    library's documented deterministic order: norm, then profile, then
+    per-coordinate word order.  Factor i is free of rank ranks[i]; r_max may
+    be fractional.  The dict's insertion order is the order of first hits."""
+    rfloor = math.floor(r_max)
+    spheres = [words_by_radius(rank, rfloor) for rank in ranks]
     budget = lp_norm_exact((r_max,), p)
     profiles = [
         prof
-        for prof in product(range(r_max + 1), repeat=n)
+        for prof in product(range(rfloor + 1), repeat=len(ranks))
         if lp_norm_exact(prof, p) <= budget
     ]
     profiles.sort(key=lambda prof: (lp_norm_exact(prof, p), prof))
     section: dict = {}
     for prof in profiles:
-        for coords in product(*(spheres[r] for r in prof)):
+        for coords in product(*(spheres[i][r] for i, r in enumerate(prof))):
             key = key_fn(coords)
             if key not in section:
                 section[key] = (coords, _norm_val(prof, p))

@@ -307,6 +307,39 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 3 and "resource limit" in err
 
+    @pytest.mark.parametrize("h,K,message", [
+        (["a b", "b a-"], "6", "check K must be an integer, got '6'"),
+        (["a b", "b a-"], 2.5, "check K must be an integer, got 2.5"),
+        (["a b", "b a-"], True, "check K must be an integer, got True"),
+        (["a b", "b a-"], 5, "check K=5 below the shortening threshold 6 of h"),
+        # the threshold is the largest over the coordinates: 8 for a b a-, 4 for b
+        (["a b a-", "b"], 6, "check K=6 below the shortening threshold 8 of h"),
+    ])
+    def test_bad_structure_check_K_is_rejected(self, tmp_path, capsys, h, K, message):
+        job = write_job(
+            tmp_path,
+            "quotient",
+            {
+                "factors": [{"rank": 2}, {"rank": 2}],
+                "p": 1,
+                "oracle": {
+                    "kind": "homomorphism-to-integers",
+                    "coefficients": [[1, 1], [1, -1]],
+                },
+                "check": {"h": h, "K": K},
+            },
+            {"r_max": 3},
+        )
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2 and message in err
+
+    def test_bool_shorten_sweep_K_is_rejected(self, tmp_path, capsys):
+        job = write_job(
+            tmp_path, "ghat", {"rank": 2, "h": "a", "m": 4, "shorten_sweep": {"g_max": 3, "K": True}}
+        )
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2 and "shorten_sweep K must be an integer, got True" in err
+
     def test_invariant_breach_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(params, budgets):
             raise InternalInvariantError("synthetic breach")

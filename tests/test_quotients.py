@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 
 import pytest
@@ -102,18 +103,18 @@ class TestMinimalSection:
 
     def test_hom_matches_brute_scan(self):
         sec = charmap(minimal_section(F2F2_P1, HOM, 3))
-        want = oracles.minimal_section_brute(1, 2, 2, hom_key, 3)
+        want = oracles.minimal_section_brute(1, [2, 2], hom_key, 3)
         assert sec == want
 
     def test_hom_matches_brute_scan_linf(self):
         sec = charmap(minimal_section(F2F2_INF, HOM, 2))
-        want = oracles.minimal_section_brute(float("inf"), 2, 2, hom_key, 2)
+        want = oracles.minimal_section_brute(float("inf"), [2, 2], hom_key, 2)
         assert sec == want
 
     def test_abelianization_matches_brute_scan(self):
         key_fn = lambda coords: (oracles.exp_vector(coords[0], 2),)
         sec = charmap(minimal_section(F2, QuotientOracle.abelianization(), 3))
-        assert sec == oracles.minimal_section_brute(1, 2, 1, key_fn, 3)
+        assert sec == oracles.minimal_section_brute(1, [2], key_fn, 3)
 
     def test_factor_kernel_section_is_the_surviving_ball(self):
         sec = minimal_section(F2F2_P1, QuotientOracle.factor_kernel([1]), 2)
@@ -145,6 +146,93 @@ class TestMinimalSection:
     def test_cutoff_guard(self):
         with pytest.raises(ResourceLimitError):
             minimal_section(F2, QuotientOracle.abelianization(), 8, cutoff=6)
+
+    def test_scan_combines_one_word_per_part(self, monkeypatch):
+        # A hom part on the F2 sphere of radius r takes r + 1 values, so the
+        # profiles r1 + r2 <= 6 need sum (r1 + 1)(r2 + 1) = 210 combinations;
+        # the L^1 ball of radius 6 in F2 x F2 has 11 665 product points.
+        calls = 0
+        combine = QuotientOracle.combine
+
+        def counting_combine(self, parts):
+            nonlocal calls
+            calls += 1
+            return combine(self, parts)
+
+        monkeypatch.setattr(QuotientOracle, "combine", counting_combine)
+        sec = minimal_section(F2F2_P1, HOM, 6)
+        assert sec.size == 13
+        assert calls <= 250
+
+
+@st.composite
+def section_cases(draw):
+    """(spec, oracle, r_max, brute key function) over every oracle kind."""
+    ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    p = draw(st.sampled_from((1, 1.5, 2, 3, INF)))
+    kind = draw(st.sampled_from(("factor", "abelianization", "hom", "user-table")))
+    r_max = draw(st.sampled_from((0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4)))
+    # keep the brute scan (and a user table) to a few thousand product points
+    limit = 1_500 if kind == "user-table" else 6_000
+    while math.prod(oracles.ball_sizes(k, math.floor(r_max))[-1] for k in ranks) > limit:
+        r_max -= 1
+    spec = LpProductSpec(tuple(Alphabet(k) for k in ranks), p)
+    if kind == "factor":
+        killed = draw(st.sets(st.integers(0, len(ranks) - 1)))
+        oracle = QuotientOracle.factor_kernel(killed)
+
+        def key_fn(coords):
+            return tuple(oracles.lex_key(c) for i, c in enumerate(coords) if i not in killed)
+
+    elif kind == "abelianization":
+        oracle = QuotientOracle.abelianization()
+
+        def key_fn(coords):
+            return tuple(oracles.exp_vector(c, k) for c, k in zip(coords, ranks))
+
+    elif kind == "hom":
+        rows = [draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)) for k in ranks]
+        oracle = QuotientOracle.hom_to_integers(rows)
+
+        def key_fn(coords):
+            return sum(
+                sum(c * e for c, e in zip(row, oracles.exp_vector(w, k)))
+                for row, w, k in zip(rows, coords, ranks)
+            )
+
+    else:
+        # every point of the product of the factor balls, keyed by the total
+        # exponent sum mod 3, so cosets gather words of many lengths
+        balls = [
+            [w for sphere in oracles.words_by_radius(k, math.floor(r_max)) for w in sphere]
+            for k in ranks
+        ]
+        table = {
+            tuple(oracles.to_lib_text(c) for c in coords): sum(
+                sum(oracles.exp_vector(c, k)) for c, k in zip(coords, ranks)
+            ) % 3
+            for coords in itertools.product(*balls)
+        }
+        oracle = QuotientOracle.user_table(table)
+
+        def key_fn(coords):
+            return table[tuple(oracles.to_lib_text(c) for c in coords)]
+
+    return spec, oracle, r_max, key_fn
+
+
+class TestSectionAgainstBruteScan:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(section_cases())
+    def test_entries_and_their_order_match_the_full_scan(self, case):
+        spec, oracle, r_max, key_fn = case
+        got = [
+            (key, (tuple(chars(w) for w in point.coords), length))
+            for key, (point, length) in minimal_section(spec, oracle, r_max).entries.items()
+        ]
+        ranks = [a.rank for a in spec.factors]
+        want = oracles.minimal_section_brute(spec.p, ranks, key_fn, r_max)
+        assert got == list(want.items())
 
 
 class TestUserTable:
