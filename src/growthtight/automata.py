@@ -78,12 +78,6 @@ class CountingAutomaton:
                 return False
         return state in self.accepting
 
-    def transfer_matrix(self) -> list[list[int]]:
-        mat = [[0] * self.n_states for _ in range(self.n_states)]
-        for (s, _), t in self.transitions.items():
-            mat[s][t] += 1
-        return mat
-
     def trimmed(self) -> "CountingAutomaton":
         """Restrict to states both reachable from the initial state and
         co-reachable to an accepting state; renumber in BFS order."""
@@ -133,19 +127,6 @@ class CountingAutomaton:
         }
         accepting = {order[s] for s in self.accepting if s in order}
         return CountingAutomaton(self.alphabet, len(order), 0, accepting, transitions)
-
-    def to_text(self) -> str:
-        """Stable text export (golden-file friendly)."""
-        lines = [
-            "growthtight-automaton v1",
-            f"rank {self.alphabet.rank}",
-            f"states {self.n_states}",
-            f"initial {self.initial}",
-            "accepting " + " ".join(str(s) for s in sorted(self.accepting)),
-        ]
-        for (s, x), t in sorted(self.transitions.items()):
-            lines.append(f"trans {s} {self.alphabet.letter_name(x)} {t}")
-        return "\n".join(lines) + "\n"
 
 
 def reduced_word_automaton(alphabet: Alphabet) -> CountingAutomaton:

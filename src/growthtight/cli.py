@@ -69,6 +69,22 @@ BUDGET_DEFAULTS = {
 COMMON_BUDGETS = {"tol": 1e-9, "cutoff": 14}
 
 
+def _non_negative_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _positive_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
+
+
+# budget name -> (check, what the check demands)
+BUDGET_CHECKS = {
+    "r_max": (_non_negative_int, "a non-negative integer"),
+    "cutoff": (_non_negative_int, "a non-negative integer"),
+    "tol": (_positive_real, "a positive number"),
+}
+
+
 def _require(params: dict, name: str):
     if name not in params:
         raise InvalidInputError(f"missing required parameter {name!r}")
@@ -76,10 +92,7 @@ def _require(params: dict, name: str):
 
 
 def _alphabet(params: dict) -> Alphabet:
-    rank = _require(params, "rank")
-    if not isinstance(rank, int):
-        raise InvalidInputError(f"rank must be an integer, got {rank!r}")
-    return Alphabet(rank)
+    return Alphabet(_require(params, "rank"))
 
 
 def _parse_words(alphabet: Alphabet, texts, what: str) -> list[ReducedWord]:
@@ -222,8 +235,6 @@ def _cmd_avoid(params: dict, budgets: dict):
         rows.append(
             ("avoid+inverses", f"{bracket2.lower:.9f}", f"{bracket2.upper:.9f}")
         )
-    if params.get("export_automaton", False):
-        results["automaton"] = aut.to_text()
     return results, format_table(["language", "lower", "upper"], rows), seq.to_csv()
 
 
@@ -376,14 +387,6 @@ def _parse_oracle(block) -> QuotientOracle:
         return QuotientOracle.abelianization()
     if kind == "homomorphism-to-integers":
         return QuotientOracle.hom_to_integers(block.get("coefficients", []))
-    if kind == "user-table":
-        entries = block.get("table", [])
-        table = {}
-        for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise InvalidInputError("user-table entries are [coord_texts, key]")
-            table[tuple(entry[0])] = entry[1]
-        return QuotientOracle.user_table(table)
     raise InvalidInputError(f"unknown oracle kind {kind!r}")
 
 
@@ -391,7 +394,7 @@ def _cmd_quotient(params: dict, budgets: dict):
     spec = _product_spec(params)
     oracle = _parse_oracle(_require(params, "oracle"))
     r_max = budgets["r_max"]
-    seq = quotient_ball_counts(spec, oracle, r_max, cutoff=budgets["cutoff"])
+    seq = quotient_ball_counts(spec, oracle, r_max)
     balls = seq.balls()
     b, _ = check_subadditivity(balls)
     fek = fekete_bracket(balls, b)
@@ -420,9 +423,7 @@ def _cmd_quotient(params: dict, budgets: dict):
 def _cmd_tightness(params: dict, budgets: dict):
     spec = _product_spec(params)
     oracle = _parse_oracle(_require(params, "oracle"))
-    report = tightness_verdict(
-        spec, oracle, budgets["r_max"], budgets["tol"], cutoff=budgets["cutoff"]
-    )
+    report = tightness_verdict(spec, oracle, budgets["r_max"], budgets["tol"])
     results = report.to_dict()
     table = format_table(
         ["quantity", "value"],
@@ -599,6 +600,9 @@ def _load_job(path: str) -> dict:
         raise InvalidInputError(
             f"unknown command {command!r}; choose from {sorted(COMMANDS)}"
         )
+    output = job.get("output", {})
+    if not isinstance(output, dict) or not isinstance(output.get("csv", ""), str):
+        raise InvalidInputError("output must be an object with an optional csv path string")
     return job
 
 
@@ -613,8 +617,9 @@ def _resolve_budgets(job: dict, args) -> dict:
         override = getattr(args, name, None)
         if override is not None:
             budgets[name] = override
-    if budgets.get("r_max", 1) < 0 or budgets.get("tol", 1.0) <= 0:
-        raise InvalidInputError("budgets must be positive")
+    for name, (check, demand) in BUDGET_CHECKS.items():
+        if name in budgets and not check(budgets[name]):
+            raise InvalidInputError(f"budget {name} must be {demand}, got {budgets[name]!r}")
     return budgets
 
 

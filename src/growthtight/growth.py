@@ -6,7 +6,7 @@ Logs of big ints go through math.log, which is fine at any magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalInvariantError, InvalidInputError
@@ -214,60 +214,6 @@ def fekete_upper_profile(ball_counts: Sequence[int], b: float) -> list[tuple[int
         for i in range(1, len(ball_counts))
         if ball_counts[i] > 0
     ]
-
-
-@dataclass(frozen=True)
-class PoincareProbe:
-    s: float
-    partial_sums: list[float]
-    term_logs: list[float]
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "partial_sums": self.partial_sums,
-            "final_sum": self.partial_sums[-1] if self.partial_sums else 0.0,
-            "verdict": self.verdict,
-        }
-
-
-def poincare_probe(
-    ball_counts: Sequence[int], s: float, r_max: int | None = None
-) -> PoincareProbe:
-    """Partial sums of sum_r P(r) e^(-r s) with a heuristic verdict.
-
-    The verdict looks at the slope of log-terms over the trailing window:
-    clearly decaying terms mean the series converges at s, terms that fail to
-    decay mean it diverges, anything unstable is undetermined.
-    """
-    if r_max is None:
-        r_max = len(ball_counts) - 1
-    if r_max >= len(ball_counts):
-        raise InvalidInputError(f"r_max {r_max} beyond available counts")
-    term_logs = []
-    total = 0.0
-    sums = []
-    for r in range(r_max + 1):
-        if ball_counts[r] <= 0:
-            continue
-        t = math.log(ball_counts[r]) - r * s
-        term_logs.append(t)
-        total += math.exp(t) if t < 700 else math.inf
-        sums.append(total)
-    if len(term_logs) < 3:
-        return PoincareProbe(s, sums, term_logs, "converging" if total < math.inf else "diverging")
-    window = max(2, len(term_logs) // 4)
-    slope = (term_logs[-1] - term_logs[-1 - window]) / window
-    # skip the radius-0 term: it sits below the rest by the constant prefactor
-    early = (term_logs[window] - term_logs[1]) / max(1, window - 1)
-    if slope < -0.005:
-        verdict = "converging" if early < 0.005 else "undetermined"
-    elif slope > -0.005 and early > -0.005:
-        verdict = "diverging"
-    else:
-        verdict = "undetermined"
-    return PoincareProbe(s, sums, term_logs, verdict)
 
 
 @dataclass(frozen=True)

@@ -303,15 +303,6 @@ def product_ball_counts(
     return LatticeTable(spec.p, factor_counts, R).ball(R)
 
 
-def product_ball_sequence(
-    spec: LpProductSpec, factor_counts: Sequence[CountSequence | Sequence[int]], r_max: int
-) -> CountSequence:
-    """Product sphere counts for integer radii 0..r_max (balls via .balls()),
-    all read from one LatticeTable."""
-    _check_factor_count(spec, factor_counts)
-    return LatticeTable(spec.p, factor_counts, r_max).sequence(r_max)
-
-
 def duality_exponent(deltas: Sequence[float], p: float) -> float:
     """The product growth exponent predicted from factor exponents: their
     conjugate-norm ||deltas||_q with 1/p + 1/q = 1."""

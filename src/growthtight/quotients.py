@@ -5,22 +5,23 @@ A QuotientOracle maps group elements to canonical coset identifiers for the
 kernel N of a computable homomorphism; counting distinct keys by L^p length
 realizes the quotient pseudo-metric's ball counts without solving any word
 problem.  The built-in kernels act coordinate by coordinate, so their counts
-come from per-factor images.  A minimal section keeps the first product point
-per key in (length, tuple-shortlex) order; since a key depends only on the
-per-coordinate parts, its scan runs over the first word of each part value in
-each factor sphere, not over every product point (see _section_scan).
+come from per-factor images, so counting enumerates nothing.  A minimal
+section keeps the first product point per key in (length, tuple-shortlex)
+order; since a key depends only on the per-coordinate parts, its scan runs
+over the first word of each part value in each factor sphere, not over every
+product point (see _section_scan).  Only the section scan enumerates words,
+so only it is bounded by the enumeration cutoff.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .automata import CountSequence, perron_root, reduced_word_automaton
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .growth import GrowthBracket, bracket_gap, check_subadditivity, fekete_bracket
 from .products import (
     LatticeTable,
@@ -46,7 +47,6 @@ ORACLE_KINDS = (
     "factor-kernel",
     "abelianization-kernel",
     "homomorphism-to-integers",
-    "user-table",
 )
 
 
@@ -63,20 +63,16 @@ class QuotientOracle:
         kind: str,
         killed: Sequence[int] = (),
         coefficients: Sequence[Sequence[int]] = (),
-        table: Mapping[tuple[str, ...], object] | None = None,
     ):
         if kind not in ORACLE_KINDS:
             raise InvalidInputError(f"unknown oracle kind {kind!r}")
         self.kind = kind
         self.killed = frozenset(killed)
         self.coefficients = tuple(tuple(row) for row in coefficients)
-        self.table = dict(table) if table is not None else None
         if kind == "factor-kernel" and any(i < 0 for i in self.killed):
             raise InvalidInputError("killed factor indices must be >= 0")
         if kind == "homomorphism-to-integers" and not self.coefficients:
             raise InvalidInputError("homomorphism oracle needs coefficient rows")
-        if kind == "user-table" and self.table is None:
-            raise InvalidInputError("user-table oracle needs a table")
 
     @classmethod
     def factor_kernel(cls, killed: Sequence[int]) -> "QuotientOracle":
@@ -89,10 +85,6 @@ class QuotientOracle:
     @classmethod
     def hom_to_integers(cls, coefficients: Sequence[Sequence[int]]) -> "QuotientOracle":
         return cls("homomorphism-to-integers", coefficients=coefficients)
-
-    @classmethod
-    def user_table(cls, table: Mapping[tuple[str, ...], object]) -> "QuotientOracle":
-        return cls("user-table", table=table)
 
     def validate_for(self, spec: LpProductSpec) -> None:
         if self.kind == "factor-kernel":
@@ -116,22 +108,15 @@ class QuotientOracle:
             return None if index in self.killed else word.letters
         if self.kind == "abelianization-kernel":
             return word.exponent_sums()
-        if self.kind == "homomorphism-to-integers":
-            sums = word.exponent_sums()
-            return sum(c * s for c, s in zip(self.coefficients[index], sums))
-        return format_word(word)
+        sums = word.exponent_sums()
+        return sum(c * s for c, s in zip(self.coefficients[index], sums))
 
     def combine(self, parts: Sequence):
         if self.kind == "factor-kernel":
             return tuple(p for p in parts if p is not None)
         if self.kind == "abelianization-kernel":
             return tuple(parts)
-        if self.kind == "homomorphism-to-integers":
-            return sum(parts)
-        key = tuple(parts)
-        if key not in self.table:
-            raise InvalidInputError(f"user table has no entry for {key}")
-        return self.table[key]
+        return sum(parts)
 
     def key(self, point: ProductPoint):
         return self.combine([self.part(i, w) for i, w in enumerate(point.coords)])
@@ -142,8 +127,6 @@ class QuotientOracle:
             out["kill"] = sorted(self.killed)
         if self.kind == "homomorphism-to-integers":
             out["coefficients"] = [list(r) for r in self.coefficients]
-        if self.kind == "user-table":
-            out["table_size"] = len(self.table)
         return out
 
 
@@ -273,7 +256,6 @@ def quotient_ball_counts(
     oracle: QuotientOracle,
     r_max: int,
     factor_counts: Sequence[CountSequence | Sequence[int]] | None = None,
-    cutoff: int = DEFAULT_ENUMERATION_CUTOFF,
 ) -> CountSequence:
     """counts[r] = number of distinct coset keys within L^p length r.
 
@@ -283,28 +265,16 @@ def quotient_ball_counts(
     (LatticeTable) over per-factor quotient sphere counts: (1, 0, 0, ...) for
     a killed factor, the free counts (factor_counts when given) for a
     surviving one, the l^1 spheres of Z^k for an abelianized F_k.  The
-    homomorphism to Z is a fold over (profile key, partial images).  Only
-    user-table oracles enumerate the minimal section.
-
-    cutoff caps r_max (ResourceLimitError) for every kind but the factor
-    kernel, whose quotient is a sub-product of free groups; it stands in for
-    a work budget.
+    homomorphism to Z is a fold over (profile key, partial images).  No kind
+    enumerates words, so no enumeration cutoff applies.
     """
     oracle.validate_for(spec)
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
-    if oracle.kind != "factor-kernel" and r_max > cutoff:
-        raise ResourceLimitError(f"radius {r_max} exceeds enumeration cutoff {cutoff}")
-    if oracle.kind == "user-table":
-        section = _section_scan(spec, oracle, r_max, cutoff)
-        lengths = sorted(length for _, length in section.values())
-        balls = [bisect.bisect_right(lengths, r + 1e-9) for r in range(r_max + 1)]
-    elif oracle.kind == "homomorphism-to-integers":
-        balls = _hom_balls(spec, oracle, r_max)
-    else:
-        images = _image_spheres(spec, oracle, r_max, factor_counts)
-        return LatticeTable(spec.p, images, r_max).sequence(r_max)
-    return CountSequence.from_balls(balls)
+    if oracle.kind == "homomorphism-to-integers":
+        return CountSequence.from_balls(_hom_balls(spec, oracle, r_max))
+    images = _image_spheres(spec, oracle, r_max, factor_counts)
+    return LatticeTable(spec.p, images, r_max).sequence(r_max)
 
 
 @dataclass(frozen=True)
@@ -419,7 +389,6 @@ def tightness_verdict(
     oracle: QuotientOracle,
     r_max: int,
     tol: float,
-    cutoff: int = DEFAULT_ENUMERATION_CUTOFF,
 ) -> TightnessReport:
     """Growth-tightness verdict comparing the full product exponent with the
     quotient exponent.
@@ -446,7 +415,7 @@ def tightness_verdict(
             max_survived = max(factor_brackets[i].upper for i in survivors)
             structural_witness = spec.p == 1 and max_killed <= max_survived + tol
     else:
-        counts = quotient_ball_counts(spec, oracle, r_max, cutoff=cutoff)
+        counts = quotient_ball_counts(spec, oracle, r_max)
         balls = counts.balls()
         b, _ = check_subadditivity(balls)
         delta_gn = fekete_bracket(balls, b)

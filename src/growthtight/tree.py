@@ -369,17 +369,6 @@ def find_long_projections(
     return _long_projections(g, core, conjugator, root, K)
 
 
-def format_witnesses(g: ReducedWord, witnesses: Sequence[LongProjectionWitness]) -> str:
-    """Stable text records for regression fixtures."""
-    lines = [f"long-projections g={format_word(g)} n={len(witnesses)}"]
-    for w in witnesses:
-        lines.append(
-            f"witness g={format_word(g)} k={format_word(w.k)}"
-            f" alpha={w.alpha} diameter={w.projection_diameter}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def ghat_membership_exact(g: ReducedWord, h: ReducedWord, K: int) -> bool:
     """Whether no subsegment of [o, g.o] has a K-long positive h-projection.
 

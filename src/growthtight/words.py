@@ -22,6 +22,8 @@ class Alphabet:
     rank: int
 
     def __post_init__(self):
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
+            raise InvalidInputError(f"rank must be an integer, got {self.rank!r}")
         if self.rank < 1:
             raise InvalidInputError(f"rank must be >= 1, got {self.rank}")
         if self.rank > len(string.ascii_lowercase):
@@ -118,9 +120,6 @@ class ReducedWord:
             sums[x // 2] += -1 if x & 1 else 1
         return tuple(sums)
 
-    def to_text(self) -> str:
-        return format_word(self)
-
 
 def _check_same_alphabet(u: ReducedWord, v: ReducedWord) -> None:
     if u.alphabet != v.alphabet:
@@ -154,10 +153,6 @@ def free_reduce(alphabet: Alphabet, raw: Iterable[int | str]) -> ReducedWord:
         else:
             letters.append(x)
     return ReducedWord(alphabet, tuple(letters))
-
-
-def multiply(u: ReducedWord, v: ReducedWord) -> ReducedWord:
-    return u * v
 
 
 def cyclic_reduce(w: ReducedWord) -> tuple[ReducedWord, ReducedWord]:

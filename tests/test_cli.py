@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -293,19 +294,87 @@ class TestExitCodes:
         job = write_job(tmp_path, "count", {"rank": 2}, {"r_max": -1})
         assert run_cli(capsys, "run", str(job))[0] == 2
 
+    @pytest.mark.parametrize("budgets,extra,name", [
+        ({"r_max": "5"}, {}, "r_max"),
+        ({"r_max": 3.5}, {}, "r_max"),
+        ({"r_max": True}, {}, "r_max"),
+        ({"tol": "1e-9"}, {}, "tol"),
+        ({"tol": True}, {}, "tol"),
+        ({"cutoff": -1}, {}, "cutoff"),
+        ({}, {"output": "x"}, "output"),
+        ({}, {"output": {"csv": 7}}, "output"),
+    ], ids=[
+        "r_max-string", "r_max-float", "r_max-bool", "tol-string", "tol-bool",
+        "cutoff-negative", "output-string", "output-csv-int",
+    ])
+    def test_malformed_budget_is_invalid_input(self, tmp_path, capsys, budgets, extra, name):
+        job = write_job(tmp_path, "count", {"rank": 2}, budgets, **extra)
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2
+        assert "invalid input" in err and name in err
+
+    @pytest.mark.parametrize("command,params", [
+        ("count", {"rank": True}),
+        ("count", {"rank": 2.0}),
+        ("product", {"factors": [{"rank": "2"}], "p": 1}),
+        ("product", {"factors": [{"rank": 2}, {"rank": True}], "p": 1}),
+    ])
+    def test_non_integer_rank_is_invalid_input(self, tmp_path, capsys, command, params):
+        job = write_job(tmp_path, command, params)
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2 and "rank must be an integer" in err
+
     def test_cutoff_hits_resource_limit(self, tmp_path, capsys):
+        # the structure check enumerates the minimal section, so the cutoff
+        # still bounds it even though the ball counts enumerate nothing
         job = write_job(
             tmp_path,
             "quotient",
             {
-                "factors": [{"rank": 2}],
+                "factors": [{"rank": 2}, {"rank": 2}],
                 "p": 1,
-                "oracle": {"kind": "abelianization-kernel"},
+                "oracle": {
+                    "kind": "homomorphism-to-integers",
+                    "coefficients": [[1, 1], [1, -1]],
+                },
+                "check": {"h": ["a b", "b a-"], "K": 6},
             },
             {"r_max": 8, "cutoff": 6},
         )
         code, _, err = run_cli(capsys, "run", str(job))
-        assert code == 3 and "resource limit" in err
+        assert code == 3 and "exceeds enumeration cutoff 6" in err
+
+    @pytest.mark.parametrize("oracle,ball", [
+        # Z^4 with its l^1 norm: sum_j 2^j C(4, j) C(r, j) points within r
+        (
+            {"kind": "abelianization-kernel"},
+            lambda r: sum(2**j * math.comb(4, j) * math.comb(r, j) for j in range(5)),
+        ),
+        # a + b on one factor, a - b on the other: every integer in [-r, r]
+        (
+            {"kind": "homomorphism-to-integers", "coefficients": [[1, 1], [1, -1]]},
+            lambda r: 2 * r + 1,
+        ),
+    ])
+    def test_quotient_counts_are_not_capped_by_the_cutoff(self, tmp_path, capsys, oracle, ball):
+        params = {"factors": [{"rank": 2}, {"rank": 2}], "p": 1, "oracle": oracle}
+        job = write_job(tmp_path, "quotient", params, {"r_max": 20})
+        code, out, err = run_cli(capsys, "run", str(job), "--quiet")
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert rep["job"]["budgets"]["cutoff"] == 14
+        assert rep["results"]["balls"] == [ball(r) for r in range(21)]
+
+    def test_tightness_is_not_capped_by_the_cutoff(self, tmp_path, capsys):
+        params = {
+            "factors": [{"rank": 2}, {"rank": 2}],
+            "p": 1,
+            "oracle": {"kind": "abelianization-kernel"},
+        }
+        job = write_job(tmp_path, "tightness", params, {"r_max": 20, "tol": 0.08})
+        code, out, _ = run_cli(capsys, "run", str(job), "--quiet")
+        assert code == 0
+        assert json.loads(out)["results"]["r_max"] == 20
 
     @pytest.mark.parametrize("h,K,message", [
         (["a b", "b a-"], "6", "check K must be an integer, got '6'"),

@@ -18,7 +18,6 @@ from growthtight import (
     fekete_upper_profile,
     ghat_automaton,
     perron_root,
-    poincare_probe,
     reduced_word_automaton,
     regression_bracket,
     strict_gap_check,
@@ -142,29 +141,6 @@ class TestRegressionBracket:
             regression_bracket([1, 2, 4], radii=[0.0, 1.0, 2.0])
         with pytest.raises(InvalidInputError, match="at least 3"):
             regression_bracket([1, 2, 4, 8], r_min=10)
-
-
-class TestPoincareProbe:
-    def test_above_the_exponent_converges(self):
-        probe = poincare_probe(F2_BALLS, LOG3 + 0.1)
-        assert probe.verdict == "converging"
-        assert probe.partial_sums[-1] < math.inf
-
-    def test_below_the_exponent_diverges(self):
-        assert poincare_probe(F2_BALLS, LOG3 - 0.1).verdict == "diverging"
-
-    def test_at_the_exponent_diverges(self):
-        # terms tend to log 2 from below: no decay at the critical point
-        assert poincare_probe(F2_BALLS, LOG3).verdict == "diverging"
-
-    def test_tiny_input_falls_back_to_the_sum(self):
-        probe = poincare_probe([1, 1], 1.0)
-        assert probe.verdict == "converging"
-        assert probe.to_dict()["final_sum"] == pytest.approx(1 + math.exp(-1))
-
-    def test_r_max_guard(self):
-        with pytest.raises(InvalidInputError):
-            poincare_probe([1, 5, 17], 1.0, r_max=3)
 
 
 class TestDivergenceAtCritical:

@@ -17,10 +17,10 @@ from growthtight import (
     lp_length,
     parse_exponent,
     product_ball_counts,
-    product_ball_sequence,
     sphere_size,
     verify_duality,
 )
+from growthtight.products import LatticeTable
 
 import oracles
 from conftest import RANK1, RANK2, word2
@@ -154,7 +154,7 @@ class TestBallCounts:
         assert product_ball_counts(F2F2[INF], (F2_SPHERES, F2_SPHERES), 4) == ball**2
 
     def test_sequence_diffs_to_spheres(self):
-        seq = product_ball_sequence(F2F2[1], (F2_SPHERES, F2_SPHERES), 4)
+        seq = LatticeTable(F2F2[1].p, (F2_SPHERES, F2_SPHERES), 4).sequence(4)
         assert seq.balls() == [1, 9, 49, 217, 865]
         assert list(seq.spheres) == [1, 8, 40, 168, 648]
 

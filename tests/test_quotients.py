@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 
 import pytest
@@ -18,7 +17,6 @@ from growthtight import (
     check_prop_minimal,
     check_section_structure,
     enumerate_ball,
-    format_word,
     minimal_section,
     quotient_ball_counts,
     sphere_size,
@@ -62,7 +60,6 @@ class TestOracleConstruction:
             "kind": "abelianization-kernel"
         }
         assert HOM.describe()["coefficients"] == [[1, 1], [1, -1]]
-        assert QuotientOracle.user_table({("1",): 0}).describe()["table_size"] == 1
 
     def test_bad_constructions(self):
         with pytest.raises(InvalidInputError, match="unknown oracle kind"):
@@ -71,7 +68,7 @@ class TestOracleConstruction:
             QuotientOracle.factor_kernel([-1])
         with pytest.raises(InvalidInputError):
             QuotientOracle.hom_to_integers(())
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="unknown oracle kind"):
             QuotientOracle("user-table")
 
     def test_validate_for(self):
@@ -170,11 +167,10 @@ def section_cases(draw):
     """(spec, oracle, r_max, brute key function) over every oracle kind."""
     ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     p = draw(st.sampled_from((1, 1.5, 2, 3, INF)))
-    kind = draw(st.sampled_from(("factor", "abelianization", "hom", "user-table")))
+    kind = draw(st.sampled_from(("factor", "abelianization", "hom")))
     r_max = draw(st.sampled_from((0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4)))
-    # keep the brute scan (and a user table) to a few thousand product points
-    limit = 1_500 if kind == "user-table" else 6_000
-    while math.prod(oracles.ball_sizes(k, math.floor(r_max))[-1] for k in ranks) > limit:
+    # keep the brute scan to a few thousand product points
+    while math.prod(oracles.ball_sizes(k, math.floor(r_max))[-1] for k in ranks) > 6_000:
         r_max -= 1
     spec = LpProductSpec(tuple(Alphabet(k) for k in ranks), p)
     if kind == "factor":
@@ -190,7 +186,7 @@ def section_cases(draw):
         def key_fn(coords):
             return tuple(oracles.exp_vector(c, k) for c, k in zip(coords, ranks))
 
-    elif kind == "hom":
+    else:
         rows = [draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)) for k in ranks]
         oracle = QuotientOracle.hom_to_integers(rows)
 
@@ -199,24 +195,6 @@ def section_cases(draw):
                 sum(c * e for c, e in zip(row, oracles.exp_vector(w, k)))
                 for row, w, k in zip(rows, coords, ranks)
             )
-
-    else:
-        # every point of the product of the factor balls, keyed by the total
-        # exponent sum mod 3, so cosets gather words of many lengths
-        balls = [
-            [w for sphere in oracles.words_by_radius(k, math.floor(r_max)) for w in sphere]
-            for k in ranks
-        ]
-        table = {
-            tuple(oracles.to_lib_text(c) for c in coords): sum(
-                sum(oracles.exp_vector(c, k)) for c, k in zip(coords, ranks)
-            ) % 3
-            for coords in itertools.product(*balls)
-        }
-        oracle = QuotientOracle.user_table(table)
-
-        def key_fn(coords):
-            return table[tuple(oracles.to_lib_text(c) for c in coords)]
 
     return spec, oracle, r_max, key_fn
 
@@ -233,27 +211,6 @@ class TestSectionAgainstBruteScan:
         ranks = [a.rank for a in spec.factors]
         want = oracles.minimal_section_brute(spec.p, ranks, key_fn, r_max)
         assert got == list(want.items())
-
-
-class TestUserTable:
-    def table_for_radius(self, r_max: int) -> dict:
-        return {
-            (format_word(w),): w.exponent_sums()
-            for w in enumerate_ball(RANK2, r_max)
-        }
-
-    def test_replays_the_abelianization(self):
-        table = QuotientOracle.user_table(self.table_for_radius(2))
-        via_table = minimal_section(F2, table, 2)
-        via_builtin = minimal_section(F2, QuotientOracle.abelianization(), 2)
-        assert sorted(charmap(via_table).values()) == sorted(
-            charmap(via_builtin).values()
-        )
-
-    def test_missing_entry_is_an_error(self):
-        table = QuotientOracle.user_table(self.table_for_radius(1))
-        with pytest.raises(InvalidInputError, match="no entry"):
-            minimal_section(F2, table, 2)
 
 
 class TestQuotientBallCounts:

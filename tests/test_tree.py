@@ -12,7 +12,6 @@ from growthtight import (
     count_lengths,
     enumerate_sphere,
     find_long_projections,
-    format_witnesses,
     ghat_automaton,
     ghat_membership_exact,
     lemma31_bound_check,
@@ -310,14 +309,6 @@ class TestFindLongProjections:
             find_long_projections(word2("ab"), RANK2.identity, 3)
         with pytest.raises(InvalidInputError):
             find_long_projections(word2("ab"), word2("ab"), 0)
-
-    def test_format_is_stable(self):
-        g = word2("ab") ** 6
-        text = format_witnesses(g, find_long_projections(g, word2("ab"), 6))
-        assert text == (
-            "long-projections g=a b a b a b a b a b a b n=1\n"
-            "witness g=a b a b a b a b a b a b k=1 alpha=6 diameter=12\n"
-        )
 
 
 class TestGhatAutomaton:

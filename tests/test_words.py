@@ -16,7 +16,6 @@ from growthtight import (
     enumerate_sphere,
     format_word,
     free_reduce,
-    multiply,
     parse_word,
     primitive_root,
     sphere_size,
@@ -41,6 +40,11 @@ class TestAlphabet:
             Alphabet(0)
         with pytest.raises(InvalidInputError):
             Alphabet(-3)
+
+    @pytest.mark.parametrize("rank", ["2", True, 2.0])
+    def test_non_integer_rank_is_rejected(self, rank):
+        with pytest.raises(InvalidInputError, match="rank must be an integer"):
+            Alphabet(rank)
 
     def test_letters_and_involution(self):
         assert len(RANK2.letters) == 4
@@ -89,32 +93,32 @@ class TestFreeReduce:
 
 class TestMultiply:
     def test_boundary_cancellation(self):
-        assert multiply(word2("ab"), word2("Ba")) == word2("aa")
+        assert word2("ab") * word2("Ba") == word2("aa")
 
     def test_identity_neutral(self):
         w = word2("abA")
-        assert multiply(w, RANK2.identity) == w
-        assert multiply(RANK2.identity, w) == w
+        assert w * RANK2.identity == w
+        assert RANK2.identity * w == w
 
     def test_no_cancellation(self):
-        assert chars(multiply(word2("ab"), word2("Ab"))) == "abAb"
+        assert chars(word2("ab") * word2("Ab")) == "abAb"
 
     def test_inverse_cancels(self):
         rng = random.Random(3)
         for _ in range(50):
             w = word2(rand_chars(rng, 2, rng.randint(0, 9)))
-            assert multiply(w, ~w) == RANK2.identity
+            assert w * ~w == RANK2.identity
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
-            multiply(word2("a"), parse_word(RANK3, "a"))
+            word2("a") * parse_word(RANK3, "a")
 
     def test_length_subadditive_and_matches_oracle(self):
         rng = random.Random(11)
         for _ in range(300):
             u = rand_chars(rng, 2, rng.randint(0, 12))
             v = rand_chars(rng, 2, rng.randint(0, 12))
-            prod = multiply(word2(u), word2(v))
+            prod = word2(u) * word2(v)
             assert chars(prod) == oracles.mult(u, v)
             assert len(prod) <= len(u) + len(v)
 
@@ -122,7 +126,7 @@ class TestMultiply:
         rng = random.Random(19)
         for _ in range(200):
             u, v, w = (word2(rand_chars(rng, 2, rng.randint(0, 12))) for _ in range(3))
-            assert multiply(multiply(u, v), w) == multiply(u, multiply(v, w))
+            assert (u * v) * w == u * (v * w)
 
     def test_operator_alias(self):
         assert word2("ab") * word2("Ba") == word2("aa")
@@ -255,7 +259,7 @@ class TestSerialization:
 
     def test_hashable(self):
         seen = {word2("ab"): 1}
-        assert seen[multiply(word2("a"), word2("b"))] == 1
+        assert seen[word2("a") * word2("b")] == 1
 
     def test_rank1_spheres(self):
         counts = [len(enumerate_sphere(RANK1, r)) for r in range(5)]
