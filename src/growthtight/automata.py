@@ -266,6 +266,37 @@ def _strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[i
     return components
 
 
+def _nearest_ratio(v: float, limit: int = 10**12) -> tuple[int, int]:
+    """(p, q) in lowest terms with p/q == Fraction(v).limit_denominator(limit),
+    computed on the ints of v.as_integer_ratio() with the stdlib's
+    continued-fraction walk and tie rule (on a tie the convergent p1/q1
+    wins).  When that approximation is not positive, (1, 10**12) stands in
+    for it, so a Collatz-Wielandt test vector stays positive."""
+    if v > 0:
+        num, den = v.as_integer_ratio()
+        if den <= limit:
+            return num, den
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = num, den
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > limit:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (limit - q0) // q1
+        # p1/q1 and (p0 + k p1)/(q0 + k q1) lie on either side of v,
+        # 1/(q1 (q0 + k q1)) apart, and p1/q1 is d/(q1 den) from v
+        if 2 * d * (q0 + k * q1) <= den:
+            p, q = p1, q1
+        else:
+            p, q = p0 + k * p1, q0 + k * q1
+        if p > 0:
+            return p, q
+    return 1, 10**12
+
+
 def _collatz_wielandt(
     rows: list[list[tuple[int, int]]], tol: float, max_iter: int
 ) -> tuple[float, float]:
@@ -274,25 +305,54 @@ def _collatz_wielandt(
     (j, M[i][j]) with M[i][j] > 0 in increasing j.
 
     Iterates x -> (M + I)x in floats for speed; the returned bounds come from
-    one exact Fraction evaluation of the ratios ((M+I)x)_i / x_i, which bound
+    one exact evaluation of the ratios ((M+I)x)_i / x_i, which bound
     rho(M) + 1 on both sides for any positive test vector.  The +I shift makes
     the iteration aperiodic so the gap actually closes.  A pass costs O(edges).
-    Row sums run in increasing column order, the order of a dense row scan,
-    so every float, stopping decision and bound is the one a dense n x n
-    iteration gives.
+
+    The float pass is vectorised over an ELLPACK layout: slot k holds the
+    k-th entry (column cols[k][i], weight wts[k][i]) of every row i, rows in
+    increasing column order, short rows padded at the end with weight 0.
+    Each row sum is accumulated slot by slot and only then added to x[i],
+    which is the order of a dense row scan x[i] + sum(M[i][j] x[j] for j in
+    increasing order); a padded term adds an exact 0.0.  So every float,
+    stopping decision and bound is the one a dense n x n iteration in plain
+    Python gives.
+
+    The exact evaluation runs on ints: each entry of x becomes its nearest
+    ratio p/q with q <= 10**12 (_nearest_ratio), row i's sum becomes one
+    unreduced fraction num/den, its ratio is num q_i / (den p_i), and the
+    extreme ratios are kept by cross-multiplication.  Only the final lo and
+    hi become Fractions, for the directed rounding to floats.
     """
+    import numpy as np
+
     n = len(rows)
-    x = [1.0] * n
+    width = max(len(row) for row in rows)
+    cols = [[0] * n for _ in range(width)]
+    wts = [[0] * n for _ in range(width)]
+    for i, row in enumerate(rows):
+        for k, (j, w) in enumerate(row):
+            cols[k][i] = j
+            wts[k][i] = w
+    cols = np.array(cols, dtype=np.intp)
+    wts = np.array(wts, dtype=float)
+    x = np.ones(n)
 
     def exact_bounds(vec: list[float]) -> tuple[float, float]:
-        xf = [Fraction(v).limit_denominator(10**12) for v in vec]
-        xf = [v if v > 0 else Fraction(1, 10**12) for v in xf]
+        xq = [_nearest_ratio(v) for v in vec]
         lo = hi = None
-        for i in range(n):
-            yi = xf[i] + sum(w * xf[j] for j, w in rows[i])
-            ratio = yi / xf[i] - 1
-            lo = ratio if lo is None or ratio < lo else lo
-            hi = ratio if hi is None or ratio > hi else hi
+        for i, row in enumerate(rows):
+            num, den = 0, 1
+            for j, w in row:
+                p, q = xq[j]
+                num, den = num * q + w * p * den, den * q
+            p, q = xq[i]
+            num, den = num * q, den * p
+            if lo is None or num * lo[1] < lo[0] * den:
+                lo = (num, den)
+            if hi is None or num * hi[1] > hi[0] * den:
+                hi = (num, den)
+        lo, hi = Fraction(*lo), Fraction(*hi)
         lo_f = float(lo)
         if Fraction(lo_f) > lo:
             lo_f = math.nextafter(lo_f, -math.inf)
@@ -302,12 +362,15 @@ def _collatz_wielandt(
         return lo_f, hi_f
 
     for it in range(1, max_iter + 1):
-        y = [x[i] + sum(w * x[j] for j, w in rows[i]) for i in range(n)]
-        ratios = [y[i] / x[i] for i in range(n)]
-        top = max(y)
-        x = [v / top for v in y]
-        if max(ratios) - min(ratios) <= tol * 0.25 or it % 512 == 0:
-            lo, hi = exact_bounds(x)
+        terms = wts * x[cols]
+        acc = terms[0]
+        for k in range(1, width):
+            acc += terms[k]
+        y = x + acc
+        ratios = y / x
+        x = y / y.max()
+        if ratios.max() - ratios.min() <= tol * 0.25 or it % 512 == 0:
+            lo, hi = exact_bounds(x.tolist())
             if hi - lo <= tol:
                 return lo, hi
     raise ResourceLimitError(

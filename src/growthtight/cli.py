@@ -161,14 +161,14 @@ def _avoid_sweep(alphabet: Alphabet, block, budgets: dict):
     """One avoidance language per non-trivial f with |f| <= max_len."""
     if not isinstance(block, dict):
         raise InvalidInputError("sweep must be an object")
-    max_len = _require(block, "max_len")
+    max_len = _sweep_radius(_require(block, "max_len"), budgets, "max_len")
     threshold = block.get("margin", 1e-6)
     full = math.log(2 * alphabet.rank - 1)
     base = reduced_word_automaton(alphabet)
     entries = []
     worst = None
     for length in range(1, max_len + 1):
-        for f in enumerate_sphere(alphabet, length):
+        for f in enumerate_sphere(alphabet, length, cutoff=budgets["cutoff"]):
             upper = perron_root(avoid_factors(base, [f]), budgets["tol"]).upper
             entry = {
                 "f": format_word(f),
@@ -279,15 +279,15 @@ def _cmd_ghat(params: dict, budgets: dict):
     return results, table, seq.to_csv()
 
 
-def _sweep_radius(g_max, budgets: dict) -> int:
+def _sweep_radius(radius, budgets: dict, name: str = "g_max") -> int:
     """A sweep radius, checked against the cutoff before any word is visited."""
-    if not isinstance(g_max, int) or g_max < 0:
-        raise InvalidInputError(f"g_max must be a non-negative integer, got {g_max!r}")
-    if g_max > budgets["cutoff"]:
+    if not _non_negative_int(radius):
+        raise InvalidInputError(f"{name} must be a non-negative integer, got {radius!r}")
+    if radius > budgets["cutoff"]:
         raise ResourceLimitError(
-            f"g_max {g_max} exceeds enumeration cutoff {budgets['cutoff']}"
+            f"{name} {radius} exceeds enumeration cutoff {budgets['cutoff']}"
         )
-    return g_max
+    return radius
 
 
 def _shorten_sweep_params(h: ReducedWord, block, budgets: dict) -> tuple[int, int]:
@@ -612,6 +612,11 @@ def _resolve_budgets(job: dict, args) -> dict:
     declared = job.get("budgets", {})
     if not isinstance(declared, dict):
         raise InvalidInputError("budgets must be an object")
+    unknown = sorted(set(declared) - set(BUDGET_CHECKS))
+    if unknown:
+        raise InvalidInputError(
+            f"unknown budget {unknown[0]!r}; choose from {sorted(BUDGET_CHECKS)}"
+        )
     budgets.update(declared)
     for name in ("r_max", "tol", "cutoff"):
         override = getattr(args, name, None)

@@ -9,6 +9,7 @@ reduce to longest-common-prefix scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .automata import CountingAutomaton, avoid_factors, reduced_word_automaton
@@ -52,6 +53,23 @@ class Axis:
     def alphabet(self) -> Alphabet:
         return self.element.alphabet
 
+    # Per-axis invariants of the projection and the lemma 3.1 check, computed
+    # once; cached_property stores them outside the dataclass fields, so
+    # equality and hashing are unchanged.
+    @cached_property
+    def origin_inverse(self) -> ReducedWord:
+        return ~self.origin
+
+    @cached_property
+    def backward_ray(self) -> tuple[int, ...]:
+        """Letters of the negative core direction, (root^-1)^infinity."""
+        return (~self.root).letters
+
+    @cached_property
+    def element_root(self) -> tuple[ReducedWord, int]:
+        """primitive_root(element)."""
+        return primitive_root(self.element)
+
     @property
     def dprime(self) -> int:
         """Tree value of the quasi-axis diameter constant: |core| + 2|conjugator|."""
@@ -64,7 +82,7 @@ class Axis:
             n = len(ray)
             prefix = tuple(ray[i % n] for i in range(coordinate))
         else:
-            ray = (~self.root).letters
+            ray = self.backward_ray
             n = len(ray)
             prefix = tuple(ray[i % n] for i in range(-coordinate))
         return self.origin * ReducedWord(self.alphabet, prefix)
@@ -91,9 +109,9 @@ def _common_prefix_with_ray(letters: Sequence[int], ray: Sequence[int]) -> int:
 def _axis_coordinate(x: ReducedWord, ax: Axis) -> tuple[int, int]:
     """(axis coordinate, distance) of the projection of x, without building
     the foot vertex."""
-    v = ~ax.origin * x
+    v = ax.origin_inverse * x
     forward = _common_prefix_with_ray(v.letters, ax.root.letters)
-    backward = _common_prefix_with_ray(v.letters, (~ax.root).letters)
+    backward = _common_prefix_with_ray(v.letters, ax.backward_ray)
     if forward > 0 and backward > 0:
         raise InternalInvariantError(
             "both rays match a positive prefix; root not cyclically reduced?"
@@ -249,7 +267,7 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     if not g:
         raise InvalidInputError("g must be non-trivial")
     root_g, exp_g = primitive_root(g)
-    root_h, exp_h = primitive_root(ax.element)
+    root_h, exp_h = ax.element_root
     if root_g == root_h or root_g == ~root_h:
         sign = 1 if root_g == root_h else -1
         # g^exp_h = root^(exp_g*exp_h) = h^(sign*exp_g)

@@ -188,6 +188,52 @@ def ghat_member(g: str, h: str, K: int) -> bool:
     return all(length < K for _, length, _ in maximal_pos_runs(g, root))
 
 
+class NotConverged(Exception):
+    """collatz_wielandt_bounds did not close to width tol within max_iter."""
+
+
+def collatz_wielandt_bounds(
+    rows: list[list[tuple[int, int]]], tol: float, max_iter: int
+) -> tuple[float, float]:
+    """Plain-Python Collatz-Wielandt bounds on the Perron root of an
+    irreducible non-negative integer matrix given by sparse rows (rows[i]
+    lists (j, M[i][j]) in increasing j): iterate x -> (M + I)x one row at a
+    time, and whenever the float ratios agree to tol / 4, or every 512th
+    iteration, evaluate the ratios ((M+I)x)_i / x_i - 1 exactly as Fractions
+    of x's entries rounded to denominators <= 10**12, rounding the extremes
+    outward to floats.  Raises NotConverged when max_iter runs out."""
+    n = len(rows)
+    x = [1.0] * n
+
+    def exact_bounds(vec: list[float]) -> tuple[float, float]:
+        xf = [Fraction(v).limit_denominator(10**12) for v in vec]
+        xf = [v if v > 0 else Fraction(1, 10**12) for v in xf]
+        lo = hi = None
+        for i in range(n):
+            yi = xf[i] + sum(w * xf[j] for j, w in rows[i])
+            ratio = yi / xf[i] - 1
+            lo = ratio if lo is None or ratio < lo else lo
+            hi = ratio if hi is None or ratio > hi else hi
+        lo_f = float(lo)
+        if Fraction(lo_f) > lo:
+            lo_f = math.nextafter(lo_f, -math.inf)
+        hi_f = float(hi)
+        if Fraction(hi_f) < hi:
+            hi_f = math.nextafter(hi_f, math.inf)
+        return lo_f, hi_f
+
+    for it in range(1, max_iter + 1):
+        y = [x[i] + sum(w * x[j] for j, w in rows[i]) for i in range(n)]
+        ratios = [y[i] / x[i] for i in range(n)]
+        top = max(y)
+        x = [v / top for v in y]
+        if max(ratios) - min(ratios) <= tol * 0.25 or it % 512 == 0:
+            lo, hi = exact_bounds(x)
+            if hi - lo <= tol:
+                return lo, hi
+    raise NotConverged(f"no width {tol} in {max_iter} iterations")
+
+
 def lp_norm_exact(profile: tuple[int, ...], p) -> object:
     """Comparable norm stand-in: exact for p in {1, 2, 3, ...} and inf."""
     if p == float("inf"):

@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from growthtight import (
     NEG_INF,
     CountingAutomaton,
     InvalidInputError,
+    ResourceLimitError,
     avoid_factors,
     count_lengths,
     enumerate_sphere,
@@ -22,6 +26,7 @@ from growthtight import (
 
 import oracles
 from conftest import RANK1, RANK2, RANK3, word2
+from growthtight.automata import _collatz_wielandt, _nearest_ratio
 
 LOG3 = math.log(3)
 
@@ -207,6 +212,122 @@ class TestPerronAgainstEigensolver:
     def test_ghat(self, h, m):
         aut = ghat_automaton(RANK2, parse_word(RANK2, h), m)
         assert_brackets_log_rho(perron_root(aut, 1e-9), log_spectral_radius(aut), 1e-9)
+
+
+@st.composite
+def irreducible_rows(draw):
+    """Sparse rows of a random irreducible matrix with weights 1-3: a
+    weighted Hamiltonian cycle plus random chords.  With period d > 1 the
+    vertices sit on d levels and every edge goes one level up, so the
+    matrix is periodic; d = 1 allows any chord."""
+    d = draw(st.sampled_from([1, 1, 2, 3]))
+    n = d * draw(st.integers(math.ceil(2 / d), 40 // d))
+    order = draw(st.permutations(range(n)))
+    level = {v: i % d for i, v in enumerate(order)}
+    weights = {}
+    for s, t in zip(order, order[1:] + order[:1]):
+        weights[(s, t)] = draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 3 * n))):
+        s = draw(st.integers(0, n - 1))
+        t = draw(st.sampled_from([v for v in range(n) if level[v] == (level[s] + 1) % d]))
+        weights[(s, t)] = draw(st.integers(1, 3))
+    rows = [[] for _ in range(n)]
+    for (s, t), w in sorted(weights.items()):
+        rows[s].append((t, w))
+    return rows
+
+
+# a 40-cycle with one edge of weight 2: M + I mixes at rate cos(pi/40), so
+# the float ratios need thousands of iterations and pass the it % 512 checks
+SLOW_CYCLE = [[((i + 1) % 40, 2 if i == 0 else 1)] for i in range(40)]
+
+
+def reference_or_none(rows, tol, max_iter):
+    try:
+        return oracles.collatz_wielandt_bounds(rows, tol, max_iter)
+    except oracles.NotConverged:
+        return None
+
+
+def kernel_or_none(rows, tol, max_iter):
+    try:
+        bounds = _collatz_wielandt(rows, tol, max_iter)
+    except ResourceLimitError:
+        return None
+    assert all(type(b) is float for b in bounds)
+    return bounds
+
+
+class TestCollatzWielandtKernel:
+    """The vectorised kernel against the plain-Python reference in
+    oracles.py: the same bounds bit for bit, and the same failures."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        rows=irreducible_rows(),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+        max_iter=st.sampled_from([1, 2, 40, 200_000]),
+    )
+    @example(rows=SLOW_CYCLE, tol=1e-9, max_iter=200_000)
+    @example(rows=SLOW_CYCLE, tol=1e-9, max_iter=511)
+    @example(rows=[[(1, 2)], [(0, 1)]], tol=1e-9, max_iter=200_000)
+    @example(rows=[[(0, 3)]], tol=1e-9, max_iter=1)
+    def test_matches_reference(self, rows, tol, max_iter):
+        assert kernel_or_none(rows, tol, max_iter) == reference_or_none(rows, tol, max_iter)
+
+    def test_slow_cycle_passes_the_periodic_exact_check(self):
+        # no convergence within 511 iterations, so the it = 512 exact
+        # evaluation runs before the bounds close
+        assert kernel_or_none(SLOW_CYCLE, 1e-9, 511) is None
+        lo, hi = _collatz_wielandt(SLOW_CYCLE, 1e-9, 200_000)
+        assert lo <= 2 ** (1 / 40) <= hi
+
+
+def limited(v: float, limit: int = 10**12) -> tuple[int, int]:
+    f = Fraction(v).limit_denominator(limit)
+    return (f.numerator, f.denominator) if f > 0 else (1, 10**12)
+
+
+class TestNearestRatio:
+    """_nearest_ratio(v) is Fraction(v).limit_denominator(10**12) on ints."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        v=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=0.0, max_value=4.0),
+            st.floats(min_value=0.0, max_value=1e-11),
+            st.floats(min_value=0.0, max_value=1e-300, allow_subnormal=True),
+            st.builds(lambda p, q: p / q, st.integers(1, 10**13), st.integers(1, 10**12)),
+            st.builds(lambda m, e: m / 2**e, st.integers(1, 2**40), st.integers(0, 39)),
+        )
+    )
+    @example(v=5e-324)
+    @example(v=4.9e-13)
+    @example(v=5.1e-13)
+    @example(v=1e-12)
+    @example(v=0.0)
+    @example(v=-1.5)
+    @example(v=1 / 3)
+    @example(v=2.0**-40)
+    def test_matches_limit_denominator(self, v):
+        assert _nearest_ratio(v) == limited(v)
+
+    def test_fallback_below_half_the_resolution(self):
+        assert _nearest_ratio(4.9e-13) == (1, 10**12)
+        assert _nearest_ratio(5.1e-13) == (1, 10**12)
+        assert _nearest_ratio(2e-12) == (1, 5 * 10**11)
+
+    def test_exact_ties_take_the_convergent(self):
+        # a float never lies midway between the two candidates at limit
+        # 10**12 (that would need a dyadic denominator), so ties are tested at
+        # small limits: 3/4 is midway between 1/2 and 1/1, and 1/1 wins
+        assert _nearest_ratio(0.75, 2) == limited(0.75, 2) == (1, 1)
+        for limit in range(1, 17):
+            for e in range(1, 9):
+                for m in range(1, 4 * 2**e):
+                    v = m / 2**e
+                    assert _nearest_ratio(v, limit) == limited(v, limit), (v, limit)
 
 
 class TestWeightedAutomata:

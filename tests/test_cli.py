@@ -313,6 +313,28 @@ class TestExitCodes:
         assert code == 2
         assert "invalid input" in err and name in err
 
+    def test_unknown_budget_is_invalid_input(self, tmp_path, capsys):
+        # a misspelt budget must not run at the default r_max 10
+        job = write_job(tmp_path, "count", {"rank": 2}, {"rmax": 3})
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2 and "unknown budget 'rmax'" in err
+
+    @pytest.mark.parametrize("max_len", [-1, True, "3", 2.0])
+    def test_bad_avoid_sweep_max_len_is_invalid_input(self, tmp_path, capsys, max_len):
+        job = write_job(tmp_path, "avoid", {"rank": 2, "sweep": {"max_len": max_len}})
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2 and "max_len must be a non-negative integer" in err
+
+    def test_avoid_sweep_obeys_the_cutoff(self, tmp_path, capsys):
+        job = write_job(tmp_path, "avoid", {"rank": 2, "sweep": {"max_len": 3}}, {"cutoff": 1})
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 3 and "max_len 3 exceeds enumeration cutoff 1" in err
+
+    def test_bool_sweep_radius_is_rejected(self, tmp_path, capsys):
+        job = write_job(tmp_path, "axioms", {"rank": 2, "lemma31": {"h": "a b", "g_max": True}})
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2 and "g_max must be a non-negative integer, got True" in err
+
     @pytest.mark.parametrize("command,params", [
         ("count", {"rank": True}),
         ("count", {"rank": 2.0}),
@@ -437,6 +459,21 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["balls"] == [1, 5, 17]
+
+    def test_count_job_does_not_load_numpy(self, tmp_path):
+        # numpy is imported inside the functions that need it (the Perron
+        # kernel, the regression fit), so an exact count starts without it
+        job = write_job(tmp_path, "count", {"rank": 2}, {"r_max": 2})
+        script = (
+            "import sys; from growthtight.cli import main; code = main(sys.argv[1:]); "
+            "sys.exit(code or 'numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", str(job), "--quiet"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_script(self, tmp_path):
         # Run the [project.scripts] target the way the generated wrapper
