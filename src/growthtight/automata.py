@@ -266,35 +266,43 @@ def _strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[i
     return components
 
 
-def _nearest_ratio(v: float, limit: int = 10**12) -> tuple[int, int]:
-    """(p, q) in lowest terms with p/q == Fraction(v).limit_denominator(limit),
+# denominator bound for the test vector of the exact Collatz-Wielandt check
+_MAX_DENOMINATOR = 10**12
+
+
+def _nearest_ratio(v: float) -> tuple[int, int]:
+    """(p, q) in lowest terms with p/q == Fraction(v).limit_denominator(10**12),
     computed on the ints of v.as_integer_ratio() with the stdlib's
-    continued-fraction walk and tie rule (on a tie the convergent p1/q1
-    wins).  When that approximation is not positive, (1, 10**12) stands in
-    for it, so a Collatz-Wielandt test vector stays positive."""
+    continued-fraction walk.  When that approximation is not positive,
+    (1, 10**12) stands in for it, so a Collatz-Wielandt test vector stays
+    positive."""
     if v > 0:
         num, den = v.as_integer_ratio()
-        if den <= limit:
+        if den <= _MAX_DENOMINATOR:
             return num, den
         p0, q0, p1, q1 = 0, 1, 1, 0
         n, d = num, den
         while True:
             a = n // d
             q2 = q0 + a * q1
-            if q2 > limit:
+            if q2 > _MAX_DENOMINATOR:
                 break
             p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
             n, d = d, n - a * d
-        k = (limit - q0) // q1
-        # p1/q1 and (p0 + k p1)/(q0 + k q1) lie on either side of v,
-        # 1/(q1 (q0 + k q1)) apart, and p1/q1 is d/(q1 den) from v
-        if 2 * d * (q0 + k * q1) <= den:
+        k = (_MAX_DENOMINATOR - q0) // q1
+        q = q0 + k * q1
+        # p1/q1 and (p0 + k p1)/q lie on either side of v, 1/(q1 q) apart,
+        # and p1/q1 is d/(q1 den) from v.  The stdlib lets p1/q1 win a tie,
+        # but no float is a tie: the midpoint's reduced denominator is q1 q
+        # or 2 q1 q, and q1, q are coprime with q1 + q > 10**12, so they are
+        # not both powers of two (one would be 1, the other 10**12).
+        if 2 * d * q <= den:
             p, q = p1, q1
         else:
-            p, q = p0 + k * p1, q0 + k * q1
+            p = p0 + k * p1
         if p > 0:
             return p, q
-    return 1, 10**12
+    return 1, _MAX_DENOMINATOR
 
 
 def _collatz_wielandt(
@@ -313,10 +321,10 @@ def _collatz_wielandt(
     k-th entry (column cols[k][i], weight wts[k][i]) of every row i, rows in
     increasing column order, short rows padded at the end with weight 0.
     Each row sum is accumulated slot by slot and only then added to x[i],
-    which is the order of a dense row scan x[i] + sum(M[i][j] x[j] for j in
-    increasing order); a padded term adds an exact 0.0.  So every float,
-    stopping decision and bound is the one a dense n x n iteration in plain
-    Python gives.
+    which is the order of a plain left-to-right row scan x[i] + (M[i][j] x[j]
+    summed over increasing j); a padded term adds an exact 0.0.  So every
+    float, stopping decision and bound is the one that uncompensated scan
+    gives (the built-in sum() of floats is compensated from Python 3.12 on).
 
     The exact evaluation runs on ints: each entry of x becomes its nearest
     ratio p/q with q <= 10**12 (_nearest_ratio), row i's sum becomes one

@@ -223,7 +223,14 @@ def collatz_wielandt_bounds(
         return lo_f, hi_f
 
     for it in range(1, max_iter + 1):
-        y = [x[i] + sum(w * x[j] for j, w in rows[i]) for i in range(n)]
+        y = []
+        for i in range(n):
+            # a plain left-to-right loop: from Python 3.12 on, sum() of
+            # floats is compensated and would round differently
+            acc = 0.0
+            for j, w in rows[i]:
+                acc = acc + w * x[j]
+            y.append(x[i] + acc)
         ratios = [y[i] / x[i] for i in range(n)]
         top = max(y)
         x = [v / top for v in y]
