@@ -6,7 +6,13 @@ Jobs are JSON files with schema "growthtight/job-v1":
      "command": "count" | "exponent" | "avoid" | "ghat" | "product"
               | "quotient" | "tightness" | "axioms",
      "params": {...},
-     "budgets": {"r_max": int, "tol": float, "cutoff": int}}
+     "budgets": {"r_max": int, "tol": float, "cutoff": int},
+     "output": {"csv": path}}
+
+JOB_FIELDS, BUDGET_FIELDS and PARAMS list every field a job may hold, with its
+kind and default.  An unknown field at any level, a missing required one or a
+wrong kind is invalid input.  Of the mode blocks (default None) the first given
+wins: avoid takes sweep over factors, axioms lemma31 over random over axes.
 
 Words use the letter grammar "a b a-" ("-" or "'" marks an inverse; "" or "1"
 is the identity).  Exit status: 0 ok, 2 invalid input, 3 resource limit,
@@ -56,49 +62,127 @@ from .tree import (
 )
 from .words import Alphabet, ReducedWord, enumerate_sphere, format_word, parse_word
 
+REQUIRED = object()  # the default of a field every job must give
+
+
+def _kind(test, demand: str):
+    """A field kind: passes a value test accepts, else names the field and its demand."""
+
+    def check(value, where: str):
+        if not test(value):
+            raise InvalidInputError(f"{where} must be {demand}, got {value!r}")
+        return value
+
+    return check
+
+
+def _checked(block: dict, fields: dict, where: str, noun: str) -> dict:
+    """block checked against its table (field name -> (kind, default)): no
+    unknown name, every REQUIRED field given, every given value of its kind.
+    Returns a new dict with every field of the table, defaults filled in."""
+    unknown = sorted(set(block) - set(fields))
+    if unknown:
+        raise InvalidInputError(f"unknown {noun} {unknown[0]!r}; choose from {sorted(fields)}")
+    out = {}
+    for name, (kind, default) in fields.items():
+        if name in block:
+            out[name] = kind(block[name], f"{where} {name}".lstrip())
+        elif default is REQUIRED:
+            raise InvalidInputError(f"missing required {noun} {name!r}")
+        else:
+            out[name] = default
+    return out
+
+
+def _block(fields: dict, demand: str = "an object"):
+    """The kind of a nested block: an object checked against its table."""
+    is_object = _kind(lambda v: isinstance(v, dict), demand)
+    return lambda value, where: _checked(is_object(value, where), fields, where, f"{where} field")
+
+
+def _list_of(item, demand: str, min_len: int = 0):
+    """The kind of a list of at least min_len values of the kind item."""
+    is_list = _kind(lambda v: isinstance(v, list) and len(v) >= min_len, demand)
+    return lambda v, where: [item(x, f"{where}[{i}]") for i, x in enumerate(is_list(v, where))]
+
+
+# type(v) is int leaves out bool, which JSON true and false parse to
+STR = _kind(lambda v: isinstance(v, str), "a string")
+INT = _kind(lambda v: type(v) is int, "an integer")
+NATURAL = _kind(lambda v: type(v) is int and v >= 0, "a non-negative integer")
+POSITIVE = _kind(lambda v: type(v) is int and v > 0, "a positive integer")
+REAL = _kind(lambda v: type(v) in (int, float), "a number")
+BOOL = _kind(lambda v: isinstance(v, bool), "true or false")
+OBJECT = _kind(lambda v: isinstance(v, dict), "an object")
+WORDS = _list_of(STR, "a list of word strings")
+INTS = _list_of(INT, "a list of integers")
+_AXIS = _block({"h": (STR, REQUIRED), "translate": (STR, "1")}, "a word string or an object")
+# an axes item is a word h or an object {h, translate}
+_AXES = _list_of(lambda v, where: _AXIS({"h": v} if isinstance(v, str) else v, where),
+                 "a non-empty list of axes", 1)
+
+# The job format.  Defaults are shared between jobs: commands never mutate them.
+_RANK = {"rank": (INT, REQUIRED)}
+_PRODUCT = {
+    "factors": (_list_of(_block(_RANK), "a non-empty list of factor objects", 1), REQUIRED),
+    "p": (_kind(lambda v: type(v) in (int, float, str), 'a number or "inf"'), REQUIRED),
+}
+_ORACLE = {
+    "kind": (STR, REQUIRED), "kill": (INTS, ()),
+    "coefficients": (_list_of(INTS, "a list of integer rows"), ()),
+}
+_LEMMA31 = {"h": (STR, REQUIRED), "g_max": (NATURAL, 4), "n_max": (POSITIVE, 8)}
+_RANDOM = {
+    "seed": (INT, 0), "triples": (NATURAL, 50), "core_max": (POSITIVE, 3),
+    "conjugator_max": (NATURAL, 1),
+}
+PARAMS = {
+    "count": {**_RANK, "forbidden": (WORDS, ())},
+    "exponent": {**_RANK, "forbidden": (WORDS, ())},
+    "avoid": {
+        **_RANK,
+        "factors": (_list_of(STR, "a non-empty list of word strings", 1), None),
+        "compare_inverse": (BOOL, True),
+        "sweep": (_block({"max_len": (NATURAL, REQUIRED), "margin": (REAL, 1e-6)}), None),
+    },
+    "ghat": {
+        **_RANK,
+        "h": (STR, REQUIRED),
+        "m": (INT, REQUIRED),
+        "shorten_sweep": (_block({"g_max": (NATURAL, REQUIRED), "K": (INT, None)}), None),
+    },
+    "product": _PRODUCT,
+    "quotient": {
+        **_PRODUCT,
+        "oracle": (_block(_ORACLE), REQUIRED),
+        "check": (_block({"h": (WORDS, REQUIRED), "K": (INT, REQUIRED)}), None),
+    },
+    "tightness": {**_PRODUCT, "oracle": (_block(_ORACLE), REQUIRED)},
+    "axioms": {
+        **_RANK,
+        "lemma31": (_block(_LEMMA31), None),
+        "random": (_block(_RANDOM), None),
+        "axes": (_AXES, None),
+        "samples": (WORDS, ()),
+        "candidate_xi": (REAL, None),
+    },
+}
+# r_max defaults per command (BUDGET_DEFAULTS); axioms jobs have none
+BUDGET_FIELDS = {
+    "r_max": (NATURAL, None),
+    "tol": (_kind(lambda v: type(v) in (int, float) and v > 0, "a positive number"), 1e-9),
+    "cutoff": (NATURAL, 14),
+}
 BUDGET_DEFAULTS = {
-    "count": {"r_max": 10},
-    "exponent": {"r_max": 14},
-    "avoid": {"r_max": 10},
-    "ghat": {"r_max": 10},
-    "product": {"r_max": 12},
-    "quotient": {"r_max": 6},
-    "tightness": {"r_max": 8, "tol": 0.08},
-    "axioms": {},
+    "count": {"r_max": 10}, "exponent": {"r_max": 14}, "avoid": {"r_max": 10},
+    "ghat": {"r_max": 10}, "product": {"r_max": 12}, "quotient": {"r_max": 6},
+    "tightness": {"r_max": 8, "tol": 0.08}, "axioms": {},
 }
-COMMON_BUDGETS = {"tol": 1e-9, "cutoff": 14}
-
-
-def _non_negative_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _positive_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
-
-
-# budget name -> (check, what the check demands)
-BUDGET_CHECKS = {
-    "r_max": (_non_negative_int, "a non-negative integer"),
-    "cutoff": (_non_negative_int, "a non-negative integer"),
-    "tol": (_positive_real, "a positive number"),
+JOB_FIELDS = {
+    "schema": (STR, REQUIRED), "command": (STR, REQUIRED),
+    "params": (OBJECT, {}), "budgets": (OBJECT, {}),
+    "output": (_block({"csv": (STR, None)}), {"csv": None}),
 }
-
-
-def _require(params: dict, name: str):
-    if name not in params:
-        raise InvalidInputError(f"missing required parameter {name!r}")
-    return params[name]
-
-
-def _alphabet(params: dict) -> Alphabet:
-    return Alphabet(_require(params, "rank"))
-
-
-def _parse_words(alphabet: Alphabet, texts, what: str) -> list[ReducedWord]:
-    if not isinstance(texts, list):
-        raise InvalidInputError(f"{what} must be a list of word strings")
-    return [parse_word(alphabet, t) for t in texts]
 
 
 def _counts_result(seq) -> dict:
@@ -114,8 +198,8 @@ def _counts_table(seq) -> str:
 
 
 def _cmd_count(params: dict, budgets: dict):
-    alphabet = _alphabet(params)
-    forbidden = _parse_words(alphabet, params.get("forbidden", []), "forbidden")
+    alphabet = Alphabet(params["rank"])
+    forbidden = [parse_word(alphabet, t) for t in params["forbidden"]]
     aut = reduced_word_automaton(alphabet)
     if forbidden:
         aut = avoid_factors(aut, forbidden)
@@ -129,8 +213,8 @@ def _cmd_count(params: dict, budgets: dict):
 
 
 def _cmd_exponent(params: dict, budgets: dict):
-    alphabet = _alphabet(params)
-    forbidden = _parse_words(alphabet, params.get("forbidden", []), "forbidden")
+    alphabet = Alphabet(params["rank"])
+    forbidden = [parse_word(alphabet, t) for t in params["forbidden"]]
     aut = reduced_word_automaton(alphabet)
     if forbidden:
         aut = avoid_factors(aut, forbidden)
@@ -157,16 +241,15 @@ def _cmd_exponent(params: dict, budgets: dict):
     return results, table, seq.to_csv()
 
 
-def _avoid_sweep(alphabet: Alphabet, block, budgets: dict):
+def _avoid_sweep(alphabet: Alphabet, block: dict, budgets: dict):
     """One avoidance language per non-trivial f with |f| <= max_len."""
-    if not isinstance(block, dict):
-        raise InvalidInputError("sweep must be an object")
-    max_len = _sweep_radius(_require(block, "max_len"), budgets, "max_len")
-    threshold = block.get("margin", 1e-6)
+    if block["max_len"] == 0:
+        raise InvalidInputError("sweep max_len must be at least 1: no factor has length 0")
+    max_len = _sweep_radius(block["max_len"], budgets, "max_len")
+    threshold = block["margin"]
     full = math.log(2 * alphabet.rank - 1)
     base = reduced_word_automaton(alphabet)
     entries = []
-    worst = None
     for length in range(1, max_len + 1):
         for f in enumerate_sphere(alphabet, length, cutoff=budgets["cutoff"]):
             upper = perron_root(avoid_factors(base, [f]), budgets["tol"]).upper
@@ -176,8 +259,7 @@ def _avoid_sweep(alphabet: Alphabet, block, budgets: dict):
                 "margin": full - threshold - upper,
             }
             entries.append(entry)
-            if worst is None or entry["margin"] < worst["margin"]:
-                worst = entry
+    worst = min(entries, key=lambda e: e["margin"])
     results = {
         "rank": alphabet.rank,
         "max_len": max_len,
@@ -202,12 +284,12 @@ def _avoid_sweep(alphabet: Alphabet, block, budgets: dict):
 
 
 def _cmd_avoid(params: dict, budgets: dict):
-    alphabet = _alphabet(params)
-    if "sweep" in params:
+    alphabet = Alphabet(params["rank"])
+    if params["sweep"] is not None:
         return _avoid_sweep(alphabet, params["sweep"], budgets)
-    factors = _parse_words(alphabet, _require(params, "factors"), "factors")
-    if not factors:
-        raise InvalidInputError("factors must be non-empty")
+    if params["factors"] is None:
+        raise InvalidInputError("missing required parameter 'factors' (or sweep)")
+    factors = [parse_word(alphabet, t) for t in params["factors"]]
     base = reduced_word_automaton(alphabet)
     aut = avoid_factors(base, factors)
     bracket = perron_root(aut, budgets["tol"])
@@ -219,7 +301,7 @@ def _cmd_avoid(params: dict, budgets: dict):
         **_counts_result(seq),
     }
     rows = [("avoid", f"{bracket.lower:.9f}", f"{bracket.upper:.9f}")]
-    if params.get("compare_inverse", True):
+    if params["compare_inverse"]:
         sym = list(factors)
         for f in factors:
             if ~f not in sym:
@@ -239,13 +321,12 @@ def _cmd_avoid(params: dict, budgets: dict):
 
 
 def _cmd_ghat(params: dict, budgets: dict):
-    alphabet = _alphabet(params)
-    h = parse_word(alphabet, _require(params, "h"))
-    m = _require(params, "m")
+    alphabet = Alphabet(params["rank"])
+    h = parse_word(alphabet, params["h"])
     sweep = None
-    if "shorten_sweep" in params:
+    if params["shorten_sweep"] is not None:
         sweep = _shorten_sweep_params(h, params["shorten_sweep"], budgets)
-    aut = ghat_automaton(alphabet, h, m)
+    aut = ghat_automaton(alphabet, h, params["m"])
     bracket = perron_root(aut, budgets["tol"])
     seq = count_lengths(aut, budgets["r_max"])
     base = reduced_word_automaton(alphabet)
@@ -258,7 +339,7 @@ def _cmd_ghat(params: dict, budgets: dict):
     results = {
         "rank": alphabet.rank,
         "h": format_word(h),
-        "m": m,
+        "m": params["m"],
         "shorten_threshold": shorten_threshold(h),
         "bracket": bracket.to_dict(),
         "full_bracket": base_bracket.to_dict(),
@@ -279,10 +360,8 @@ def _cmd_ghat(params: dict, budgets: dict):
     return results, table, seq.to_csv()
 
 
-def _sweep_radius(radius, budgets: dict, name: str = "g_max") -> int:
+def _sweep_radius(radius: int, budgets: dict, name: str = "g_max") -> int:
     """A sweep radius, checked against the cutoff before any word is visited."""
-    if not _non_negative_int(radius):
-        raise InvalidInputError(f"{name} must be a non-negative integer, got {radius!r}")
     if radius > budgets["cutoff"]:
         raise ResourceLimitError(
             f"{name} {radius} exceeds enumeration cutoff {budgets['cutoff']}"
@@ -290,16 +369,12 @@ def _sweep_radius(radius, budgets: dict, name: str = "g_max") -> int:
     return radius
 
 
-def _shorten_sweep_params(h: ReducedWord, block, budgets: dict) -> tuple[int, int]:
+def _shorten_sweep_params(h: ReducedWord, block: dict, budgets: dict) -> tuple[int, int]:
     """(g_max, K) of a shorten_sweep block; K defaults to shorten_threshold(h)
     and may not lie below it."""
-    if not isinstance(block, dict):
-        raise InvalidInputError("shorten_sweep must be an object")
-    g_max = _sweep_radius(_require(block, "g_max"), budgets)
+    g_max = _sweep_radius(block["g_max"], budgets)
     threshold = shorten_threshold(h)
-    K = block.get("K", threshold)
-    if not isinstance(K, int) or isinstance(K, bool):
-        raise InvalidInputError(f"shorten_sweep K must be an integer, got {K!r}")
+    K = threshold if block["K"] is None else block["K"]
     if K < threshold:
         raise InvalidInputError(
             f"shorten_sweep K={K!r} below the shortening threshold {threshold} of h"
@@ -343,15 +418,8 @@ def _shorten_sweep(alphabet: Alphabet, h: ReducedWord, g_max: int, K: int) -> di
 
 
 def _product_spec(params: dict) -> LpProductSpec:
-    factors = _require(params, "factors")
-    if not isinstance(factors, list) or not factors:
-        raise InvalidInputError("factors must be a non-empty list of {\"rank\": k}")
-    alphabets = []
-    for i, f in enumerate(factors):
-        if not isinstance(f, dict) or "rank" not in f:
-            raise InvalidInputError(f"factor {i} must be an object with a rank")
-        alphabets.append(Alphabet(f["rank"]))
-    return LpProductSpec(tuple(alphabets), parse_exponent(_require(params, "p")))
+    alphabets = tuple(Alphabet(f["rank"]) for f in params["factors"])
+    return LpProductSpec(alphabets, parse_exponent(params["p"]))
 
 
 def _cmd_product(params: dict, budgets: dict):
@@ -377,22 +445,10 @@ def _cmd_product(params: dict, budgets: dict):
     return results, table, CountSequence.from_balls(report.balls).to_csv()
 
 
-def _parse_oracle(block) -> QuotientOracle:
-    if not isinstance(block, dict) or "kind" not in block:
-        raise InvalidInputError("oracle must be an object with a kind")
-    kind = block["kind"]
-    if kind == "factor-kernel":
-        return QuotientOracle.factor_kernel(block.get("kill", []))
-    if kind == "abelianization-kernel":
-        return QuotientOracle.abelianization()
-    if kind == "homomorphism-to-integers":
-        return QuotientOracle.hom_to_integers(block.get("coefficients", []))
-    raise InvalidInputError(f"unknown oracle kind {kind!r}")
-
-
 def _cmd_quotient(params: dict, budgets: dict):
     spec = _product_spec(params)
-    oracle = _parse_oracle(_require(params, "oracle"))
+    o = params["oracle"]
+    oracle = QuotientOracle(o["kind"], o["kill"], o["coefficients"])
     r_max = budgets["r_max"]
     seq = quotient_ball_counts(spec, oracle, r_max)
     balls = seq.balls()
@@ -405,14 +461,15 @@ def _cmd_quotient(params: dict, budgets: dict):
         "subadditivity_b": b,
         **_counts_result(seq),
     }
-    if "check" in params:
-        check = params["check"]
-        h_words = [
-            parse_word(a, t) for a, t in zip(spec.factors, _require(check, "h"))
-        ]
-        K = _require(check, "K")
+    check = params["check"]
+    if check is not None:
+        if len(check["h"]) != spec.n:
+            raise InvalidInputError(
+                f"check h has {len(check['h'])} words for {spec.n} factors; give one per factor"
+            )
+        h_words = [parse_word(a, t) for a, t in zip(spec.factors, check["h"])]
         struct = check_prop_minimal(
-            spec, oracle, spec.point(h_words), K, r_max, cutoff=budgets["cutoff"]
+            spec, oracle, spec.point(h_words), check["K"], r_max, cutoff=budgets["cutoff"]
         )
         results["structure_check"] = struct.to_dict()
     elif oracle.kind != "factor-kernel":
@@ -422,7 +479,8 @@ def _cmd_quotient(params: dict, budgets: dict):
 
 def _cmd_tightness(params: dict, budgets: dict):
     spec = _product_spec(params)
-    oracle = _parse_oracle(_require(params, "oracle"))
+    o = params["oracle"]
+    oracle = QuotientOracle(o["kind"], o["kill"], o["coefficients"])
     report = tightness_verdict(spec, oracle, budgets["r_max"], budgets["tol"])
     results = report.to_dict()
     table = format_table(
@@ -463,13 +521,11 @@ def _random_axis(rng: random.Random, alphabet: Alphabet, core_max: int, conj_max
             return Axis.from_element(h)
 
 
-def _lemma31_sweep(alphabet: Alphabet, block, budgets: dict):
+def _lemma31_sweep(alphabet: Alphabet, block: dict, budgets: dict):
     """Exhaustive power-or-bounded-projection dichotomy check over a ball."""
-    if not isinstance(block, dict):
-        raise InvalidInputError("lemma31 must be an object")
-    h = parse_word(alphabet, _require(block, "h"))
-    g_max = _sweep_radius(block.get("g_max", 4), budgets)
-    n_max = block.get("n_max", 8)
+    h = parse_word(alphabet, block["h"])
+    g_max = _sweep_radius(block["g_max"], budgets)
+    n_max = block["n_max"]
     ax = Axis.from_element(h)
     checked = failures = 0
     branches: dict[str, int] = {}
@@ -499,53 +555,47 @@ def _lemma31_sweep(alphabet: Alphabet, block, budgets: dict):
 
 
 def _cmd_axioms(params: dict, budgets: dict):
-    alphabet = _alphabet(params)
-    if "lemma31" in params:
+    alphabet = Alphabet(params["rank"])
+    if params["lemma31"] is not None:
         return _lemma31_sweep(alphabet, params["lemma31"], budgets)
-    samples = _parse_words(alphabet, params.get("samples", []), "samples")
-    candidate = params.get("candidate_xi")
-    if "random" in params:
-        block = params["random"]
-        rng = random.Random(block.get("seed", 0))
-        n_triples = block.get("triples", 50)
-        core_max = block.get("core_max", 3)
-        conj_max = block.get("conjugator_max", 1)
+    samples = [parse_word(alphabet, t) for t in params["samples"]]
+    candidate = params["candidate_xi"]
+    block = params["random"]
+    if block is not None:
+        rng = random.Random(block["seed"])
         xi_max = 0
         total_violations = 0
-        for _ in range(n_triples):
+        for _ in range(block["triples"]):
             axes = []
             while len(axes) < 3:
-                ax = _random_axis(rng, alphabet, core_max, conj_max)
+                ax = _random_axis(rng, alphabet, block["core_max"], block["conjugator_max"])
                 if not any(same_line(ax, other) for other in axes):
                     axes.append(ax)
             xi, violations = check_projection_axioms(axes, samples, candidate)
             xi_max = max(xi_max, xi)
             total_violations += len(violations)
-        bound = core_max + 2 * conj_max
+        bound = block["core_max"] + 2 * block["conjugator_max"]
         results = {
             "mode": "random",
-            "triples": n_triples,
+            "triples": block["triples"],
             "xi_observed": xi_max,
             "bound": bound,
             "within_bound": xi_max <= bound,
             "violations": total_violations,
         }
         rows = [
-            ("triples", n_triples),
+            ("triples", block["triples"]),
             ("xi_observed", xi_max),
             ("bound", bound),
             ("violations", total_violations),
         ]
     else:
-        axis_specs = _require(params, "axes")
-        axes = []
-        for item in axis_specs:
-            if isinstance(item, str):
-                axes.append(Axis.from_element(parse_word(alphabet, item)))
-            else:
-                h = parse_word(alphabet, _require(item, "h"))
-                translate = parse_word(alphabet, item.get("translate", "1"))
-                axes.append(Axis.from_element(h, translate))
+        if params["axes"] is None:
+            raise InvalidInputError("missing required parameter 'axes' (or lemma31 or random)")
+        axes = [
+            Axis.from_element(parse_word(alphabet, a["h"]), parse_word(alphabet, a["translate"]))
+            for a in params["axes"]
+        ]
         xi, violations = check_projection_axioms(axes, samples, candidate)
         bound = max(len(ax.core) for ax in axes) + 2 * max(
             len(ax.conjugator) for ax in axes
@@ -589,43 +639,22 @@ def _load_job(path: str) -> dict:
         raise InvalidInputError(
             f"job file is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
-    if not isinstance(job, dict):
-        raise InvalidInputError("job document must be a JSON object")
-    if job.get("schema") != JOB_SCHEMA:
+    job = _block(JOB_FIELDS, "a JSON object")(job, "job document")
+    if job["schema"] != JOB_SCHEMA:
+        raise InvalidInputError(f"unsupported schema {job['schema']!r}; expected {JOB_SCHEMA!r}")
+    if job["command"] not in COMMANDS:
         raise InvalidInputError(
-            f"unsupported schema {job.get('schema')!r}; expected {JOB_SCHEMA!r}"
+            f"unknown command {job['command']!r}; choose from {sorted(COMMANDS)}"
         )
-    command = job.get("command")
-    if command not in COMMANDS:
-        raise InvalidInputError(
-            f"unknown command {command!r}; choose from {sorted(COMMANDS)}"
-        )
-    output = job.get("output", {})
-    if not isinstance(output, dict) or not isinstance(output.get("csv", ""), str):
-        raise InvalidInputError("output must be an object with an optional csv path string")
     return job
 
 
 def _resolve_budgets(job: dict, args) -> dict:
-    budgets = dict(COMMON_BUDGETS)
-    budgets.update(BUDGET_DEFAULTS[job["command"]])
-    declared = job.get("budgets", {})
-    if not isinstance(declared, dict):
-        raise InvalidInputError("budgets must be an object")
-    unknown = sorted(set(declared) - set(BUDGET_CHECKS))
-    if unknown:
-        raise InvalidInputError(
-            f"unknown budget {unknown[0]!r}; choose from {sorted(BUDGET_CHECKS)}"
-        )
-    budgets.update(declared)
-    for name in ("r_max", "tol", "cutoff"):
-        override = getattr(args, name, None)
-        if override is not None:
-            budgets[name] = override
-    for name, (check, demand) in BUDGET_CHECKS.items():
-        if name in budgets and not check(budgets[name]):
-            raise InvalidInputError(f"budget {name} must be {demand}, got {budgets[name]!r}")
-    return budgets
+    """The job's budgets over the command's defaults, with the flag overrides."""
+    budgets = {**BUDGET_DEFAULTS[job["command"]], **job["budgets"]}
+    budgets.update((n, getattr(args, n)) for n in BUDGET_FIELDS if getattr(args, n) is not None)
+    budgets = _checked(budgets, BUDGET_FIELDS, "budget", "budget")
+    return {name: value for name, value in budgets.items() if value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -652,14 +681,12 @@ def main(argv=None) -> int:
     try:
         job = _load_job(args.job)
         budgets = _resolve_budgets(job, args)
-        params = job.get("params", {})
-        if not isinstance(params, dict):
-            raise InvalidInputError("params must be an object")
+        params = _checked(job["params"], PARAMS[job["command"]], "", "parameter")
         results, table, csv_text = COMMANDS[job["command"]](params, budgets)
         resolved = {
             "schema": JOB_SCHEMA,
             "command": job["command"],
-            "params": params,
+            "params": job["params"],
             "budgets": budgets,
         }
         report = build_report(__version__, resolved, results)
@@ -670,7 +697,7 @@ def main(argv=None) -> int:
                 fh.write(canonical_json(report))
         else:
             print(canonical_json(report), end="")
-        csv_path = args.csv or job.get("output", {}).get("csv")
+        csv_path = args.csv or job["output"]["csv"]
         if csv_path and csv_text is not None:
             with open(csv_path, "w", encoding="utf-8") as fh:
                 fh.write(csv_text)

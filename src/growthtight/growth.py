@@ -116,10 +116,6 @@ def fekete_bracket(ball_counts: Sequence[int], b: float) -> GrowthBracket:
     _validate_balls(ball_counts)
     if b < 0:
         raise InvalidInputError(f"subadditivity constant must be >= 0, got {b}")
-    if any(
-        ball_counts[i + 1] < ball_counts[i] for i in range(len(ball_counts) - 1)
-    ):
-        raise InvalidInputError("ball counts must be non-decreasing")
     top = len(ball_counts) - 1
     logs = {i: math.log(ball_counts[i]) for i in range(1, top + 1) if ball_counts[i] > 0}
     if not logs:

@@ -55,9 +55,6 @@ class Alphabet:
     def identity(self) -> "ReducedWord":
         return ReducedWord(self, ())
 
-    def word(self, text: str) -> "ReducedWord":
-        return parse_word(self, text)
-
 
 class ReducedWord:
     """Immutable freely reduced word; supports *, ~ (inverse), ** and shortlex <."""

@@ -1,6 +1,9 @@
 """Job-document CLI: reports, budgets, exit codes, reproducibility."""
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import math
 import shutil
@@ -431,6 +434,65 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 2 and "shorten_sweep K must be an integer, got True" in err
 
+    @pytest.mark.parametrize("command,params,extra,message", [
+        ("axioms", {"rank": 2, "lemma31": {"h": "a b", "g_max": 2, "n_max": "8"}}, {},
+         "lemma31 n_max must be a positive integer, got '8'"),
+        ("axioms", {"rank": 2, "lemma31": {"h": "a b", "g_max": 2, "n_max": -3}}, {},
+         "lemma31 n_max must be a positive integer, got -3"),
+        ("axioms", {"rank": 2, "lemma31": {"h": "a b", "g_max": 2, "nmax": 8}}, {},
+         "unknown lemma31 field 'nmax'"),
+        ("avoid", {"rank": 2, "sweep": {"max_len": 2, "margin": "x"}}, {},
+         "sweep margin must be a number, got 'x'"),
+        ("avoid", {"rank": 2, "sweep": {"max_len": 0}}, {}, "sweep max_len must be at least 1"),
+        ("avoid", {"rank": 2, "factors": ["a b"], "compare_inverse": "no"}, {},
+         "compare_inverse must be true or false, got 'no'"),
+        ("ghat", {"rank": 2, "h": "a b", "m": "6"}, {}, "m must be an integer, got '6'"),
+        ("ghat", {"rank": 2, "h": "a", "m": True}, {}, "m must be an integer, got True"),
+        ("ghat", {"rank": 2, "h": 5, "m": 6}, {}, "h must be a string, got 5"),
+        ("count", {"rank": 2, "forbidden": [5]}, {}, "forbidden[0] must be a string, got 5"),
+        ("count", {"rank": 2, "forbiden": ["a b"]}, {}, "unknown parameter 'forbiden'"),
+        ("count", {"rank": 2}, {"budget": {"r_max": 3}}, "unknown job document field 'budget'"),
+        ("axioms", {"rank": 2, "random": {"triples": "5"}}, {},
+         "random triples must be a non-negative integer, got '5'"),
+        ("axioms", {"rank": 2, "random": {"core_max": 0}}, {},
+         "random core_max must be a positive integer, got 0"),
+        ("axioms", {"rank": 2, "random": {"seed": [1]}}, {},
+         "random seed must be an integer, got [1]"),
+        ("axioms", {"rank": 2, "random": [1]}, {}, "random must be an object, got [1]"),
+        ("axioms", {"rank": 2, "random": {"triples": 2}, "candidate_xi": "5"}, {},
+         "candidate_xi must be a number, got '5'"),
+        ("axioms", {"rank": 2, "axes": [{"h": "a", "translate": 3}, "b"]}, {},
+         "axes[0] translate must be a string, got 3"),
+        ("axioms", {"rank": 2, "axes": []}, {}, "axes must be a non-empty list of axes, got []"),
+        ("tightness", {"factors": [{"rank": 2}, {"rank": 2}], "p": 1,
+                       "oracle": {"kind": "factor-kernel", "kill": "1"}}, {},
+         "oracle kill must be a list of integers, got '1'"),
+        ("quotient", {"factors": [{"rank": 2}, {"rank": 2}], "p": 1,
+                      "oracle": {"kind": "homomorphism-to-integers", "coefficients": ["ab", "cd"]}},
+         {}, "oracle coefficients[0] must be a list of integers, got 'ab'"),
+        ("quotient", {"factors": [{"rank": 2}, {"rank": 2}], "p": 1,
+                      "oracle": {"kind": "homomorphism-to-integers",
+                                 "coefficients": [[1, 1], [1, -1]]},
+                      "check": {"h": ["a b", "b a-", "a"], "K": 6}},
+         {}, "check h has 3 words for 2 factors"),
+    ], ids=[
+        "lemma31-n_max-string", "lemma31-n_max-negative", "lemma31-misspelt-n_max",
+        "sweep-margin-string", "sweep-max_len-zero", "compare_inverse-string",
+        "ghat-m-string", "ghat-m-bool", "ghat-h-int", "forbidden-int-item",
+        "misspelt-forbidden", "top-level-budget", "random-triples-string",
+        "random-core_max-zero", "random-seed-list", "random-list", "candidate_xi-string",
+        "axis-translate-int", "axes-empty", "oracle-kill-string", "oracle-coefficients-strings",
+        "check-h-three-words-two-factors",
+    ])
+    def test_malformed_job_is_invalid_input(
+        self, tmp_path, capsys, command, params, extra, message
+    ):
+        # each of these ran a different experiment or crashed (exit 4) before
+        # the job format was checked from one table
+        job = write_job(tmp_path, command, params, **extra)
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2 and f"invalid input: {message}" in err
+
     def test_invariant_breach_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(params, budgets):
             raise InternalInvariantError("synthetic breach")
@@ -626,3 +688,112 @@ class TestShortenSweep:
         job = write_job(tmp_path, "ghat", {"rank": 2, "h": "a", "m": 4, "shorten_sweep": {"g_max": g_max}})
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 2 and "g_max must be a non-negative integer" in err
+
+
+# One small valid job per command mode; every optional field a mode reads is
+# given, so a mutation can reach it.
+VALID_JOBS = [
+    ("count", {"rank": 2, "forbidden": ["a b"]}, {"r_max": 3}),
+    ("exponent", {"rank": 2, "forbidden": ["a a"]}, {"r_max": 4, "tol": 1e-9}),
+    ("avoid", {"rank": 2, "factors": ["a b"], "compare_inverse": True}, {"r_max": 4}),
+    ("avoid", {"rank": 2, "sweep": {"max_len": 1, "margin": 1e-6}}, {"cutoff": 4}),
+    ("ghat", {"rank": 2, "h": "a b", "m": 4}, {"r_max": 4}),
+    ("ghat", {"rank": 2, "h": "a", "m": 2, "shorten_sweep": {"g_max": 3, "K": 4}}, {"r_max": 3}),
+    ("product", {"factors": [{"rank": 2}, {"rank": 1}], "p": 2}, {"r_max": 8}),
+    (
+        "quotient",
+        {
+            "factors": [{"rank": 2}, {"rank": 2}],
+            "p": 1,
+            "oracle": {"kind": "homomorphism-to-integers", "coefficients": [[1, 1], [1, -1]]},
+            "check": {"h": ["a b", "b a-"], "K": 6},
+        },
+        {"r_max": 3},
+    ),
+    (
+        "tightness",
+        {
+            "factors": [{"rank": 2}, {"rank": 2}],
+            "p": "inf",
+            "oracle": {"kind": "factor-kernel", "kill": [1]},
+        },
+        {"r_max": 3, "tol": 0.08},
+    ),
+    ("axioms", {"rank": 2, "lemma31": {"h": "a b", "g_max": 2, "n_max": 3}}, {}),
+    (
+        "axioms",
+        {
+            "rank": 2,
+            "random": {"seed": 1, "triples": 2, "core_max": 2, "conjugator_max": 1},
+            "samples": ["a"],
+            "candidate_xi": 4,
+        },
+        {},
+    ),
+    (
+        "axioms",
+        {
+            "rank": 2,
+            "axes": ["a b", {"h": "a", "translate": "b"}],
+            "samples": ["b"],
+            "candidate_xi": 3,
+        },
+        {},
+    ),
+]
+JUNK = [-1, 0, 2.5, True, "x", [], [1], {}, None]
+
+
+def _nodes(node, path=()):
+    """(path, value) for node and every value below it, lists included."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def mutated_jobs(draw):
+    """(job document, whether an unknown field was added): a valid job with
+    one value at any depth replaced by junk, or one unknown field added to
+    one of its objects."""
+    command, params, budgets = draw(st.sampled_from(VALID_JOBS))
+    job = {"schema": "growthtight/job-v1", "command": command, "params": params, "budgets": budgets}
+    job = copy.deepcopy(job)
+    if draw(st.booleans()):
+        _, obj = draw(st.sampled_from([n for n in _nodes(job) if isinstance(n[1], dict)]))
+        obj["unexpected"] = draw(st.sampled_from(JUNK))
+        return job, True
+    path, _ = draw(st.sampled_from(list(_nodes(job))[1:]))
+    parent = job
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(st.sampled_from(JUNK))
+    return job, False
+
+
+class TestJobFormat:
+    @pytest.mark.parametrize("command,params,budgets", VALID_JOBS)
+    def test_valid_jobs_run(self, tmp_path, capsys, command, params, budgets):
+        job = write_job(tmp_path, command, params, budgets)
+        code, out, err = run_cli(capsys, "run", str(job), "--quiet")
+        assert code == 0 and err == ""
+        assert json.loads(out)["job"]["params"] == params
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(mutated_jobs())
+    def test_junk_is_invalid_input_never_an_internal_error(self, tmp_path_factory, case):
+        job, unknown_field = case
+        path = tmp_path_factory.getbasetemp() / "junk_job.json"
+        path.write_text(json.dumps(job))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--quiet"])
+        assert code in (0, 2, 3), err.getvalue()
+        if unknown_field:
+            assert code == 2 and "unknown" in err.getvalue()

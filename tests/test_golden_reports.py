@@ -2,6 +2,7 @@
 file under tests/golden/ captured before any change to the numerics."""
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -22,3 +23,14 @@ def test_report_is_byte_identical(job, tmp_path):
     out = tmp_path / job.name
     assert cli.main(["run", str(job), "--quiet", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / job.name).read_bytes()
+
+
+@pytest.mark.parametrize("job", JOBS, ids=[p.stem for p in JOBS])
+def test_embedded_job_replays_byte_identical(job, tmp_path):
+    # the resolved job a report embeds is itself a valid job document
+    golden = (GOLDEN / job.name).read_bytes()
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(json.loads(golden)["job"]))
+    out = tmp_path / job.name
+    assert cli.main(["run", str(replay), "--quiet", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
