@@ -221,7 +221,7 @@ def _cmd_exponent(params: dict, budgets: dict):
     bracket = perron_root(aut, budgets["tol"])
     seq = count_lengths(aut, budgets["r_max"])
     balls = seq.balls()
-    b, _ = check_subadditivity(balls)
+    b = check_subadditivity(balls)
     fek = fekete_bracket(balls, b)
     results = {
         "rank": alphabet.rank,
@@ -426,10 +426,10 @@ def _cmd_product(params: dict, budgets: dict):
     spec = _product_spec(params)
     r_max = budgets["r_max"]
     automata = [reduced_word_automaton(a) for a in spec.factors]
-    factor_counts = [count_lengths(aut, r_max) for aut in automata]
+    factor_spheres = [count_lengths(aut, r_max) for aut in automata]
     brackets = [perron_root(aut, budgets["tol"]) for aut in automata]
     exponents = [(b.lower + b.upper) / 2 for b in brackets]
-    report = verify_duality(spec, factor_counts, r_max, exponents)
+    report = verify_duality(spec, factor_spheres, r_max, exponents)
     results = report.to_dict()
     results["factor_brackets"] = [b.to_dict() for b in brackets]
     table = format_table(
@@ -452,7 +452,7 @@ def _cmd_quotient(params: dict, budgets: dict):
     r_max = budgets["r_max"]
     seq = quotient_ball_counts(spec, oracle, r_max)
     balls = seq.balls()
-    b, _ = check_subadditivity(balls)
+    b = check_subadditivity(balls)
     fek = fekete_bracket(balls, b)
     results = {
         "oracle": oracle.describe(),

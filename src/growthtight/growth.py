@@ -1,6 +1,8 @@
-"""Growth-exponent brackets, subadditivity checks and Poincare-series probes.
+"""Growth-exponent brackets, subadditivity checks and the Poincare-series
+divergence test.
 
-Counting sequences are passed in as ball counts (exact ints, index = radius).
+Counting sequences are passed in as ball counts (exact ints, index = radius,
+except where radii are given alongside).
 Logs of big ints go through math.log, which is fine at any magnitude.
 """
 from __future__ import annotations
@@ -12,6 +14,12 @@ from typing import Sequence
 from .errors import InternalInvariantError, InvalidInputError
 
 NEG_INF = float("-inf")
+# regression_bracket's half-width is _RMS_WIDTHS times the residual rms, and
+# at least _MIN_HALFWIDTH
+_MIN_HALFWIDTH = 0.002
+_RMS_WIDTHS = 3.0
+# slack below -b that divergence_at_critical forgives in a Poincare term
+_DIVERGENCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,38 +79,27 @@ def _validate_balls(ball_counts: Sequence[int]) -> None:
             raise InvalidInputError(f"ball counts decrease at radius {r}")
 
 
-def check_subadditivity(
-    ball_counts: Sequence[int], candidate_b: float | None = None
-) -> tuple[float, list[tuple[int, int, float]]]:
+def check_subadditivity(ball_counts: Sequence[int]) -> float:
     """Smallest b >= 0 with log P(m+n) <= log P(m) + log P(n) + b on the data.
 
-    Pairs are compared exactly on the integers first so that b = 0 is reported
-    exactly when P(m+n) <= P(m) * P(n) holds throughout.  The violation list is
-    relative to candidate_b when one is given, else empty by construction.
+    Pairs are compared exactly on the integers first, so b = 0 is returned
+    exactly when P(m+n) <= P(m) * P(n) holds throughout.
     """
     _validate_balls(ball_counts)
     if any(c <= 0 for c in ball_counts):
         raise InvalidInputError("ball counts must be positive")
     n = len(ball_counts)
     b = 0.0
-    excesses: dict[tuple[int, int], float] = {}
     for m in range(n):
         for k in range(m, n - m):
-            if ball_counts[m + k] <= ball_counts[m] * ball_counts[k]:
-                continue
-            excess = (
-                math.log(ball_counts[m + k])
-                - math.log(ball_counts[m])
-                - math.log(ball_counts[k])
-            )
-            excesses[(m, k)] = excess
-            b = max(b, excess)
-    violations = []
-    if candidate_b is not None:
-        violations = [
-            (m, k, e) for (m, k), e in sorted(excesses.items()) if e > candidate_b
-        ]
-    return b, violations
+            if ball_counts[m + k] > ball_counts[m] * ball_counts[k]:
+                excess = (
+                    math.log(ball_counts[m + k])
+                    - math.log(ball_counts[m])
+                    - math.log(ball_counts[k])
+                )
+                b = max(b, excess)
+    return b
 
 
 def fekete_bracket(ball_counts: Sequence[int], b: float) -> GrowthBracket:
@@ -138,53 +135,30 @@ def fekete_bracket(ball_counts: Sequence[int], b: float) -> GrowthBracket:
 
 
 def regression_bracket(
-    ball_counts: Sequence[int],
-    r_min: float | None = None,
-    halfwidth_floor: float = 0.002,
-    rms_factor: float = 3.0,
-    radii: Sequence[float] | None = None,
+    ball_counts: Sequence[int], radii: Sequence[float]
 ) -> GrowthBracket:
     """Exponent bracket from a least-squares fit of log P(r) over large radii.
 
-    The model log P(r) = delta*r + gamma*log(r) + c absorbs the polynomial
-    correction that makes plain Fekete upper bounds converge slowly (L^1
-    products have P(r) ~ r^gamma e^(delta r)).  The bracket half-width is
-    rms_factor times the residual rms, floored so a perfect fit still reports
+    ball_counts[i] is the count at the positive radius radii[i].  The model
+    log P(r) = delta*r + gamma*log(r) + c absorbs the polynomial correction
+    that makes plain Fekete upper bounds converge slowly (L^1 products have
+    P(r) ~ r^gamma e^(delta r)).  The fit window keeps the radii in the upper
+    half of the range, from 2 on.  The bracket half-width is _RMS_WIDTHS times
+    the residual rms, at least _MIN_HALFWIDTH so a perfect fit still reports
     honest uncertainty.  Both ends are heuristic.
-
-    By default ball_counts[r] is the count at integer radius r; pass `radii`
-    to fit counts sampled at arbitrary positive radii instead (ball_counts[i]
-    then belongs to radii[i]).  The fit window keeps radii in the upper half
-    of the range, at least 2.
     """
     import numpy as np
 
-    if radii is None:
-        _validate_balls(ball_counts)
-        top = len(ball_counts) - 1
-        if r_min is None:
-            r_min = max(2, top // 2)
-        points = [
-            (float(r), ball_counts[r])
-            for r in range(len(ball_counts))
-            if ball_counts[r] > 0
-        ]
-    else:
-        if len(radii) != len(ball_counts):
-            raise InvalidInputError(
-                f"{len(radii)} radii for {len(ball_counts)} counts"
-            )
-        points = sorted(
-            (float(r), c) for r, c in zip(radii, ball_counts) if c > 0
-        )
-        if points and points[0][0] <= 0:
-            raise InvalidInputError("radii must be positive")
-        if r_min is None:
-            r_min = max(2.0, points[-1][0] / 2) if points else 2.0
-    window = [(r, c) for r, c in points if r >= r_min - 1e-9]
+    if len(radii) != len(ball_counts):
+        raise InvalidInputError(f"{len(radii)} radii for {len(ball_counts)} counts")
+    points = sorted((float(r), c) for r, c in zip(radii, ball_counts) if c > 0)
+    if points and points[0][0] <= 0:
+        raise InvalidInputError("radii must be positive")
+    start = max(2.0, points[-1][0] / 2) if points else 2.0
+    window = [(r, c) for r, c in points if r >= start - 1e-9]
     if len(window) < 3:
         raise InvalidInputError(
-            f"need at least 3 radii with positive counts above r_min={r_min}"
+            f"need at least 3 radii with positive counts from radius {start}"
         )
     design = np.array([[r, math.log(r), 1.0] for r, _ in window])
     response = np.array([math.log(c) for _, c in window])
@@ -192,7 +166,7 @@ def regression_bracket(
     residuals = response - design @ coef
     rms = float(np.sqrt(np.mean(residuals**2)))
     delta = float(coef[0])
-    halfwidth = max(halfwidth_floor, rms_factor * rms)
+    halfwidth = max(_MIN_HALFWIDTH, _RMS_WIDTHS * rms)
     return GrowthBracket(
         lower=delta - halfwidth,
         upper=delta + halfwidth,
@@ -218,7 +192,6 @@ class DivergenceReport:
     b: float
     min_term_log: float
     passed: bool
-    radii: tuple[int, int]
 
     def to_dict(self) -> dict:
         return {
@@ -231,15 +204,16 @@ class DivergenceReport:
 
 
 def divergence_at_critical(
-    ball_counts: Sequence[int], bracket: GrowthBracket, tol: float = 1e-6
+    ball_counts: Sequence[int], bracket: GrowthBracket
 ) -> DivergenceReport:
     """Term-wise lower bound P(r) e^(-r delta) >= e^(-b) at delta = bracket.upper.
 
     With b from check_subadditivity, the generalized Fekete lemma gives
     log P(r) >= r L - b, so every term of the Poincare series at the critical
-    exponent stays above e^(-b): the series diverges there.
+    exponent stays above e^(-b): the series diverges there.  Terms within
+    _DIVERGENCE_TOL of the floor pass.
     """
-    b, _ = check_subadditivity(ball_counts)
+    b = check_subadditivity(ball_counts)
     delta = bracket.upper
     margins = [
         math.log(ball_counts[r]) - r * delta
@@ -251,8 +225,7 @@ def divergence_at_critical(
         delta_est=delta,
         b=b,
         min_term_log=min_term,
-        passed=min_term >= -b - tol,
-        radii=(1, len(ball_counts) - 1),
+        passed=min_term >= -b - _DIVERGENCE_TOL,
     )
 
 
@@ -278,22 +251,20 @@ def strict_gap_check(
     sub_counts: Sequence[int],
     full_counts: Sequence[int],
     tol: float,
-    sub_bracket: GrowthBracket | None = None,
-    full_bracket: GrowthBracket | None = None,
+    sub_bracket: GrowthBracket,
+    full_bracket: GrowthBracket,
 ) -> GapReport:
-    """Check that the sublanguage growth sits strictly below the full growth.
+    """Check that the sublanguage growth sits strictly below the full growth:
+    the margin is full_bracket.lower - sub_bracket.upper.
 
-    Brackets may be passed in (spectral ones make the verdict certified);
-    otherwise Fekete brackets are derived from the counts, whose lower end is
-    heuristic, and the report says so.
+    The counts only guard that the sublanguage lies inside the full one.  The
+    verdict is certified when the full bracket's lower end is (spectral
+    brackets); a Fekete full bracket leaves it heuristic, and the report says
+    so.
     """
     shared = min(len(sub_counts), len(full_counts))
     if any(sub_counts[r] > full_counts[r] for r in range(shared)):
         raise InvalidInputError("sub counts exceed full counts somewhere")
-    if sub_bracket is None:
-        sub_bracket = fekete_bracket(sub_counts, check_subadditivity(sub_counts)[0])
-    if full_bracket is None:
-        full_bracket = fekete_bracket(full_counts, check_subadditivity(full_counts)[0])
     margin = full_bracket.lower - sub_bracket.upper
     return GapReport(
         sub_bracket=sub_bracket,

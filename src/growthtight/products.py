@@ -36,6 +36,15 @@ def parse_exponent(value) -> float:
     return p
 
 
+def _conjugate(p: float) -> float:
+    """Conjugate exponent q of p: 1/p + 1/q = 1."""
+    if p == 1:
+        return math.inf
+    if p == math.inf:
+        return 1.0
+    return p / (p - 1)
+
+
 @dataclass(frozen=True)
 class LpProductSpec:
     """n free factors combined with the L^p metric."""
@@ -54,12 +63,7 @@ class LpProductSpec:
 
     @property
     def q(self) -> float:
-        """Conjugate exponent: 1/p + 1/q = 1."""
-        if self.p == 1:
-            return math.inf
-        if self.p == math.inf:
-            return 1.0
-        return self.p / (self.p - 1)
+        return _conjugate(self.p)
 
     def identity(self) -> "ProductPoint":
         return ProductPoint(tuple(a.identity for a in self.factors))
@@ -283,15 +287,15 @@ class LatticeTable:
         return CountSequence.from_balls([self.ball(r) for r in range(r_max + 1)])
 
 
-def _check_factor_count(spec: LpProductSpec, factor_counts) -> None:
-    if len(factor_counts) != spec.n:
+def _check_factor_count(spec: LpProductSpec, factor_spheres) -> None:
+    if len(factor_spheres) != spec.n:
         raise InvalidInputError(
-            f"{len(factor_counts)} count sequences for {spec.n} factors"
+            f"{len(factor_spheres)} count sequences for {spec.n} factors"
         )
 
 
 def product_ball_counts(
-    spec: LpProductSpec, factor_counts: Sequence[CountSequence | Sequence[int]], R
+    spec: LpProductSpec, factor_spheres: Sequence[CountSequence | Sequence[int]], R
 ) -> int:
     """Exact number of lattice-weighted points with ||(r_1..r_n)||_p <= R:
     sum over admissible radius profiles of the product of factor sphere counts.
@@ -299,8 +303,8 @@ def product_ball_counts(
     One LatticeTable at radius R; the boundary test is exact whenever p is an
     integer or inf (see norm_budget).
     """
-    _check_factor_count(spec, factor_counts)
-    return LatticeTable(spec.p, factor_counts, R).ball(R)
+    _check_factor_count(spec, factor_spheres)
+    return LatticeTable(spec.p, factor_spheres, R).ball(R)
 
 
 def duality_exponent(deltas: Sequence[float], p: float) -> float:
@@ -312,12 +316,7 @@ def duality_exponent(deltas: Sequence[float], p: float) -> float:
     for d in deltas:
         if d < 0:
             raise InvalidInputError(f"factor exponent must be >= 0, got {d}")
-    if p == 1:
-        return max(deltas)
-    if p == math.inf:
-        return float(sum(deltas))
-    q = p / (p - 1)
-    return float(sum(d**q for d in deltas) ** (1 / q))
+    return float(_lp_norm(deltas, _conjugate(p)))
 
 
 @dataclass(frozen=True)
@@ -356,7 +355,7 @@ class DualityReport:
 
 def verify_duality(
     spec: LpProductSpec,
-    factor_counts: Sequence[CountSequence | Sequence[int]],
+    factor_spheres: Sequence[CountSequence | Sequence[int]],
     r_max: int,
     factor_exponents: Sequence[float],
 ) -> DualityReport:
@@ -377,17 +376,17 @@ def verify_duality(
         raise InvalidInputError(
             f"{len(factor_exponents)} exponents for {spec.n} factors"
         )
-    _check_factor_count(spec, factor_counts)
+    _check_factor_count(spec, factor_spheres)
     step = 1.0 if spec.p == math.inf else spec.n ** (1.0 / spec.p)
     # nudge up so exact-budget arithmetic keeps the corner profile inside
     support_radii = [
         step * j * (1 + 1e-12) for j in range(1, int(r_max / step + 1e-9) + 1)
     ]
-    table = LatticeTable(spec.p, factor_counts, max([r_max, *support_radii]))
+    table = LatticeTable(spec.p, factor_spheres, max([r_max, *support_radii]))
     balls = [table.ball(r) for r in range(r_max + 1)]
     support_balls = [table.ball(radius) for radius in support_radii]
     measured = regression_bracket(support_balls, radii=support_radii)
-    b, _ = check_subadditivity(balls)
+    b = check_subadditivity(balls)
     fek = fekete_bracket(balls, b)
     predicted = duality_exponent(list(factor_exponents), spec.p)
     midpoint = (measured.lower + measured.upper) / 2

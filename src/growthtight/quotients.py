@@ -9,7 +9,7 @@ come from per-factor images, so counting enumerates nothing.  A minimal
 section keeps the first product point per key in (length, tuple-shortlex)
 order; since a key depends only on the per-coordinate parts, its scan runs
 over the first word of each part value in each factor sphere, not over every
-product point (see _section_scan).  Only the section scan enumerates words,
+product point (see minimal_section).  Only the section scan enumerates words,
 so only it is bounded by the enumeration cutoff.
 """
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .products import (
     LatticeTable,
     LpProductSpec,
     ProductPoint,
-    _check_factor_count,
     _check_shape,
     _lp_norm,
     duality_exponent,
@@ -69,6 +68,13 @@ class QuotientOracle:
         self.kind = kind
         self.killed = frozenset(killed)
         self.coefficients = tuple(tuple(row) for row in coefficients)
+        # a field of another kind would be ignored, running another quotient
+        if self.killed and kind != "factor-kernel":
+            raise InvalidInputError(f"oracle kill applies only to factor-kernel, not {kind}")
+        if self.coefficients and kind != "homomorphism-to-integers":
+            raise InvalidInputError(
+                f"oracle coefficients apply only to homomorphism-to-integers, not {kind}"
+            )
         if kind == "factor-kernel" and any(i < 0 for i in self.killed):
             raise InvalidInputError("killed factor indices must be >= 0")
         if kind == "homomorphism-to-integers" and not self.coefficients:
@@ -143,21 +149,22 @@ class MinimalSection:
         return len(self.entries)
 
 
-def _section_scan(
+def minimal_section(
     spec: LpProductSpec,
     oracle: QuotientOracle,
     r_max: float,
     cutoff: int = DEFAULT_ENUMERATION_CUTOFF,
-) -> dict:
-    """Scan the orbit points with ||profile||_p <= r_max in (length,
-    tuple-shortlex) order; the first hit per key is the minimal representative.
+) -> MinimalSection:
+    """One representative per coset key within L^p length r_max: the first
+    orbit point of the key in (length, tuple-shortlex) order.
 
     A key depends only on the per-coordinate parts, and itertools.product walks
     index tuples lexicographically, so the first tuple to hit a key is made of
     the first word of each part value in every sphere.  Each sphere is
     therefore reduced to its first word per distinct part, in order of first
     occurrence; the reduced product visits those tuples in the same relative
-    order, so the entries and their insertion order are those of the full scan.
+    order, so the entries and their insertion order are those of a scan over
+    every product point.
     """
     oracle.validate_for(spec)
     if r_max < 0:
@@ -185,22 +192,7 @@ def _section_scan(
             key = oracle.combine([part for part, _ in combo])
             if key not in section:
                 section[key] = (ProductPoint(tuple(w for _, w in combo)), length)
-    return section
-
-
-def minimal_section(
-    spec: LpProductSpec,
-    oracle: QuotientOracle,
-    r_max: float,
-    cutoff: int = DEFAULT_ENUMERATION_CUTOFF,
-) -> MinimalSection:
-    """One representative per coset key within L^p length r_max: the first
-    orbit point of the key in (length, tuple-shortlex) order.  The scan runs
-    over the first word per part value of each factor sphere, not over every
-    product point (see _section_scan)."""
-    return MinimalSection(
-        entries=_section_scan(spec, oracle, r_max, cutoff), radius=r_max
-    )
+    return MinimalSection(entries=section, radius=r_max)
 
 
 def _l1_sphere_counts(k: int, r_max: int) -> list[int]:
@@ -212,20 +204,17 @@ def _l1_sphere_counts(k: int, r_max: int) -> list[int]:
 
 
 def _image_spheres(
-    spec: LpProductSpec, oracle: QuotientOracle, r_max: int, factor_counts
+    spec: LpProductSpec, oracle: QuotientOracle, r_max: int
 ) -> list[Sequence[int]]:
     """Per-factor quotient sphere counts of a coordinate-wise kernel: a killed
     factor is trivial, a surviving one free, an abelianized F_k is Z^k."""
     if oracle.kind == "abelianization-kernel":
         return [_l1_sphere_counts(a.rank, r_max) for a in spec.factors]
-    if factor_counts is None:
-        factor_counts = [
-            [sphere_size(a, r) for r in range(r_max + 1)] for a in spec.factors
-        ]
-    _check_factor_count(spec, factor_counts)
     return [
-        [1] + [0] * r_max if i in oracle.killed else counts
-        for i, counts in enumerate(factor_counts)
+        [1] + [0] * r_max
+        if i in oracle.killed
+        else [sphere_size(a, r) for r in range(r_max + 1)]
+        for i, a in enumerate(spec.factors)
     ]
 
 
@@ -252,28 +241,25 @@ def _hom_balls(spec: LpProductSpec, oracle: QuotientOracle, r_max: int) -> list[
 
 
 def quotient_ball_counts(
-    spec: LpProductSpec,
-    oracle: QuotientOracle,
-    r_max: int,
-    factor_counts: Sequence[CountSequence | Sequence[int]] | None = None,
+    spec: LpProductSpec, oracle: QuotientOracle, r_max: int
 ) -> CountSequence:
     """counts[r] = number of distinct coset keys within L^p length r.
 
     The built-in kernels are counted from per-factor images, with no
     enumeration: the distance to a coset is the L^p norm of per-factor
     quotient lengths.  Factor kernels and the abelianization are lattice sums
-    (LatticeTable) over per-factor quotient sphere counts: (1, 0, 0, ...) for
-    a killed factor, the free counts (factor_counts when given) for a
-    surviving one, the l^1 spheres of Z^k for an abelianized F_k.  The
-    homomorphism to Z is a fold over (profile key, partial images).  No kind
-    enumerates words, so no enumeration cutoff applies.
+    (LatticeTable) over closed-form per-factor quotient sphere sizes:
+    (1, 0, 0, ...) for a killed factor, the free sphere sizes for a surviving
+    one, the l^1 spheres of Z^k for an abelianized F_k.  The homomorphism to
+    Z is a fold over (profile key, partial images).  No kind enumerates
+    words, so no enumeration cutoff applies.
     """
     oracle.validate_for(spec)
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
     if oracle.kind == "homomorphism-to-integers":
         return CountSequence.from_balls(_hom_balls(spec, oracle, r_max))
-    images = _image_spheres(spec, oracle, r_max, factor_counts)
+    images = _image_spheres(spec, oracle, r_max)
     return LatticeTable(spec.p, images, r_max).sequence(r_max)
 
 
@@ -417,7 +403,7 @@ def tightness_verdict(
     else:
         counts = quotient_ball_counts(spec, oracle, r_max)
         balls = counts.balls()
-        b, _ = check_subadditivity(balls)
+        b = check_subadditivity(balls)
         delta_gn = fekete_bracket(balls, b)
     gap = delta_g.lower - delta_gn.upper
     overlap = bracket_gap(delta_g, delta_gn)

@@ -45,8 +45,7 @@ class Axis:
             raise InvalidInputError("the identity has no axis")
         if translate is None:
             translate = h.alphabet.identity
-        core, conjugator = cyclic_reduce(h)
-        root, _ = primitive_root(core)
+        core, conjugator, root, _ = _axis_parts(h)
         return cls(h, core, conjugator, root, translate, translate * conjugator)
 
     @property
@@ -403,12 +402,9 @@ def ghat_automaton(alphabet: Alphabet, h: ReducedWord, m: int) -> CountingAutoma
     realizes the restricted set exactly on the tree: acceptance coincides with
     ghat_membership_exact(., h, m).
     """
-    if not h:
-        raise InvalidInputError("h must be non-trivial")
-    core, _ = cyclic_reduce(h)
+    core, _, root, _ = _axis_parts(h)
     if m < len(core):
         raise InvalidInputError(f"m={m} below core length {len(core)}")
-    root, _ = primitive_root(core)
     ray = root.letters
     n = len(ray)
     factors = {tuple(ray[(s + i) % n] for i in range(m)) for s in range(n)}
@@ -464,9 +460,8 @@ def walk_ghat_ball(
 
 def shorten_threshold(h: ReducedWord) -> int:
     """Smallest K accepted by shorten: 2 D' + 2 with D' = |core| + 2|conjugator|."""
-    if not h:
-        raise InvalidInputError("h must be non-trivial")
-    return _threshold(*cyclic_reduce(h))
+    core, conjugator, _, _ = _axis_parts(h)
+    return _threshold(core, conjugator)
 
 
 @dataclass(frozen=True)

@@ -475,6 +475,14 @@ class TestExitCodes:
                                  "coefficients": [[1, 1], [1, -1]]},
                       "check": {"h": ["a b", "b a-", "a"], "K": 6}},
          {}, "check h has 3 words for 2 factors"),
+        ("quotient", {"factors": [{"rank": 2}, {"rank": 2}], "p": 1,
+                      "oracle": {"kind": "abelianization-kernel", "kill": [1],
+                                 "coefficients": [[1, 1], [1, -1]]}},
+         {}, "oracle kill applies only to factor-kernel, not abelianization-kernel"),
+        ("tightness", {"factors": [{"rank": 2}, {"rank": 2}], "p": 1,
+                       "oracle": {"kind": "factor-kernel", "kill": [1],
+                                  "coefficients": [[1, 1], [1, -1]]}},
+         {}, "oracle coefficients apply only to homomorphism-to-integers, not factor-kernel"),
     ], ids=[
         "lemma31-n_max-string", "lemma31-n_max-negative", "lemma31-misspelt-n_max",
         "sweep-margin-string", "sweep-max_len-zero", "compare_inverse-string",
@@ -482,7 +490,8 @@ class TestExitCodes:
         "misspelt-forbidden", "top-level-budget", "random-triples-string",
         "random-core_max-zero", "random-seed-list", "random-list", "candidate_xi-string",
         "axis-translate-int", "axes-empty", "oracle-kill-string", "oracle-coefficients-strings",
-        "check-h-three-words-two-factors",
+        "check-h-three-words-two-factors", "abelianization-oracle-with-kill",
+        "factor-kernel-oracle-with-coefficients",
     ])
     def test_malformed_job_is_invalid_input(
         self, tmp_path, capsys, command, params, extra, message

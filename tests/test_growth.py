@@ -30,6 +30,11 @@ LOG3 = math.log(3)
 F2_BALLS = oracles.ball_sizes(2, 14)
 
 
+def fekete(balls) -> GrowthBracket:
+    """The data-fitted Fekete bracket of a ball sequence."""
+    return fekete_bracket(balls, check_subadditivity(balls))
+
+
 class TestGrowthBracket:
     def test_contains_and_distance(self):
         br = GrowthBracket(1.0, 1.5, "test")
@@ -59,19 +64,10 @@ class TestGrowthBracket:
 
 class TestCheckSubadditivity:
     def test_free_group_balls_are_exactly_subadditive(self):
-        b, violations = check_subadditivity(F2_BALLS)
-        assert b == 0.0
-        assert violations == []
+        assert check_subadditivity(F2_BALLS) == 0.0
 
     def test_superadditive_point_is_measured(self):
-        b, _ = check_subadditivity([1, 2, 8])
-        assert b == pytest.approx(math.log(2))
-
-    def test_candidate_b_lists_the_excesses(self):
-        _, violations = check_subadditivity([1, 2, 8], candidate_b=-0.5)
-        assert violations == [(1, 1, pytest.approx(math.log(2)))]
-        _, none = check_subadditivity([1, 2, 8], candidate_b=1.0)
-        assert none == []
+        assert check_subadditivity([1, 2, 8]) == pytest.approx(math.log(2))
 
     def test_bad_inputs(self):
         with pytest.raises(InvalidInputError):
@@ -93,7 +89,7 @@ class TestFeketeBracket:
 
     def test_exponential_with_polynomial_noise(self):
         counts = [3**i + i * i for i in range(13)]
-        br = fekete_bracket(counts, check_subadditivity(counts)[0])
+        br = fekete_bracket(counts, check_subadditivity(counts))
         assert br.contains(LOG3)
 
     def test_free_group_balls(self):
@@ -117,14 +113,17 @@ class TestFeketeBracket:
 
 class TestRegressionBracket:
     def test_recovers_a_clean_exponent(self):
-        counts = [round(math.exp(0.9 * r)) for r in range(15)]
-        br = regression_bracket(counts)
+        radii = range(1, 15)
+        counts = [round(math.exp(0.9 * r)) for r in radii]
+        br = regression_bracket(counts, radii)
         assert br.contains(0.9)
         assert br.width <= 0.05
+        assert br.radii_used == (7.0, 14.0)  # the upper half of the radii
 
     def test_absorbs_polynomial_corrections(self):
-        counts = [1] + [round(r * r * math.exp(0.7 * r)) for r in range(1, 21)]
-        br = regression_bracket(counts)
+        radii = range(1, 21)
+        counts = [round(r * r * math.exp(0.7 * r)) for r in radii]
+        br = regression_bracket(counts, radii)
         assert br.contains(0.7)
         assert abs((br.lower + br.upper) / 2 - 0.7) <= 0.01
 
@@ -140,7 +139,7 @@ class TestRegressionBracket:
         with pytest.raises(InvalidInputError, match="positive"):
             regression_bracket([1, 2, 4], radii=[0.0, 1.0, 2.0])
         with pytest.raises(InvalidInputError, match="at least 3"):
-            regression_bracket([1, 2, 4, 8], r_min=10)
+            regression_bracket([1, 2, 4], radii=[1.0, 2.0, 3.0])
 
 
 class TestDivergenceAtCritical:
@@ -153,7 +152,7 @@ class TestDivergenceAtCritical:
 
     def test_polynomial_quotient_counts(self):
         diamonds = [2 * r * r + 2 * r + 1 for r in range(15)]
-        b, _ = check_subadditivity(diamonds)
+        b = check_subadditivity(diamonds)
         rep = divergence_at_critical(diamonds, fekete_bracket(diamonds, b))
         assert rep.passed
 
@@ -181,7 +180,8 @@ class TestStrictGapCheck:
     def test_fekete_brackets_resolve_a_wide_gap(self):
         base = reduced_word_automaton(RANK2)
         sub = count_lengths(avoid_factors(base, [word2("a")]), 12).balls()
-        rep = strict_gap_check(sub, F2_BALLS[:13], 0.01)
+        full = F2_BALLS[:13]
+        rep = strict_gap_check(sub, full, 0.01, fekete(sub), fekete(full))
         assert rep.strict
         assert rep.margin > 0.1
         assert not rep.certified  # fekete lower ends are heuristic
@@ -190,16 +190,18 @@ class TestStrictGapCheck:
         base = reduced_word_automaton(RANK2)
         sub = count_lengths(avoid_factors(base, [word2("a")]), 12).balls()
         full_bracket = perron_root(base, 1e-9)
-        rep = strict_gap_check(sub, F2_BALLS[:13], 0.01, full_bracket=full_bracket)
+        rep = strict_gap_check(sub, F2_BALLS[:13], 0.01, fekete(sub), full_bracket)
         assert rep.strict
         assert rep.certified
         assert rep.margin > 0.1
 
     def test_equal_counts_have_no_gap(self):
-        rep = strict_gap_check(F2_BALLS, F2_BALLS, 0.01)
+        br = fekete(F2_BALLS)
+        rep = strict_gap_check(F2_BALLS, F2_BALLS, 0.01, br, br)
         assert not rep.strict
         assert rep.margin <= 0.0
 
     def test_sub_counts_may_not_exceed_full(self):
+        br = GrowthBracket(0.0, 1.0, "test")
         with pytest.raises(InvalidInputError, match="exceed"):
-            strict_gap_check([1, 6], [1, 5], 0.01)
+            strict_gap_check([1, 6], [1, 5], 0.01, br, br)

@@ -19,7 +19,6 @@ from growthtight import (
     enumerate_ball,
     minimal_section,
     quotient_ball_counts,
-    sphere_size,
     tightness_verdict,
 )
 
@@ -32,7 +31,6 @@ LOG3 = math.log(3)
 F2 = LpProductSpec((RANK2,), 1)
 F2F2_P1 = LpProductSpec((RANK2, RANK2), 1)
 F2F2_INF = LpProductSpec((RANK2, RANK2), INF)
-F2_SPHERES = [sphere_size(RANK2, r) for r in range(13)]
 
 HOM = QuotientOracle.hom_to_integers(((1, 1), (1, -1)))
 
@@ -70,6 +68,15 @@ class TestOracleConstruction:
             QuotientOracle.hom_to_integers(())
         with pytest.raises(InvalidInputError, match="unknown oracle kind"):
             QuotientOracle("user-table")
+        # a field of another kind is an error, not ignored
+        with pytest.raises(InvalidInputError, match="kill applies only to factor-kernel"):
+            QuotientOracle("abelianization-kernel", killed=[1])
+        with pytest.raises(InvalidInputError, match="kill applies only to factor-kernel"):
+            QuotientOracle("homomorphism-to-integers", [0], [[1, 1]])
+        with pytest.raises(InvalidInputError, match="coefficients apply only"):
+            QuotientOracle("abelianization-kernel", coefficients=[[1, 1], [1, -1]])
+        with pytest.raises(InvalidInputError, match="coefficients apply only"):
+            QuotientOracle("factor-kernel", [1], [[1, 1]])
 
     def test_validate_for(self):
         with pytest.raises(InvalidInputError, match="out of range"):
@@ -221,33 +228,15 @@ class TestQuotientBallCounts:
 
     def test_kill_all_factors_is_the_trivial_group(self):
         oracle = QuotientOracle.factor_kernel([0, 1])
-        scanned = quotient_ball_counts(F2F2_P1, oracle, 3)
-        shortcut = quotient_ball_counts(
-            F2F2_P1, oracle, 3, factor_counts=(F2_SPHERES, F2_SPHERES)
-        )
-        assert scanned.balls() == [1, 1, 1, 1]
-        assert shortcut.balls() == [1, 1, 1, 1]
+        images = quotient_ball_counts(F2F2_P1, oracle, 3)
+        assert images.balls() == [1, 1, 1, 1]
+        assert scanned_balls(F2F2_P1, oracle, 3) == [1, 1, 1, 1]
 
     def test_kill_one_factor_leaves_free_group_counts(self):
         oracle = QuotientOracle.factor_kernel([1])
-        shortcut = quotient_ball_counts(
-            F2F2_P1, oracle, 4, factor_counts=(F2_SPHERES, F2_SPHERES)
-        )
-        assert shortcut.balls() == [1, 5, 17, 53, 161]
-
-    def test_shortcut_agrees_with_enumeration(self):
-        oracle = QuotientOracle.factor_kernel([0])
-        scanned = quotient_ball_counts(F2F2_P1, oracle, 3)
-        shortcut = quotient_ball_counts(
-            F2F2_P1, oracle, 3, factor_counts=(F2_SPHERES, F2_SPHERES)
-        )
-        assert scanned.balls() == shortcut.balls()
-
-    def test_factor_counts_must_cover_every_factor(self):
-        with pytest.raises(InvalidInputError, match="count sequences"):
-            quotient_ball_counts(
-                F2F2_P1, QuotientOracle.factor_kernel([0]), 3, factor_counts=(F2_SPHERES,)
-            )
+        images = quotient_ball_counts(F2F2_P1, oracle, 4)
+        assert images.balls() == [1, 5, 17, 53, 161]
+        assert scanned_balls(F2F2_P1, oracle, 4) == [1, 5, 17, 53, 161]
 
     def test_hom_quotient_grows_linearly(self):
         got = quotient_ball_counts(F2F2_P1, HOM, 4)
