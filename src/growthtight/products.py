@@ -93,11 +93,10 @@ def _check_shape(spec: LpProductSpec, x: ProductPoint) -> None:
 
 
 def _lp_norm(values: Sequence[int], p: float) -> float | int:
-    if p == math.inf:
-        return max(values) if values else 0
-    if p == 1:
-        return sum(values)
-    return sum(v**p for v in values) ** (1 / p)
+    # norm_key adds left to right: the built-in sum() of floats is
+    # compensated from Python 3.12 on, which moves the last bits
+    key = norm_key(p, values)
+    return key if p in (1, math.inf) else key ** (1 / p)
 
 
 def lp_length(spec: LpProductSpec, x: ProductPoint) -> float | int:

@@ -4,7 +4,8 @@ An axis is the bi-infinite geodesic of a non-trivial element: translate the
 line of its cyclically reduced core's primitive root t, i.e. the vertices
 origin * (prefixes of t^infinity and t^-infinity).  Because t is cyclically
 reduced, the two rays leave the origin through different edges, so projections
-reduce to longest-common-prefix scans.
+reduce to longest-common-prefix scans.  Axis-to-axis geometry (same_line, the
+projection of one axis onto another) is one overlap scan from a shared vertex.
 """
 from __future__ import annotations
 
@@ -69,11 +70,6 @@ class Axis:
         """primitive_root(element)."""
         return primitive_root(self.element)
 
-    @property
-    def dprime(self) -> int:
-        """Tree value of the quasi-axis diameter constant: |core| + 2|conjugator|."""
-        return len(self.core) + 2 * len(self.conjugator)
-
     def point(self, coordinate: int) -> ReducedWord:
         """Vertex at signed arc-length position along the core direction."""
         if coordinate >= 0:
@@ -97,10 +93,12 @@ class ProjectionResult:
     axis_coordinate: int
 
 
-def _common_prefix_with_ray(letters: Sequence[int], ray: Sequence[int]) -> int:
+def _agreement(letters: Sequence[int], ray: Sequence[int], phase: int = 0) -> int:
+    """Length of the longest common prefix of letters and the periodic word
+    ray^infinity read from position phase."""
     n = len(ray)
     m = 0
-    while m < len(letters) and letters[m] == ray[m % n]:
+    while m < len(letters) and letters[m] == ray[(phase + m) % n]:
         m += 1
     return m
 
@@ -109,8 +107,8 @@ def _axis_coordinate(x: ReducedWord, ax: Axis) -> tuple[int, int]:
     """(axis coordinate, distance) of the projection of x, without building
     the foot vertex."""
     v = ax.origin_inverse * x
-    forward = _common_prefix_with_ray(v.letters, ax.root.letters)
-    backward = _common_prefix_with_ray(v.letters, ax.backward_ray)
+    forward = _agreement(v.letters, ax.root.letters)
+    backward = _agreement(v.letters, ax.backward_ray)
     if forward > 0 and backward > 0:
         raise InternalInvariantError(
             "both rays match a positive prefix; root not cyclically reduced?"
@@ -127,49 +125,51 @@ def project_to_axis(x: ReducedWord, ax: Axis) -> ProjectionResult:
     )
 
 
-def same_line(a: Axis, b: Axis) -> bool:
-    """Whether two axes are the same bi-infinite geodesic (as vertex sets).
+def _overlap(source: Axis, target: Axis) -> tuple[int, int] | None:
+    """Target-coordinate interval onto which the whole source line projects,
+    or None when the two axes are the same line.
 
-    Distinct lines sharing a segment of length >= |root_a| + |root_b| would
-    force the two primitive roots to be powers of a common word (Fine-Wilf),
-    hence equal lines; so agreeing at coordinates -L, 0, L with L the sum of
-    root lengths settles it.
+    Disjoint lines project to the foot of the bridge between them; meeting
+    lines project to their shared segment.  From a shared vertex each source
+    ray follows at most one target ray, and distinct lines agree on fewer
+    than |root_s| + |root_t| letters (Fine-Wilf), so reaching that cap means
+    the same line.
     """
-    if a.alphabet != b.alphabet:
-        return False
-    span = len(a.root) + len(b.root)
-    return all(
-        project_to_axis(b.point(j), a).distance == 0 for j in (-span, 0, span)
-    )
+    c, d = _axis_coordinate(source.origin, target)
+    s = source.root.letters
+    j = 0  # source coordinate of the shared vertex target.point(c)
+    if d:
+        back = (source.origin_inverse * target.origin).letters[:d]
+        if _agreement(back, s) == d:
+            j = d
+        elif _agreement(back, source.backward_ray) == d:
+            j = -d
+        else:
+            return c, c
+    cap = len(s) + len(target.root)
+    lo = hi = c
+    for ray, phase in ((s, j), (source.backward_ray, -j)):
+        n = len(ray)
+        letters = [ray[(phase + i) % n] for i in range(cap)]
+        forward = _agreement(letters, target.root.letters, c)
+        backward = _agreement(letters, target.backward_ray, -c)
+        if max(forward, backward) == cap:
+            return None
+        lo, hi = min(lo, c - backward), max(hi, c + forward)
+    return lo, hi
+
+
+def same_line(a: Axis, b: Axis) -> bool:
+    """Whether two axes are the same bi-infinite geodesic (as vertex sets)."""
+    return a.alphabet == b.alphabet and _overlap(a, b) is None
 
 
 def project_axis_onto_axis(source: Axis, target: Axis) -> tuple[int, int]:
-    """Coordinate interval on target swept by projecting the whole source line.
-
-    Walk outward from source.point(0): the distance to target is convex with
-    slopes in {-1, 0, 1} along a geodesic line, and once a step increases the
-    distance by exactly 1 the geodesic to target passes through the previous
-    point, so the foot is frozen from there on.
-    """
-    if same_line(source, target):
+    """Coordinate interval on target swept by projecting the whole source line."""
+    interval = _overlap(source, target)
+    if interval is None:
         raise InvalidInputError("source and target are the same line")
-    first = project_to_axis(source.point(0), target)
-    lo = hi = first.axis_coordinate
-    cap = first.distance + len(source.root) + len(target.root) + 8
-    for direction in (1, -1):
-        previous = first.distance
-        for step in range(1, cap + 1):
-            res = project_to_axis(source.point(direction * step), target)
-            lo = min(lo, res.axis_coordinate)
-            hi = max(hi, res.axis_coordinate)
-            if res.distance == previous + 1:
-                break
-            previous = res.distance
-        else:
-            raise InternalInvariantError(
-                "projection walk failed to freeze; lines share a ray?"
-            )
-    return lo, hi
+    return interval
 
 
 def projection_diameter(source: Axis, target: Axis) -> int:
@@ -192,15 +192,16 @@ def check_projection_axioms(
     finiteness is automatic for a finite family.
     """
     axes = list(axes)
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            if same_line(axes[i], axes[j]):
-                raise InvalidInputError(f"axes {i} and {j} are the same line")
     intervals: dict[tuple[int, int], tuple[int, int]] = {}
     for ti, target in enumerate(axes):
         for si, src in enumerate(axes):
             if ti != si:
-                intervals[(ti, si)] = project_axis_onto_axis(src, target)
+                # each pair meets first as (lower, higher), so the lowest
+                # duplicate pair is the one named
+                interval = _overlap(src, target)
+                if interval is None:
+                    raise InvalidInputError(f"axes {ti} and {si} are the same line")
+                intervals[(ti, si)] = interval
     pair_diams = {key: hi - lo for key, (lo, hi) in intervals.items()}
     xi_observed = max(pair_diams.values(), default=0)
     triples = []
@@ -278,8 +279,8 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
             rows=(),
             power_witness=(exp_h, sign * exp_g),
         )
-    p = project_to_axis(g.alphabet.identity, ax).foot
-    base_coord, _ = _axis_coordinate(p, ax)
+    nearest = project_to_axis(g.alphabet.identity, ax)
+    p, base_coord = nearest.foot, nearest.axis_coordinate
     bound = 2 * len(~p * (g * p)) + D_TREE
     rows = []
     ok = True

@@ -130,8 +130,9 @@ def prim_root(word: str) -> tuple[str, int]:
     raise AssertionError("unreachable")
 
 
-def axis_vertex(h: str, coord: int) -> str:
-    """Vertex at signed arc-length coord along the axis of h (through o)."""
+def axis_vertex(h: str, coord: int, translate: str = "") -> str:
+    """Vertex at signed arc-length coord along the axis of h (through o),
+    moved by the translate."""
     core, conj = cyclic_peel(h)
     root, _ = prim_root(core)
     if coord >= 0:
@@ -141,18 +142,45 @@ def axis_vertex(h: str, coord: int) -> str:
         ray = invert(root)
         t = -coord
     reps = ray * (t // len(ray) + 1)
-    return conj + reps[:t]
+    return mult(translate, conj + reps[:t])
 
 
-def brute_project(x: str, h: str, pad: int = 4) -> tuple[int, int]:
-    """(axis coordinate, distance) of the nearest axis vertex to x."""
-    window = len(x) + len(h) + pad
+def brute_project(x: str, h: str, pad: int = 4, translate: str = "") -> tuple[int, int]:
+    """(axis coordinate, distance) of the nearest vertex to x on the axis of
+    h moved by the translate."""
+    window = len(x) + len(h) + len(translate) + pad
     best = None
     for coord in range(-window, window + 1):
-        d = tree_dist(x, axis_vertex(h, coord))
+        d = tree_dist(x, axis_vertex(h, coord, translate))
         if best is None or d < best[1]:
             best = (coord, d)
     return best
+
+
+def axis_overlap(
+    source: str, source_translate: str, target: str, target_translate: str
+) -> tuple[int, int] | None:
+    """(min, max) target coordinate of the projections of the source axis'
+    vertices, or None when the two axes are the same line.
+
+    Only source coordinates within distance + |root_s| + |root_t| + 4 of its
+    origin are projected: two lines that share a longer segment are one line
+    (Fine-Wilf), and past the shared segment the feet no longer move.
+    """
+    roots = [prim_root(cyclic_peel(h)[0])[0] for h in (source, target)]
+    origin = axis_vertex(source, 0, source_translate)
+    _, distance = brute_project(origin, target, translate=target_translate)
+    window = distance + len(roots[0]) + len(roots[1]) + 4
+    feet = [
+        brute_project(
+            axis_vertex(source, j, source_translate), target, translate=target_translate
+        )
+        for j in range(-window, window + 1)
+    ]
+    if all(d == 0 for _, d in feet):
+        return None
+    coords = [c for c, _ in feet]
+    return min(coords), max(coords)
 
 
 def maximal_pos_runs(g: str, root: str) -> list[tuple[int, int, int]]:
@@ -247,7 +275,7 @@ def lp_norm_exact(profile: tuple[int, ...], p) -> object:
         return max(profile) if profile else 0
     if p == int(p):
         return sum(Fraction(r) ** int(p) for r in profile)
-    return sum(float(r) ** p for r in profile)
+    return power_sum(profile, p)
 
 
 def product_ball_brute(p, factor_spheres: list[list[int]], R) -> int:
@@ -292,7 +320,16 @@ def _norm_val(profile, p) -> float:
         return float(max(profile) if profile else 0)
     if p == 1:
         return float(sum(profile))
-    return float(sum(r**p for r in profile)) ** (1.0 / p)
+    return power_sum(profile, p) ** (1.0 / p)
+
+
+def power_sum(profile, p) -> float:
+    """Sum of r**p, added left to right (sum() of floats is compensated
+    from Python 3.12 on)."""
+    total = 0.0
+    for r in profile:
+        total = total + float(r) ** p
+    return total
 
 
 def to_lib_text(chars: str) -> str:

@@ -20,7 +20,7 @@ from growthtight import (
     sphere_size,
     verify_duality,
 )
-from growthtight.products import LatticeTable
+from growthtight.products import LatticeTable, _lp_norm
 
 import oracles
 from conftest import RANK1, RANK2, word2
@@ -96,6 +96,14 @@ class TestDistances:
     def test_product_needs_a_factor(self):
         with pytest.raises(InvalidInputError):
             LpProductSpec((), 2)
+
+    def test_norm_sums_left_to_right(self):
+        # a profile on which math.fsum (and sum() from Python 3.12 on) rounds
+        # differently from the left fold: ...498 against ...499
+        profile, p = (27, 1, 15, 7, 23), 1.01
+        total = oracles.power_sum(profile, p)
+        assert total != math.fsum(r**p for r in profile)
+        assert _lp_norm(profile, p) == total ** (1 / p)
 
 
 def _rand(rng: random.Random) -> str:

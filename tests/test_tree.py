@@ -4,8 +4,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from growthtight import (
+    Alphabet,
     Axis,
     InvalidInputError,
     check_projection_axioms,
@@ -52,12 +55,6 @@ class TestAxis:
         ax = axis2(h)
         for coord in range(-6, 7):
             assert chars(ax.point(coord)) == oracles.axis_vertex(h, coord)
-
-    @pytest.mark.parametrize(
-        "h,dprime", [("a", 1), ("ab", 2), ("baB", 3), ("abab", 4), ("aabB", 2)]
-    )
-    def test_dprime(self, h, dprime):
-        assert axis2(h).dprime == dprime
 
     @pytest.mark.parametrize("h", ["ab", "baB", "aa", "bAAb"])
     def test_powers_are_quasi_geodesic(self, h):
@@ -169,6 +166,88 @@ class TestAxisOntoAxis:
             project_axis_onto_axis(AB, axis2("abab"))
 
 
+@st.composite
+def char_words(draw, rank, max_size, min_size=0, cyclic=False):
+    pool = oracles.letters(rank)
+    out = ""
+    size = draw(st.integers(min_size, max_size))
+    while len(out) < size:
+        c = draw(st.sampled_from(pool))
+        if out and c == oracles.inv(out[-1]):
+            continue
+        if cyclic and len(out) == size - 1 and out and c == oracles.inv(out[0]):
+            continue
+        out += c
+    return out
+
+
+def power(h: str, j: int) -> str:
+    return oracles.reduce_scan((h if j >= 0 else oracles.invert(h)) * abs(j))
+
+
+@st.composite
+def axis_pairs(draw):
+    """(rank, source h, source translate, target h, target translate) in
+    oracle notation.
+
+    A "branch" source shares the target's conjugator and starts its core
+    with the target's core, so the lines mostly meet in a segment; a power
+    of the source in its translate moves its origin along its own line, and
+    so mostly off the target.  The last three kinds are the target's line.
+    """
+    rank = draw(st.integers(2, 3))
+
+    def element():
+        core = draw(char_words(rank, 5, min_size=1, cyclic=True))
+        conjugator = draw(char_words(rank, 3))
+        return oracles.mult(oracles.mult(conjugator, core), oracles.invert(conjugator))
+
+    target, target_translate = element(), draw(char_words(rank, 4))
+    kind = draw(st.sampled_from(["other", "branch", "power", "inverse", "translate"]))
+    if kind == "other":
+        return rank, element(), draw(char_words(rank, 4)), target, target_translate
+    if kind == "branch":
+        core, conjugator = oracles.cyclic_peel(target)
+        core = oracles.reduce_scan(core + draw(char_words(rank, 3, min_size=1)))
+        assume(core)
+        source = oracles.mult(oracles.mult(conjugator, core), oracles.invert(conjugator))
+        moved = oracles.mult(target_translate, power(source, draw(st.integers(-2, 2))))
+        return rank, source, moved, target, target_translate
+    if kind == "power":
+        source = power(target, draw(st.integers(2, 3)))
+        return rank, source, target_translate, target, target_translate
+    if kind == "inverse":
+        return rank, oracles.invert(target), target_translate, target, target_translate
+    moved = oracles.mult(target_translate, power(target, draw(st.integers(-2, 2))))
+    return rank, target, moved, target, target_translate
+
+
+class TestOverlapReference:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(axis_pairs())
+    @example((2, "aba", "", "ab", ""))
+    @example((2, "ab", "bbb", "ab", ""))
+    @example((3, "ab", "", "ab", "abab"))
+    def test_matches_windowed_brute_projection(self, case):
+        rank, source_h, source_t, target_h, target_t = case
+        alphabet = Alphabet(rank)
+
+        def axis(h, t):
+            return Axis.from_element(
+                parse_word(alphabet, oracles.to_lib_text(h)),
+                parse_word(alphabet, oracles.to_lib_text(t)),
+            )
+
+        source, target = axis(source_h, source_t), axis(target_h, target_t)
+        want = oracles.axis_overlap(source_h, source_t, target_h, target_t)
+        assert same_line(source, target) == (want is None)
+        if want is None:
+            with pytest.raises(InvalidInputError, match="same line"):
+                project_axis_onto_axis(source, target)
+        else:
+            assert project_axis_onto_axis(source, target) == want
+
+
 class TestProjectionAxioms:
     FAMILY = ["ab", "ba", "aba"]
 
@@ -202,6 +281,12 @@ class TestProjectionAxioms:
     def test_duplicate_lines_are_rejected(self):
         with pytest.raises(InvalidInputError, match="same line"):
             check_projection_axioms([AB, axis2("abab")])
+
+    def test_lowest_duplicate_pair_is_named(self):
+        # (1, 3) and (3, 4) are the same line too; (1, 3) is the lowest pair
+        family = [axis2("ba"), AB, axis2("aba"), axis2("BA"), AB.translated(word2("ab"))]
+        with pytest.raises(InvalidInputError, match="axes 1 and 3 are the same line"):
+            check_projection_axioms(family)
 
 
 class TestLemma31:
