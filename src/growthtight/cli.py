@@ -384,7 +384,7 @@ def _shorten_sweep_params(h: ReducedWord, block: dict, budgets: dict) -> tuple[i
 
 def _shorten_sweep(alphabet: Alphabet, h: ReducedWord, g_max: int, K: int) -> dict:
     """Exhaustive shortening check: every g with |g| <= g_max outside Ghat(K)
-    must get strictly shorter, to k h^-alpha k^-1 g.
+    must get strictly shorter, to k h^-1 k^-1 g.
 
     The ball is walked through the Ghat(K) automaton (walk_ghat_ball), so only
     the words outside Ghat(K) reach shorten.  checked counts the ball,
@@ -399,7 +399,7 @@ def _shorten_sweep(alphabet: Alphabet, h: ReducedWord, g_max: int, K: int) -> di
         res = shorten(g, h, K)
         recomposed = (
             res is not None
-            and res.g_prime == res.k * h ** (-res.alpha) * ~res.k * g
+            and res.g_prime == res.k * ~h * ~res.k * g
         )
         if res is None or len(res.g_prime) >= len(g) or not recomposed:
             failures.append(g)
@@ -562,6 +562,10 @@ def _cmd_axioms(params: dict, budgets: dict):
     candidate = params["candidate_xi"]
     block = params["random"]
     if block is not None:
+        # every axis of Z is one line; in F2 single letters give only the a- and b-lines
+        family = (alphabet.rank, block["core_max"], block["conjugator_max"])
+        if alphabet.rank == 1 or family == (2, 1, 0):
+            raise InvalidInputError("random axes span fewer than three distinct lines")
         rng = random.Random(block["seed"])
         xi_max = 0
         total_violations = 0

@@ -6,6 +6,9 @@ origin * (prefixes of t^infinity and t^-infinity).  Because t is cyclically
 reduced, the two rays leave the origin through different edges, so projections
 reduce to longest-common-prefix scans.  Axis-to-axis geometry (same_line, the
 projection of one axis onto another) is one overlap scan from a shared vertex.
+Long projections of [o, g.o] onto translated axes (the restricted set Ghat,
+the shortening move) are the maximal runs of g reading the root forward, found
+by the same prefix scan; a run's witness is built only where it is returned.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ class Axis:
             raise InvalidInputError("the identity has no axis")
         if translate is None:
             translate = h.alphabet.identity
-        core, conjugator, root, _ = _axis_parts(h)
+        core, conjugator, root = _axis_parts(h)
         return cls(h, core, conjugator, root, translate, translate * conjugator)
 
     @property
@@ -72,18 +75,9 @@ class Axis:
 
     def point(self, coordinate: int) -> ReducedWord:
         """Vertex at signed arc-length position along the core direction."""
-        if coordinate >= 0:
-            ray = self.root.letters
-            n = len(ray)
-            prefix = tuple(ray[i % n] for i in range(coordinate))
-        else:
-            ray = self.backward_ray
-            n = len(ray)
-            prefix = tuple(ray[i % n] for i in range(-coordinate))
+        ray = self.root.letters if coordinate >= 0 else self.backward_ray
+        prefix = tuple(ray[i % len(ray)] for i in range(abs(coordinate)))
         return self.origin * ReducedWord(self.alphabet, prefix)
-
-    def translated(self, w: ReducedWord) -> "Axis":
-        return Axis.from_element(self.element, w * self.translate)
 
 
 @dataclass(frozen=True)
@@ -172,11 +166,6 @@ def project_axis_onto_axis(source: Axis, target: Axis) -> tuple[int, int]:
     return interval
 
 
-def projection_diameter(source: Axis, target: Axis) -> int:
-    lo, hi = project_axis_onto_axis(source, target)
-    return hi - lo
-
-
 def check_projection_axioms(
     axes: Sequence[Axis],
     sample: Sequence[ReducedWord] = (),
@@ -242,7 +231,6 @@ class Lemma31Report:
     branch: str  # "power-in-subgroup" or "bounded-projection"
     passed: bool
     bound: float
-    base_point: ReducedWord
     rows: tuple[tuple[int, int], ...]  # (n, projection distance)
     power_witness: tuple[int, int] | None = None
 
@@ -275,7 +263,6 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
             branch="power-in-subgroup",
             passed=g ** exp_h == ax.element ** (sign * exp_g),
             bound=0.0,
-            base_point=ax.origin,
             rows=(),
             power_witness=(exp_h, sign * exp_g),
         )
@@ -295,7 +282,6 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
         branch="bounded-projection",
         passed=ok,
         bound=bound,
-        base_point=p,
         rows=tuple(rows),
     )
 
@@ -307,68 +293,58 @@ class LongProjectionWitness:
 
     k: ReducedWord
     projection_diameter: int
-    alpha: int
     start: int  # index into g's letters where the matched run begins
     phase: int  # phase of core^infinity at the run start
-    positive: bool = True
 
 
-def _maximal_positive_runs(
-    letters: Sequence[int], ray: Sequence[int]
-) -> list[tuple[int, int, int]]:
-    """(start, phase, length) of maximal forward matches against the periodic ray."""
-    n = len(ray)
-    runs = []
-    for i in range(len(letters)):
-        for s in range(n):
-            if letters[i] != ray[s % n]:
-                continue
-            if i > 0 and letters[i - 1] == ray[(s - 1) % n]:
-                continue  # extendable to the left at this phase: not maximal
-            j = 1
-            while i + j < len(letters) and letters[i + j] == ray[(s + j) % n]:
-                j += 1
-            runs.append((i, s, j))
-    return runs
-
-
-def _axis_parts(h: ReducedWord) -> tuple[ReducedWord, ReducedWord, ReducedWord, int]:
-    """(core, conjugator, root, exponent) of non-trivial h: h = conjugator *
-    core * conjugator^-1 with core = root^exponent cyclically reduced."""
+def _axis_parts(h: ReducedWord) -> tuple[ReducedWord, ReducedWord, ReducedWord]:
+    """(core, conjugator, root) of non-trivial h: h = conjugator * core *
+    conjugator^-1 with core cyclically reduced, a power of its primitive root."""
     if not h:
         raise InvalidInputError("h must be non-trivial")
     core, conjugator = cyclic_reduce(h)
-    root, exponent = primitive_root(core)
-    return core, conjugator, root, exponent
+    return core, conjugator, primitive_root(core)[0]
 
 
 def _threshold(core: ReducedWord, conjugator: ReducedWord) -> int:
     return 2 * (len(core) + 2 * len(conjugator)) + 2
 
 
-def _long_projections(
-    g: ReducedWord, core: ReducedWord, conjugator: ReducedWord, root: ReducedWord, K: int
-) -> list[LongProjectionWitness]:
-    ray = root.letters
-    witnesses = []
-    for start, phase, length in _maximal_positive_runs(g.letters, ray):
-        if length < K:
-            continue
-        before = ReducedWord(g.alphabet, g.letters[:start])
-        back = ReducedWord(g.alphabet, ray[:phase])
-        k = before * ~back * ~conjugator
-        alpha = max(1, (phase + length) // len(core))
-        witnesses.append(
-            LongProjectionWitness(
-                k=k,
-                projection_diameter=length,
-                alpha=alpha,
-                start=start,
-                phase=phase,
-            )
-        )
-    witnesses.sort(key=lambda w: (w.start, w.phase))
-    return witnesses
+def _long_runs(letters: Sequence[int], ray: Sequence[int], K: int) -> list[tuple[int, int, int]]:
+    """(start, phase, length) of the maximal forward matches of letters against
+    ray^infinity with length >= K, in (start, phase) order."""
+    runs = []
+    for i, x in enumerate(letters):
+        for phase, y in enumerate(ray):
+            # ray[phase - 1] wraps to the last letter at phase 0
+            if x != y or (i and letters[i - 1] == ray[phase - 1]):
+                continue  # no match here, or extendable to the left: not maximal
+            length = _agreement(letters[i:], ray, phase)
+            if length >= K:
+                runs.append((i, phase, length))
+    return runs
+
+
+def _witness(
+    g: ReducedWord, conjugator: ReducedWord, root: ReducedWord, run: tuple[int, int, int]
+) -> LongProjectionWitness:
+    """The witness of one long run: k maps h's axis onto the line the run reads."""
+    start, phase, length = run
+    before = ReducedWord(g.alphabet, g.letters[:start])
+    back = ReducedWord(g.alphabet, root.letters[:phase])
+    return LongProjectionWitness(
+        k=before * ~back * ~conjugator, projection_diameter=length, start=start, phase=phase
+    )
+
+
+def _checked_runs(
+    g: ReducedWord, h: ReducedWord, K: int
+) -> tuple[ReducedWord, ReducedWord, list[tuple[int, int, int]]]:
+    """(conjugator, root, long runs) of g against h's axis, after checking h and K."""
+    _, conjugator, root = _axis_parts(h)
+    if K < 1:
+        raise InvalidInputError(f"K must be >= 1, got {K}")
+    return conjugator, root, _long_runs(g.letters, root.letters, K)
 
 
 def find_long_projections(
@@ -381,19 +357,17 @@ def find_long_projections(
     overlap of [o, g.o] with that line, and positively aligned overlaps are
     exactly the maximal runs of g reading core^infinity forward.
     """
-    core, conjugator, root, _ = _axis_parts(h)
-    if K < 1:
-        raise InvalidInputError(f"K must be >= 1, got {K}")
-    return _long_projections(g, core, conjugator, root, K)
+    conjugator, root, runs = _checked_runs(g, h, K)
+    return [_witness(g, conjugator, root, run) for run in runs]
 
 
 def ghat_membership_exact(g: ReducedWord, h: ReducedWord, K: int) -> bool:
     """Whether no subsegment of [o, g.o] has a K-long positive h-projection.
 
     Subsegment witnesses are sub-runs of runs of the full geodesic, so this is
-    simply emptiness of find_long_projections.
+    simply whether g has no K-long run.
     """
-    return not find_long_projections(g, h, K)
+    return not _checked_runs(g, h, K)[2]
 
 
 def ghat_automaton(alphabet: Alphabet, h: ReducedWord, m: int) -> CountingAutomaton:
@@ -403,7 +377,7 @@ def ghat_automaton(alphabet: Alphabet, h: ReducedWord, m: int) -> CountingAutoma
     realizes the restricted set exactly on the tree: acceptance coincides with
     ghat_membership_exact(., h, m).
     """
-    core, _, root, _ = _axis_parts(h)
+    core, _, root = _axis_parts(h)
     if m < len(core):
         raise InvalidInputError(f"m={m} below core length {len(core)}")
     ray = root.letters
@@ -461,7 +435,7 @@ def walk_ghat_ball(
 
 def shorten_threshold(h: ReducedWord) -> int:
     """Smallest K accepted by shorten: 2 D' + 2 with D' = |core| + 2|conjugator|."""
-    core, conjugator, _, _ = _axis_parts(h)
+    core, conjugator, _ = _axis_parts(h)
     return _threshold(core, conjugator)
 
 
@@ -469,45 +443,29 @@ def shorten_threshold(h: ReducedWord) -> int:
 class ShortenResult:
     g_prime: ReducedWord
     k: ReducedWord
-    alpha: int
-    alpha_min: int
-    alpha_max: int
     witness: LongProjectionWitness
 
 
-def shorten(
-    g: ReducedWord, h: ReducedWord, K: int, alpha: int | None = None
-) -> ShortenResult | None:
-    """One shortening step: replace g by k h^(-alpha) k^-1 g along the longest
-    K-long positive projection; returns None (no-op) when g has none.
+def shorten(g: ReducedWord, h: ReducedWord, K: int) -> ShortenResult | None:
+    """One shortening step: replace g by k h^-1 k^-1 g along the longest K-long
+    positive projection; returns None (no-op) when g has none.
 
-    Any alpha in [alpha_min, alpha_max] strictly shortens (the removed stretch
-    stays inside the matched run); the result stays in the coset g N for every
-    normal N containing h.
+    The removed stretch of one core stays inside the matched run, so the step
+    strictly shortens; the result stays in the coset g N for every normal N
+    containing h.
     """
-    core, conjugator, root, exponent = _axis_parts(h)
+    core, conjugator, root = _axis_parts(h)
     threshold = _threshold(core, conjugator)
     if K < threshold:
         raise InvalidInputError(f"K={K} below shortening threshold {threshold}")
-    witnesses = _long_projections(g, core, conjugator, root, K)
-    if not witnesses:
+    runs = _long_runs(g.letters, root.letters, K)
+    if not runs:
         return None
-    best = max(witnesses, key=lambda w: (w.projection_diameter, -w.start, -w.phase))
-    periods = (best.phase + best.projection_diameter) // len(root)
-    alpha_max = max(1, periods // exponent)
-    chosen = 1 if alpha is None else alpha
-    if not 1 <= chosen <= alpha_max:
-        raise InvalidInputError(f"alpha={chosen} outside [1, {alpha_max}]")
-    g_prime = best.k * h ** (-chosen) * ~best.k * g
+    best = max(runs, key=lambda run: (run[2], -run[0], -run[1]))
+    witness = _witness(g, conjugator, root, best)
+    g_prime = witness.k * ~h * ~witness.k * g
     if len(g_prime) >= len(g):
         raise InternalInvariantError(
             f"shortening failed: |{format_word(g_prime)}| >= |{format_word(g)}|"
         )
-    return ShortenResult(
-        g_prime=g_prime,
-        k=best.k,
-        alpha=chosen,
-        alpha_min=1,
-        alpha_max=alpha_max,
-        witness=best,
-    )
+    return ShortenResult(g_prime=g_prime, k=witness.k, witness=witness)

@@ -210,6 +210,24 @@ def maximal_pos_runs(g: str, root: str) -> list[tuple[int, int, int]]:
     return runs
 
 
+def diagonal_runs(g: str, root: str) -> list[tuple[int, int, int]]:
+    """Maximal forward matches of g against root^inf, for any root, as sorted
+    (start, phase, length): for each offset d, the maximal intervals of i
+    with g[i] == root[(i + d) mod n]; a run starting at i has phase (i + d) mod n."""
+    n = len(root)
+    runs = []
+    for d in range(n):
+        i = 0
+        while i < len(g):
+            j = i
+            while j < len(g) and g[j] == root[(j + d) % n]:
+                j += 1
+            if j > i:
+                runs.append((i, (i + d) % n, j - i))
+            i = j + 1
+    return sorted(runs)
+
+
 def ghat_member(g: str, h: str, K: int) -> bool:
     core, _ = cyclic_peel(h)
     root, _ = prim_root(core)

@@ -120,7 +120,7 @@ def test_tightness_verdicts_for_factor_kernels():
 def test_shortening_strictly_shrinks_everything_outside_the_restricted_set():
     """For h in {a, ab} at the minimal admissible K, every g with |g| <= 10
     outside Ghat(K) shortens strictly and satisfies the conjugated-power
-    identity g' = k h^-alpha k^-1 g; members are exactly the no-op cases."""
+    identity g' = k h^-1 k^-1 g; members are exactly the no-op cases."""
     failures = []
     for h_text in ("a", "ab"):
         h = word2(h_text)
@@ -134,7 +134,7 @@ def test_shortening_strictly_shrinks_everything_outside_the_restricted_set():
                     ok = (
                         res is not None
                         and len(res.g_prime) < len(g)
-                        and res.g_prime == res.k * h ** (-res.alpha) * ~res.k * g
+                        and res.g_prime == res.k * ~h * ~res.k * g
                     )
                 if not ok:
                     failures.append((h_text, chars(g)))

@@ -456,6 +456,10 @@ class TestExitCodes:
          "random triples must be a non-negative integer, got '5'"),
         ("axioms", {"rank": 2, "random": {"core_max": 0}}, {},
          "random core_max must be a positive integer, got 0"),
+        ("axioms", {"rank": 1, "random": {"triples": 1}}, {},
+         "random axes span fewer than three distinct lines"),
+        ("axioms", {"rank": 2, "random": {"triples": 1, "core_max": 1, "conjugator_max": 0}}, {},
+         "random axes span fewer than three distinct lines"),
         ("axioms", {"rank": 2, "random": {"seed": [1]}}, {},
          "random seed must be an integer, got [1]"),
         ("axioms", {"rank": 2, "random": [1]}, {}, "random must be an object, got [1]"),
@@ -488,7 +492,8 @@ class TestExitCodes:
         "sweep-margin-string", "sweep-max_len-zero", "compare_inverse-string",
         "ghat-m-string", "ghat-m-bool", "ghat-h-int", "forbidden-int-item",
         "misspelt-forbidden", "top-level-budget", "random-triples-string",
-        "random-core_max-zero", "random-seed-list", "random-list", "candidate_xi-string",
+        "random-core_max-zero", "random-rank1-one-line", "random-rank2-letter-lines",
+        "random-seed-list", "random-list", "candidate_xi-string",
         "axis-translate-int", "axes-empty", "oracle-kill-string", "oracle-coefficients-strings",
         "check-h-three-words-two-factors", "abelianization-oracle-with-kill",
         "factor-kernel-oracle-with-coefficients",
@@ -497,7 +502,8 @@ class TestExitCodes:
         self, tmp_path, capsys, command, params, extra, message
     ):
         # each of these ran a different experiment or crashed (exit 4) before
-        # the job format was checked from one table
+        # the job format was checked from one table; the two random families
+        # of fewer than three lines drew axes forever
         job = write_job(tmp_path, command, params, **extra)
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 2 and f"invalid input: {message}" in err
@@ -596,7 +602,7 @@ def per_word_sweep(alphabet, h, g_max, K) -> dict:
             res = shorten(g, h, K)
             recomposed = (
                 res is not None
-                and res.g_prime == res.k * h ** (-res.alpha) * ~res.k * g
+                and res.g_prime == res.k * ~h * ~res.k * g
             )
             if res is None or len(res.g_prime) >= len(g) or not recomposed:
                 failures.append(format_word(g))

@@ -21,7 +21,6 @@ from growthtight import (
     parse_word,
     project_axis_onto_axis,
     project_to_axis,
-    projection_diameter,
     same_line,
     shorten,
     shorten_threshold,
@@ -70,7 +69,7 @@ class TestAxis:
 
     def test_translated_moves_origin(self):
         w = word2("bba")
-        moved = AB.translated(w)
+        moved = Axis.from_element(AB.element, w * AB.translate)
         assert moved.origin == w * AB.origin
         assert moved.root == AB.root
 
@@ -115,7 +114,7 @@ class TestProjection:
             w = word2(rand_chars(rng, 2, rng.randrange(6)))
             x = word2(rand_chars(rng, 2, rng.randrange(8)))
             base = project_to_axis(x, AB)
-            moved = project_to_axis(w * x, AB.translated(w))
+            moved = project_to_axis(w * x, Axis.from_element(AB.element, w * AB.translate))
             assert moved.axis_coordinate == base.axis_coordinate
             assert moved.distance == base.distance
             assert moved.foot == w * base.foot
@@ -136,13 +135,13 @@ class TestSameLine:
         assert same_line(AB, axis2("BA"))
 
     def test_translate_along_the_line(self):
-        assert same_line(AB, AB.translated(word2("abab")))
+        assert same_line(AB, axis2("ab", "abab"))
 
     def test_swapped_letters_differ(self):
         assert not same_line(AB, axis2("ba"))
 
     def test_translate_off_the_line_differs(self):
-        assert not same_line(AB, AB.translated(word2("b")))
+        assert not same_line(AB, axis2("ab", "b"))
 
     def test_alphabet_mismatch(self):
         assert not same_line(AB, Axis.from_element(parse_word(RANK3, "a b")))
@@ -158,8 +157,8 @@ class TestAxisOntoAxis:
         assert project_axis_onto_axis(AB, axis2("aba")) == (0, 3)
 
     def test_far_translate_projects_to_a_point(self):
-        moved = AB.translated(word2("bbb"))
-        assert projection_diameter(moved, AB) == 0
+        lo, hi = project_axis_onto_axis(axis2("ab", "bbb"), AB)
+        assert hi - lo == 0
 
     def test_same_line_is_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -284,7 +283,7 @@ class TestProjectionAxioms:
 
     def test_lowest_duplicate_pair_is_named(self):
         # (1, 3) and (3, 4) are the same line too; (1, 3) is the lowest pair
-        family = [axis2("ba"), AB, axis2("aba"), axis2("BA"), AB.translated(word2("ab"))]
+        family = [axis2("ba"), AB, axis2("aba"), axis2("BA"), axis2("ab", "ab")]
         with pytest.raises(InvalidInputError, match="axes 1 and 3 are the same line"):
             check_projection_axioms(family)
 
@@ -342,13 +341,11 @@ class TestFindLongProjections:
         assert not w.k
         assert (w.start, w.phase) == (0, 0)
         assert w.projection_diameter == 12
-        assert w.alpha == 6
-        assert w.positive
 
     def test_two_separated_runs(self):
         got = find_long_projections(word2(TWO_RUNS), word2("ab"), 6)
-        summary = [(w.start, w.phase, w.projection_diameter, w.alpha) for w in got]
-        assert summary == [(0, 0, 6, 3), (7, 1, 7, 4)]
+        summary = [(w.start, w.phase, w.projection_diameter) for w in got]
+        assert summary == [(0, 0, 6), (7, 1, 7)]
         assert chars(got[0].k) == ""
         assert chars(got[1].k) == "abababbA"
 
@@ -394,6 +391,42 @@ class TestFindLongProjections:
             find_long_projections(word2("ab"), RANK2.identity, 3)
         with pytest.raises(InvalidInputError):
             find_long_projections(word2("ab"), word2("ab"), 0)
+
+
+@st.composite
+def run_cases(draw):
+    """(rank, h, g, K) in oracle notation: g holds a stretch of the root's
+    periodic word between random ends, so long runs are common."""
+    rank = draw(st.integers(1, 3))
+    core = draw(char_words(rank, 6, min_size=1, cyclic=True))
+    conjugator = draw(char_words(rank, 2))
+    h = oracles.mult(oracles.mult(conjugator, core), oracles.invert(conjugator))
+    root, _ = oracles.prim_root(oracles.cyclic_peel(h)[0])
+    phase = draw(st.integers(0, len(root) - 1))
+    stretch = "".join(root[(phase + i) % len(root)] for i in range(draw(st.integers(0, 12))))
+    ends = [draw(char_words(rank, 5)) for _ in range(2)]
+    g = oracles.reduce_scan(ends[0] + stretch + ends[1])[:14]
+    return rank, h, g, draw(st.integers(1, 8))
+
+
+class TestRunsAgainstAnyRoot:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(run_cases())
+    @example((2, "abaBabAb", "abaBabAbab", 2))
+    @example((2, "ab", "abaBabAb", 1))
+    def test_runs_match_diagonal_scan(self, case):
+        rank, h, g, K = case
+        root, _ = oracles.prim_root(oracles.cyclic_peel(h)[0])
+        want = [run for run in oracles.diagonal_runs(g, root) if run[2] >= K]
+        alphabet = Alphabet(rank)
+        g_word = parse_word(alphabet, oracles.to_lib_text(g))
+        h_word = parse_word(alphabet, oracles.to_lib_text(h))
+        got = [
+            (w.start, w.phase, w.projection_diameter)
+            for w in find_long_projections(g_word, h_word, K)
+        ]
+        assert got == want
+        assert ghat_membership_exact(g_word, h_word, K) == (not want)
 
 
 class TestGhatAutomaton:
@@ -454,20 +487,12 @@ class TestShorten:
     def test_threshold(self, h, k):
         assert shorten_threshold(word2(h)) == k
 
-    def test_every_alpha_in_range_shortens_a_power(self):
-        g = word2("ab") ** 8
-        h = word2("ab")
-        for alpha in range(1, 9):
-            res = shorten(g, h, 6, alpha=alpha)
-            assert res.alpha_max == 8
-            assert len(res.g_prime) == 16 - 2 * alpha
-            assert res.g_prime == res.k * h ** (-alpha) * ~res.k * g
-        assert not shorten(g, h, 6, alpha=8).g_prime
-
     def test_default_alpha_is_one(self):
+        # the step removes one copy of h: g' = k h^-1 k^-1 g
         g = word2("ab") ** 8
         res = shorten(g, word2("ab"), 6)
-        assert res.alpha == 1 and res.alpha_min == 1
+        assert res.g_prime == word2("ab") ** 7
+        assert res.k == res.witness.k
 
     def test_conjugated_run_keeps_the_conjugator(self):
         g = word2("B") * word2("ab") ** 8
@@ -487,11 +512,6 @@ class TestShorten:
     def test_low_threshold_is_rejected(self):
         with pytest.raises(InvalidInputError, match="below shortening threshold"):
             shorten(word2("ab") ** 8, word2("ab"), 5)
-
-    @pytest.mark.parametrize("alpha", [0, 9])
-    def test_alpha_out_of_range(self, alpha):
-        with pytest.raises(InvalidInputError, match="outside"):
-            shorten(word2("ab") ** 8, word2("ab"), 6, alpha=alpha)
 
     def test_iterated_shortening_lands_in_the_restricted_set(self):
         g = word2("ab") ** 8
@@ -515,4 +535,4 @@ class TestShorten:
                 else:
                     res = shorten(g, h, 6)
                     assert len(res.g_prime) < len(g)
-                    assert res.g_prime == res.k * h ** (-res.alpha) * ~res.k * g
+                    assert res.g_prime == res.k * ~h * ~res.k * g
