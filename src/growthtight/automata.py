@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .growth import NEG_INF, GrowthBracket
@@ -54,147 +54,80 @@ class CountSequence:
 
 
 class CountingAutomaton:
-    """Deterministic partial automaton; transitions[(state, letter)] = state."""
+    """Deterministic partial automaton of a factorial language (one closed
+    under taking subwords); transitions[(state, letter)] = state.
+
+    State 0 is initial and every state accepts: a word is accepted exactly
+    when its walk from state 0 never misses a transition.  States are
+    numbered breadth-first from state 0, so every state t > 0 is first
+    entered from a state s < t and none is unreachable.
+    """
 
     def __init__(
         self,
         alphabet: Alphabet,
         n_states: int,
-        initial: int,
-        accepting: Iterable[int],
         transitions: dict[tuple[int, int], int],
     ):
         self.alphabet = alphabet
         self.n_states = n_states
-        self.initial = initial
-        self.accepting = frozenset(accepting)
         self.transitions = dict(transitions)
 
     def accepts(self, word: ReducedWord) -> bool:
-        state = self.initial
+        state = 0
         for x in word.letters:
             state = self.transitions.get((state, x))
             if state is None:
                 return False
-        return state in self.accepting
-
-    def trimmed(self) -> "CountingAutomaton":
-        """Restrict to states both reachable from the initial state and
-        co-reachable to an accepting state; renumber in BFS order."""
-        forward = {self.initial}
-        frontier = [self.initial]
-        succ: dict[int, list[int]] = {}
-        pred: dict[int, list[int]] = {}
-        for (s, _), t in self.transitions.items():
-            succ.setdefault(s, []).append(t)
-            pred.setdefault(t, []).append(s)
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for t in succ.get(s, ()):
-                    if t not in forward:
-                        forward.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        backward = set(self.accepting)
-        frontier = list(self.accepting)
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for s in pred.get(t, ()):
-                    if s not in backward:
-                        backward.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        keep = forward & backward
-        if self.initial not in keep:
-            return CountingAutomaton(self.alphabet, 1, 0, (), {})
-        order = {self.initial: 0}
-        frontier = [self.initial]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for x in self.alphabet.letters:
-                    t = self.transitions.get((s, x))
-                    if t in keep and t not in order:
-                        order[t] = len(order)
-                        nxt.append(t)
-            frontier = nxt
-        transitions = {
-            (order[s], x): order[t]
-            for (s, x), t in self.transitions.items()
-            if s in order and t in order
-        }
-        accepting = {order[s] for s in self.accepting if s in order}
-        return CountingAutomaton(self.alphabet, len(order), 0, accepting, transitions)
-
-
-def reduced_word_automaton(alphabet: Alphabet) -> CountingAutomaton:
-    """Accepts exactly the freely reduced words: start state plus one per letter."""
-    transitions: dict[tuple[int, int], int] = {}
-    for x in alphabet.letters:
-        transitions[(0, x)] = 1 + x
-        for y in alphabet.letters:
-            if y != x ^ 1:
-                transitions[(1 + x, y)] = 1 + y
-    n = 1 + 2 * alphabet.rank
-    return CountingAutomaton(alphabet, n, 0, range(n), transitions)
+        return True
 
 
 def avoid_factors(
-    base: CountingAutomaton, forbidden: Sequence[ReducedWord]
+    alphabet: Alphabet, forbidden: Sequence[ReducedWord]
 ) -> CountingAutomaton:
-    """Intersect base with the complement of "contains some forbidden factor".
+    """The reduced words over alphabet with no factor in forbidden; with
+    nothing forbidden, the whole free group.
 
-    The matcher state is the longest suffix of the input that is a prefix of a
-    forbidden word (computed directly; the forbidden words are short).
+    A state is (last letter, longest suffix of the input that is a prefix of
+    a forbidden word), the suffix computed directly since the forbidden words
+    are short.  States are numbered breadth-first from (None, ()), and a
+    letter that cancels the last one has no transition.
     """
     for f in forbidden:
         if not f:
             raise InvalidInputError("forbidden factors must be non-empty")
-        if f.alphabet != base.alphabet:
+        if f.alphabet != alphabet:
             raise InvalidInputError("forbidden factor over a different alphabet")
-    if not forbidden:
-        return base.trimmed()
     bad = {f.letters for f in forbidden}
-    prefixes = set()
-    for f in bad:
-        prefixes.update(f[:i] for i in range(len(f) + 1))
+    prefixes = {f[:i] for f in bad for i in range(len(f) + 1)}
 
     def matcher_step(state: tuple[int, ...], letter: int):
         cand = state + (letter,)
         for i in range(len(cand)):
             if cand[i:] in bad:
                 return None
-        for i in range(len(cand) + 1):
+        for i in range(len(cand)):
             if cand[i:] in prefixes:
                 return cand[i:]
-        raise AssertionError("empty suffix is always a prefix")
+        return ()
 
-    start = (base.initial, ())
-    index = {start: 0}
-    queue = [start]
+    index: dict[tuple, int] = {(None, ()): 0}
+    queue = [(None, ())]
     transitions: dict[tuple[int, int], int] = {}
-    while queue:
-        pair = queue.pop(0)
-        s, mstate = pair
-        for x in base.alphabet.letters:
-            t = base.transitions.get((s, x))
-            if t is None:
+    for s, (last, mstate) in enumerate(queue):
+        back = None if last is None else last ^ 1
+        for x in alphabet.letters:
+            if x == back:
                 continue
             mnext = matcher_step(mstate, x)
             if mnext is None:
                 continue
-            target = (t, mnext)
+            target = (x, mnext)
             if target not in index:
                 index[target] = len(index)
                 queue.append(target)
-            transitions[(index[pair], x)] = index[target]
-    accepting = {i for (s, _), i in index.items() if s in base.accepting}
-    product = CountingAutomaton(
-        base.alphabet, len(index), 0, accepting, transitions
-    )
-    return product.trimmed()
+            transitions[(s, x)] = index[target]
+    return CountingAutomaton(alphabet, len(index), transitions)
 
 
 def _edge_weights(aut: CountingAutomaton) -> dict[tuple[int, int], int]:
@@ -211,15 +144,15 @@ def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
     edge_list = [(s, t, w) for (s, t), w in _edge_weights(aut).items()]
     v = [0] * aut.n_states
-    v[aut.initial] = 1
-    counts = [sum(v[s] for s in aut.accepting)]
+    v[0] = 1
+    counts = [1]
     for _ in range(r_max):
         nxt = [0] * aut.n_states
         for s, t, w in edge_list:
             if v[s]:
                 nxt[t] += v[s] * w
         v = nxt
-        counts.append(sum(v[s] for s in aut.accepting))
+        counts.append(sum(v))
     return CountSequence(tuple(counts))
 
 
@@ -312,10 +245,10 @@ def _collatz_wielandt(
     non-negative integer matrix M given by sparse rows: rows[i] lists the
     (j, M[i][j]) with M[i][j] > 0 in increasing j.
 
-    Iterates x -> (M + I)x in floats for speed; the returned bounds come from
-    one exact evaluation of the ratios ((M+I)x)_i / x_i, which bound
-    rho(M) + 1 on both sides for any positive test vector.  The +I shift makes
-    the iteration aperiodic so the gap actually closes.  A pass costs O(edges).
+    Iterates x -> (M + I)x in floats for speed; the +I shift makes the
+    iteration aperiodic so the gap actually closes.  The returned bounds come
+    from one exact evaluation of the ratios (Mx)_i / x_i, whose minimum and
+    maximum bound rho(M) for any positive test vector.  A pass costs O(edges).
 
     The float pass is vectorised over an ELLPACK layout: slot k holds the
     k-th entry (column cols[k][i], weight wts[k][i]) of every row i, rows in
@@ -387,19 +320,19 @@ def _collatz_wielandt(
 
 
 def perron_root(aut: CountingAutomaton, tol: float = 1e-9, max_iter: int = 200_000) -> GrowthBracket:
-    """Bracket for log of the Perron root of the trimmed transfer matrix.
+    """Bracket for log of the Perron root of the transfer matrix.
 
     The spectral radius of a block-triangular non-negative matrix is the max
     over its strongly connected components, each of which is irreducible, so
     Collatz-Wielandt bounds per component are combined by max.  A cycle-free
     automaton gets the -inf sentinel.  The matrix is never built densely:
-    each component gets sparse rows of aggregated edge weights.
+    each component gets sparse rows of aggregated edge weights.  Every state
+    is reachable from state 0 and accepts, so every component counts.
     """
     if tol < 1e-13:
         raise InvalidInputError(f"tol {tol} below float resolution")
-    trimmed = aut.trimmed()
-    weights = _edge_weights(trimmed)
-    n = trimmed.n_states
+    weights = _edge_weights(aut)
+    n = aut.n_states
     succ: list[list[int]] = [[] for _ in range(n)]
     for s, t in sorted(weights):
         succ[s].append(t)
@@ -434,7 +367,6 @@ def oriented_vs_unoriented_gap(
     """Spectral brackets for avoiding f alone versus avoiding {f, f^-1}."""
     if not f:
         raise InvalidInputError("factor must be non-trivial")
-    base = reduced_word_automaton(alphabet)
-    oriented = perron_root(avoid_factors(base, [f]))
-    unoriented = perron_root(avoid_factors(base, [f, ~f]))
+    oriented = perron_root(avoid_factors(alphabet, [f]))
+    unoriented = perron_root(avoid_factors(alphabet, [f, ~f]))
     return oriented, unoriented

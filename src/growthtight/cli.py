@@ -32,7 +32,6 @@ from .automata import (
     avoid_factors,
     count_lengths,
     perron_root,
-    reduced_word_automaton,
 )
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .growth import (
@@ -200,9 +199,7 @@ def _counts_table(seq) -> str:
 def _cmd_count(params: dict, budgets: dict):
     alphabet = Alphabet(params["rank"])
     forbidden = [parse_word(alphabet, t) for t in params["forbidden"]]
-    aut = reduced_word_automaton(alphabet)
-    if forbidden:
-        aut = avoid_factors(aut, forbidden)
+    aut = avoid_factors(alphabet, forbidden)
     seq = count_lengths(aut, budgets["r_max"])
     results = {
         "rank": alphabet.rank,
@@ -215,9 +212,7 @@ def _cmd_count(params: dict, budgets: dict):
 def _cmd_exponent(params: dict, budgets: dict):
     alphabet = Alphabet(params["rank"])
     forbidden = [parse_word(alphabet, t) for t in params["forbidden"]]
-    aut = reduced_word_automaton(alphabet)
-    if forbidden:
-        aut = avoid_factors(aut, forbidden)
+    aut = avoid_factors(alphabet, forbidden)
     bracket = perron_root(aut, budgets["tol"])
     seq = count_lengths(aut, budgets["r_max"])
     balls = seq.balls()
@@ -248,11 +243,10 @@ def _avoid_sweep(alphabet: Alphabet, block: dict, budgets: dict):
     max_len = _sweep_radius(block["max_len"], budgets, "max_len")
     threshold = block["margin"]
     full = math.log(2 * alphabet.rank - 1)
-    base = reduced_word_automaton(alphabet)
     entries = []
     for length in range(1, max_len + 1):
         for f in enumerate_sphere(alphabet, length, cutoff=budgets["cutoff"]):
-            upper = perron_root(avoid_factors(base, [f]), budgets["tol"]).upper
+            upper = perron_root(avoid_factors(alphabet, [f]), budgets["tol"]).upper
             entry = {
                 "f": format_word(f),
                 "upper": upper,
@@ -290,8 +284,7 @@ def _cmd_avoid(params: dict, budgets: dict):
     if params["factors"] is None:
         raise InvalidInputError("missing required parameter 'factors' (or sweep)")
     factors = [parse_word(alphabet, t) for t in params["factors"]]
-    base = reduced_word_automaton(alphabet)
-    aut = avoid_factors(base, factors)
+    aut = avoid_factors(alphabet, factors)
     bracket = perron_root(aut, budgets["tol"])
     seq = count_lengths(aut, budgets["r_max"])
     results = {
@@ -306,7 +299,7 @@ def _cmd_avoid(params: dict, budgets: dict):
         for f in factors:
             if ~f not in sym:
                 sym.append(~f)
-        aut2 = avoid_factors(base, sym)
+        aut2 = avoid_factors(alphabet, sym)
         bracket2 = perron_root(aut2, budgets["tol"])
         seq2 = count_lengths(aut2, budgets["r_max"])
         results["with_inverses"] = {
@@ -329,7 +322,7 @@ def _cmd_ghat(params: dict, budgets: dict):
     aut = ghat_automaton(alphabet, h, params["m"])
     bracket = perron_root(aut, budgets["tol"])
     seq = count_lengths(aut, budgets["r_max"])
-    base = reduced_word_automaton(alphabet)
+    base = avoid_factors(alphabet, ())
     base_bracket = perron_root(base, budgets["tol"])
     base_seq = count_lengths(base, budgets["r_max"])
     gap = strict_gap_check(
@@ -425,7 +418,7 @@ def _product_spec(params: dict) -> LpProductSpec:
 def _cmd_product(params: dict, budgets: dict):
     spec = _product_spec(params)
     r_max = budgets["r_max"]
-    automata = [reduced_word_automaton(a) for a in spec.factors]
+    automata = [avoid_factors(a, ()) for a in spec.factors]
     factor_spheres = [count_lengths(aut, r_max) for aut in automata]
     brackets = [perron_root(aut, budgets["tol"]) for aut in automata]
     exponents = [(b.lower + b.upper) / 2 for b in brackets]

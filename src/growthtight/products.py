@@ -30,7 +30,10 @@ def parse_exponent(value) -> float:
             value = float(value)
         except ValueError as exc:
             raise InvalidInputError(f"cannot parse exponent p from {value!r}") from exc
-    p = float(value)
+    try:
+        p = float(value)
+    except OverflowError as exc:
+        raise InvalidInputError("exponent p is too large for a float") from exc
     if math.isnan(p) or p < 1:
         raise InvalidInputError(f"exponent p must satisfy p >= 1, got {p}")
     return p

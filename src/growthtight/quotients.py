@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import CountSequence, perron_root, reduced_word_automaton
+from .automata import CountSequence, avoid_factors, perron_root
 from .errors import InvalidInputError
 from .growth import GrowthBracket, bracket_gap, check_subadditivity, fekete_bracket
 from .products import (
@@ -385,9 +385,7 @@ def tightness_verdict(
     lower end is heuristic, so only tight/inconclusive can be concluded there.
     """
     oracle.validate_for(spec)
-    factor_brackets = [
-        perron_root(reduced_word_automaton(alphabet)) for alphabet in spec.factors
-    ]
+    factor_brackets = [perron_root(avoid_factors(a, ())) for a in spec.factors]
     delta_g = _dual_bracket(factor_brackets, spec.p)
     structural_witness = False
     if oracle.kind == "factor-kernel":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .automata import CountingAutomaton, avoid_factors, reduced_word_automaton
+from .automata import CountingAutomaton, avoid_factors
 from .errors import InternalInvariantError, InvalidInputError
 from .words import (
     Alphabet,
@@ -27,8 +27,9 @@ from .words import (
 )
 
 # Empirical slack for the power/projection dichotomy bound
-# d_pi(g^n.p, p) <= 2 d(p, g.p) + D_TREE; 0 holds on every tested fixture
-# (vertex-transitive tree, base point on the axis).
+# d_pi(g^n.p, p) <= 2 d(p, g.p) + D_TREE.  0 is too small: for h = a- b b b
+# and g = b- the bound is 2 but the projection reaches 3 from n = 3 on.
+# ROADMAP item 6 replaces it with a bound proved on the tree.
 D_TREE = 0
 
 
@@ -384,7 +385,7 @@ def ghat_automaton(alphabet: Alphabet, h: ReducedWord, m: int) -> CountingAutoma
     n = len(ray)
     factors = {tuple(ray[(s + i) % n] for i in range(m)) for s in range(n)}
     forbidden = [ReducedWord(alphabet, f) for f in sorted(factors)]
-    return avoid_factors(reduced_word_automaton(alphabet), forbidden)
+    return avoid_factors(alphabet, forbidden)
 
 
 def walk_ghat_ball(
@@ -429,7 +430,7 @@ def walk_ghat_ball(
                 visit(None if state is None else step.get((state, x)), depth + 1)
                 path.pop()
 
-    visit(aut.initial, 0)
+    visit(0, 0)
     return checked, in_ghat
 
 

@@ -28,7 +28,6 @@ from growthtight import (
     ghat_membership_exact,
     lemma31_bound_check,
     perron_root,
-    reduced_word_automaton,
     same_line,
     shorten,
     shorten_threshold,
@@ -53,7 +52,7 @@ def test_free_group_exponents_and_counts_ranks_2_to_4():
     """
     t0 = time.monotonic()
     for rank in (2, 3, 4):
-        aut = reduced_word_automaton(Alphabet(rank))
+        aut = avoid_factors(Alphabet(rank), ())
         br = perron_root(aut, 1e-9)
         assert br.contains(math.log(2 * rank - 1)), rank
         assert br.width <= 2e-9, rank
@@ -71,12 +70,11 @@ def test_avoiding_any_factor_up_to_length_4_drops_the_exponent():
     certified upper bound sits below log 3 - 1e-6 and the automaton counts
     equal the substring filter out to radius 9, in under 60 s."""
     t0 = time.monotonic()
-    base = reduced_word_automaton(RANK2)
     spheres = oracles.words_by_radius(2, 9)
     checked = 0
     for length in range(1, 5):
         for f in enumerate_sphere(RANK2, length):
-            aut = avoid_factors(base, [f])
+            aut = avoid_factors(RANK2, [f])
             assert perron_root(aut, 1e-9).upper < LOG3 - 1e-6, chars(f)
             fc = chars(f)
             want = [sum(1 for w in sphere if fc not in w) for sphere in spheres]

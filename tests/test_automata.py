@@ -1,6 +1,7 @@
 """Counting automata: exact counts vs brute-force filters, Perron brackets."""
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -17,11 +18,11 @@ from growthtight import (
     avoid_factors,
     count_lengths,
     enumerate_sphere,
+    format_word,
     ghat_automaton,
     oriented_vs_unoriented_gap,
     parse_word,
     perron_root,
-    reduced_word_automaton,
 )
 
 import oracles
@@ -30,11 +31,11 @@ from growthtight.automata import _collatz_wielandt, _nearest_ratio
 
 LOG3 = math.log(3)
 
-BASE2 = reduced_word_automaton(RANK2)
+BASE2 = avoid_factors(RANK2, ())
 
 
 def avoid2(*texts: str) -> CountingAutomaton:
-    return avoid_factors(BASE2, [word2(t) for t in texts])
+    return avoid_factors(RANK2, [word2(t) for t in texts])
 
 
 def transfer_matrix(aut: CountingAutomaton) -> list[list[int]]:
@@ -48,7 +49,7 @@ def transfer_matrix(aut: CountingAutomaton) -> list[list[int]]:
 class TestReducedWordAutomaton:
     def test_counts_match_sphere_formula(self):
         for rank in (1, 2, 3):
-            aut = reduced_word_automaton((RANK1, RANK2, RANK3)[rank - 1])
+            aut = avoid_factors((RANK1, RANK2, RANK3)[rank - 1], ())
             got = list(count_lengths(aut, 10).spheres)
             assert got == [oracles.sphere_size(rank, r) for r in range(11)]
 
@@ -57,7 +58,7 @@ class TestReducedWordAutomaton:
         assert list(count_lengths(BASE2, 3).spheres) == [1, 4, 12, 36]
 
     def test_rank1_counts(self):
-        got = list(count_lengths(reduced_word_automaton(RANK1), 5).spheres)
+        got = list(count_lengths(avoid_factors(RANK1, ()), 5).spheres)
         assert got == [1, 2, 2, 2, 2, 2]
 
     def test_perron_rank2_is_log3(self):
@@ -66,11 +67,11 @@ class TestReducedWordAutomaton:
         assert br.width <= 2e-9
 
     def test_perron_rank3_is_log5(self):
-        br = perron_root(reduced_word_automaton(RANK3), 1e-9)
+        br = perron_root(avoid_factors(RANK3, ()), 1e-9)
         assert br.contains(math.log(5))
 
     def test_perron_rank1_is_zero(self):
-        br = perron_root(reduced_word_automaton(RANK1), 1e-9)
+        br = perron_root(avoid_factors(RANK1, ()), 1e-9)
         assert br.contains(0.0) and abs(br.upper) <= 1e-9
 
     def test_accepts_exactly_reduced_words(self):
@@ -92,12 +93,12 @@ class TestAvoidFactors:
         assert got == [1, 3, 7, 17, 41]
 
     def test_forbid_nothing_keeps_base(self):
-        got = count_lengths(avoid_factors(BASE2, []), 6)
-        assert list(got.spheres) == list(count_lengths(BASE2, 6).spheres)
+        got = count_lengths(avoid_factors(RANK2, []), 6)
+        assert list(got.spheres) == [oracles.sphere_size(2, r) for r in range(7)]
 
     def test_empty_forbidden_word_rejected(self):
         with pytest.raises(InvalidInputError):
-            avoid_factors(BASE2, [RANK2.identity])
+            avoid_factors(RANK2, [RANK2.identity])
 
     @pytest.mark.parametrize(
         "forbidden",
@@ -136,6 +137,67 @@ class TestAvoidFactors:
         assert br.lower == NEG_INF and br.upper == NEG_INF
 
 
+@st.composite
+def forbidden_sets(draw):
+    """(rank, forbidden char-strings): rank 1-3, up to four reduced factors
+    of length 1-6."""
+    rank = draw(st.integers(1, 3))
+    pool = oracles.letters(rank)
+    forbidden = []
+    for _ in range(draw(st.integers(0, 4))):
+        w = ""
+        for _ in range(draw(st.integers(1, 6))):
+            w += draw(st.sampled_from([c for c in pool if not w or c != oracles.inv(w[-1])]))
+        forbidden.append(w)
+    return rank, forbidden
+
+
+@functools.lru_cache(maxsize=None)
+def ball_words(rank: int, r_max: int) -> list[tuple[str, object]]:
+    """(char-string, library word) for every reduced word of length <= r_max."""
+    alphabet = (RANK1, RANK2, RANK3)[rank - 1]
+    return [
+        (oracles.from_lib_text(format_word(w)), w)
+        for r in range(r_max + 1)
+        for w in enumerate_sphere(alphabet, r)
+    ]
+
+
+class TestAvoidFactorsProperty:
+    """avoid_factors on random forbidden sets against the substring filter,
+    and the breadth-first numbering perron_root relies on."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=forbidden_sets())
+    @example(case=(1, []))
+    @example(case=(3, []))
+    @example(case=(1, ["a"]))
+    @example(case=(2, ["B"]))
+    @example(case=(3, ["c"]))
+    @example(case=(2, ["a", "A", "b", "B"]))
+    @example(case=(3, ["a", "A", "b", "B", "c", "C"]))
+    def test_matches_substring_filter_and_numbers_breadth_first(self, case):
+        rank, forbidden = case
+        alphabet = (RANK1, RANK2, RANK3)[rank - 1]
+        words = [parse_word(alphabet, oracles.to_lib_text(f)) for f in forbidden]
+        aut = avoid_factors(alphabet, words)
+        r_max = 6
+        assert list(count_lengths(aut, r_max).spheres) == oracles.avoid_sphere_counts(
+            rank, forbidden, r_max
+        )
+        for text, w in ball_words(rank, r_max):
+            assert aut.accepts(w) == (not any(f in text for f in forbidden)), text
+        # scanning transitions by (source, letter) meets new states in order,
+        # each from a lower-numbered state
+        entered = [0]
+        for (s, _), t in sorted(aut.transitions.items()):
+            assert s < aut.n_states and t < aut.n_states
+            if t > entered[-1]:
+                assert t == entered[-1] + 1 and s < t
+                entered.append(t)
+        assert entered == list(range(aut.n_states))
+
+
 class TestPerronBrackets:
     def test_width_obeys_tolerance(self):
         for tol in (1e-6, 1e-9):
@@ -152,13 +214,8 @@ class TestPerronBrackets:
         # every single forbidden factor of length <= 2 drops the exponent
         for length in (1, 2):
             for f in enumerate_sphere(RANK2, length):
-                br = perron_root(avoid_factors(BASE2, [f]), 1e-9)
+                br = perron_root(avoid_factors(RANK2, [f]), 1e-9)
                 assert br.upper < LOG3 - 1e-6
-
-    def test_no_accepting_states(self):
-        aut = CountingAutomaton(RANK2, 2, 0, (), {(0, 0): 1, (1, 0): 1})
-        assert list(count_lengths(aut, 3).spheres) == [0, 0, 0, 0]
-        assert perron_root(aut).upper == NEG_INF
 
     @pytest.mark.parametrize(
         "factors",
@@ -166,7 +223,7 @@ class TestPerronBrackets:
     )
     def test_sphere_ratio_enters_bracket_and_stays(self, factors):
         # log s(r+1)/s(r) settles into the spectral bracket well before r=64
-        aut = avoid2(*factors) if factors else BASE2
+        aut = avoid2(*factors)
         br = perron_root(aut, 1e-9)
         spheres = count_lengths(aut, 64).spheres
         ratios = [
@@ -181,7 +238,7 @@ class TestPerronBrackets:
 
 
 def log_spectral_radius(aut: CountingAutomaton) -> float:
-    mat = numpy.array(transfer_matrix(aut.trimmed()), dtype=float)
+    mat = numpy.array(transfer_matrix(aut), dtype=float)
     return math.log(max(abs(numpy.linalg.eigvals(mat))))
 
 
@@ -199,10 +256,9 @@ class TestPerronAgainstEigensolver:
         "alphabet,max_len", [(RANK2, 3), (RANK3, 2)], ids=["rank2", "rank3"]
     )
     def test_avoid_single_factor(self, alphabet, max_len):
-        base = reduced_word_automaton(alphabet)
         for length in range(1, max_len + 1):
             for f in enumerate_sphere(alphabet, length):
-                aut = avoid_factors(base, [f])
+                aut = avoid_factors(alphabet, [f])
                 assert_brackets_log_rho(perron_root(aut, 1e-9), log_spectral_radius(aut), 1e-9)
 
     @pytest.mark.parametrize(
@@ -324,7 +380,7 @@ class TestWeightedAutomata:
 
     def test_two_letters_out_one_back_is_sqrt2(self):
         # M = [[0, 2], [1, 0]]: rho = sqrt(2), and the component has period 2
-        aut = CountingAutomaton(RANK2, 2, 0, (0, 1), {(0, 0): 1, (0, 2): 1, (1, 0): 0})
+        aut = CountingAutomaton(RANK2, 2, {(0, 0): 1, (0, 2): 1, (1, 0): 0})
         assert transfer_matrix(aut) == [[0, 2], [1, 0]]
         br = perron_root(aut, 1e-9)
         assert br.contains(math.log(2) / 2) and br.width <= 2e-9
@@ -338,7 +394,7 @@ class TestWeightedAutomata:
             for x in range(w):
                 transitions[(s, x)] = t
         transitions[(1, 2)] = 2
-        aut = CountingAutomaton(RANK2, 4, 0, range(4), transitions)
+        aut = CountingAutomaton(RANK2, 4, transitions)
         assert transfer_matrix(aut) == [
             [0, first, 0, 0], [first, 0, 1, 0], [0, 0, 0, second], [0, 0, second, 0]
         ]
@@ -370,16 +426,6 @@ class TestOrientedGap:
 
 
 class TestAutomatonPlumbing:
-    def test_trimmed_drops_unreachable(self):
-        aut = CountingAutomaton(
-            RANK2, 3, 0, (0, 1, 2), {(0, 0): 1, (1, 0): 1, (2, 2): 1}
-        )
-        trimmed = aut.trimmed()
-        assert trimmed.n_states == 2
-        assert list(count_lengths(aut, 5).spheres) == list(
-            count_lengths(trimmed, 5).spheres
-        )
-
     def test_transfer_matrix_counts_letters(self):
         m = transfer_matrix(BASE2)
         assert len(m) == BASE2.n_states
@@ -392,4 +438,4 @@ class TestAutomatonPlumbing:
 
     def test_counts0_is_zero_or_one(self):
         for aut in (BASE2, avoid2("ab"), avoid2("a", "A", "b", "B")):
-            assert count_lengths(aut, 0)[0] in (0, 1)
+            assert count_lengths(aut, 0)[0] == 1

@@ -487,6 +487,8 @@ class TestExitCodes:
                        "oracle": {"kind": "factor-kernel", "kill": [1],
                                   "coefficients": [[1, 1], [1, -1]]}},
          {}, "oracle coefficients apply only to homomorphism-to-integers, not factor-kernel"),
+        ("product", {"factors": [{"rank": 2}, {"rank": 2}], "p": 10**400}, {},
+         "exponent p is too large for a float"),
     ], ids=[
         "lemma31-n_max-string", "lemma31-n_max-negative", "lemma31-misspelt-n_max",
         "sweep-margin-string", "sweep-max_len-zero", "compare_inverse-string",
@@ -496,7 +498,7 @@ class TestExitCodes:
         "random-seed-list", "random-list", "candidate_xi-string",
         "axis-translate-int", "axes-empty", "oracle-kill-string", "oracle-coefficients-strings",
         "check-h-three-words-two-factors", "abelianization-oracle-with-kill",
-        "factor-kernel-oracle-with-coefficients",
+        "factor-kernel-oracle-with-coefficients", "product-p-integer-overflows-float",
     ])
     def test_malformed_job_is_invalid_input(
         self, tmp_path, capsys, command, params, extra, message

@@ -18,7 +18,6 @@ from growthtight import (
     fekete_upper_profile,
     ghat_automaton,
     perron_root,
-    reduced_word_automaton,
     regression_bracket,
     strict_gap_check,
 )
@@ -171,15 +170,14 @@ class TestStrictGapCheck:
             F2_BALLS[:13],
             0.01,
             sub_bracket=perron_root(sub_aut, 1e-9),
-            full_bracket=perron_root(reduced_word_automaton(RANK2), 1e-9),
+            full_bracket=perron_root(avoid_factors(RANK2, ()), 1e-9),
         )
         assert rep.strict
         assert rep.margin > 0.01
         assert rep.certified
 
     def test_fekete_brackets_resolve_a_wide_gap(self):
-        base = reduced_word_automaton(RANK2)
-        sub = count_lengths(avoid_factors(base, [word2("a")]), 12).balls()
+        sub = count_lengths(avoid_factors(RANK2, [word2("a")]), 12).balls()
         full = F2_BALLS[:13]
         rep = strict_gap_check(sub, full, 0.01, fekete(sub), fekete(full))
         assert rep.strict
@@ -187,9 +185,8 @@ class TestStrictGapCheck:
         assert not rep.certified  # fekete lower ends are heuristic
 
     def test_spectral_bracket_certifies(self):
-        base = reduced_word_automaton(RANK2)
-        sub = count_lengths(avoid_factors(base, [word2("a")]), 12).balls()
-        full_bracket = perron_root(base, 1e-9)
+        sub = count_lengths(avoid_factors(RANK2, [word2("a")]), 12).balls()
+        full_bracket = perron_root(avoid_factors(RANK2, ()), 1e-9)
         rep = strict_gap_check(sub, F2_BALLS[:13], 0.01, fekete(sub), full_bracket)
         assert rep.strict
         assert rep.certified
