@@ -11,8 +11,8 @@ Jobs are JSON files with schema "growthtight/job-v1":
 
 JOB_FIELDS, BUDGET_FIELDS and PARAMS list every field a job may hold, with its
 kind and default.  An unknown field at any level, a missing required one or a
-wrong kind is invalid input.  Of the mode blocks (default None) the first given
-wins: avoid takes sweep over factors, axioms lemma31 over random over axes.
+wrong kind is invalid input.  A job gives exactly one of its command's mode
+blocks (default None): avoid factors or sweep, axioms lemma31, random or axes.
 
 Words use the letter grammar "a b a-" ("-" or "'" marks an inverse; "" or "1"
 is the identity).  Exit status: 0 ok, 2 invalid input, 3 resource limit,
@@ -184,6 +184,14 @@ JOB_FIELDS = {
 }
 
 
+def _mode(params: dict, modes: tuple[str, ...]) -> str:
+    """The one mode block a job gives; none or more than one is invalid input."""
+    given = [m for m in modes if params[m] is not None]
+    if len(given) != 1:
+        raise InvalidInputError(f"give exactly one of {', '.join(modes)}; got {given or 'none'}")
+    return given[0]
+
+
 def _counts_result(seq) -> dict:
     return {"spheres": list(seq.spheres), "balls": seq.balls()}
 
@@ -221,8 +229,8 @@ def _cmd_exponent(params: dict, budgets: dict):
     results = {
         "rank": alphabet.rank,
         "forbidden": [format_word(f) for f in forbidden],
-        "spectral": bracket.to_dict(),
-        "fekete": fek.to_dict(),
+        "spectral": bracket,
+        "fekete": fek,
         "subadditivity_b": b,
         **_counts_result(seq),
     }
@@ -279,10 +287,8 @@ def _avoid_sweep(alphabet: Alphabet, block: dict, budgets: dict):
 
 def _cmd_avoid(params: dict, budgets: dict):
     alphabet = Alphabet(params["rank"])
-    if params["sweep"] is not None:
+    if _mode(params, ("factors", "sweep")) == "sweep":
         return _avoid_sweep(alphabet, params["sweep"], budgets)
-    if params["factors"] is None:
-        raise InvalidInputError("missing required parameter 'factors' (or sweep)")
     factors = [parse_word(alphabet, t) for t in params["factors"]]
     aut = avoid_factors(alphabet, factors)
     bracket = perron_root(aut, budgets["tol"])
@@ -290,7 +296,7 @@ def _cmd_avoid(params: dict, budgets: dict):
     results = {
         "rank": alphabet.rank,
         "factors": [format_word(f) for f in factors],
-        "bracket": bracket.to_dict(),
+        "bracket": bracket,
         **_counts_result(seq),
     }
     rows = [("avoid", f"{bracket.lower:.9f}", f"{bracket.upper:.9f}")]
@@ -304,7 +310,7 @@ def _cmd_avoid(params: dict, budgets: dict):
         seq2 = count_lengths(aut2, budgets["r_max"])
         results["with_inverses"] = {
             "factors": [format_word(f) for f in sym],
-            "bracket": bracket2.to_dict(),
+            "bracket": bracket2,
             **_counts_result(seq2),
         }
         rows.append(
@@ -334,10 +340,10 @@ def _cmd_ghat(params: dict, budgets: dict):
         "h": format_word(h),
         "m": params["m"],
         "shorten_threshold": shorten_threshold(h),
-        "bracket": bracket.to_dict(),
-        "full_bracket": base_bracket.to_dict(),
-        "gap": gap.to_dict(),
-        "divergence": divergence.to_dict(),
+        "bracket": bracket,
+        "full_bracket": base_bracket,
+        "gap": gap,
+        "divergence": divergence,
         **_counts_result(seq),
     }
     rows = [
@@ -423,8 +429,7 @@ def _cmd_product(params: dict, budgets: dict):
     brackets = [perron_root(aut, budgets["tol"]) for aut in automata]
     exponents = [(b.lower + b.upper) / 2 for b in brackets]
     report = verify_duality(spec, factor_spheres, r_max, exponents)
-    results = report.to_dict()
-    results["factor_brackets"] = [b.to_dict() for b in brackets]
+    results = {**vars(report), "factor_brackets": brackets}
     table = format_table(
         ["quantity", "value"],
         [
@@ -449,8 +454,8 @@ def _cmd_quotient(params: dict, budgets: dict):
     fek = fekete_bracket(balls, b)
     results = {
         "oracle": oracle.describe(),
-        "p": "inf" if spec.p == math.inf else spec.p,
-        "fekete": fek.to_dict(),
+        "p": spec.p,
+        "fekete": fek,
         "subadditivity_b": b,
         **_counts_result(seq),
     }
@@ -464,7 +469,7 @@ def _cmd_quotient(params: dict, budgets: dict):
         struct = check_prop_minimal(
             spec, oracle, spec.point(h_words), check["K"], r_max, cutoff=budgets["cutoff"]
         )
-        results["structure_check"] = struct.to_dict()
+        results["structure_check"] = struct
     elif oracle.kind != "factor-kernel":
         results["section_size"] = balls[-1]
     return results, _counts_table(seq), seq.to_csv()
@@ -475,17 +480,16 @@ def _cmd_tightness(params: dict, budgets: dict):
     o = params["oracle"]
     oracle = QuotientOracle(o["kind"], o["kill"], o["coefficients"])
     report = tightness_verdict(spec, oracle, budgets["r_max"], budgets["tol"])
-    results = report.to_dict()
     table = format_table(
         ["quantity", "value"],
         [
             ("verdict", report.verdict),
-            ("delta_G", f"[{report.delta_g.lower:.6f}, {report.delta_g.upper:.6f}]"),
-            ("delta_G/N", f"[{report.delta_gn.lower:.6f}, {report.delta_gn.upper:.6f}]"),
+            ("delta_G", f"[{report.delta_G.lower:.6f}, {report.delta_G.upper:.6f}]"),
+            ("delta_G/N", f"[{report.delta_GN.lower:.6f}, {report.delta_GN.upper:.6f}]"),
             ("gap", f"{report.gap:.6f}"),
         ],
     )
-    return results, table, None
+    return report, table, None
 
 
 def _random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int, cyclic: bool):
@@ -549,7 +553,7 @@ def _lemma31_sweep(alphabet: Alphabet, block: dict, budgets: dict):
 
 def _cmd_axioms(params: dict, budgets: dict):
     alphabet = Alphabet(params["rank"])
-    if params["lemma31"] is not None:
+    if _mode(params, ("lemma31", "random", "axes")) == "lemma31":
         return _lemma31_sweep(alphabet, params["lemma31"], budgets)
     samples = [parse_word(alphabet, t) for t in params["samples"]]
     candidate = params["candidate_xi"]
@@ -587,8 +591,6 @@ def _cmd_axioms(params: dict, budgets: dict):
             ("violations", total_violations),
         ]
     else:
-        if params["axes"] is None:
-            raise InvalidInputError("missing required parameter 'axes' (or lemma31 or random)")
         axes = [
             Axis.from_element(parse_word(alphabet, a["h"]), parse_word(alphabet, a["translate"]))
             for a in params["axes"]

@@ -55,16 +55,6 @@ class GrowthBracket:
             return 0.0
         return min(abs(x - self.lower), abs(x - self.upper))
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "method": self.method,
-            "radii_used": list(self.radii_used) if self.radii_used else None,
-            "heuristic_lower": self.heuristic_lower,
-            "regime": self.regime,
-        }
-
 
 def bracket_gap(a: GrowthBracket, b: GrowthBracket) -> float:
     """Distance between two brackets as intervals (0 when they overlap)."""
@@ -191,16 +181,8 @@ class DivergenceReport:
     delta_est: float
     b: float
     min_term_log: float
+    term_floor_log: float  # -b, the log of the floor every term stays above
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_est": self.delta_est,
-            "b": self.b,
-            "min_term_log": self.min_term_log,
-            "term_floor_log": -self.b,
-            "passed": self.passed,
-        }
 
 
 def divergence_at_critical(
@@ -225,26 +207,18 @@ def divergence_at_critical(
         delta_est=delta,
         b=b,
         min_term_log=min_term,
+        term_floor_log=-b,
         passed=min_term >= -b - _DIVERGENCE_TOL,
     )
 
 
 @dataclass(frozen=True)
 class GapReport:
-    sub_bracket: GrowthBracket
-    full_bracket: GrowthBracket
+    sub: GrowthBracket
+    full: GrowthBracket
     margin: float
     strict: bool
     certified: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "sub": self.sub_bracket.to_dict(),
-            "full": self.full_bracket.to_dict(),
-            "margin": self.margin,
-            "strict": self.strict,
-            "certified": self.certified,
-        }
 
 
 def strict_gap_check(
@@ -267,8 +241,8 @@ def strict_gap_check(
         raise InvalidInputError("sub counts exceed full counts somewhere")
     margin = full_bracket.lower - sub_bracket.upper
     return GapReport(
-        sub_bracket=sub_bracket,
-        full_bracket=full_bracket,
+        sub=sub_bracket,
+        full=full_bracket,
         margin=margin,
         strict=margin > tol,
         certified=not full_bracket.heuristic_lower,

@@ -128,15 +128,6 @@ class CorrespondenceReport:
     mismatches: tuple
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "max_radius": self.max_radius,
-            "checked_s1": self.checked_s1,
-            "checked_sinf": self.checked_sinf,
-            "mismatches": list(self.mismatches),
-            "passed": self.passed,
-        }
-
 
 def generating_set_correspondence(spec: LpProductSpec, max_radius: int = 5) -> CorrespondenceReport:
     """BFS check that S^1 word length is the L^1 orbit distance and S^inf word
@@ -331,28 +322,11 @@ class DualityReport:
     support_balls: tuple[int, ...]
     measured: GrowthBracket
     fekete: GrowthBracket
-    b: float
+    subadditivity_b: float
     factor_exponents: tuple[float, ...]
     predicted: float
     deviation: float
     contains_predicted: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "p": "inf" if self.p == math.inf else self.p,
-            "q": "inf" if self.q == math.inf else self.q,
-            "r_max": self.r_max,
-            "balls": list(self.balls),
-            "support_radii": list(self.support_radii),
-            "support_balls": list(self.support_balls),
-            "measured": self.measured.to_dict(),
-            "fekete": self.fekete.to_dict(),
-            "subadditivity_b": self.b,
-            "factor_exponents": list(self.factor_exponents),
-            "predicted": self.predicted,
-            "deviation": self.deviation,
-            "contains_predicted": self.contains_predicted,
-        }
 
 
 def verify_duality(
@@ -401,7 +375,7 @@ def verify_duality(
         support_balls=tuple(support_balls),
         measured=measured,
         fekete=fek,
-        b=b,
+        subadditivity_b=b,
         factor_exponents=tuple(factor_exponents),
         predicted=predicted,
         deviation=abs(midpoint - predicted),

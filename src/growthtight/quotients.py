@@ -267,19 +267,8 @@ def quotient_ball_counts(
 class StructureReport:
     checked: int
     K: int
-    counterexamples: tuple
+    counterexamples: tuple[tuple[str, tuple[str, ...]], ...]  # (key, words)
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "K": self.K,
-            "counterexamples": [
-                [str(key), [format_word(w) for w in pt.coords]]
-                for key, pt in self.counterexamples
-            ],
-            "passed": self.passed,
-        }
 
 
 def check_section_structure(
@@ -293,7 +282,7 @@ def check_section_structure(
             ghat_membership_exact(w, h, K)
             for w, h in zip(point.coords, h_tuple.coords)
         ):
-            counterexamples.append((key, point))
+            counterexamples.append((str(key), tuple(format_word(w) for w in point.coords)))
     return StructureReport(
         checked=len(section.entries),
         K=K,
@@ -329,6 +318,7 @@ def check_prop_minimal(
         raise InvalidInputError(
             f"check K={K!r} below the shortening threshold {threshold} of h"
         )
+    oracle.validate_for(spec)
     if oracle.key(h_tuple) != oracle.key(spec.identity()):
         raise InvalidInputError("h_tuple is not in the oracle's kernel")
     section = minimal_section(spec, oracle, r_max, cutoff)
@@ -337,8 +327,8 @@ def check_prop_minimal(
 
 @dataclass(frozen=True)
 class TightnessReport:
-    delta_g: GrowthBracket
-    delta_gn: GrowthBracket
+    delta_G: GrowthBracket
+    delta_GN: GrowthBracket
     verdict: str
     gap: float
     overlap_gap: float
@@ -347,20 +337,6 @@ class TightnessReport:
     rationale: str
     r_max: int
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_G": self.delta_g.to_dict(),
-            "delta_GN": self.delta_gn.to_dict(),
-            "verdict": self.verdict,
-            "gap": self.gap,
-            "overlap_gap": self.overlap_gap,
-            "p": "inf" if self.p == math.inf else self.p,
-            "oracle": self.oracle,
-            "rationale": self.rationale,
-            "r_max": self.r_max,
-            "tol": self.tol,
-        }
 
 
 def _dual_bracket(brackets: Sequence[GrowthBracket], p: float) -> GrowthBracket:
@@ -424,8 +400,8 @@ def tightness_verdict(
             " witness for non-tightness applies"
         )
     return TightnessReport(
-        delta_g=delta_g,
-        delta_gn=delta_gn,
+        delta_G=delta_g,
+        delta_GN=delta_gn,
         verdict=verdict,
         gap=gap,
         overlap_gap=overlap,

@@ -1,6 +1,7 @@
 """Report serialization shared by the CLI: canonical JSON plus aligned tables."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Sequence
@@ -11,16 +12,23 @@ TOOL_NAME = "growthtight"
 
 
 def _sanitize(obj):
-    """Make a structure strict-JSON-safe: infinities become strings."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+    """Strict-JSON-safe form of a result: a dataclass becomes the dict of its
+    fields, a tuple a list, an infinity or nan a string."""
+    # most leaves are ints and strings, so they are returned before any other test
+    if obj is None or isinstance(obj, (int, str)):
+        return obj
     if isinstance(obj, float):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         if math.isnan(obj):
             return "nan"
+        return obj
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _sanitize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 

@@ -74,11 +74,14 @@ class Axis:
         """primitive_root(element)."""
         return primitive_root(self.element)
 
+    def ray_prefix(self, coordinate: int) -> ReducedWord:
+        """Vertex at signed arc-length position in the axis frame (origin at 1)."""
+        ray = self.root.letters if coordinate >= 0 else self.backward_ray
+        return ReducedWord(self.alphabet, tuple(ray[i % len(ray)] for i in range(abs(coordinate))))
+
     def point(self, coordinate: int) -> ReducedWord:
         """Vertex at signed arc-length position along the core direction."""
-        ray = self.root.letters if coordinate >= 0 else self.backward_ray
-        prefix = tuple(ray[i % len(ray)] for i in range(abs(coordinate)))
-        return self.origin * ReducedWord(self.alphabet, prefix)
+        return self.origin * self.ray_prefix(coordinate)
 
 
 @dataclass(frozen=True)
@@ -98,10 +101,9 @@ def _agreement(letters: Sequence[int], ray: Sequence[int], phase: int = 0) -> in
     return m
 
 
-def _axis_coordinate(x: ReducedWord, ax: Axis) -> tuple[int, int]:
-    """(axis coordinate, distance) of the projection of x, without building
-    the foot vertex."""
-    v = ax.origin_inverse * x
+def _frame_coordinate(v: ReducedWord, ax: Axis) -> tuple[int, int]:
+    """(axis coordinate, distance) of the projection of the vertex
+    ax.origin * v, read from v in the axis frame without building the foot."""
     forward = _agreement(v.letters, ax.root.letters)
     backward = _agreement(v.letters, ax.backward_ray)
     if forward > 0 and backward > 0:
@@ -114,7 +116,7 @@ def _axis_coordinate(x: ReducedWord, ax: Axis) -> tuple[int, int]:
 
 def project_to_axis(x: ReducedWord, ax: Axis) -> ProjectionResult:
     """Nearest-point projection of the vertex x onto the axis (unique in a tree)."""
-    coordinate, distance = _axis_coordinate(x, ax)
+    coordinate, distance = _frame_coordinate(ax.origin_inverse * x, ax)
     return ProjectionResult(
         foot=ax.point(coordinate), distance=distance, axis_coordinate=coordinate
     )
@@ -130,11 +132,12 @@ def _overlap(source: Axis, target: Axis) -> tuple[int, int] | None:
     than |root_s| + |root_t| letters (Fine-Wilf), so reaching that cap means
     the same line.
     """
-    c, d = _axis_coordinate(source.origin, target)
+    v = target.origin_inverse * source.origin
+    c, d = _frame_coordinate(v, target)
     s = source.root.letters
     j = 0  # source coordinate of the shared vertex target.point(c)
     if d:
-        back = (source.origin_inverse * target.origin).letters[:d]
+        back = (~v).letters[:d]
         if _agreement(back, s) == d:
             j = d
         elif _agreement(back, source.backward_ray) == d:
@@ -235,15 +238,6 @@ class Lemma31Report:
     rows: tuple[tuple[int, int], ...]  # (n, projection distance)
     power_witness: tuple[int, int] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "passed": self.passed,
-            "bound": self.bound,
-            "rows": [list(r) for r in self.rows],
-            "power_witness": list(self.power_witness) if self.power_witness else None,
-        }
-
 
 def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     """Power-or-bounded-projection dichotomy for the orbit of g against an axis.
@@ -251,7 +245,8 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     Either some power of g lands in the cyclic group of the axis element
     (equivalent to sharing a primitive root, tested exactly), or the
     projections of g^n.p stay within 2 d(p, g.p) + D_TREE of p's projection,
-    where p is the axis vertex nearest the identity.
+    where p is the axis vertex nearest the identity.  The orbit runs in the
+    axis frame (g conjugated by the origin): one word product per step.
     """
     if not g:
         raise InvalidInputError("g must be non-trivial")
@@ -267,15 +262,16 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
             rows=(),
             power_witness=(exp_h, sign * exp_g),
         )
-    nearest = project_to_axis(g.alphabet.identity, ax)
-    p, base_coord = nearest.foot, nearest.axis_coordinate
-    bound = 2 * len(~p * (g * p)) + D_TREE
+    base_coord, _ = _frame_coordinate(ax.origin_inverse, ax)
+    local_g = ax.origin_inverse * g * ax.origin
+    p = ax.ray_prefix(base_coord)
+    bound = 2 * len(~p * (local_g * p)) + D_TREE
     rows = []
     ok = True
     x = p
     for n in range(1, n_max + 1):
-        x = g * x
-        coord, _ = _axis_coordinate(x, ax)
+        x = local_g * x
+        coord, _ = _frame_coordinate(x, ax)
         dpi = abs(coord - base_coord)
         rows.append((n, dpi))
         ok = ok and dpi <= bound

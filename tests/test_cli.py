@@ -489,6 +489,13 @@ class TestExitCodes:
          {}, "oracle coefficients apply only to homomorphism-to-integers, not factor-kernel"),
         ("product", {"factors": [{"rank": 2}, {"rank": 2}], "p": 10**400}, {},
          "exponent p is too large for a float"),
+        ("avoid", {"rank": 2, "factors": ["a b"], "sweep": {"max_len": 1}}, {},
+         "give exactly one of factors, sweep; got ['factors', 'sweep']"),
+        ("avoid", {"rank": 2}, {}, "give exactly one of factors, sweep; got none"),
+        ("axioms", {"rank": 2, "lemma31": {"h": "a b"}, "axes": ["a", "b", "a b"]}, {},
+         "give exactly one of lemma31, random, axes; got ['lemma31', 'axes']"),
+        ("axioms", {"rank": 2, "random": {"triples": 1}, "axes": ["a", "b", "a b"]}, {},
+         "give exactly one of lemma31, random, axes; got ['random', 'axes']"),
     ], ids=[
         "lemma31-n_max-string", "lemma31-n_max-negative", "lemma31-misspelt-n_max",
         "sweep-margin-string", "sweep-max_len-zero", "compare_inverse-string",
@@ -499,13 +506,16 @@ class TestExitCodes:
         "axis-translate-int", "axes-empty", "oracle-kill-string", "oracle-coefficients-strings",
         "check-h-three-words-two-factors", "abelianization-oracle-with-kill",
         "factor-kernel-oracle-with-coefficients", "product-p-integer-overflows-float",
+        "avoid-factors-and-sweep", "avoid-no-mode", "axioms-lemma31-and-axes",
+        "axioms-random-and-axes",
     ])
     def test_malformed_job_is_invalid_input(
         self, tmp_path, capsys, command, params, extra, message
     ):
         # each of these ran a different experiment or crashed (exit 4) before
         # the job format was checked from one table; the two random families
-        # of fewer than three lines drew axes forever
+        # of fewer than three lines drew axes forever; a second mode block
+        # was dropped without a word
         job = write_job(tmp_path, command, params, **extra)
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 2 and f"invalid input: {message}" in err

@@ -23,7 +23,7 @@ from growthtight import (
 )
 
 import oracles
-from conftest import RANK2, word2
+from conftest import RANK2, report_fields, word2
 
 LOG3 = math.log(3)
 F2_BALLS = oracles.ball_sizes(2, 14)
@@ -48,8 +48,8 @@ class TestGrowthBracket:
         with pytest.raises(InternalInvariantError, match="inverted"):
             GrowthBracket(2.0, 1.0, "test")
 
-    def test_to_dict(self):
-        d = GrowthBracket(0.0, 1.0, "test", radii_used=(1, 9)).to_dict()
+    def test_report_fields(self):
+        d = report_fields(GrowthBracket(0.0, 1.0, "test", radii_used=(1, 9)))
         assert d["radii_used"] == [1, 9]
         assert d["regime"] == "limsup"
 
@@ -158,7 +158,9 @@ class TestDivergenceAtCritical:
     def test_wrong_exponent_fails(self):
         rep = divergence_at_critical(F2_BALLS, GrowthBracket(5.0, 5.0, "test"))
         assert not rep.passed
-        assert rep.to_dict()["term_floor_log"] == 0.0
+        d = report_fields(rep)
+        assert d["term_floor_log"] == 0.0
+        assert math.copysign(1.0, d["term_floor_log"]) == -1.0  # -b with b = 0
 
 
 class TestStrictGapCheck:

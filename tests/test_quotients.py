@@ -23,7 +23,7 @@ from growthtight import (
 )
 
 import oracles
-from conftest import RANK2, chars, word2
+from conftest import RANK2, chars, report_fields, word2
 
 INF = math.inf
 LOG3 = math.log(3)
@@ -320,13 +320,19 @@ class TestSectionStructure:
         report = check_section_structure(sec, h, 6)
         assert not report.passed
         assert len(report.counterexamples) == 1
-        assert report.to_dict()["counterexamples"][0][0] == "0"
+        assert report_fields(report)["counterexamples"][0][0] == "0"
 
     def test_h_tuple_must_lie_in_the_kernel(self):
         with pytest.raises(InvalidInputError, match="kernel"):
             check_prop_minimal(
                 F2F2_P1, HOM, F2F2_P1.point([word2("a"), word2("a")]), 6, 3
             )
+
+    def test_oracle_is_checked_against_the_spec_before_keys_are_read(self):
+        # one coefficient row for two factors: reading h's key would index past it
+        one_row = QuotientOracle.hom_to_integers([[1, 1]])
+        with pytest.raises(InvalidInputError, match="1 coefficient rows for 2 factors"):
+            check_prop_minimal(F2F2_P1, one_row, self.h_tuple(), 6, 3)
 
     def test_h_tuple_coordinates_must_be_non_trivial(self):
         with pytest.raises(InvalidInputError, match="non-trivial"):
@@ -340,15 +346,17 @@ class TestTightnessVerdict:
         rep = tightness_verdict(F2F2_INF, QuotientOracle.factor_kernel([1]), 8, 0.08)
         assert rep.verdict == "tight"
         assert rep.gap == pytest.approx(LOG3, abs=1e-6)
-        assert rep.delta_g.lower == pytest.approx(2 * LOG3, abs=1e-6)
-        assert rep.delta_gn.upper == pytest.approx(LOG3, abs=1e-6)
         assert rep.rationale
+        d = report_fields(rep)
+        assert d["delta_G"]["lower"] == pytest.approx(2 * LOG3, abs=1e-6)
+        assert d["delta_GN"]["upper"] == pytest.approx(LOG3, abs=1e-6)
 
     def test_kill_factor_at_l1_is_not_tight(self):
         rep = tightness_verdict(F2F2_P1, QuotientOracle.factor_kernel([1]), 8, 0.08)
         assert rep.verdict == "not-tight"
         assert rep.overlap_gap <= 1e-6
-        assert rep.delta_gn.upper <= rep.delta_g.upper + 1e-12
+        d = report_fields(rep)
+        assert d["delta_GN"]["upper"] <= d["delta_G"]["upper"] + 1e-12
         assert rep.rationale
 
     def test_abelianization_is_tight(self):
@@ -380,7 +388,7 @@ class TestTightnessVerdict:
 
     def test_report_serializes(self):
         rep = tightness_verdict(F2F2_INF, QuotientOracle.factor_kernel([1]), 6, 0.08)
-        d = rep.to_dict()
+        d = report_fields(rep)
         assert d["p"] == "inf"
         assert d["verdict"] == "tight"
         assert set(d) >= {"delta_G", "delta_GN", "gap", "overlap_gap", "rationale"}

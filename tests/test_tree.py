@@ -29,7 +29,7 @@ from growthtight import (
 from growthtight.tree import D_TREE
 
 import oracles
-from conftest import RANK2, RANK3, chars, word2
+from conftest import RANK2, RANK3, chars, report_fields, word2
 
 AB = Axis.from_element(word2("ab"))
 
@@ -321,9 +321,28 @@ class TestLemma31:
         with pytest.raises(InvalidInputError):
             lemma31_bound_check(AB, RANK2.identity, 4)
 
-    def test_report_round_trips_to_dict(self):
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        h=char_words(2, 6, min_size=1),
+        t=char_words(2, 3),
+        g=char_words(2, 4, min_size=1),
+        n_max=st.integers(1, 12),
+    )
+    def test_rows_match_brute_projection(self, h, t, g, n_max):
+        rep = lemma31_bound_check(axis2(h, t), word2(g), n_max)
+        assume(rep.branch == "bounded-projection")
+        base, _ = oracles.brute_project("", h, translate=t)
+        p = oracles.axis_vertex(h, base, t)
+        assert rep.bound == 2 * oracles.tree_dist(p, oracles.mult(g, p)) + D_TREE
+        rows, x = [], p
+        for n in range(1, n_max + 1):
+            x = oracles.mult(g, x)
+            rows.append((n, abs(oracles.brute_project(x, h, translate=t)[0] - base)))
+        assert rep.rows == tuple(rows)
+
+    def test_report_fields(self):
         rep = lemma31_bound_check(AB, word2("b"), 3)
-        d = rep.to_dict()
+        d = report_fields(rep)
         assert d["branch"] == "bounded-projection"
         assert d["rows"] == [[1, 0], [2, 0], [3, 0]]
 
