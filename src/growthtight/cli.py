@@ -13,6 +13,8 @@ JOB_FIELDS, BUDGET_FIELDS and PARAMS list every field a job may hold, with its
 kind and default.  An unknown field at any level, a missing required one or a
 wrong kind is invalid input.  A job gives exactly one of its command's mode
 blocks (default None): avoid factors or sweep, axioms lemma31, random or axes.
+MODES lists the fields only some blocks read; one given beside another block
+is invalid input too.
 
 Words use the letter grammar "a b a-" ("-" or "'" marks an inverse; "" or "1"
 is the identity).  Exit status: 0 ok, 2 invalid input, 3 resource limit,
@@ -141,7 +143,7 @@ PARAMS = {
     "avoid": {
         **_RANK,
         "factors": (_list_of(STR, "a non-empty list of word strings", 1), None),
-        "compare_inverse": (BOOL, True),
+        "compare_inverse": (BOOL, None),
         "sweep": (_block({"max_len": (NATURAL, REQUIRED), "margin": (REAL, 1e-6)}), None),
     },
     "ghat": {
@@ -162,9 +164,16 @@ PARAMS = {
         "lemma31": (_block(_LEMMA31), None),
         "random": (_block(_RANDOM), None),
         "axes": (_AXES, None),
-        "samples": (WORDS, ()),
+        "samples": (WORDS, None),
         "candidate_xi": (REAL, None),
     },
+}
+# Each command's mode blocks, with the fields that only they read and those
+# fields' defaults; PARAMS gives such a field the default None, for not given.
+_PROJECTION_FIELDS = {"samples": (), "candidate_xi": None}
+MODES = {
+    "avoid": {"factors": {"compare_inverse": True}, "sweep": {}},
+    "axioms": {"lemma31": {}, "random": _PROJECTION_FIELDS, "axes": _PROJECTION_FIELDS},
 }
 # r_max defaults per command (BUDGET_DEFAULTS); axioms jobs have none
 BUDGET_FIELDS = {
@@ -184,12 +193,23 @@ JOB_FIELDS = {
 }
 
 
-def _mode(params: dict, modes: tuple[str, ...]) -> str:
-    """The one mode block a job gives; none or more than one is invalid input."""
+def _mode(params: dict, command: str) -> str:
+    """The one mode block a job gives; none or more than one is invalid input,
+    and so is a field that only other blocks read.  The fields the block reads
+    and the job leaves out take their MODES defaults in params."""
+    modes = MODES[command]
     given = [m for m in modes if params[m] is not None]
     if len(given) != 1:
         raise InvalidInputError(f"give exactly one of {', '.join(modes)}; got {given or 'none'}")
-    return given[0]
+    mode = given[0]
+    for name in (n for fields in modes.values() for n in fields):
+        if name not in modes[mode] and params[name] is not None:
+            owners = ", ".join(m for m, fields in modes.items() if name in fields)
+            raise InvalidInputError(f"{name} applies only to {owners}, not {mode}")
+    for name, default in modes[mode].items():
+        if params[name] is None:
+            params[name] = default
+    return mode
 
 
 def _counts_result(seq) -> dict:
@@ -287,7 +307,7 @@ def _avoid_sweep(alphabet: Alphabet, block: dict, budgets: dict):
 
 def _cmd_avoid(params: dict, budgets: dict):
     alphabet = Alphabet(params["rank"])
-    if _mode(params, ("factors", "sweep")) == "sweep":
+    if _mode(params, "avoid") == "sweep":
         return _avoid_sweep(alphabet, params["sweep"], budgets)
     factors = [parse_word(alphabet, t) for t in params["factors"]]
     aut = avoid_factors(alphabet, factors)
@@ -553,7 +573,7 @@ def _lemma31_sweep(alphabet: Alphabet, block: dict, budgets: dict):
 
 def _cmd_axioms(params: dict, budgets: dict):
     alphabet = Alphabet(params["rank"])
-    if _mode(params, ("lemma31", "random", "axes")) == "lemma31":
+    if _mode(params, "axioms") == "lemma31":
         return _lemma31_sweep(alphabet, params["lemma31"], budgets)
     samples = [parse_word(alphabet, t) for t in params["samples"]]
     candidate = params["candidate_xi"]

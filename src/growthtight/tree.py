@@ -8,12 +8,15 @@ reduce to longest-common-prefix scans.  Axis-to-axis geometry (same_line, the
 projection of one axis onto another) is one overlap scan from a shared vertex.
 Long projections of [o, g.o] onto translated axes (the restricted set Ghat,
 the shortening move) are the maximal runs of g reading the root forward, found
-by the same prefix scan; a run's witness is built only where it is returned.
+by the same prefix scan; a run's witness is built only where it is returned,
+and a shortening step deletes one core's letters from the run.  Sweeps over a
+ball of words count whole subtrees of Ghat(K) from its automaton and build
+only the words outside; the lemma 3.1 orbit runs on letter tuples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .automata import CountingAutomaton, avoid_factors
@@ -21,6 +24,8 @@ from .errors import InternalInvariantError, InvalidInputError
 from .words import (
     Alphabet,
     ReducedWord,
+    _check_same_alphabet,
+    _reduce_concat,
     cyclic_reduce,
     format_word,
     primitive_root,
@@ -74,6 +79,13 @@ class Axis:
         """primitive_root(element)."""
         return primitive_root(self.element)
 
+    @cached_property
+    def base(self) -> tuple[int, tuple[int, ...]]:
+        """(coordinate, ray-prefix letters) of the axis vertex nearest the
+        identity, in the axis frame."""
+        coordinate, _ = _frame_coordinate(self.origin_inverse.letters, self)
+        return coordinate, self.ray_prefix(coordinate).letters
+
     def ray_prefix(self, coordinate: int) -> ReducedWord:
         """Vertex at signed arc-length position in the axis frame (origin at 1)."""
         ray = self.root.letters if coordinate >= 0 else self.backward_ray
@@ -101,11 +113,12 @@ def _agreement(letters: Sequence[int], ray: Sequence[int], phase: int = 0) -> in
     return m
 
 
-def _frame_coordinate(v: ReducedWord, ax: Axis) -> tuple[int, int]:
+def _frame_coordinate(v: Sequence[int], ax: Axis) -> tuple[int, int]:
     """(axis coordinate, distance) of the projection of the vertex
-    ax.origin * v, read from v in the axis frame without building the foot."""
-    forward = _agreement(v.letters, ax.root.letters)
-    backward = _agreement(v.letters, ax.backward_ray)
+    ax.origin * v, read from the letters of v in the axis frame without
+    building the foot."""
+    forward = _agreement(v, ax.root.letters)
+    backward = _agreement(v, ax.backward_ray)
     if forward > 0 and backward > 0:
         raise InternalInvariantError(
             "both rays match a positive prefix; root not cyclically reduced?"
@@ -116,7 +129,7 @@ def _frame_coordinate(v: ReducedWord, ax: Axis) -> tuple[int, int]:
 
 def project_to_axis(x: ReducedWord, ax: Axis) -> ProjectionResult:
     """Nearest-point projection of the vertex x onto the axis (unique in a tree)."""
-    coordinate, distance = _frame_coordinate(ax.origin_inverse * x, ax)
+    coordinate, distance = _frame_coordinate((ax.origin_inverse * x).letters, ax)
     return ProjectionResult(
         foot=ax.point(coordinate), distance=distance, axis_coordinate=coordinate
     )
@@ -133,7 +146,7 @@ def _overlap(source: Axis, target: Axis) -> tuple[int, int] | None:
     the same line.
     """
     v = target.origin_inverse * source.origin
-    c, d = _frame_coordinate(v, target)
+    c, d = _frame_coordinate(v.letters, target)
     s = source.root.letters
     j = 0  # source coordinate of the shared vertex target.point(c)
     if d:
@@ -245,11 +258,13 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     Either some power of g lands in the cyclic group of the axis element
     (equivalent to sharing a primitive root, tested exactly), or the
     projections of g^n.p stay within 2 d(p, g.p) + D_TREE of p's projection,
-    where p is the axis vertex nearest the identity.  The orbit runs in the
-    axis frame (g conjugated by the origin): one word product per step.
+    where p is the axis vertex nearest the identity (Axis.base).  The orbit
+    runs on letter tuples in the axis frame (g conjugated by the origin): one
+    free reduction per step.
     """
     if not g:
         raise InvalidInputError("g must be non-trivial")
+    _check_same_alphabet(g, ax.element)
     root_g, exp_g = primitive_root(g)
     root_h, exp_h = ax.element_root
     if root_g == root_h or root_g == ~root_h:
@@ -262,15 +277,17 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
             rows=(),
             power_witness=(exp_h, sign * exp_g),
         )
-    base_coord, _ = _frame_coordinate(ax.origin_inverse, ax)
-    local_g = ax.origin_inverse * g * ax.origin
-    p = ax.ray_prefix(base_coord)
-    bound = 2 * len(~p * (local_g * p)) + D_TREE
+    base_coord, p = ax.base
+    local_g = _reduce_concat(
+        _reduce_concat(ax.origin_inverse.letters, g.letters), ax.origin.letters
+    )
+    p_inverse = tuple(x ^ 1 for x in reversed(p))
+    bound = 2 * len(_reduce_concat(p_inverse, _reduce_concat(local_g, p))) + D_TREE
     rows = []
     ok = True
     x = p
     for n in range(1, n_max + 1):
-        x = local_g * x
+        x = _reduce_concat(local_g, x)
         coord, _ = _frame_coordinate(x, ax)
         dpi = abs(coord - base_coord)
         rows.append((n, dpi))
@@ -294,9 +311,11 @@ class LongProjectionWitness:
     phase: int  # phase of core^infinity at the run start
 
 
+@lru_cache
 def _axis_parts(h: ReducedWord) -> tuple[ReducedWord, ReducedWord, ReducedWord]:
     """(core, conjugator, root) of non-trivial h: h = conjugator * core *
-    conjugator^-1 with core cyclically reduced, a power of its primitive root."""
+    conjugator^-1 with core cyclically reduced, a power of its primitive root.
+    Cached, since a sweep asks once per word for the same few h."""
     if not h:
         raise InvalidInputError("h must be non-trivial")
     core, conjugator = cyclic_reduce(h)
@@ -391,42 +410,62 @@ def walk_ghat_ball(
     g_max: int,
     outside: Callable[[ReducedWord], None],
 ) -> tuple[int, int]:
-    """Depth-first walk of the reduced words of length <= g_max through
-    ghat_automaton(alphabet, h, K); returns (words visited, words in Ghat(K))
-    and calls outside(g) on every other word.
+    """Count the reduced words of length <= g_max and those in Ghat(K);
+    returns (words checked, words in Ghat(K)) and calls outside(g) on every
+    other word, in lexicographic (not shortlex) order.
 
-    Shared prefixes are matched once, so membership costs one transition
-    lookup per tree edge.  Ghat(K) is closed under taking subwords, so every
-    state of the automaton accepts and a missing transition on a reduced
-    word puts it and its whole subtree outside; the subtree is then listed
-    without further lookups (state None).  Only the current root-to-leaf
-    path is held.  Words come in lexicographic, not shortlex, order.
+    The walk runs depth first through ghat_automaton(alphabet, h, K).  Ghat(K)
+    is closed under taking subwords, so a missing transition puts a word and
+    its whole subtree outside, and that subtree is listed without lookups.
+    At a word in Ghat(K) with r letters left, inside[r][state] counts the
+    words of length <= r the automaton reads from its state (the DP of
+    count_lengths) and free[r] all reduced words of length <= r after a
+    letter.  When the two agree the subtree lies in Ghat(K) and is counted
+    without being visited, so only the words outside and their prefixes are
+    walked.  Only the current root-to-leaf path is held.
     """
     if g_max < 0:
         raise InvalidInputError(f"g_max must be >= 0, got {g_max}")
     aut = ghat_automaton(alphabet, h, K)
     step = aut.transitions
     letters = tuple(alphabet.letters)
+    inside = [[1] * aut.n_states]
+    free = [1]
+    for _ in range(g_max):
+        prev, row = inside[-1], [1] * aut.n_states
+        for (s, _), t in step.items():
+            row[s] += prev[t]
+        inside.append(row)
+        free.append(1 + (len(letters) - 1) * free[-1])
     path: list[int] = []
-    checked = in_ghat = 0
+    checked = in_ghat = 1  # the identity
 
-    def visit(state: int | None, depth: int) -> None:
+    def visit(state: int | None, rest: int) -> None:
+        """The subtree of the non-empty word path, read to state, with rest
+        letters left."""
         nonlocal checked, in_ghat
+        if state is not None and inside[rest][state] == free[rest]:
+            checked += free[rest]
+            in_ghat += free[rest]
+            return
         checked += 1
         if state is None:
             outside(ReducedWord(alphabet, tuple(path)))
         else:
             in_ghat += 1
-        if depth == g_max:
-            return
-        back = path[-1] ^ 1 if path else -1
-        for x in letters:
-            if x != back:
-                path.append(x)
-                visit(None if state is None else step.get((state, x)), depth + 1)
-                path.pop()
+        if rest:
+            back = path[-1] ^ 1
+            for x in letters:
+                if x != back:
+                    path.append(x)
+                    visit(None if state is None else step.get((state, x)), rest - 1)
+                    path.pop()
 
-    visit(0, 0)
+    if g_max:
+        for x in letters:
+            path.append(x)
+            visit(step.get((0, x)), g_max - 1)
+            path.pop()
     return checked, in_ghat
 
 
@@ -447,9 +486,13 @@ def shorten(g: ReducedWord, h: ReducedWord, K: int) -> ShortenResult | None:
     """One shortening step: replace g by k h^-1 k^-1 g along the longest K-long
     positive projection; returns None (no-op) when g has none.
 
-    The removed stretch of one core stays inside the matched run, so the step
-    strictly shortens; the result stays in the coset g N for every normal N
-    containing h.
+    With k = before back^-1 conjugator^-1 (_witness), k h^-1 k^-1 is
+    before back^-1 core^-1 back before^-1, and back^-1 core back is core read
+    from the run's phase, which the run (longer than core, as K exceeds the
+    threshold) reads from its start.  So the step deletes |core| letters at
+    the run start; the letter after them repeats the one at the start, so
+    the result is reduced and strictly shorter.  It stays in the coset g N
+    for every normal N containing h.
     """
     core, conjugator, root = _axis_parts(h)
     threshold = _threshold(core, conjugator)
@@ -460,9 +503,6 @@ def shorten(g: ReducedWord, h: ReducedWord, K: int) -> ShortenResult | None:
         return None
     best = max(runs, key=lambda run: (run[2], -run[0], -run[1]))
     witness = _witness(g, conjugator, root, best)
-    g_prime = witness.k * ~h * ~witness.k * g
-    if len(g_prime) >= len(g):
-        raise InternalInvariantError(
-            f"shortening failed: |{format_word(g_prime)}| >= |{format_word(g)}|"
-        )
+    start = best[0]
+    g_prime = ReducedWord(g.alphabet, g.letters[:start] + g.letters[start + len(core):])
     return ShortenResult(g_prime=g_prime, k=witness.k, witness=witness)

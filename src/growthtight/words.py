@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import AlphabetMismatchError, InvalidInputError, ResourceLimitError
 
@@ -125,14 +125,14 @@ def _check_same_alphabet(u: ReducedWord, v: ReducedWord) -> None:
         )
 
 
-def _reduce_concat(left: tuple[int, ...], right: Sequence[int]) -> tuple[int, ...]:
-    stack = list(left)
-    for x in right:
-        if stack and stack[-1] == x ^ 1:
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
+def _reduce_concat(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced letters of left followed by right, both reduced: letters
+    cancel only where the two meet."""
+    n = min(len(left), len(right))
+    c = 0
+    while c < n and left[-1 - c] == right[c] ^ 1:
+        c += 1
+    return left[: len(left) - c] + right[c:]
 
 
 def free_reduce(alphabet: Alphabet, raw: Iterable[int | str]) -> ReducedWord:

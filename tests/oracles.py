@@ -229,9 +229,10 @@ def diagonal_runs(g: str, root: str) -> list[tuple[int, int, int]]:
 
 
 def ghat_member(g: str, h: str, K: int) -> bool:
+    """Whether g has no forward run of length >= K against h's root, for any root."""
     core, _ = cyclic_peel(h)
     root, _ = prim_root(core)
-    return all(length < K for _, length, _ in maximal_pos_runs(g, root))
+    return all(length < K for _, _, length in diagonal_runs(g, root))
 
 
 class NotConverged(Exception):

@@ -496,6 +496,14 @@ class TestExitCodes:
          "give exactly one of lemma31, random, axes; got ['lemma31', 'axes']"),
         ("axioms", {"rank": 2, "random": {"triples": 1}, "axes": ["a", "b", "a b"]}, {},
          "give exactly one of lemma31, random, axes; got ['random', 'axes']"),
+        ("axioms", {"rank": 2, "lemma31": {"h": "a b"}, "samples": ["a"], "candidate_xi": 0}, {},
+         "samples applies only to random, axes, not lemma31"),
+        ("axioms", {"rank": 2, "lemma31": {"h": "a b"}, "candidate_xi": 0}, {},
+         "candidate_xi applies only to random, axes, not lemma31"),
+        ("avoid", {"rank": 2, "sweep": {"max_len": 1}, "compare_inverse": False}, {},
+         "compare_inverse applies only to factors, not sweep"),
+        ("avoid", {"rank": 2, "sweep": {"max_len": 1}, "compare_inverse": True}, {},
+         "compare_inverse applies only to factors, not sweep"),
     ], ids=[
         "lemma31-n_max-string", "lemma31-n_max-negative", "lemma31-misspelt-n_max",
         "sweep-margin-string", "sweep-max_len-zero", "compare_inverse-string",
@@ -507,15 +515,16 @@ class TestExitCodes:
         "check-h-three-words-two-factors", "abelianization-oracle-with-kill",
         "factor-kernel-oracle-with-coefficients", "product-p-integer-overflows-float",
         "avoid-factors-and-sweep", "avoid-no-mode", "axioms-lemma31-and-axes",
-        "axioms-random-and-axes",
+        "axioms-random-and-axes", "lemma31-with-samples", "lemma31-with-candidate_xi",
+        "sweep-with-compare_inverse-false", "sweep-with-compare_inverse-true",
     ])
     def test_malformed_job_is_invalid_input(
         self, tmp_path, capsys, command, params, extra, message
     ):
         # each of these ran a different experiment or crashed (exit 4) before
         # the job format was checked from one table; the two random families
-        # of fewer than three lines drew axes forever; a second mode block
-        # was dropped without a word
+        # of fewer than three lines drew axes forever; a second mode block,
+        # or a field only another mode reads, was dropped without a word
         job = write_job(tmp_path, command, params, **extra)
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 2 and f"invalid input: {message}" in err

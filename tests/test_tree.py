@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from growthtight import (
     Alphabet,
+    AlphabetMismatchError,
     Axis,
     InvalidInputError,
     check_projection_axioms,
@@ -321,6 +322,11 @@ class TestLemma31:
         with pytest.raises(InvalidInputError):
             lemma31_bound_check(AB, RANK2.identity, 4)
 
+    @pytest.mark.parametrize("g", ["a b", "c"])
+    def test_word_of_another_rank_is_rejected(self, g):
+        with pytest.raises(AlphabetMismatchError):
+            lemma31_bound_check(AB, parse_word(RANK3, g), 4)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         h=char_words(2, 6, min_size=1),
@@ -412,15 +418,50 @@ class TestFindLongProjections:
             find_long_projections(word2("ab"), word2("ab"), 0)
 
 
+def conjugated_h(draw, rank: int, core_max: int) -> tuple[str, str, str]:
+    """(h, core, conjugator) in oracle notation, h = conjugator core conjugator^-1."""
+    core = draw(char_words(rank, core_max, min_size=1, cyclic=True))
+    conjugator = draw(char_words(rank, 2))
+    h = oracles.mult(oracles.mult(conjugator, core), oracles.invert(conjugator))
+    return (h, *oracles.cyclic_peel(h))
+
+
+def lib_word(rank: int, text: str):
+    return parse_word(Alphabet(rank), oracles.to_lib_text(text))
+
+
+@st.composite
+def walk_cases(draw):
+    """(rank, h, K, g_max) in oracle notation, K from |core| to
+    shorten_threshold(h) + 2."""
+    rank = draw(st.integers(1, 3))
+    h, core, conjugator = conjugated_h(draw, rank, 4)
+    threshold = 2 * (len(core) + 2 * len(conjugator)) + 2
+    return rank, h, draw(st.integers(len(core), threshold + 2)), draw(st.integers(0, 6))
+
+
+@st.composite
+def outside_cases(draw):
+    """(rank, h, g, K) in oracle notation, K >= shorten_threshold(h), g outside
+    Ghat(K): a K-long stretch of the root's periodic word between random ends."""
+    rank = draw(st.integers(1, 3))
+    h, core, conjugator = conjugated_h(draw, rank, 4)
+    root, _ = oracles.prim_root(core)
+    K = 2 * (len(core) + 2 * len(conjugator)) + 2 + draw(st.integers(0, 2))
+    phase = draw(st.integers(0, len(root) - 1))
+    stretch = "".join(root[(phase + i) % len(root)] for i in range(K + draw(st.integers(0, 6))))
+    g = oracles.reduce_scan(draw(char_words(rank, 5)) + stretch + draw(char_words(rank, 5)))
+    assume(not oracles.ghat_member(g, h, K))
+    return rank, h, g, K
+
+
 @st.composite
 def run_cases(draw):
     """(rank, h, g, K) in oracle notation: g holds a stretch of the root's
     periodic word between random ends, so long runs are common."""
     rank = draw(st.integers(1, 3))
-    core = draw(char_words(rank, 6, min_size=1, cyclic=True))
-    conjugator = draw(char_words(rank, 2))
-    h = oracles.mult(oracles.mult(conjugator, core), oracles.invert(conjugator))
-    root, _ = oracles.prim_root(oracles.cyclic_peel(h)[0])
+    h, core, _ = conjugated_h(draw, rank, 6)
+    root, _ = oracles.prim_root(core)
     phase = draw(st.integers(0, len(root) - 1))
     stretch = "".join(root[(phase + i) % len(root)] for i in range(draw(st.integers(0, 12))))
     ends = [draw(char_words(rank, 5)) for _ in range(2)]
@@ -488,6 +529,23 @@ class TestGhatAutomaton:
         assert len(outside) == checked - in_ghat
         assert outside == sorted(expected, key=lambda g: g.letters)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(walk_cases())
+    @example((1, "a", 1, 6))
+    @example((1, "AA", 3, 0))
+    @example((2, "aab", 3, 6))
+    @example((3, "caBC", 2, 5))
+    def test_walk_matches_the_brute_force_ball(self, case):
+        # whole subtrees in Ghat(K) are counted, not visited: the counts and
+        # the words outside must still be those of the full ball
+        rank, h, K, g_max = case
+        ball = [g for sphere in oracles.words_by_radius(rank, g_max) for g in sphere]
+        want = sorted((g for g in ball if not oracles.ghat_member(g, h, K)), key=oracles.lex_key)
+        outside = []
+        counts = walk_ghat_ball(Alphabet(rank), lib_word(rank, h), K, g_max, outside.append)
+        assert counts == (len(ball), len(ball) - len(want))
+        assert [chars(g) for g in outside] == want
+
     def test_walk_of_the_identity_ball(self):
         seen = []
         assert walk_ghat_ball(RANK2, word2("ab"), 6, 0, seen.append) == (1, 1)
@@ -543,6 +601,18 @@ class TestShorten:
         # stops at (ab)^2: its run of length 4 sits below the cutoff
         assert seen == [14, 12, 10, 8, 6, 4]
         assert ghat_membership_exact(g, word2("ab"), 6)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(outside_cases())
+    @example((2, "aab", "baabaabaab", 8))
+    @example((1, "a", "aaaaa", 4))
+    def test_step_is_the_group_product_and_shorter(self, case):
+        rank, h, g, K = case
+        res = shorten(lib_word(rank, g), lib_word(rank, h), K)
+        k = chars(res.k)
+        want = oracles.mult(oracles.mult(oracles.mult(k, oracles.invert(h)), oracles.invert(k)), g)
+        assert chars(res.g_prime) == want
+        assert len(want) < len(g)
 
     def test_everything_outside_ghat_shortens(self):
         h = word2("ab")
