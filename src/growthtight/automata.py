@@ -89,9 +89,14 @@ def avoid_factors(
     nothing forbidden, the whole free group.
 
     A state is (last letter, longest suffix of the input that is a prefix of
-    a forbidden word), the suffix computed directly since the forbidden words
-    are short.  States are numbered breadth-first from (None, ()), and a
-    letter that cancels the last one has no transition.
+    a forbidden word).  The suffixes are read off an Aho-Corasick table
+    (Aho and Corasick 1975) whose nodes are the prefixes of the forbidden
+    words, numbered by length from the root (): goto[node][x] is the node of
+    the longest suffix of node + x that is a prefix, and dead[node] says
+    that some suffix of node is forbidden.  The table has one row per
+    prefix, and a transition is one lookup in it.  States are numbered
+    breadth-first from (None, ()), and a letter that cancels the last one,
+    or completes a forbidden factor, has no transition.
     """
     for f in forbidden:
         if not f:
@@ -99,34 +104,42 @@ def avoid_factors(
         if f.alphabet != alphabet:
             raise InvalidInputError("forbidden factor over a different alphabet")
     bad = {f.letters for f in forbidden}
-    prefixes = {f[:i] for f in bad for i in range(len(f) + 1)}
-
-    def matcher_step(state: tuple[int, ...], letter: int):
-        cand = state + (letter,)
-        for i in range(len(cand)):
-            if cand[i:] in bad:
-                return None
-        for i in range(len(cand)):
-            if cand[i:] in prefixes:
-                return cand[i:]
-        return ()
-
-    index: dict[tuple, int] = {(None, ()): 0}
-    queue = [(None, ())]
-    transitions: dict[tuple[int, int], int] = {}
-    for s, (last, mstate) in enumerate(queue):
-        back = None if last is None else last ^ 1
+    nodes = sorted({()} | {f[:i] for f in bad for i in range(1, len(f) + 1)}, key=len)
+    node_id = {p: i for i, p in enumerate(nodes)}
+    dead = [p in bad for p in nodes]
+    # fail[i]: the node of the longest proper suffix of node i that is a
+    # prefix.  It is shorter than node i, so its goto row is built first.
+    fail = [0] * len(nodes)
+    goto: list[list[int]] = []
+    for i, p in enumerate(nodes):
+        row = []
         for x in alphabet.letters:
-            if x == back:
+            link = goto[fail[i]][x] if i else 0
+            child = node_id.get(p + (x,))
+            if child is None:
+                row.append(link)
+            else:
+                fail[child] = link
+                dead[child] = dead[child] or dead[link]
+                row.append(child)
+        goto.append(row)
+
+    index: dict[tuple, int] = {(None, 0): 0}
+    queue = [(None, 0)]
+    transitions: dict[tuple[int, int], int] = {}
+    for s, (last, node) in enumerate(queue):
+        back = None if last is None else last ^ 1
+        row = goto[node]
+        for x in alphabet.letters:
+            nxt = row[x]
+            if x == back or dead[nxt]:
                 continue
-            mnext = matcher_step(mstate, x)
-            if mnext is None:
-                continue
-            target = (x, mnext)
-            if target not in index:
-                index[target] = len(index)
+            target = (x, nxt)
+            t = index.get(target)
+            if t is None:
+                t = index[target] = len(index)
                 queue.append(target)
-            transitions[(s, x)] = index[target]
+            transitions[(s, x)] = t
     return CountingAutomaton(alphabet, len(index), transitions)
 
 
@@ -139,18 +152,27 @@ def _edge_weights(aut: CountingAutomaton) -> dict[tuple[int, int], int]:
 
 
 def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
-    """Exact counts of accepted words of each length 0..r_max."""
+    """Exact counts of accepted words of each length 0..r_max.
+
+    v[s] counts the accepted words of the current length that end in state
+    s; a step pushes v[s] along each of s's transitions, one successor entry
+    per letter, so parallel edges are added rather than multiplied and
+    states with no words are skipped.  Counts are exact ints.
+    """
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
-    edge_list = [(s, t, w) for (s, t), w in _edge_weights(aut).items()]
+    succ: list[list[int]] = [[] for _ in range(aut.n_states)]
+    for (s, _), t in aut.transitions.items():
+        succ[s].append(t)
     v = [0] * aut.n_states
     v[0] = 1
     counts = [1]
     for _ in range(r_max):
         nxt = [0] * aut.n_states
-        for s, t, w in edge_list:
-            if v[s]:
-                nxt[t] += v[s] * w
+        for vs, targets in zip(v, succ):
+            if vs:
+                for t in targets:
+                    nxt[t] += vs
         v = nxt
         counts.append(sum(v))
     return CountSequence(tuple(counts))

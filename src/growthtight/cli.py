@@ -23,6 +23,7 @@ is the identity).  Exit status: 0 ok, 2 invalid input, 3 resource limit,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -61,7 +62,7 @@ from .tree import (
     shorten_threshold,
     walk_ghat_ball,
 )
-from .words import Alphabet, ReducedWord, enumerate_sphere, format_word, parse_word
+from .words import Alphabet, ReducedWord, _word, enumerate_sphere, format_word, parse_word
 
 REQUIRED = object()  # the default of a field every job must give
 
@@ -524,7 +525,7 @@ def _random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int, cy
             )
         ]
         letters.append(rng.choice(options))
-    return ReducedWord(alphabet, tuple(letters))
+    return _word(alphabet, tuple(letters))
 
 
 def _random_axis(rng: random.Random, alphabet: Alphabet, core_max: int, conj_max: int) -> Axis:
@@ -676,7 +677,11 @@ def _resolve_budgets(job: dict, args) -> dict:
     return {name: value for name, value in budgets.items() if value is not None}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    main() call: building it costs as much as a small job, and parse_args
+    leaves it unchanged.  Callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="growthtight",
         description="Growth exponents of free groups, factor-avoidance languages, "

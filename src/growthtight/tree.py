@@ -26,6 +26,7 @@ from .words import (
     ReducedWord,
     _check_same_alphabet,
     _reduce_concat,
+    _word,
     cyclic_reduce,
     format_word,
     primitive_root,
@@ -89,7 +90,7 @@ class Axis:
     def ray_prefix(self, coordinate: int) -> ReducedWord:
         """Vertex at signed arc-length position in the axis frame (origin at 1)."""
         ray = self.root.letters if coordinate >= 0 else self.backward_ray
-        return ReducedWord(self.alphabet, tuple(ray[i % len(ray)] for i in range(abs(coordinate))))
+        return _word(self.alphabet, tuple(ray[i % len(ray)] for i in range(abs(coordinate))))
 
     def point(self, coordinate: int) -> ReducedWord:
         """Vertex at signed arc-length position along the core direction."""
@@ -346,8 +347,8 @@ def _witness(
 ) -> LongProjectionWitness:
     """The witness of one long run: k maps h's axis onto the line the run reads."""
     start, phase, length = run
-    before = ReducedWord(g.alphabet, g.letters[:start])
-    back = ReducedWord(g.alphabet, root.letters[:phase])
+    before = _word(g.alphabet, g.letters[:start])
+    back = _word(g.alphabet, root.letters[:phase])
     return LongProjectionWitness(
         k=before * ~back * ~conjugator, projection_diameter=length, start=start, phase=phase
     )
@@ -399,7 +400,7 @@ def ghat_automaton(alphabet: Alphabet, h: ReducedWord, m: int) -> CountingAutoma
     ray = root.letters
     n = len(ray)
     factors = {tuple(ray[(s + i) % n] for i in range(m)) for s in range(n)}
-    forbidden = [ReducedWord(alphabet, f) for f in sorted(factors)]
+    forbidden = [_word(alphabet, f) for f in sorted(factors)]
     return avoid_factors(alphabet, forbidden)
 
 
@@ -450,7 +451,7 @@ def walk_ghat_ball(
             return
         checked += 1
         if state is None:
-            outside(ReducedWord(alphabet, tuple(path)))
+            outside(_word(alphabet, tuple(path)))
         else:
             in_ghat += 1
         if rest:
@@ -504,5 +505,5 @@ def shorten(g: ReducedWord, h: ReducedWord, K: int) -> ShortenResult | None:
     best = max(runs, key=lambda run: (run[2], -run[0], -run[1]))
     witness = _witness(g, conjugator, root, best)
     start = best[0]
-    g_prime = ReducedWord(g.alphabet, g.letters[:start] + g.letters[start + len(core):])
+    g_prime = _word(g.alphabet, g.letters[:start] + g.letters[start + len(core):])
     return ShortenResult(g_prime=g_prime, k=witness.k, witness=witness)

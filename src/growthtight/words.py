@@ -53,15 +53,26 @@ class Alphabet:
 
     @property
     def identity(self) -> "ReducedWord":
-        return ReducedWord(self, ())
+        return _word(self, ())
 
 
 class ReducedWord:
-    """Immutable freely reduced word; supports *, ~ (inverse), ** and shortlex <."""
+    """Immutable freely reduced word; supports *, ~ (inverse), ** and shortlex <.
+
+    The constructor checks that letters is a freely reduced sequence of
+    letter codes of alphabet; the package builds words it already knows to
+    be reduced with _word, which skips the check.
+    """
 
     __slots__ = ("alphabet", "letters")
 
-    def __init__(self, alphabet: Alphabet, letters: tuple[int, ...]):
+    def __init__(self, alphabet: Alphabet, letters: Iterable[int]):
+        letters = tuple(letters)
+        for pos, x in enumerate(letters):
+            if type(x) is not int or not 0 <= x < 2 * alphabet.rank:
+                raise InvalidInputError(f"letter code {x!r} out of range at token {pos}")
+            if pos and x == letters[pos - 1] ^ 1:
+                raise InvalidInputError(f"letters not freely reduced at token {pos}")
         self.alphabet = alphabet
         self.letters = letters
 
@@ -90,12 +101,10 @@ class ReducedWord:
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
         _check_same_alphabet(self, other)
-        return ReducedWord(self.alphabet, _reduce_concat(self.letters, other.letters))
+        return _word(self.alphabet, _reduce_concat(self.letters, other.letters))
 
     def __invert__(self) -> "ReducedWord":
-        return ReducedWord(
-            self.alphabet, tuple(x ^ 1 for x in reversed(self.letters))
-        )
+        return _word(self.alphabet, tuple(x ^ 1 for x in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "ReducedWord":
         if n < 0:
@@ -116,6 +125,18 @@ class ReducedWord:
         for x in self.letters:
             sums[x // 2] += -1 if x & 1 else 1
         return tuple(sums)
+
+
+def _word(
+    alphabet: Alphabet, letters: tuple[int, ...], _new=object.__new__, _cls=ReducedWord
+) -> ReducedWord:
+    """The word with the given letters, which the caller knows to be a freely
+    reduced tuple of alphabet's letter codes; no check is made.  (_new and
+    _cls are bound as defaults for speed: a sweep builds ~10^5 words.)"""
+    w = _new(_cls)
+    w.alphabet = alphabet
+    w.letters = letters
+    return w
 
 
 def _check_same_alphabet(u: ReducedWord, v: ReducedWord) -> None:
@@ -149,7 +170,7 @@ def free_reduce(alphabet: Alphabet, raw: Iterable[int | str]) -> ReducedWord:
             letters.pop()
         else:
             letters.append(x)
-    return ReducedWord(alphabet, tuple(letters))
+    return _word(alphabet, tuple(letters))
 
 
 def cyclic_reduce(w: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
@@ -159,7 +180,7 @@ def cyclic_reduce(w: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
     while len(letters) >= 2 and letters[0] == letters[-1] ^ 1:
         prefix.append(letters[0])
         letters = letters[1:-1]
-    return ReducedWord(w.alphabet, letters), ReducedWord(w.alphabet, tuple(prefix))
+    return _word(w.alphabet, letters), _word(w.alphabet, tuple(prefix))
 
 
 def primitive_root(w: ReducedWord) -> tuple[ReducedWord, int]:
@@ -172,7 +193,7 @@ def primitive_root(w: ReducedWord) -> tuple[ReducedWord, int]:
         if n % d:
             continue
         if core.letters == core.letters[:d] * (n // d):
-            root = ReducedWord(w.alphabet, core.letters[:d])
+            root = _word(w.alphabet, core.letters[:d])
             return root.conjugated_by(conj), n // d
     raise AssertionError("unreachable: every word is a power of itself")
 
@@ -219,7 +240,7 @@ def enumerate_sphere(
         raise ResourceLimitError(
             f"sphere radius {r} exceeds enumeration cutoff {cutoff}"
         )
-    return [ReducedWord(alphabet, w) for w in iter_sphere_letters(alphabet, r)]
+    return [_word(alphabet, w) for w in iter_sphere_letters(alphabet, r)]
 
 
 def enumerate_ball(

@@ -368,3 +368,53 @@ def from_lib_text(text: str) -> str:
         else:
             out.append(token[0])
     return "".join(out)
+
+
+def avoid_automaton_suffix_matcher(rank: int, forbidden: list[str]) -> tuple[int, dict]:
+    """(n_states, transitions) of the factor-avoidance automaton built by
+    testing every suffix of (matcher state + letter) against the forbidden
+    set, breadth-first from (None, "").  transitions[(state, letter id)] =
+    state, letter ids being ORDER indices, inserted in (state, letter) order.
+
+    A state is (last letter, longest suffix of the input that is a prefix of
+    a forbidden word).  This is the quadratic construction the library used
+    before its Aho-Corasick table; any faster build must give the same
+    states, numbering and transition order.
+    """
+    bad = set(forbidden)
+    prefixes = {f[:i] for f in bad for i in range(len(f) + 1)}
+
+    def step(state: str, ch: str):
+        cand = state + ch
+        if any(cand[i:] in bad for i in range(len(cand))):
+            return None
+        for i in range(len(cand)):
+            if cand[i:] in prefixes:
+                return cand[i:]
+        return ""
+
+    index = {(None, ""): 0}
+    queue = [(None, "")]
+    transitions = {}
+    for s, (last, mstate) in enumerate(queue):
+        for x, ch in enumerate(letters(rank)):
+            if last is not None and ch == inv(last):
+                continue
+            mnext = step(mstate, ch)
+            if mnext is None:
+                continue
+            target = (ch, mnext)
+            if target not in index:
+                index[target] = len(index)
+                queue.append(target)
+            transitions[(s, x)] = index[target]
+    return len(index), transitions
+
+
+def ghat_factors(h: str, m: int) -> list[str]:
+    """The length-m factors of root^infinity forbidden by the Ghat automaton,
+    root being the primitive root of h's cyclically reduced core; sorted."""
+    core, _ = cyclic_peel(h)
+    root, _ = prim_root(core)
+    n = len(root)
+    return sorted({"".join(root[(s + i) % n] for i in range(m)) for s in range(n)})

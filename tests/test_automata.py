@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from growthtight import (
     NEG_INF,
+    Alphabet,
     CountingAutomaton,
     InvalidInputError,
     ResourceLimitError,
@@ -196,6 +197,87 @@ class TestAvoidFactorsProperty:
                 assert t == entered[-1] + 1 and s < t
                 entered.append(t)
         assert entered == list(range(aut.n_states))
+
+
+RANKS = {rank: Alphabet(rank) for rank in (1, 2, 3, 4)}
+
+
+def _reduced_extension(draw, pool: str, w: str, length: int) -> str:
+    """w with letters drawn onto both ends until it has the given length,
+    staying freely reduced."""
+    while len(w) < length:
+        if draw(st.booleans()):
+            w += draw(st.sampled_from([c for c in pool if not w or c != oracles.inv(w[-1])]))
+        else:
+            w = draw(st.sampled_from([c for c in pool if not w or c != oracles.inv(w[0])])) + w
+    return w
+
+
+@st.composite
+def related_factor_sets(draw):
+    """(rank, forbidden char-strings): rank 1-4, up to six reduced factors of
+    length 1-8.  Each is fresh, a slice of an earlier one (a duplicate,
+    prefix, suffix or inner factor) or an earlier one extended on both ends."""
+    rank = draw(st.integers(1, 4))
+    pool = oracles.letters(rank)
+    forbidden: list[str] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["fresh", "slice", "extend"])) if forbidden else "fresh"
+        if kind == "fresh":
+            w = _reduced_extension(draw, pool, "", draw(st.integers(1, 8)))
+        else:
+            w = draw(st.sampled_from(forbidden))
+            if kind == "slice":
+                i = draw(st.integers(0, len(w) - 1))
+                w = w[i : draw(st.integers(i + 1, len(w)))]
+            else:
+                w = _reduced_extension(draw, pool, w, draw(st.integers(len(w), 8)))
+        forbidden.append(w)
+    return rank, forbidden
+
+
+@st.composite
+def ghat_cases(draw):
+    """(rank, h, m): h a reduced char-string of length 1-15 over rank 2-4,
+    len(h) <= m <= 2 len(h) + 2."""
+    rank = draw(st.integers(2, 4))
+    h = _reduced_extension(draw, oracles.letters(rank), "", draw(st.integers(1, 15)))
+    return rank, h, draw(st.integers(len(h), 2 * len(h) + 2))
+
+
+def assert_same_automaton(aut: CountingAutomaton, rank: int, forbidden: list[str]) -> None:
+    n_states, transitions = oracles.avoid_automaton_suffix_matcher(rank, forbidden)
+    assert aut.n_states == n_states
+    # same states, numbering and insertion order: perron_root's float
+    # iteration, and so every bracket bit, depends on that order
+    assert list(aut.transitions.items()) == list(transitions.items())
+
+
+class TestAvoidFactorsMatchesSuffixMatcher:
+    """The Aho-Corasick build gives exactly the automaton of the reference
+    suffix-matcher builder, transition insertion order included."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=related_factor_sets())
+    @example(case=(2, []))
+    @example(case=(4, []))
+    @example(case=(2, ["ab", "ab", "a", "b", "aba"]))
+    @example(case=(3, ["abc", "bc", "c", "ab", "abcA"]))
+    @example(case=(4, ["aaaa", "aa", "aaaaaaaa"]))
+    def test_random_factor_sets(self, case):
+        rank, forbidden = case
+        alphabet = RANKS[rank]
+        words = [parse_word(alphabet, oracles.to_lib_text(f)) for f in forbidden]
+        assert_same_automaton(avoid_factors(alphabet, words), rank, forbidden)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=ghat_cases())
+    @example(case=(2, "abAbaBBabaabABabbaBabAbab", 52))
+    def test_ghat_automata(self, case):
+        rank, h, m = case
+        alphabet = RANKS[rank]
+        aut = ghat_automaton(alphabet, parse_word(alphabet, oracles.to_lib_text(h)), m)
+        assert_same_automaton(aut, rank, oracles.ghat_factors(h, m))
 
 
 class TestPerronBrackets:

@@ -108,6 +108,32 @@ class TestRunBasics:
         assert capsys.readouterr().out.strip() == f"growthtight {__version__}"
 
 
+class TestInProcessReuse:
+    """main() parses with one parser per process; no call's flags or errors
+    carry over to the next."""
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        job = write_job(tmp_path, "count", {"rank": 2}, {"r_max": 2})
+        code, out, _ = run_cli(capsys, "run", str(job), "--r-max", "3", "--quiet")
+        assert code == 0 and json.loads(out)["job"]["budgets"]["r_max"] == 3
+        code, out, _ = run_cli(capsys, "run", str(job))
+        assert code == 0
+        assert "sphere" in out.splitlines()[0]
+        rep = report_from(out)
+        assert rep["job"]["budgets"]["r_max"] == 2
+        assert rep["results"]["spheres"] == [1, 4, 12]
+
+    def test_parse_error_then_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--r-max", "three"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        job = write_job(tmp_path, "count", {"rank": 2}, {"r_max": 1})
+        code, out, err = run_cli(capsys, "run", str(job), "--quiet")
+        assert code == 0 and err == ""
+        assert json.loads(out)["results"]["spheres"] == [1, 4]
+
+
 class TestCommands:
     def test_exponent_report(self, tmp_path, capsys):
         job = write_job(tmp_path, "exponent", {"rank": 2}, {"r_max": 10})

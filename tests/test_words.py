@@ -137,6 +137,35 @@ class TestMultiply:
         assert word2("ab") ** 0 == RANK2.identity
 
 
+class TestReducedWordConstructor:
+    """The public constructor accepts only freely reduced letter codes, so a
+    product of constructed words reduces fully."""
+
+    def test_unreduced_letters_are_rejected(self):
+        # a- a a- read as a reduced word would make a * (a- a a-) = a a-
+        # instead of the identity
+        with pytest.raises(InvalidInputError, match="not freely reduced at token 2"):
+            ReducedWord(RANK2, (1, 1, 0))
+        with pytest.raises(InvalidInputError, match="not freely reduced at token 1"):
+            ReducedWord(RANK2, (2, 3))
+
+    def test_product_of_constructed_words_is_reduced(self):
+        a = ReducedWord(RANK2, (0,))
+        a_inv_b = ReducedWord(RANK2, (1, 2))
+        assert a * a_inv_b == ReducedWord(RANK2, (2,))
+        assert a * ReducedWord(RANK2, (1,)) == RANK2.identity
+
+    @pytest.mark.parametrize("letters", [(4,), (0, -1), (0, 2, 8), (True,), ("a",), (0.0,)])
+    def test_out_of_range_letters_are_rejected(self, letters):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            ReducedWord(RANK2, letters)
+
+    def test_accepts_any_reduced_sequence(self):
+        w = ReducedWord(RANK3, [4, 2, 5])
+        assert w.letters == (4, 2, 5) and w == parse_word(RANK3, "c b c-")
+        assert ReducedWord(RANK1, ()) == RANK1.identity
+
+
 class TestCyclicReduce:
     def test_single_conjugating_letter(self):
         core, conj = cyclic_reduce(word2("baB"))
