@@ -99,7 +99,12 @@ def _lp_norm(values: Sequence[int], p: float) -> float | int:
     # norm_key adds left to right: the built-in sum() of floats is
     # compensated from Python 3.12 on, which moves the last bits
     key = norm_key(p, values)
-    return key if p in (1, math.inf) else key ** (1 / p)
+    if p in (1, math.inf):
+        return key
+    try:
+        return key ** (1 / p)
+    except OverflowError:  # an int key of a large integer p, beyond float range
+        return math.exp(math.log(key) / p)
 
 
 def lp_length(spec: LpProductSpec, x: ProductPoint) -> float | int:
@@ -206,18 +211,39 @@ def norm_key(p: float, profile: Sequence[int]):
     return key
 
 
+# Integer-p keys are exact ints of about p*log2(R) bits, and the budget of a
+# fractional radius is the p-th power of a 53-bit fraction, so their cost
+# grows with p without bound.  Above this p the conjugate exponent p/(p-1)
+# is below 1.0011, next to p = inf's q = 1.
+MAX_FINITE_P = 1000
+
+
 def norm_budget(p: float, R):
     """Largest norm key inside the radius-R ball: a profile lies in the ball
     exactly when norm_key(p, profile) <= norm_budget(p, R).
 
     The test is exact integer arithmetic for integer p and p = inf; only
     non-integer p compares floats, with a 1e-9 allowance at the boundary.
+    Every lattice sum forms this budget before any other key, so the check
+    that the keys are within reach lives here: a finite p above MAX_FINITE_P,
+    or a non-integer p whose keys overflow a float, raises ResourceLimitError.
     """
     if p == math.inf:
         return math.floor(R)
+    if p > MAX_FINITE_P:
+        raise ResourceLimitError(
+            f"exponent p = {p:g} exceeds {MAX_FINITE_P}, the largest finite p"
+            ' with exact norm keys; use p = "inf" for the max-norm'
+        )
     if p == int(p):
         return math.floor(Fraction(R) ** int(p))
-    return R**p + 1e-9
+    try:
+        return R**p + 1e-9
+    except OverflowError:
+        raise ResourceLimitError(
+            f"norm keys at exponent p = {p:g} and radius {R} overflow a float;"
+            ' use p = "inf" for the max-norm'
+        ) from None
 
 
 class LatticeTable:

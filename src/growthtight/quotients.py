@@ -9,11 +9,14 @@ come from per-factor images, so counting enumerates nothing.  A minimal
 section keeps the first product point per key in (length, tuple-shortlex)
 order; since a key depends only on the per-coordinate parts, its scan runs
 over the first word of each part value in each factor sphere, not over every
-product point (see minimal_section).  Only the section scan enumerates words,
-so only it is bounded by the enumeration cutoff.
+product point (see minimal_section).  The abelianization and homomorphism
+parts add up letter by letter, so those first words are spelled from the
+per-letter parts without listing any sphere; only a factor-kernel section
+lists words.  The enumeration cutoff bounds the section radius of every kind.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import CountSequence, avoid_factors, perron_root
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .growth import GrowthBracket, bracket_gap, check_subadditivity, fekete_bracket
 from .products import (
     LatticeTable,
@@ -36,7 +39,9 @@ from .products import (
 from .tree import ghat_membership_exact, shorten_threshold
 from .words import (
     DEFAULT_ENUMERATION_CUTOFF,
+    Alphabet,
     ReducedWord,
+    _word,
     enumerate_sphere,
     format_word,
     sphere_size,
@@ -149,6 +154,55 @@ class MinimalSection:
         return len(self.entries)
 
 
+def _vector_sum(u: tuple, v: tuple) -> tuple:
+    return tuple(map(operator.add, u, v))
+
+
+def _first_words_by_part(
+    oracle: QuotientOracle, index: int, alphabet: Alphabet, r_max: int
+) -> list[list]:
+    """reps[r] = [(part value, first word of the radius-r sphere with that
+    part), ...] in order of first occurrence in the shortlex sphere listing,
+    for factor index of an abelianization or homomorphism oracle, whose part
+    adds up letter by letter.
+
+    reach[m][prev] maps each part of a reduced word of length m whose first
+    letter is not prev ^ 1 to (first letter, part of the rest) of the least
+    such word; row 2k has no letter excluded, for no previous letter.  Taking
+    the least letter whose rest is reachable at every step spells the lex-first
+    word of a part, and sorting those words gives the order of first occurrence.
+    """
+    part = functools.partial(oracle.part, index)
+    add = _vector_sum if oracle.kind == "abelianization-kernel" else operator.add
+    letters = alphabet.letters
+    start = len(letters)
+    letter_parts = [part(_word(alphabet, (x,))) for x in letters]
+    identity = alphabet.identity
+    zero = part(identity)
+    reach = [[{zero: None}] * (start + 1)]
+    reps = [[(zero, identity)]]
+    for m in range(1, r_max + 1):
+        below = reach[-1]
+        heads = [{add(px, t): (x, t) for t in below[x]} for x, px in zip(letters, letter_parts)]
+        rows = []
+        for prev in range(start + 1):
+            row: dict = {}
+            for x in reversed(letters):  # the least first letter is written last
+                if x != prev ^ 1:
+                    row.update(heads[x])
+            rows.append(row)
+        reach.append(rows)
+        spelled = []
+        for value in rows[start]:
+            word, prev, t = [], start, value
+            for left in range(m, 0, -1):
+                prev, t = reach[left][prev][t]
+                word.append(prev)
+            spelled.append((tuple(word), value))
+        reps.append([(value, _word(alphabet, word)) for word, value in sorted(spelled)])
+    return reps
+
+
 def minimal_section(
     spec: LpProductSpec,
     oracle: QuotientOracle,
@@ -164,22 +218,33 @@ def minimal_section(
     therefore reduced to its first word per distinct part, in order of first
     occurrence; the reduced product visits those tuples in the same relative
     order, so the entries and their insertion order are those of a scan over
-    every product point.
+    every product point.  The abelianization and homomorphism parts add up
+    letter by letter, so those first words are built from the per-letter
+    parts (_first_words_by_part) and no word is listed; a factor-kernel part
+    is the word itself, so that kind lists its spheres.  The cutoff bounds
+    r_max for every kind.
     """
     oracle.validate_for(spec)
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
     rfloor = math.floor(r_max)
+    if rfloor > cutoff:
+        raise ResourceLimitError(
+            f"sphere radius {cutoff + 1} exceeds enumeration cutoff {cutoff}"
+        )
+    budget = norm_budget(spec.p, r_max)
     reps = []  # reps[i][r] = [(part, first word with that part), ...]
     for i, alphabet in enumerate(spec.factors):
-        per_radius = []
-        for r in range(rfloor + 1):
-            first: dict = {}
-            for w in enumerate_sphere(alphabet, r, cutoff=cutoff):
-                first.setdefault(oracle.part(i, w), w)
-            per_radius.append(list(first.items()))
-        reps.append(per_radius)
-    budget = norm_budget(spec.p, r_max)
+        if oracle.kind != "factor-kernel":
+            reps.append(_first_words_by_part(oracle, i, alphabet, rfloor))
+        else:
+            per_radius = []
+            for r in range(rfloor + 1):
+                first: dict = {}
+                for w in enumerate_sphere(alphabet, r, cutoff=cutoff):
+                    first.setdefault(oracle.part(i, w), w)
+                per_radius.append(list(first.items()))
+            reps.append(per_radius)
     keyed = [
         (norm_key(spec.p, prof), prof)
         for prof in itertools.product(range(rfloor + 1), repeat=spec.n)

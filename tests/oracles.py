@@ -334,6 +334,19 @@ def minimal_section_brute(p, ranks: list[int], key_fn, r_max) -> dict:
     return section
 
 
+def first_words_by_part(rank: int, r_max: int, part_fn) -> list[list]:
+    """reps[r] = [(part, first word with that part), ...] over the radius-r
+    sphere, in order of first occurrence: list the sphere in shortlex order
+    and keep the first word of each part value."""
+    reps = []
+    for sphere in words_by_radius(rank, r_max):
+        first: dict = {}
+        for w in sphere:
+            first.setdefault(part_fn(w), w)
+        reps.append(list(first.items()))
+    return reps
+
+
 def _norm_val(profile, p) -> float:
     if p == float("inf"):
         return float(max(profile) if profile else 0)

@@ -9,6 +9,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,8 @@ from growthtight import cli
 from growthtight.errors import InternalInvariantError
 from growthtight.tree import ghat_membership_exact, shorten, shorten_threshold
 from growthtight.words import Alphabet, ReducedWord, enumerate_sphere, format_word, parse_word
+
+import oracles
 
 
 def write_job(tmp_path, command: str, params: dict, budgets: dict | None = None, **extra):
@@ -394,6 +397,45 @@ class TestExitCodes:
         )
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 3 and "exceeds enumeration cutoff 6" in err
+
+    HUGE_P_JOBS = {
+        "product": {},
+        "quotient": {
+            "oracle": {"kind": "homomorphism-to-integers", "coefficients": [[1, 1], [1, -1]]},
+            "check": {"h": ["a b", "b a-"], "K": 6},
+        },
+        "tightness": {"oracle": {"kind": "abelianization-kernel"}},
+    }
+
+    @pytest.mark.parametrize("command", sorted(HUGE_P_JOBS))
+    @pytest.mark.parametrize("p", [1e308, 1e6, 700.5])
+    def test_huge_finite_p_hits_resource_limit_at_once(self, tmp_path, capsys, command, p):
+        # integer keys of a huge p grow without bound, and a non-integer p
+        # this large overflows float keys at the default radii
+        params = {"factors": [{"rank": 2}, {"rank": 2}], "p": p, **self.HUGE_P_JOBS[command]}
+        job = write_job(tmp_path, command, params)
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and f"p = {p:g}" in err and '"inf"' in err
+
+    def test_p_1000_still_runs(self, tmp_path, capsys):
+        params = {"factors": [{"rank": 2}, {"rank": 2}], "p": 1000}
+        job = write_job(tmp_path, "product", params, {"r_max": 8})
+        code, out, err = run_cli(capsys, "run", str(job), "--quiet")
+        assert code == 0 and err == ""
+        spheres = [[oracles.sphere_size(2, r) for r in range(9)]] * 2
+        assert json.loads(out)["results"]["balls"] == [
+            oracles.product_ball_brute(1000, spheres, r) for r in range(9)
+        ]
+        # the section lengths are p-th roots of int keys beyond float range
+        params.update(self.HUGE_P_JOBS["quotient"])
+        job = write_job(tmp_path, "quotient", params)
+        code, out, err = run_cli(capsys, "run", str(job), "--quiet")
+        assert code == 0 and err == ""
+        results = json.loads(out)["results"]
+        assert results["structure_check"]["passed"]
+        assert results["structure_check"]["checked"] == results["balls"][-1]
 
     @pytest.mark.parametrize("oracle,ball", [
         # Z^4 with its l^1 norm: sum_j 2^j C(4, j) C(r, j) points within r

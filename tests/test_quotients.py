@@ -21,6 +21,9 @@ from growthtight import (
     quotient_ball_counts,
     tightness_verdict,
 )
+from growthtight import words
+from growthtight.quotients import _first_words_by_part
+from growthtight.tree import shorten_threshold
 
 import oracles
 from conftest import RANK2, chars, report_fields, word2
@@ -167,6 +170,47 @@ class TestMinimalSection:
         sec = minimal_section(F2F2_P1, HOM, 6)
         assert sec.size == 13
         assert calls <= 250
+
+    @pytest.mark.parametrize("oracle,h", [
+        (QuotientOracle.abelianization(), ("abAB", "abAB")),
+        (HOM, ("ab", "bA")),
+    ], ids=["abelianization", "hom"])
+    def test_additive_check_lists_no_words(self, monkeypatch, oracle, h):
+        def listing(*args, **kwargs):
+            raise AssertionError("a sphere was listed")
+
+        monkeypatch.setattr(words, "iter_sphere_letters", listing)
+        h_tuple = F2F2_P1.point([word2(c) for c in h])
+        K = max(shorten_threshold(w) for w in h_tuple.coords)
+        report = check_prop_minimal(F2F2_P1, oracle, h_tuple, K, 6)
+        assert report.checked == minimal_section(F2F2_P1, oracle, 6).size > 1
+
+
+def _part_fn(rank, row):
+    """An oracle part on char strings: the exponent vector, or its dot
+    product with the homomorphism row."""
+    if row is None:
+        return lambda w: oracles.exp_vector(w, rank)
+    return lambda w: sum(c * e for c, e in zip(row, oracles.exp_vector(w, rank)))
+
+
+class TestSpelledRepresentatives:
+    """The per-sphere first words built from per-letter parts, against a
+    listing of every word of each sphere."""
+
+    @pytest.mark.parametrize("rank,r_max,row", [
+        (1, 8, None), (1, 8, (2,)), (1, 8, (0,)),
+        (2, 8, None), (2, 8, (1, 1)), (2, 8, (0, -2)), (2, 8, (0, 0)),
+        (3, 8, None), (3, 7, (1, 0, -1)), (3, 7, (0, 2, 3)),
+    ])
+    def test_first_word_per_part_and_order(self, rank, r_max, row):
+        if row is None:
+            oracle = QuotientOracle.abelianization()
+        else:
+            oracle = QuotientOracle.hom_to_integers([row])
+        got = _first_words_by_part(oracle, 0, Alphabet(rank), r_max)
+        want = oracles.first_words_by_part(rank, r_max, _part_fn(rank, row))
+        assert [[(t, chars(w)) for t, w in sphere] for sphere in got] == want
 
 
 @st.composite
