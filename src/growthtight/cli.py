@@ -9,12 +9,12 @@ Jobs are JSON files with schema "growthtight/job-v1":
      "budgets": {"r_max": int, "tol": float, "cutoff": int},
      "output": {"csv": path}}
 
-JOB_FIELDS, BUDGET_FIELDS and PARAMS list every field a job may hold, with its
-kind and default.  An unknown field at any level, a missing required one or a
-wrong kind is invalid input.  A job gives exactly one of its command's mode
-blocks (default None): avoid factors or sweep, axioms lemma31, random or axes.
-MODES lists the fields only some blocks read; one given beside another block
-is invalid input too.
+JOB_FIELDS, BUDGET_FIELDS, PARAMS and _ORACLES (one table per quotient kind)
+list every field a job may hold, with its kind and default.  An unknown field
+at any level, a missing required one or a wrong kind is invalid input.  A job
+gives exactly one of its command's mode blocks (default None): avoid factors
+or sweep, axioms lemma31, random or axes.  MODES lists the fields only some
+blocks read; one given beside another block is invalid input too.
 
 Words use the letter grammar "a b a-" ("-" or "'" marks an inverse; "" or "1"
 is the identity).  Exit status: 0 ok, 2 invalid input, 3 resource limit,
@@ -44,12 +44,7 @@ from .growth import (
     strict_gap_check,
 )
 from .products import LpProductSpec, parse_exponent, verify_duality
-from .quotients import (
-    QuotientOracle,
-    check_prop_minimal,
-    quotient_ball_counts,
-    tightness_verdict,
-)
+from .quotients import KINDS, check_prop_minimal, quotient_ball_counts, tightness_verdict
 from .reports import JOB_SCHEMA, build_report, canonical_json, format_table
 from .tree import (
     D_TREE,
@@ -118,6 +113,7 @@ BOOL = _kind(lambda v: isinstance(v, bool), "true or false")
 OBJECT = _kind(lambda v: isinstance(v, dict), "an object")
 WORDS = _list_of(STR, "a list of word strings")
 INTS = _list_of(INT, "a list of integers")
+ROWS = _list_of(INTS, "a list of integer rows")
 _AXIS = _block({"h": (STR, REQUIRED), "translate": (STR, "1")}, "a word string or an object")
 # an axes item is a word h or an object {h, translate}
 _AXES = _list_of(lambda v, where: _AXIS({"h": v} if isinstance(v, str) else v, where),
@@ -129,10 +125,22 @@ _PRODUCT = {
     "factors": (_list_of(_block(_RANK), "a non-empty list of factor objects", 1), REQUIRED),
     "p": (_kind(lambda v: type(v) in (int, float, str), 'a number or "inf"'), REQUIRED),
 }
-_ORACLE = {
-    "kind": (STR, REQUIRED), "kill": (INTS, ()),
-    "coefficients": (_list_of(INTS, "a list of integer rows"), ()),
+# one field table per quotient kind (quotients.KINDS), besides its kind
+_ORACLES = {
+    "factor-kernel": {"kill": (INTS, ())}, "abelianization-kernel": {},
+    "homomorphism-to-integers": {"coefficients": (ROWS, REQUIRED)},
 }
+_ORACLE_KIND = _kind(lambda v: isinstance(v, str) and v in _ORACLES, f"one of {sorted(_ORACLES)}")
+
+
+def _oracle(value, where: str):
+    """The kind of an oracle block: its kind picks the field table that checks
+    the other fields, and the checked fields build that kind's record."""
+    block = dict(OBJECT(value, where))
+    kind = _ORACLE_KIND(block.pop("kind", None), f"{where} kind")
+    return KINDS[kind](**_checked(block, _ORACLES[kind], where, f"{kind} {where} field"))
+
+
 _LEMMA31 = {"h": (STR, REQUIRED), "g_max": (NATURAL, 4), "n_max": (POSITIVE, 8)}
 _RANDOM = {
     "seed": (INT, 0), "triples": (NATURAL, 50), "core_max": (POSITIVE, 3),
@@ -156,10 +164,10 @@ PARAMS = {
     "product": _PRODUCT,
     "quotient": {
         **_PRODUCT,
-        "oracle": (_block(_ORACLE), REQUIRED),
+        "oracle": (_oracle, REQUIRED),
         "check": (_block({"h": (WORDS, REQUIRED), "K": (INT, REQUIRED)}), None),
     },
-    "tightness": {**_PRODUCT, "oracle": (_block(_ORACLE), REQUIRED)},
+    "tightness": {**_PRODUCT, "oracle": (_oracle, REQUIRED)},
     "axioms": {
         **_RANK,
         "lemma31": (_block(_LEMMA31), None),
@@ -466,15 +474,14 @@ def _cmd_product(params: dict, budgets: dict):
 
 def _cmd_quotient(params: dict, budgets: dict):
     spec = _product_spec(params)
-    o = params["oracle"]
-    oracle = QuotientOracle(o["kind"], o["kill"], o["coefficients"])
+    oracle = params["oracle"]
     r_max = budgets["r_max"]
     seq = quotient_ball_counts(spec, oracle, r_max)
     balls = seq.balls()
     b = check_subadditivity(balls)
     fek = fekete_bracket(balls, b)
     results = {
-        "oracle": oracle.describe(),
+        "oracle": oracle,
         "p": spec.p,
         "fekete": fek,
         "subadditivity_b": b,
@@ -491,16 +498,14 @@ def _cmd_quotient(params: dict, budgets: dict):
             spec, oracle, spec.point(h_words), check["K"], r_max, cutoff=budgets["cutoff"]
         )
         results["structure_check"] = struct
-    elif oracle.kind != "factor-kernel":
+    else:
         results["section_size"] = balls[-1]
     return results, _counts_table(seq), seq.to_csv()
 
 
 def _cmd_tightness(params: dict, budgets: dict):
     spec = _product_spec(params)
-    o = params["oracle"]
-    oracle = QuotientOracle(o["kind"], o["kill"], o["coefficients"])
-    report = tightness_verdict(spec, oracle, budgets["r_max"], budgets["tol"])
+    report = tightness_verdict(spec, params["oracle"], budgets["r_max"], budgets["tol"])
     table = format_table(
         ["quantity", "value"],
         [

@@ -109,6 +109,7 @@ def _lp_norm(values: Sequence[int], p: float) -> float | int:
 
 def lp_length(spec: LpProductSpec, x: ProductPoint) -> float | int:
     _check_shape(spec, x)
+    _check_key_exponent(spec.p)
     return _lp_norm([len(c) for c in x.coords], spec.p)
 
 
@@ -116,6 +117,7 @@ def lp_distance(spec: LpProductSpec, x: ProductPoint, y: ProductPoint) -> float 
     """L^p combination of the coordinate word distances; exact int for p in {1, inf}."""
     _check_shape(spec, x)
     _check_shape(spec, y)
+    _check_key_exponent(spec.p)
     return _lp_norm([len(~a * b) for a, b in zip(x.coords, y.coords)], spec.p)
 
 
@@ -218,6 +220,15 @@ def norm_key(p: float, profile: Sequence[int]):
 MAX_FINITE_P = 1000
 
 
+def _check_key_exponent(p: float) -> None:
+    """Exact norm keys of a finite p above MAX_FINITE_P are out of reach."""
+    if math.inf > p > MAX_FINITE_P:
+        raise ResourceLimitError(
+            f"exponent p = {p:g} exceeds {MAX_FINITE_P}, the largest finite p"
+            ' with exact norm keys; use p = "inf" for the max-norm'
+        )
+
+
 def norm_budget(p: float, R):
     """Largest norm key inside the radius-R ball: a profile lies in the ball
     exactly when norm_key(p, profile) <= norm_budget(p, R).
@@ -230,11 +241,7 @@ def norm_budget(p: float, R):
     """
     if p == math.inf:
         return math.floor(R)
-    if p > MAX_FINITE_P:
-        raise ResourceLimitError(
-            f"exponent p = {p:g} exceeds {MAX_FINITE_P}, the largest finite p"
-            ' with exact norm keys; use p = "inf" for the max-norm'
-        )
+    _check_key_exponent(p)
     if p == int(p):
         return math.floor(Fraction(R) ** int(p))
     try:

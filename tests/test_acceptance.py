@@ -16,8 +16,9 @@ import pytest
 from growthtight import (
     Alphabet,
     Axis,
+    FactorKernel,
+    HomToIntegers,
     LpProductSpec,
-    QuotientOracle,
     avoid_factors,
     check_projection_axioms,
     check_prop_minimal,
@@ -105,7 +106,7 @@ def test_tightness_verdicts_for_factor_kernels():
     gap of at least 0.9 log 3; at p=1 it is not-tight with bracket overlap
     within 0.08; both in under 2 min."""
     t0 = time.monotonic()
-    kernel = QuotientOracle.factor_kernel([1])
+    kernel = FactorKernel([1])
     rep = tightness_verdict(LpProductSpec((RANK2, RANK2), INF), kernel, 8, 0.08)
     assert rep.verdict == "tight"
     assert rep.gap >= 0.9 * LOG3
@@ -144,7 +145,7 @@ def test_minimal_sections_have_a_restricted_coordinate():
     every minimal-section representative within L^1 radius 6 keeps its first
     coordinate inside Ghat(K); 13 cosets, zero counterexamples."""
     spec = LpProductSpec((RANK2, RANK2), 1)
-    kernel = QuotientOracle.hom_to_integers(((1, 1), (1, -1)))
+    kernel = HomToIntegers(((1, 1), (1, -1)))
     h_tuple = spec.point([word2("ab"), word2("bA")])
     rep = check_prop_minimal(spec, kernel, h_tuple, shorten_threshold(word2("ab")), 6)
     assert rep.checked == 13

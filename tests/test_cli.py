@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from growthtight import __version__
 from growthtight import cli
 from growthtight.errors import InternalInvariantError
+from growthtight.products import LpProductSpec
+from growthtight.quotients import KINDS, minimal_section
 from growthtight.tree import ghat_membership_exact, shorten, shorten_threshold
 from growthtight.words import Alphabet, ReducedWord, enumerate_sphere, format_word, parse_word
 
@@ -239,6 +241,24 @@ class TestCommands:
         assert res["verdict"] == "not-tight"
         assert res["overlap_gap"] <= 1e-6
 
+    @pytest.mark.parametrize("oracle", [
+        {"kind": "factor-kernel", "kill": [1]},
+        {"kind": "abelianization-kernel"},
+        {"kind": "homomorphism-to-integers", "coefficients": [[1, 1], [1, -1]]},
+    ], ids=["factor-kernel", "abelianization", "hom"])
+    def test_quotient_without_check_reports_the_section_size(self, tmp_path, capsys, oracle):
+        params = {"factors": [{"rank": 2}, {"rank": 2}], "p": 1, "oracle": oracle}
+        job = write_job(tmp_path, "quotient", params, {"r_max": 3})
+        code, out, _ = run_cli(capsys, "run", str(job), "--quiet")
+        res = json.loads(out)["results"]
+        assert code == 0 and res["oracle"] == oracle
+        spec = LpProductSpec((Alphabet(2), Alphabet(2)), 1)
+        record = cli._oracle(oracle, "oracle")
+        assert res["section_size"] == res["balls"][-1] == minimal_section(spec, record, 3).size
+
+    def test_every_quotient_kind_has_a_field_table(self):
+        assert list(cli._ORACLES) == list(KINDS)
+
     def test_axioms_explicit(self, tmp_path, capsys):
         job = write_job(
             tmp_path,
@@ -322,6 +342,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 2 and "missing required parameter 'h'" in err
 
+    @pytest.mark.parametrize("command", ["quotient", "tightness"])
+    @pytest.mark.parametrize("oracle", [
+        {"kind": "verbal-kernel"}, {"kind": "user-table"}, {"kind": [1]}, {"kind": {}},
+        {}, {"kill": [1]},
+    ], ids=["verbal-kernel", "user-table", "list", "object", "empty", "no-kind"])
+    def test_unknown_oracle_kind_is_invalid_input(self, tmp_path, capsys, command, oracle):
+        params = {"factors": [{"rank": 2}, {"rank": 2}], "p": 1, "oracle": oracle}
+        job = write_job(tmp_path, command, params)
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2 and "oracle kind must be one of" in err
+
     def test_negative_budget(self, tmp_path, capsys):
         job = write_job(tmp_path, "count", {"rank": 2}, {"r_max": -1})
         assert run_cli(capsys, "run", str(job))[0] == 2
@@ -379,8 +410,8 @@ class TestExitCodes:
         assert code == 2 and "rank must be an integer" in err
 
     def test_cutoff_hits_resource_limit(self, tmp_path, capsys):
-        # the structure check enumerates the minimal section, so the cutoff
-        # still bounds it even though the ball counts enumerate nothing
+        # a homomorphism check spells its minimal section and lists no word,
+        # but minimal_section checks its radius against the cutoff up front
         job = write_job(
             tmp_path,
             "quotient",
@@ -550,11 +581,15 @@ class TestExitCodes:
         ("quotient", {"factors": [{"rank": 2}, {"rank": 2}], "p": 1,
                       "oracle": {"kind": "abelianization-kernel", "kill": [1],
                                  "coefficients": [[1, 1], [1, -1]]}},
-         {}, "oracle kill applies only to factor-kernel, not abelianization-kernel"),
+         {}, "unknown abelianization-kernel oracle field 'coefficients'"),
         ("tightness", {"factors": [{"rank": 2}, {"rank": 2}], "p": 1,
                        "oracle": {"kind": "factor-kernel", "kill": [1],
                                   "coefficients": [[1, 1], [1, -1]]}},
-         {}, "oracle coefficients apply only to homomorphism-to-integers, not factor-kernel"),
+         {}, "unknown factor-kernel oracle field 'coefficients'"),
+        ("quotient", {"factors": [{"rank": 2}, {"rank": 2}], "p": 1,
+                      "oracle": {"kind": "homomorphism-to-integers", "kill": [0],
+                                 "coefficients": [[1, 1], [1, -1]]}},
+         {}, "unknown homomorphism-to-integers oracle field 'kill'"),
         ("product", {"factors": [{"rank": 2}, {"rank": 2}], "p": 10**400}, {},
          "exponent p is too large for a float"),
         ("avoid", {"rank": 2, "factors": ["a b"], "sweep": {"max_len": 1}}, {},
@@ -581,7 +616,8 @@ class TestExitCodes:
         "random-seed-list", "random-list", "candidate_xi-string",
         "axis-translate-int", "axes-empty", "oracle-kill-string", "oracle-coefficients-strings",
         "check-h-three-words-two-factors", "abelianization-oracle-with-kill",
-        "factor-kernel-oracle-with-coefficients", "product-p-integer-overflows-float",
+        "factor-kernel-oracle-with-coefficients", "hom-oracle-with-kill",
+        "product-p-integer-overflows-float",
         "avoid-factors-and-sweep", "avoid-no-mode", "axioms-lemma31-and-axes",
         "axioms-random-and-axes", "lemma31-with-samples", "lemma31-with-candidate_xi",
         "sweep-with-compare_inverse-false", "sweep-with-compare_inverse-true",
@@ -843,6 +879,25 @@ VALID_JOBS = [
             "candidate_xi": 3,
         },
         {},
+    ),
+    # the quotient kinds without a check, so that every kind's field table is fuzzed
+    (
+        "quotient",
+        {
+            "factors": [{"rank": 2}, {"rank": 1}],
+            "p": 2,
+            "oracle": {"kind": "abelianization-kernel"},
+        },
+        {"r_max": 3},
+    ),
+    (
+        "quotient",
+        {
+            "factors": [{"rank": 2}, {"rank": 2}],
+            "p": "inf",
+            "oracle": {"kind": "factor-kernel", "kill": [0]},
+        },
+        {"r_max": 3},
     ),
 ]
 JUNK = [-1, 0, 2.5, True, "x", [], [1], {}, None]

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import time
 
 import pytest
 
@@ -92,6 +94,24 @@ class TestDistances:
             lp_length(spec, LpProductSpec((RANK2,), 1).point([word2("a")]))
         with pytest.raises(InvalidInputError, match="alphabet"):
             spec.point([word2("a"), Alphabet(3).identity])
+
+    @pytest.mark.parametrize("p", [1e7, 1e308])
+    def test_huge_finite_p_hits_resource_limit_at_once(self, p):
+        # an integer p forms exact keys r**p, which grow without bound with p
+        spec = LpProductSpec((RANK2, RANK2), p)
+        x, y = pt2(spec, "aba", "ab"), pt2(spec, "", "")
+        start = time.perf_counter()
+        for call in (lambda: lp_length(spec, x), lambda: lp_distance(spec, x, y)):
+            with pytest.raises(ResourceLimitError, match=re.escape(f"p = {p:g} exceeds 1000")):
+                call()
+        assert time.perf_counter() - start < 1.0
+
+    def test_p_1000_still_has_lengths(self):
+        spec = LpProductSpec((RANK2, RANK2), 1000)
+        x = pt2(spec, "aba", "ab")
+        assert lp_length(spec, x) == lp_distance(spec, spec.identity(), x)
+        # (3^1000 + 2^1000)^(1/1000) = 3 (1 + (2/3)^1000)^(1/1000)
+        assert lp_length(spec, x) == pytest.approx(3.0, rel=1e-12)
 
     def test_product_needs_a_factor(self):
         with pytest.raises(InvalidInputError):

@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthtight import (
+    Abelianization,
     Alphabet,
+    FactorKernel,
+    HomToIntegers,
     InvalidInputError,
     LpProductSpec,
-    QuotientOracle,
     ResourceLimitError,
     check_prop_minimal,
     check_section_structure,
@@ -22,7 +24,8 @@ from growthtight import (
     tightness_verdict,
 )
 from growthtight import words
-from growthtight.quotients import _first_words_by_part
+from growthtight.quotients import KINDS
+from growthtight.reports import canonical_json
 from growthtight.tree import shorten_threshold
 
 import oracles
@@ -35,7 +38,7 @@ F2 = LpProductSpec((RANK2,), 1)
 F2F2_P1 = LpProductSpec((RANK2, RANK2), 1)
 F2F2_INF = LpProductSpec((RANK2, RANK2), INF)
 
-HOM = QuotientOracle.hom_to_integers(((1, 1), (1, -1)))
+HOM = HomToIntegers(((1, 1), (1, -1)))
 
 
 def hom_key(coords: tuple[str, ...]) -> int:
@@ -52,48 +55,41 @@ def charmap(section) -> dict:
 
 
 class TestOracleConstruction:
-    def test_kinds_and_describe(self):
-        assert QuotientOracle.factor_kernel([1]).describe() == {
-            "kind": "factor-kernel",
-            "kill": [1],
-        }
-        assert QuotientOracle.abelianization().describe() == {
-            "kind": "abelianization-kernel"
-        }
-        assert HOM.describe()["coefficients"] == [[1, 1], [1, -1]]
+    def test_kinds_and_report_blocks(self):
+        # each record is written as the oracle block of a report, and KINDS
+        # names its class by the block's kind
+        for record, block in [
+            (FactorKernel([1, 0, 1]), {"kind": "factor-kernel", "kill": [0, 1]}),
+            (Abelianization(), {"kind": "abelianization-kernel"}),
+            (HOM, {"kind": "homomorphism-to-integers", "coefficients": [[1, 1], [1, -1]]}),
+        ]:
+            assert canonical_json(record) == canonical_json(block)
+            assert KINDS[block["kind"]] is type(record)
 
     def test_bad_constructions(self):
-        with pytest.raises(InvalidInputError, match="unknown oracle kind"):
-            QuotientOracle("verbal-kernel")
-        with pytest.raises(InvalidInputError):
-            QuotientOracle.factor_kernel([-1])
-        with pytest.raises(InvalidInputError):
-            QuotientOracle.hom_to_integers(())
-        with pytest.raises(InvalidInputError, match="unknown oracle kind"):
-            QuotientOracle("user-table")
-        # a field of another kind is an error, not ignored
-        with pytest.raises(InvalidInputError, match="kill applies only to factor-kernel"):
-            QuotientOracle("abelianization-kernel", killed=[1])
-        with pytest.raises(InvalidInputError, match="kill applies only to factor-kernel"):
-            QuotientOracle("homomorphism-to-integers", [0], [[1, 1]])
-        with pytest.raises(InvalidInputError, match="coefficients apply only"):
-            QuotientOracle("abelianization-kernel", coefficients=[[1, 1], [1, -1]])
-        with pytest.raises(InvalidInputError, match="coefficients apply only"):
-            QuotientOracle("factor-kernel", [1], [[1, 1]])
+        with pytest.raises(InvalidInputError, match="must be >= 0"):
+            FactorKernel([-1])
+        with pytest.raises(InvalidInputError, match="needs coefficient rows"):
+            HomToIntegers(())
+        # a field of another kind is not a field of the record
+        with pytest.raises(TypeError):
+            Abelianization(kill=[1])
+        with pytest.raises(TypeError):
+            FactorKernel([1], coefficients=[[1, 1]])
 
     def test_validate_for(self):
         with pytest.raises(InvalidInputError, match="out of range"):
-            QuotientOracle.factor_kernel([2]).validate_for(F2F2_P1)
+            FactorKernel([2]).validate_for(F2F2_P1)
         with pytest.raises(InvalidInputError, match="coefficient rows"):
-            QuotientOracle.hom_to_integers(((1, 1),)).validate_for(F2F2_P1)
+            HomToIntegers(((1, 1),)).validate_for(F2F2_P1)
         with pytest.raises(InvalidInputError, match="rank"):
-            QuotientOracle.hom_to_integers(((1,), (1,))).validate_for(F2F2_P1)
+            HomToIntegers(((1,), (1,))).validate_for(F2F2_P1)
 
     def test_keys_are_constant_on_cosets(self):
         # multiplying a coordinate by a kernel word fixes the key
         g = F2F2_P1.point([word2("ab"), word2("Ba")])
         shifted = F2F2_P1.point([word2("ab") * word2("abAB"), word2("Ba")])
-        ab = QuotientOracle.abelianization()
+        ab = Abelianization()
         assert ab.key(g) == ab.key(shifted)
         assert HOM.key(g) == HOM.key(shifted)
 
@@ -120,11 +116,11 @@ class TestMinimalSection:
 
     def test_abelianization_matches_brute_scan(self):
         key_fn = lambda coords: (oracles.exp_vector(coords[0], 2),)
-        sec = charmap(minimal_section(F2, QuotientOracle.abelianization(), 3))
+        sec = charmap(minimal_section(F2, Abelianization(), 3))
         assert sec == oracles.minimal_section_brute(1, [2], key_fn, 3)
 
     def test_factor_kernel_section_is_the_surviving_ball(self):
-        sec = minimal_section(F2F2_P1, QuotientOracle.factor_kernel([1]), 2)
+        sec = minimal_section(F2F2_P1, FactorKernel([1]), 2)
         reps = sorted(charmap(sec).values())
         assert len(reps) == 17  # |B_2| in the surviving factor
         for key, (point, length) in sec.entries.items():
@@ -139,7 +135,7 @@ class TestMinimalSection:
             assert large[key] == entry
 
     def test_rep_length_is_the_coset_minimum(self):
-        sec = minimal_section(F2, QuotientOracle.abelianization(), 3)
+        sec = minimal_section(F2, Abelianization(), 3)
         best: dict = {}
         for w in enumerate_ball(RANK2, 3):
             key = (w.exponent_sums(),)
@@ -148,31 +144,31 @@ class TestMinimalSection:
 
     def test_negative_radius_is_rejected(self):
         with pytest.raises(InvalidInputError):
-            minimal_section(F2, QuotientOracle.abelianization(), -1)
+            minimal_section(F2, Abelianization(), -1)
 
     def test_cutoff_guard(self):
         with pytest.raises(ResourceLimitError):
-            minimal_section(F2, QuotientOracle.abelianization(), 8, cutoff=6)
+            minimal_section(F2, Abelianization(), 8, cutoff=6)
 
     def test_scan_combines_one_word_per_part(self, monkeypatch):
         # A hom part on the F2 sphere of radius r takes r + 1 values, so the
         # profiles r1 + r2 <= 6 need sum (r1 + 1)(r2 + 1) = 210 combinations;
         # the L^1 ball of radius 6 in F2 x F2 has 11 665 product points.
         calls = 0
-        combine = QuotientOracle.combine
+        combine = HomToIntegers.combine
 
         def counting_combine(self, parts):
             nonlocal calls
             calls += 1
             return combine(self, parts)
 
-        monkeypatch.setattr(QuotientOracle, "combine", counting_combine)
+        monkeypatch.setattr(HomToIntegers, "combine", counting_combine)
         sec = minimal_section(F2F2_P1, HOM, 6)
         assert sec.size == 13
         assert calls <= 250
 
     @pytest.mark.parametrize("oracle,h", [
-        (QuotientOracle.abelianization(), ("abAB", "abAB")),
+        (Abelianization(), ("abAB", "abAB")),
         (HOM, ("ab", "bA")),
     ], ids=["abelianization", "hom"])
     def test_additive_check_lists_no_words(self, monkeypatch, oracle, h):
@@ -205,10 +201,10 @@ class TestSpelledRepresentatives:
     ])
     def test_first_word_per_part_and_order(self, rank, r_max, row):
         if row is None:
-            oracle = QuotientOracle.abelianization()
+            oracle = Abelianization()
         else:
-            oracle = QuotientOracle.hom_to_integers([row])
-        got = _first_words_by_part(oracle, 0, Alphabet(rank), r_max)
+            oracle = HomToIntegers([row])
+        got = oracle.first_words(0, Alphabet(rank), r_max, r_max)
         want = oracles.first_words_by_part(rank, r_max, _part_fn(rank, row))
         assert [[(t, chars(w)) for t, w in sphere] for sphere in got] == want
 
@@ -226,20 +222,20 @@ def section_cases(draw):
     spec = LpProductSpec(tuple(Alphabet(k) for k in ranks), p)
     if kind == "factor":
         killed = draw(st.sets(st.integers(0, len(ranks) - 1)))
-        oracle = QuotientOracle.factor_kernel(killed)
+        oracle = FactorKernel(killed)
 
         def key_fn(coords):
             return tuple(oracles.lex_key(c) for i, c in enumerate(coords) if i not in killed)
 
     elif kind == "abelianization":
-        oracle = QuotientOracle.abelianization()
+        oracle = Abelianization()
 
         def key_fn(coords):
             return tuple(oracles.exp_vector(c, k) for c, k in zip(coords, ranks))
 
     else:
         rows = [draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)) for k in ranks]
-        oracle = QuotientOracle.hom_to_integers(rows)
+        oracle = HomToIntegers(rows)
 
         def key_fn(coords):
             return sum(
@@ -266,18 +262,18 @@ class TestSectionAgainstBruteScan:
 
 class TestQuotientBallCounts:
     def test_abelianized_f2_is_the_diamond_lattice(self):
-        got = quotient_ball_counts(F2, QuotientOracle.abelianization(), 4)
+        got = quotient_ball_counts(F2, Abelianization(), 4)
         assert got.balls() == [1, 5, 13, 25, 41]
         assert list(got.spheres) == [1, 4, 8, 12, 16]
 
     def test_kill_all_factors_is_the_trivial_group(self):
-        oracle = QuotientOracle.factor_kernel([0, 1])
+        oracle = FactorKernel([0, 1])
         images = quotient_ball_counts(F2F2_P1, oracle, 3)
         assert images.balls() == [1, 1, 1, 1]
         assert scanned_balls(F2F2_P1, oracle, 3) == [1, 1, 1, 1]
 
     def test_kill_one_factor_leaves_free_group_counts(self):
-        oracle = QuotientOracle.factor_kernel([1])
+        oracle = FactorKernel([1])
         images = quotient_ball_counts(F2F2_P1, oracle, 4)
         assert images.balls() == [1, 5, 17, 53, 161]
         assert scanned_balls(F2F2_P1, oracle, 4) == [1, 5, 17, 53, 161]
@@ -288,7 +284,7 @@ class TestQuotientBallCounts:
 
     def test_left_invariance_of_key_balls(self):
         # the key image of g * B_r has the size of the r-ball's key image
-        oracle = QuotientOracle.abelianization()
+        oracle = Abelianization()
         ball_keys = {
             oracle.key(F2.point([x])) for x in enumerate_ball(RANK2, 4)
         }
@@ -300,7 +296,7 @@ class TestQuotientBallCounts:
             assert len(shifted) == len(ball_keys) == 41
 
 
-def scanned_balls(spec: LpProductSpec, oracle: QuotientOracle, r_max: int) -> list[int]:
+def scanned_balls(spec: LpProductSpec, oracle, r_max: int) -> list[int]:
     """Quotient balls read off the enumerated minimal section."""
     lengths = sorted(length for _, length in minimal_section(spec, oracle, r_max).entries.values())
     return [bisect.bisect_right(lengths, r + 1e-9) for r in range(r_max + 1)]
@@ -313,11 +309,11 @@ def coordinatewise_quotients(draw):
     spec = LpProductSpec(tuple(Alphabet(k) for k in ranks), p)
     kind = draw(st.sampled_from(("factor", "abelianization", "hom")))
     if kind == "factor":
-        oracle = QuotientOracle.factor_kernel(draw(st.sets(st.integers(0, len(ranks) - 1))))
+        oracle = FactorKernel(draw(st.sets(st.integers(0, len(ranks) - 1))))
     elif kind == "abelianization":
-        oracle = QuotientOracle.abelianization()
+        oracle = Abelianization()
     else:
-        oracle = QuotientOracle.hom_to_integers(
+        oracle = HomToIntegers(
             [draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)) for k in ranks]
         )
     r_max = draw(st.integers(0, 4))
@@ -330,14 +326,14 @@ def coordinatewise_quotients(draw):
 class TestImagesAgainstEnumeration:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(coordinatewise_quotients())
-    @example((F2F2_P1, QuotientOracle.hom_to_integers(((0, 0), (2, 2))), 4))
-    @example((F2F2_INF, QuotientOracle.hom_to_integers(((2, 0), (0, 2))), 4))
+    @example((F2F2_P1, HomToIntegers(((0, 0), (2, 2))), 4))
+    @example((F2F2_INF, HomToIntegers(((2, 0), (0, 2))), 4))
     @example(
-        (LpProductSpec((RANK2, Alphabet(1)), 1.5), QuotientOracle.hom_to_integers(((1, 1), (1,))), 4)
+        (LpProductSpec((RANK2, Alphabet(1)), 1.5), HomToIntegers(((1, 1), (1,))), 4)
     )
-    @example((LpProductSpec((Alphabet(3),), 2), QuotientOracle.hom_to_integers(((2, -2, 0),)), 4))
-    @example((F2F2_INF, QuotientOracle.abelianization(), 4))
-    @example((F2F2_P1, QuotientOracle.factor_kernel([0, 1]), 4))
+    @example((LpProductSpec((Alphabet(3),), 2), HomToIntegers(((2, -2, 0),)), 4))
+    @example((F2F2_INF, Abelianization(), 4))
+    @example((F2F2_P1, FactorKernel([0, 1]), 4))
     def test_image_balls_equal_section_balls(self, case):
         spec, oracle, r_max = case
         images = quotient_ball_counts(spec, oracle, r_max)
@@ -374,7 +370,7 @@ class TestSectionStructure:
 
     def test_oracle_is_checked_against_the_spec_before_keys_are_read(self):
         # one coefficient row for two factors: reading h's key would index past it
-        one_row = QuotientOracle.hom_to_integers([[1, 1]])
+        one_row = HomToIntegers([[1, 1]])
         with pytest.raises(InvalidInputError, match="1 coefficient rows for 2 factors"):
             check_prop_minimal(F2F2_P1, one_row, self.h_tuple(), 6, 3)
 
@@ -387,7 +383,7 @@ class TestSectionStructure:
 
 class TestTightnessVerdict:
     def test_kill_factor_at_linf_is_tight(self):
-        rep = tightness_verdict(F2F2_INF, QuotientOracle.factor_kernel([1]), 8, 0.08)
+        rep = tightness_verdict(F2F2_INF, FactorKernel([1]), 8, 0.08)
         assert rep.verdict == "tight"
         assert rep.gap == pytest.approx(LOG3, abs=1e-6)
         assert rep.rationale
@@ -396,7 +392,7 @@ class TestTightnessVerdict:
         assert d["delta_GN"]["upper"] == pytest.approx(LOG3, abs=1e-6)
 
     def test_kill_factor_at_l1_is_not_tight(self):
-        rep = tightness_verdict(F2F2_P1, QuotientOracle.factor_kernel([1]), 8, 0.08)
+        rep = tightness_verdict(F2F2_P1, FactorKernel([1]), 8, 0.08)
         assert rep.verdict == "not-tight"
         assert rep.overlap_gap <= 1e-6
         d = report_fields(rep)
@@ -404,7 +400,7 @@ class TestTightnessVerdict:
         assert rep.rationale
 
     def test_abelianization_is_tight(self):
-        rep = tightness_verdict(F2, QuotientOracle.abelianization(), 8, 0.08)
+        rep = tightness_verdict(F2, Abelianization(), 8, 0.08)
         assert rep.verdict == "tight"
         assert rep.gap > 0.2
         assert rep.rationale
@@ -412,7 +408,7 @@ class TestTightnessVerdict:
     def test_abelianized_f2xf2_at_linf_is_tight(self):
         # Z^2 x Z^2 with the max of the two l^1 norms: the ball is the square
         # of the l^1 diamond 2r^2 + 2r + 1.
-        oracle = QuotientOracle.abelianization()
+        oracle = Abelianization()
         rep = tightness_verdict(F2F2_INF, oracle, 8, 0.08)
         assert rep.verdict == "tight"
         assert quotient_ball_counts(F2F2_INF, oracle, 8).balls() == [
@@ -425,13 +421,13 @@ class TestTightnessVerdict:
         ]
 
     def test_killing_nothing_is_inconclusive(self):
-        rep = tightness_verdict(F2F2_P1, QuotientOracle.factor_kernel([]), 6, 0.08)
+        rep = tightness_verdict(F2F2_P1, FactorKernel([]), 6, 0.08)
         assert rep.verdict == "inconclusive"
         assert rep.gap <= 0.08
         assert rep.rationale
 
     def test_report_serializes(self):
-        rep = tightness_verdict(F2F2_INF, QuotientOracle.factor_kernel([1]), 6, 0.08)
+        rep = tightness_verdict(F2F2_INF, FactorKernel([1]), 6, 0.08)
         d = report_fields(rep)
         assert d["p"] == "inf"
         assert d["verdict"] == "tight"
