@@ -57,7 +57,16 @@ from .tree import (
     shorten_threshold,
     walk_ghat_ball,
 )
-from .words import Alphabet, ReducedWord, _word, enumerate_sphere, format_word, parse_word
+from .words import (
+    Alphabet,
+    ReducedWord,
+    _inverse,
+    _reduce_concat,
+    _word,
+    enumerate_sphere,
+    format_word,
+    parse_word,
+)
 
 REQUIRED = object()  # the default of a field every job must give
 
@@ -421,18 +430,21 @@ def _shorten_sweep(alphabet: Alphabet, h: ReducedWord, g_max: int, K: int) -> di
     """
     shortened = 0
     failures: list[ReducedWord] = []
+    h_inverse = _inverse(h.letters)
 
     def check(g: ReducedWord) -> None:
         nonlocal shortened
         res = shorten(g, h, K)
-        recomposed = (
-            res is not None
-            and res.g_prime == res.k * ~h * ~res.k * g
-        )
-        if res is None or len(res.g_prime) >= len(g) or not recomposed:
-            failures.append(g)
-        else:
-            shortened += 1
+        if res is not None and len(res.g_prime) < len(g):
+            k = res.k.letters
+            # g' = k h^-1 k^-1 g, on letter tuples
+            recomposed = _reduce_concat(
+                _reduce_concat(_reduce_concat(k, h_inverse), _inverse(k)), g.letters
+            )
+            if res.g_prime.letters == recomposed:
+                shortened += 1
+                return
+        failures.append(g)
 
     checked, in_ghat = walk_ghat_ball(alphabet, h, K, g_max, check)
     return {
@@ -518,7 +530,9 @@ def _cmd_tightness(params: dict, budgets: dict):
     return report, table, None
 
 
-def _random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int, cyclic: bool):
+def _random_letters(
+    rng: random.Random, alphabet: Alphabet, length: int, cyclic: bool
+) -> tuple[int, ...]:
     letters: list[int] = []
     for _ in range(length):
         options = [
@@ -530,18 +544,18 @@ def _random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int, cy
             )
         ]
         letters.append(rng.choice(options))
-    return _word(alphabet, tuple(letters))
+    return tuple(letters)
 
 
 def _random_axis(rng: random.Random, alphabet: Alphabet, core_max: int, conj_max: int) -> Axis:
     while True:
         core_len = rng.randint(1, core_max)
         conj_len = rng.randint(0, conj_max)
-        core = _random_reduced_word(rng, alphabet, core_len, cyclic=True)
-        conj = _random_reduced_word(rng, alphabet, conj_len, cyclic=False)
-        h = conj * core * ~conj
+        core = _random_letters(rng, alphabet, core_len, cyclic=True)
+        conj = _random_letters(rng, alphabet, conj_len, cyclic=False)
+        h = _reduce_concat(_reduce_concat(conj, core), _inverse(conj))
         if h:
-            return Axis.from_element(h)
+            return Axis.from_element(_word(alphabet, h))
 
 
 def _lemma31_sweep(alphabet: Alphabet, block: dict, budgets: dict):

@@ -107,18 +107,30 @@ def _lp_norm(values: Sequence[int], p: float) -> float | int:
         return math.exp(math.log(key) / p)
 
 
+def _checked_norm(p: float, values: Sequence[int]) -> float | int:
+    """_lp_norm of one radius profile, with the checks norm_budget makes on a
+    ball: a finite p above MAX_FINITE_P, or a non-integer p whose key
+    overflows a float, raises ResourceLimitError."""
+    _check_key_exponent(p)
+    try:
+        norm = _lp_norm(values, p)
+    except OverflowError:  # one float weight r**p out of range
+        norm = math.inf
+    if norm == math.inf:  # or their float sum
+        raise _key_overflow(p, f"profile {tuple(values)}")
+    return norm
+
+
 def lp_length(spec: LpProductSpec, x: ProductPoint) -> float | int:
     _check_shape(spec, x)
-    _check_key_exponent(spec.p)
-    return _lp_norm([len(c) for c in x.coords], spec.p)
+    return _checked_norm(spec.p, [len(c) for c in x.coords])
 
 
 def lp_distance(spec: LpProductSpec, x: ProductPoint, y: ProductPoint) -> float | int:
     """L^p combination of the coordinate word distances; exact int for p in {1, inf}."""
     _check_shape(spec, x)
     _check_shape(spec, y)
-    _check_key_exponent(spec.p)
-    return _lp_norm([len(~a * b) for a, b in zip(x.coords, y.coords)], spec.p)
+    return _checked_norm(spec.p, [len(~a * b) for a, b in zip(x.coords, y.coords)])
 
 
 def _append_letter(word: tuple[int, ...], letter: int) -> tuple[int, ...]:
@@ -229,6 +241,14 @@ def _check_key_exponent(p: float) -> None:
         )
 
 
+def _key_overflow(p: float, where: str) -> ResourceLimitError:
+    """The error for float norm keys of a non-integer p that overflow."""
+    return ResourceLimitError(
+        f"norm keys at exponent p = {p:g} and {where} overflow a float;"
+        ' use p = "inf" for the max-norm'
+    )
+
+
 def norm_budget(p: float, R):
     """Largest norm key inside the radius-R ball: a profile lies in the ball
     exactly when norm_key(p, profile) <= norm_budget(p, R).
@@ -247,10 +267,7 @@ def norm_budget(p: float, R):
     try:
         return R**p + 1e-9
     except OverflowError:
-        raise ResourceLimitError(
-            f"norm keys at exponent p = {p:g} and radius {R} overflow a float;"
-            ' use p = "inf" for the max-norm'
-        ) from None
+        raise _key_overflow(p, f"radius {R}") from None
 
 
 class LatticeTable:

@@ -137,13 +137,17 @@ class FactorKernel(_Kernel):
         return tuple(p for p in parts if p is not None)
 
     def first_words(self, index: int, alphabet: Alphabet, r_max: int, cutoff: int) -> list:
-        """As _AdditiveKernel.first_words, but every sphere is listed: a killed
-        part is None, so the first word stands for its sphere, and a surviving
-        part is the word itself, so every word is its own first word."""
-        spheres = [enumerate_sphere(alphabet, r, cutoff=cutoff) for r in range(r_max + 1)]
+        """As _AdditiveKernel.first_words.  A killed part is None, so one word
+        stands for each sphere: its first, a^r, as a letter never cancels
+        itself.  A surviving part is the word itself, so every word is its own
+        first word and every sphere is listed."""
         if index in self.kill:
-            return [[(None, sphere[0])] for sphere in spheres]
-        return [[(w.letters, w) for w in sphere] for sphere in spheres]
+            a = alphabet.letters[0]
+            return [[(None, _word(alphabet, (a,) * r))] for r in range(r_max + 1)]
+        return [
+            [(w.letters, w) for w in enumerate_sphere(alphabet, r, cutoff=cutoff)]
+            for r in range(r_max + 1)
+        ]
 
     def ball_counts(self, spec: LpProductSpec, r_max: int) -> CountSequence:
         """A lattice sum over per-factor quotient spheres: (1, 0, 0, ...) for a

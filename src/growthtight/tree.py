@@ -5,13 +5,15 @@ line of its cyclically reduced core's primitive root t, i.e. the vertices
 origin * (prefixes of t^infinity and t^-infinity).  Because t is cyclically
 reduced, the two rays leave the origin through different edges, so projections
 reduce to longest-common-prefix scans.  Axis-to-axis geometry (same_line, the
-projection of one axis onto another) is one overlap scan from a shared vertex.
-Long projections of [o, g.o] onto translated axes (the restricted set Ghat,
-the shortening move) are the maximal runs of g reading the root forward, found
-by the same prefix scan; a run's witness is built only where it is returned,
-and a shortening step deletes one core's letters from the run.  Sweeps over a
-ball of words count whole subtrees of Ghat(K) from its automaton and build
-only the words outside; the lemma 3.1 orbit runs on letter tuples.
+projection of one axis onto another) is one scan from a shared vertex, and
+that scan gives the intervals of a pair on both axes, so the projection axioms
+scan each unordered pair once.  Long projections of [o, g.o] onto translated
+axes (the restricted set Ghat, the shortening move) are the maximal runs of g
+reading the root forward, found by the same prefix scan; a run's witness is
+built only where it is returned, and a shortening step deletes one core's
+letters from the run.  Sweeps over a ball of words count whole subtrees of
+Ghat(K) from its automaton and build only the words outside.  The lemma 3.1
+root test and orbit and the shortening witness run on letter tuples.
 """
 from __future__ import annotations
 
@@ -25,11 +27,11 @@ from .words import (
     Alphabet,
     ReducedWord,
     _check_same_alphabet,
+    _inverse,
     _reduce_concat,
+    _root_key,
     _word,
-    cyclic_reduce,
     format_word,
-    primitive_root,
 )
 
 # Empirical slack for the power/projection dichotomy bound
@@ -73,12 +75,7 @@ class Axis:
     @cached_property
     def backward_ray(self) -> tuple[int, ...]:
         """Letters of the negative core direction, (root^-1)^infinity."""
-        return (~self.root).letters
-
-    @cached_property
-    def element_root(self) -> tuple[ReducedWord, int]:
-        """primitive_root(element)."""
-        return primitive_root(self.element)
+        return _inverse(self.root.letters)
 
     @cached_property
     def base(self) -> tuple[int, tuple[int, ...]]:
@@ -136,29 +133,36 @@ def project_to_axis(x: ReducedWord, ax: Axis) -> ProjectionResult:
     )
 
 
-def _overlap(source: Axis, target: Axis) -> tuple[int, int] | None:
-    """Target-coordinate interval onto which the whole source line projects,
+def _meet(source: Axis, target: Axis) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """(target-coordinate interval onto which the whole source line projects,
+    source-coordinate interval onto which the whole target line projects),
     or None when the two axes are the same line.
 
-    Disjoint lines project to the foot of the bridge between them; meeting
-    lines project to their shared segment.  From a shared vertex each source
-    ray follows at most one target ray, and distinct lines agree on fewer
-    than |root_s| + |root_t| letters (Fine-Wilf), so reaching that cap means
-    the same line.
+    Disjoint lines project to the two ends of the bridge between them;
+    meeting lines project to their shared segment, read in either frame.
+    From a shared vertex each source ray follows at most one target ray, and
+    distinct lines agree on fewer than |root_s| + |root_t| letters
+    (Fine-Wilf), so reaching that cap means the same line.
     """
-    v = target.origin_inverse * source.origin
-    c, d = _frame_coordinate(v.letters, target)
+    v = _reduce_concat(target.origin_inverse.letters, source.origin.letters)
+    c, d = _frame_coordinate(v, target)
     s = source.root.letters
     j = 0  # source coordinate of the shared vertex target.point(c)
     if d:
-        back = (~v).letters[:d]
-        if _agreement(back, s) == d:
+        # the path from source.origin to the target foot, in the source frame
+        back = _inverse(v[len(v) - d :])
+        forward = _agreement(back, s)
+        backward = _agreement(back, source.backward_ray)
+        if forward == d:
             j = d
-        elif _agreement(back, source.backward_ray) == d:
+        elif backward == d:
             j = -d
         else:
-            return c, c
+            # the bridge leaves the source line where this path does
+            foot = forward if forward >= backward else -backward
+            return (c, c), (foot, foot)
     cap = len(s) + len(target.root)
+    spans = []
     lo = hi = c
     for ray, phase in ((s, j), (source.backward_ray, -j)):
         n = len(ray)
@@ -167,21 +171,22 @@ def _overlap(source: Axis, target: Axis) -> tuple[int, int] | None:
         backward = _agreement(letters, target.backward_ray, -c)
         if max(forward, backward) == cap:
             return None
+        spans.append(max(forward, backward))
         lo, hi = min(lo, c - backward), max(hi, c + forward)
-    return lo, hi
+    return (lo, hi), (j - spans[1], j + spans[0])
 
 
 def same_line(a: Axis, b: Axis) -> bool:
     """Whether two axes are the same bi-infinite geodesic (as vertex sets)."""
-    return a.alphabet == b.alphabet and _overlap(a, b) is None
+    return a.alphabet == b.alphabet and _meet(a, b) is None
 
 
 def project_axis_onto_axis(source: Axis, target: Axis) -> tuple[int, int]:
     """Coordinate interval on target swept by projecting the whole source line."""
-    interval = _overlap(source, target)
-    if interval is None:
+    meet = _meet(source, target)
+    if meet is None:
         raise InvalidInputError("source and target are the same line")
-    return interval
+    return meet[0]
 
 
 def check_projection_axioms(
@@ -199,16 +204,15 @@ def check_projection_axioms(
     finiteness is automatic for a finite family.
     """
     axes = list(axes)
+    # intervals[(t, s)]: the interval on axis t onto which axis s projects;
+    # one scan per unordered pair gives both, lowest pair first
     intervals: dict[tuple[int, int], tuple[int, int]] = {}
     for ti, target in enumerate(axes):
-        for si, src in enumerate(axes):
-            if ti != si:
-                # each pair meets first as (lower, higher), so the lowest
-                # duplicate pair is the one named
-                interval = _overlap(src, target)
-                if interval is None:
-                    raise InvalidInputError(f"axes {ti} and {si} are the same line")
-                intervals[(ti, si)] = interval
+        for si in range(ti + 1, len(axes)):
+            meet = _meet(axes[si], target)
+            if meet is None:
+                raise InvalidInputError(f"axes {ti} and {si} are the same line")
+            intervals[(ti, si)], intervals[(si, ti)] = meet
     pair_diams = {key: hi - lo for key, (lo, hi) in intervals.items()}
     xi_observed = max(pair_diams.values(), default=0)
     triples = []
@@ -266,10 +270,12 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     if not g:
         raise InvalidInputError("g must be non-trivial")
     _check_same_alphabet(g, ax.element)
-    root_g, exp_g = primitive_root(g)
-    root_h, exp_h = ax.element_root
-    if root_g == root_h or root_g == ~root_h:
-        sign = 1 if root_g == root_h else -1
+    # g and h share a primitive root up to sign exactly when their root keys
+    # do: h's is (conjugator, root) and its inverse's (conjugator, root^-1)
+    conjugator, root_g, exp_g = _root_key(g.letters)
+    if conjugator == ax.conjugator.letters and root_g in (ax.root.letters, ax.backward_ray):
+        sign = 1 if root_g == ax.root.letters else -1
+        exp_h = len(ax.core) // len(ax.root)
         # g^exp_h = root^(exp_g*exp_h) = h^(sign*exp_g)
         return Lemma31Report(
             branch="power-in-subgroup",
@@ -282,8 +288,7 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     local_g = _reduce_concat(
         _reduce_concat(ax.origin_inverse.letters, g.letters), ax.origin.letters
     )
-    p_inverse = tuple(x ^ 1 for x in reversed(p))
-    bound = 2 * len(_reduce_concat(p_inverse, _reduce_concat(local_g, p))) + D_TREE
+    bound = 2 * len(_reduce_concat(_inverse(p), _reduce_concat(local_g, p))) + D_TREE
     rows = []
     ok = True
     x = p
@@ -319,8 +324,12 @@ def _axis_parts(h: ReducedWord) -> tuple[ReducedWord, ReducedWord, ReducedWord]:
     Cached, since a sweep asks once per word for the same few h."""
     if not h:
         raise InvalidInputError("h must be non-trivial")
-    core, conjugator = cyclic_reduce(h)
-    return core, conjugator, primitive_root(core)[0]
+    conjugator, root, e = _root_key(h.letters)
+    return (
+        _word(h.alphabet, root * e),
+        _word(h.alphabet, conjugator),
+        _word(h.alphabet, root),
+    )
 
 
 def _threshold(core: ReducedWord, conjugator: ReducedWord) -> int:
@@ -347,10 +356,13 @@ def _witness(
 ) -> LongProjectionWitness:
     """The witness of one long run: k maps h's axis onto the line the run reads."""
     start, phase, length = run
-    before = _word(g.alphabet, g.letters[:start])
-    back = _word(g.alphabet, root.letters[:phase])
+    # k = before back^-1 conjugator^-1, with before = g[:start], back = root[:phase]
+    k = _reduce_concat(
+        _reduce_concat(g.letters[:start], _inverse(root.letters[:phase])),
+        _inverse(conjugator.letters),
+    )
     return LongProjectionWitness(
-        k=before * ~back * ~conjugator, projection_diameter=length, start=start, phase=phase
+        k=_word(g.alphabet, k), projection_diameter=length, start=start, phase=phase
     )
 
 

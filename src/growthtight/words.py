@@ -104,7 +104,7 @@ class ReducedWord:
         return _word(self.alphabet, _reduce_concat(self.letters, other.letters))
 
     def __invert__(self) -> "ReducedWord":
-        return _word(self.alphabet, tuple(x ^ 1 for x in reversed(self.letters)))
+        return _word(self.alphabet, _inverse(self.letters))
 
     def __pow__(self, n: int) -> "ReducedWord":
         if n < 0:
@@ -146,6 +146,11 @@ def _check_same_alphabet(u: ReducedWord, v: ReducedWord) -> None:
         )
 
 
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of the inverse word."""
+    return tuple(x ^ 1 for x in reversed(letters))
+
+
 def _reduce_concat(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
     """The reduced letters of left followed by right, both reduced: letters
     cancel only where the two meet."""
@@ -175,27 +180,36 @@ def free_reduce(alphabet: Alphabet, raw: Iterable[int | str]) -> ReducedWord:
 
 def cyclic_reduce(w: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
     """Split w = conjugator * core * conjugator^-1 with core cyclically reduced."""
-    letters = w.letters
-    prefix = []
-    while len(letters) >= 2 and letters[0] == letters[-1] ^ 1:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    return _word(w.alphabet, letters), _word(w.alphabet, tuple(prefix))
+    if not w:
+        return w, w
+    conjugator, root, e = _root_key(w.letters)
+    return _word(w.alphabet, root * e), _word(w.alphabet, conjugator)
+
+
+def _root_key(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(conjugator, root, e) of non-empty reduced letters w: w = conjugator
+    root^e conjugator^-1 with root cyclically reduced and primitive, e >= 1
+    maximal.  The three are unique, so two words share a primitive root
+    exactly when their (conjugator, root) agree."""
+    n = len(letters)
+    i = 0
+    while n - 2 * i >= 2 and letters[i] == letters[n - 1 - i] ^ 1:
+        i += 1
+    core = letters[i : n - i]
+    m = len(core)
+    for d in range(1, m + 1):
+        if m % d == 0 and core == core[:d] * (m // d):
+            return letters[:i], core[:d], m // d
+    raise AssertionError("unreachable: every word is a power of itself")
 
 
 def primitive_root(w: ReducedWord) -> tuple[ReducedWord, int]:
     """Return (r, e) with w = r**e, e >= 1 maximal; w must be non-trivial."""
     if not w:
         raise InvalidInputError("identity has no primitive root")
-    core, conj = cyclic_reduce(w)
-    n = len(core)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if core.letters == core.letters[:d] * (n // d):
-            root = _word(w.alphabet, core.letters[:d])
-            return root.conjugated_by(conj), n // d
-    raise AssertionError("unreachable: every word is a power of itself")
+    conjugator, root, e = _root_key(w.letters)
+    # no letters cancel: root starts and ends like the core w conjugates
+    return _word(w.alphabet, conjugator + root + _inverse(conjugator)), e
 
 
 def parse_word(alphabet: Alphabet, text: str) -> ReducedWord:

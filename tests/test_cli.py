@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -795,6 +796,23 @@ class TestShortenSweep:
         assert sweep["failures"] == ["b a b a b a", "a b a b a b a"]
         reference = per_word_sweep(alphabet, h, 8, 6)
         assert sweep["shortened"] == reference["shortened"] - 2
+        assert sweep["in_ghat"] == reference["in_ghat"]
+
+    def test_wrong_witness_fails_the_recomposition_check(self, monkeypatch):
+        # g' is still shorter, but k h^-1 k^-1 g no longer gives it
+        alphabet = Alphabet(2)
+        h = parse_word(alphabet, "a b")
+        extra = parse_word(alphabet, "b")
+
+        def shorten_with_wrong_k(g, h, K):
+            res = shorten(g, h, K)
+            return None if res is None else dataclasses.replace(res, k=res.k * extra)
+
+        monkeypatch.setattr(cli, "shorten", shorten_with_wrong_k)
+        sweep = cli._shorten_sweep(alphabet, h, 8, 6)
+        reference = per_word_sweep(alphabet, h, 8, 6)
+        assert sweep["shortened"] == 0
+        assert len(sweep["failures"]) == reference["shortened"] > 0
         assert sweep["in_ghat"] == reference["in_ghat"]
 
     @pytest.mark.parametrize("command,params", [

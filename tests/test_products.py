@@ -113,6 +113,28 @@ class TestDistances:
         # (3^1000 + 2^1000)^(1/1000) = 3 (1 + (2/3)^1000)^(1/1000)
         assert lp_length(spec, x) == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [700.5, 999.5])
+    def test_overflowing_float_keys_hit_resource_limit(self, p):
+        # 3.0**p overflows a float for these non-integer p
+        spec = LpProductSpec((RANK2, RANK2), p)
+        x = pt2(spec, "aaa", "bb")
+        for call in (lambda: lp_length(spec, x), lambda: lp_distance(spec, spec.identity(), x)):
+            with pytest.raises(ResourceLimitError, match=r"profile \(3, 2\) overflow a float"):
+                call()
+
+    def test_overflowing_float_key_sum_hits_resource_limit(self):
+        # each 3.0**645.9 is a float, but their sum is not
+        spec = LpProductSpec((RANK2, RANK2), 645.9)
+        with pytest.raises(ResourceLimitError, match="overflow a float"):
+            lp_length(spec, pt2(spec, "aaa", "bbb"))
+        assert lp_length(spec, pt2(spec, "aaa", "b")) == 3.0
+
+    def test_fractional_p_lengths_are_unchanged(self):
+        spec = LpProductSpec((RANK2, RANK2), 3.5)
+        x = pt2(spec, "aaa", "bb")
+        assert lp_length(spec, x) == lp_distance(spec, spec.identity(), x)
+        assert lp_length(spec, x) == pytest.approx(3.19157928276, rel=1e-10)
+
     def test_product_needs_a_factor(self):
         with pytest.raises(InvalidInputError):
             LpProductSpec((), 2)

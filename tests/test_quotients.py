@@ -209,6 +209,47 @@ class TestSpelledRepresentatives:
         assert [[(t, chars(w)) for t, w in sphere] for sphere in got] == want
 
 
+def listed_first_words(self, index, alphabet, r_max, cutoff):
+    """FactorKernel.first_words by listing every sphere and keeping, for a
+    killed factor, only its first word: the reference the spelled word of
+    a killed factor must reproduce."""
+    spheres = [words.enumerate_sphere(alphabet, r, cutoff=cutoff) for r in range(r_max + 1)]
+    if index in self.kill:
+        return [[(None, sphere[0])] for sphere in spheres]
+    return [[(w.letters, w) for w in sphere] for sphere in spheres]
+
+
+class TestFactorKernelSections:
+    """A killed factor's first words are spelled, not listed."""
+
+    # (p, largest radius of the brute scan): keep it to ~30 000 product points
+    CASES = [(1, 6), (2, 5), (INF, 4)]
+
+    @pytest.mark.parametrize("killed", [[1], [0, 1]], ids=["kill-1", "kill-both"])
+    @pytest.mark.parametrize("p,brute_max", CASES, ids=["p1", "p2", "pinf"])
+    def test_sections_match_listing_and_brute_scan(self, monkeypatch, p, brute_max, killed):
+        spec = LpProductSpec((RANK2, RANK2), p)
+        oracle = FactorKernel(killed)
+
+        def key_fn(coords):
+            return tuple(oracles.lex_key(c) for i, c in enumerate(coords) if i not in killed)
+
+        got = {r: list(charmap(minimal_section(spec, oracle, r)).items()) for r in range(7)}
+        for r in range(brute_max + 1):
+            assert got[r] == list(oracles.minimal_section_brute(p, [2, 2], key_fn, r).items())
+        monkeypatch.setattr(FactorKernel, "first_words", listed_first_words)
+        for r in range(7):
+            assert got[r] == list(charmap(minimal_section(spec, oracle, r)).items())
+
+    def test_killed_factors_list_no_sphere(self, monkeypatch):
+        def listing(*args, **kwargs):
+            raise AssertionError("a sphere was listed")
+
+        monkeypatch.setattr(words, "iter_sphere_letters", listing)
+        sec = minimal_section(F2F2_P1, FactorKernel([0, 1]), 6)
+        assert charmap(sec) == {(): (("", ""), 0)}
+
+
 @st.composite
 def section_cases(draw):
     """(spec, oracle, r_max, brute key function) over every oracle kind."""

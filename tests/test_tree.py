@@ -27,7 +27,7 @@ from growthtight import (
     shorten_threshold,
     walk_ghat_ball,
 )
-from growthtight.tree import D_TREE
+from growthtight.tree import D_TREE, _meet
 
 import oracles
 from conftest import RANK2, RANK3, chars, report_fields, word2
@@ -244,8 +244,12 @@ class TestOverlapReference:
         if want is None:
             with pytest.raises(InvalidInputError, match="same line"):
                 project_axis_onto_axis(source, target)
+            assert _meet(source, target) is None
         else:
             assert project_axis_onto_axis(source, target) == want
+            # the same scan gives the interval of target's line on source
+            reverse = oracles.axis_overlap(target_h, target_t, source_h, source_t)
+            assert _meet(source, target) == (want, reverse)
 
 
 class TestProjectionAxioms:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthtight import (
     Alphabet,
@@ -20,6 +22,7 @@ from growthtight import (
     primitive_root,
     sphere_size,
 )
+from growthtight.words import _root_key
 
 import oracles
 from conftest import RANK1, RANK2, RANK3, chars, word2
@@ -209,6 +212,38 @@ class TestPrimitiveRoot:
             w = word2(rand_chars(rng, 2, rng.randint(1, 8)))
             root, e = primitive_root(w)
             assert root**e == w
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_root_key_matches_peel_and_root_oracle(self, data):
+        rank = data.draw(st.integers(1, 3))
+        pool = oracles.letters(rank)
+
+        def char_word(max_size, min_size=0):
+            size = data.draw(st.integers(min_size, max_size))
+            out = ""
+            while len(out) < size:
+                c = data.draw(st.sampled_from(pool))
+                if not out or c != oracles.inv(out[-1]):
+                    out += c
+            return out
+
+        # conjugated powers, so exponents above 1 and long conjugators occur
+        base = char_word(4, min_size=1)
+        power = oracles.reduce_scan(base * data.draw(st.integers(1, 3)))
+        conjugator = char_word(3)
+        w = oracles.mult(oracles.mult(conjugator, power), oracles.invert(conjugator))
+        if not w:
+            return
+        alphabet = Alphabet(rank)
+        got_conj, got_root, got_e = _root_key(parse_word(alphabet, oracles.to_lib_text(w)).letters)
+        core, conj = oracles.cyclic_peel(w)
+        root, e = oracles.prim_root(core)
+
+        def as_chars(letters):
+            return oracles.from_lib_text(" ".join(alphabet.letter_name(x) for x in letters))
+
+        assert (as_chars(got_conj), as_chars(got_root), got_e) == (conj, root, e)
 
 
 class TestEnumeration:
