@@ -9,16 +9,20 @@ Jobs are JSON files with schema "growthtight/job-v1":
      "budgets": {"r_max": int, "tol": float, "cutoff": int},
      "output": {"csv": path}}
 
-JOB_FIELDS, BUDGET_FIELDS, PARAMS and _ORACLES (one table per quotient kind)
-list every field a job may hold, with its kind and default.  An unknown field
-at any level, a missing required one or a wrong kind is invalid input.  A job
-gives exactly one of its command's mode blocks (default None): avoid factors
-or sweep, axioms lemma31, random or axes.  MODES lists the fields only some
-blocks read; one given beside another block is invalid input too.
+COMMANDS holds one Command record per command: its parameter table, budget
+defaults and Mode, the run function and the table spec.  avoid and axioms
+hold one Mode per mode block (avoid factors or sweep, axioms lemma31, random
+or axes) with the fields only it reads.  A run function returns the results
+alone: the table (reports.render_table) and the CSV (the report's balls) are
+views of the report, built only when written.  The parameter tables,
+JOB_FIELDS, BUDGET_FIELDS and _ORACLES (one per quotient kind) give every
+field a job may hold its kind and default.  An unknown field at any level, a
+missing required one, a wrong kind, a number that is not finite (p aside), no
+mode block or two, or a field only another block reads is invalid input.
 
 Words use the letter grammar "a b a-" ("-" or "'" marks an inverse; "" or "1"
-is the identity).  Exit status: 0 ok, 2 invalid input, 3 resource limit,
-4 internal invariant breach.
+is the identity).  Exit status: 0 ok, 2 invalid input (an output path that
+cannot be written included), 3 resource limit, 4 internal invariant breach.
 """
 from __future__ import annotations
 
@@ -28,6 +32,8 @@ import json
 import math
 import random
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from . import __version__
 from .automata import (
@@ -45,14 +51,14 @@ from .growth import (
 )
 from .products import LpProductSpec, parse_exponent, verify_duality
 from .quotients import KINDS, check_prop_minimal, quotient_ball_counts, tightness_verdict
-from .reports import JOB_SCHEMA, build_report, canonical_json, format_table
+from .reports import JOB_SCHEMA, build_report, canonical_json, render_table
 from .tree import (
     D_TREE,
     Axis,
+    _meet,
     check_projection_axioms,
     ghat_automaton,
     lemma31_bound_check,
-    same_line,
     shorten,
     shorten_threshold,
     walk_ghat_ball,
@@ -117,7 +123,9 @@ STR = _kind(lambda v: isinstance(v, str), "a string")
 INT = _kind(lambda v: type(v) is int, "an integer")
 NATURAL = _kind(lambda v: type(v) is int and v >= 0, "a non-negative integer")
 POSITIVE = _kind(lambda v: type(v) is int and v > 0, "a positive integer")
-REAL = _kind(lambda v: type(v) in (int, float), "a number")
+# json.load reads NaN and Infinity, which a report cannot embed as numbers:
+# the bounds below reject them
+REAL = _kind(lambda v: type(v) in (int, float) and -math.inf < v < math.inf, "a number")
 BOOL = _kind(lambda v: isinstance(v, bool), "true or false")
 OBJECT = _kind(lambda v: isinstance(v, dict), "an object")
 WORDS = _list_of(STR, "a list of word strings")
@@ -150,59 +158,12 @@ def _oracle(value, where: str):
     return KINDS[kind](**_checked(block, _ORACLES[kind], where, f"{kind} {where} field"))
 
 
-_LEMMA31 = {"h": (STR, REQUIRED), "g_max": (NATURAL, 4), "n_max": (POSITIVE, 8)}
-_RANDOM = {
-    "seed": (INT, 0), "triples": (NATURAL, 50), "core_max": (POSITIVE, 3),
-    "conjugator_max": (NATURAL, 1),
-}
-PARAMS = {
-    "count": {**_RANK, "forbidden": (WORDS, ())},
-    "exponent": {**_RANK, "forbidden": (WORDS, ())},
-    "avoid": {
-        **_RANK,
-        "factors": (_list_of(STR, "a non-empty list of word strings", 1), None),
-        "compare_inverse": (BOOL, None),
-        "sweep": (_block({"max_len": (NATURAL, REQUIRED), "margin": (REAL, 1e-6)}), None),
-    },
-    "ghat": {
-        **_RANK,
-        "h": (STR, REQUIRED),
-        "m": (INT, REQUIRED),
-        "shorten_sweep": (_block({"g_max": (NATURAL, REQUIRED), "K": (INT, None)}), None),
-    },
-    "product": _PRODUCT,
-    "quotient": {
-        **_PRODUCT,
-        "oracle": (_oracle, REQUIRED),
-        "check": (_block({"h": (WORDS, REQUIRED), "K": (INT, REQUIRED)}), None),
-    },
-    "tightness": {**_PRODUCT, "oracle": (_oracle, REQUIRED)},
-    "axioms": {
-        **_RANK,
-        "lemma31": (_block(_LEMMA31), None),
-        "random": (_block(_RANDOM), None),
-        "axes": (_AXES, None),
-        "samples": (WORDS, None),
-        "candidate_xi": (REAL, None),
-    },
-}
-# Each command's mode blocks, with the fields that only they read and those
-# fields' defaults; PARAMS gives such a field the default None, for not given.
-_PROJECTION_FIELDS = {"samples": (), "candidate_xi": None}
-MODES = {
-    "avoid": {"factors": {"compare_inverse": True}, "sweep": {}},
-    "axioms": {"lemma31": {}, "random": _PROJECTION_FIELDS, "axes": _PROJECTION_FIELDS},
-}
-# r_max defaults per command (BUDGET_DEFAULTS); axioms jobs have none
+# r_max defaults per command (Command.budgets); axioms jobs have none
 BUDGET_FIELDS = {
     "r_max": (NATURAL, None),
-    "tol": (_kind(lambda v: type(v) in (int, float) and v > 0, "a positive number"), 1e-9),
+    "tol": (_kind(lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number"),
+            1e-9),
     "cutoff": (NATURAL, 14),
-}
-BUDGET_DEFAULTS = {
-    "count": {"r_max": 10}, "exponent": {"r_max": 14}, "avoid": {"r_max": 10},
-    "ghat": {"r_max": 10}, "product": {"r_max": 12}, "quotient": {"r_max": 6},
-    "tightness": {"r_max": 8, "tol": 0.08}, "axioms": {},
 }
 JOB_FIELDS = {
     "schema": (STR, REQUIRED), "command": (STR, REQUIRED),
@@ -211,20 +172,42 @@ JOB_FIELDS = {
 }
 
 
-def _mode(params: dict, command: str) -> str:
-    """The one mode block a job gives; none or more than one is invalid input,
-    and so is a field that only other blocks read.  The fields the block reads
-    and the job leaves out take their MODES defaults in params."""
-    modes = MODES[command]
+@dataclass(frozen=True)
+class Mode:
+    """What a job runs: run(params, budgets) returns the results, and table is
+    the spec reports.render_table shows them by.  The Mode of a mode block
+    lists the fields only that block reads, with their defaults."""
+
+    run: Callable[[dict, dict], dict]
+    table: tuple
+    fields: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One job command: its parameter table (field name -> (kind, default)),
+    its budget defaults, and the Mode it runs, or one Mode per mode block
+    (whose parameter defaults to None, for not given)."""
+
+    params: dict
+    budgets: dict
+    mode: Mode | None = None
+    modes: dict = field(default_factory=dict)
+
+
+def _mode(params: dict, modes: dict) -> Mode:
+    """The Mode of the one mode block a job gives; none or more than one is
+    invalid input, and so is a field that only other blocks read.  The fields
+    the block reads and the job leaves out take their Mode defaults in params."""
     given = [m for m in modes if params[m] is not None]
     if len(given) != 1:
         raise InvalidInputError(f"give exactly one of {', '.join(modes)}; got {given or 'none'}")
-    mode = given[0]
-    for name in (n for fields in modes.values() for n in fields):
-        if name not in modes[mode] and params[name] is not None:
-            owners = ", ".join(m for m, fields in modes.items() if name in fields)
-            raise InvalidInputError(f"{name} applies only to {owners}, not {mode}")
-    for name, default in modes[mode].items():
+    mode = modes[given[0]]
+    for name in (n for m in modes.values() for n in m.fields):
+        if name not in mode.fields and params[name] is not None:
+            owners = ", ".join(k for k, m in modes.items() if name in m.fields)
+            raise InvalidInputError(f"{name} applies only to {owners}, not {given[0]}")
+    for name, default in mode.fields.items():
         if params[name] is None:
             params[name] = default
     return mode
@@ -234,56 +217,35 @@ def _counts_result(seq) -> dict:
     return {"spheres": list(seq.spheres), "balls": seq.balls()}
 
 
-def _counts_table(seq) -> str:
-    balls = seq.balls()
-    return format_table(
-        ["r", "sphere", "ball"],
-        [(r, seq[r], balls[r]) for r in range(len(seq))],
-    )
+def _language(alphabet: Alphabet, key: str, words: list, budgets: dict, bracket: str = "") -> dict:
+    """Results for the language that avoids words: the words under key, the
+    Perron bracket under bracket (if one is named), the sphere and ball counts."""
+    aut = avoid_factors(alphabet, words)
+    results = {key: [format_word(f) for f in words]}
+    if bracket:
+        results[bracket] = perron_root(aut, budgets["tol"])
+    return {**results, **_counts_result(count_lengths(aut, budgets["r_max"]))}
 
 
-def _cmd_count(params: dict, budgets: dict):
+def _cmd_count(params: dict, budgets: dict) -> dict:
     alphabet = Alphabet(params["rank"])
     forbidden = [parse_word(alphabet, t) for t in params["forbidden"]]
-    aut = avoid_factors(alphabet, forbidden)
-    seq = count_lengths(aut, budgets["r_max"])
-    results = {
-        "rank": alphabet.rank,
-        "forbidden": [format_word(f) for f in forbidden],
-        **_counts_result(seq),
-    }
-    return results, _counts_table(seq), seq.to_csv()
+    return {"rank": alphabet.rank, **_language(alphabet, "forbidden", forbidden, budgets)}
 
 
-def _cmd_exponent(params: dict, budgets: dict):
+def _cmd_exponent(params: dict, budgets: dict) -> dict:
     alphabet = Alphabet(params["rank"])
     forbidden = [parse_word(alphabet, t) for t in params["forbidden"]]
-    aut = avoid_factors(alphabet, forbidden)
-    bracket = perron_root(aut, budgets["tol"])
-    seq = count_lengths(aut, budgets["r_max"])
-    balls = seq.balls()
-    b = check_subadditivity(balls)
-    fek = fekete_bracket(balls, b)
-    results = {
-        "rank": alphabet.rank,
-        "forbidden": [format_word(f) for f in forbidden],
-        "spectral": bracket,
-        "fekete": fek,
-        "subadditivity_b": b,
-        **_counts_result(seq),
-    }
-    table = format_table(
-        ["method", "lower", "upper"],
-        [
-            ("spectral", f"{bracket.lower:.12f}", f"{bracket.upper:.12f}"),
-            ("fekete", f"{fek.lower:.6f}", f"{fek.upper:.6f}"),
-        ],
-    )
-    return results, table, seq.to_csv()
+    results = _language(alphabet, "forbidden", forbidden, budgets, "spectral")
+    b = check_subadditivity(results["balls"])
+    fekete = fekete_bracket(results["balls"], b)
+    return {"rank": alphabet.rank, **results, "fekete": fekete, "subadditivity_b": b}
 
 
-def _avoid_sweep(alphabet: Alphabet, block: dict, budgets: dict):
+def _cmd_avoid_sweep(params: dict, budgets: dict) -> dict:
     """One avoidance language per non-trivial f with |f| <= max_len."""
+    alphabet = Alphabet(params["rank"])
+    block = params["sweep"]
     if block["max_len"] == 0:
         raise InvalidInputError("sweep max_len must be at least 1: no factor has length 0")
     max_len = _sweep_radius(block["max_len"], budgets, "max_len")
@@ -299,65 +261,32 @@ def _avoid_sweep(alphabet: Alphabet, block: dict, budgets: dict):
                 "margin": full - threshold - upper,
             }
             entries.append(entry)
-    worst = min(entries, key=lambda e: e["margin"])
-    results = {
+    return {
         "rank": alphabet.rank,
         "max_len": max_len,
         "margin_threshold": threshold,
         "full_exponent": full,
         "languages": len(entries),
-        "worst": worst,
+        "worst": min(entries, key=lambda e: e["margin"]),
         "all_strictly_below": all(e["margin"] > 0 for e in entries),
         "entries": entries,
     }
-    table = format_table(
-        ["quantity", "value"],
-        [
-            ("languages", len(entries)),
-            ("worst f", worst["f"]),
-            ("worst upper", f"{worst['upper']:.9f}"),
-            ("worst margin", f"{worst['margin']:.9f}"),
-            ("all strictly below", results["all_strictly_below"]),
-        ],
-    )
-    return results, table, None
 
 
-def _cmd_avoid(params: dict, budgets: dict):
+def _cmd_avoid_factors(params: dict, budgets: dict) -> dict:
     alphabet = Alphabet(params["rank"])
-    if _mode(params, "avoid") == "sweep":
-        return _avoid_sweep(alphabet, params["sweep"], budgets)
     factors = [parse_word(alphabet, t) for t in params["factors"]]
-    aut = avoid_factors(alphabet, factors)
-    bracket = perron_root(aut, budgets["tol"])
-    seq = count_lengths(aut, budgets["r_max"])
-    results = {
-        "rank": alphabet.rank,
-        "factors": [format_word(f) for f in factors],
-        "bracket": bracket,
-        **_counts_result(seq),
-    }
-    rows = [("avoid", f"{bracket.lower:.9f}", f"{bracket.upper:.9f}")]
+    results = {"rank": alphabet.rank, **_language(alphabet, "factors", factors, budgets, "bracket")}
     if params["compare_inverse"]:
         sym = list(factors)
         for f in factors:
             if ~f not in sym:
                 sym.append(~f)
-        aut2 = avoid_factors(alphabet, sym)
-        bracket2 = perron_root(aut2, budgets["tol"])
-        seq2 = count_lengths(aut2, budgets["r_max"])
-        results["with_inverses"] = {
-            "factors": [format_word(f) for f in sym],
-            "bracket": bracket2,
-            **_counts_result(seq2),
-        }
-        rows.append(
-            ("avoid+inverses", f"{bracket2.lower:.9f}", f"{bracket2.upper:.9f}")
-        )
-    return results, format_table(["language", "lower", "upper"], rows), seq.to_csv()
+        results["with_inverses"] = _language(alphabet, "factors", sym, budgets, "bracket")
+    return results
 
 
-def _cmd_ghat(params: dict, budgets: dict):
+def _cmd_ghat(params: dict, budgets: dict) -> dict:
     alphabet = Alphabet(params["rank"])
     h = parse_word(alphabet, params["h"])
     sweep = None
@@ -366,11 +295,9 @@ def _cmd_ghat(params: dict, budgets: dict):
     aut = ghat_automaton(alphabet, h, params["m"])
     bracket = perron_root(aut, budgets["tol"])
     seq = count_lengths(aut, budgets["r_max"])
-    base = avoid_factors(alphabet, ())
-    base_bracket = perron_root(base, budgets["tol"])
-    base_seq = count_lengths(base, budgets["r_max"])
+    full = _language(alphabet, "factors", [], budgets, "bracket")  # the free group
     gap = strict_gap_check(
-        seq.balls(), base_seq.balls(), budgets["tol"] * 10, bracket, base_bracket
+        seq.balls(), full["balls"], budgets["tol"] * 10, bracket, full["bracket"]
     )
     divergence = divergence_at_critical(seq.balls(), bracket)
     results = {
@@ -379,22 +306,14 @@ def _cmd_ghat(params: dict, budgets: dict):
         "m": params["m"],
         "shorten_threshold": shorten_threshold(h),
         "bracket": bracket,
-        "full_bracket": base_bracket,
+        "full_bracket": full["bracket"],
         "gap": gap,
         "divergence": divergence,
         **_counts_result(seq),
     }
-    rows = [
-        ("restricted", f"{bracket.lower:.9f}", f"{bracket.upper:.9f}"),
-        ("full", f"{base_bracket.lower:.9f}", f"{base_bracket.upper:.9f}"),
-    ]
     if sweep is not None:
-        sw = results["shorten_sweep"] = _shorten_sweep(alphabet, h, *sweep)
-        rows.append(("swept words", f"{sw['checked']}", ""))
-        rows.append(("shortened", f"{sw['shortened']}", ""))
-        rows.append(("failures", f"{len(sw['failures'])}", ""))
-    table = format_table(["language", "lower", "upper"], rows)
-    return results, table, seq.to_csv()
+        results["shorten_sweep"] = _shorten_sweep(alphabet, h, *sweep)
+    return results
 
 
 def _sweep_radius(radius: int, budgets: dict, name: str = "g_max") -> int:
@@ -462,7 +381,7 @@ def _product_spec(params: dict) -> LpProductSpec:
     return LpProductSpec(alphabets, parse_exponent(params["p"]))
 
 
-def _cmd_product(params: dict, budgets: dict):
+def _cmd_product(params: dict, budgets: dict) -> dict:
     spec = _product_spec(params)
     r_max = budgets["r_max"]
     automata = [avoid_factors(a, ()) for a in spec.factors]
@@ -470,32 +389,20 @@ def _cmd_product(params: dict, budgets: dict):
     brackets = [perron_root(aut, budgets["tol"]) for aut in automata]
     exponents = [(b.lower + b.upper) / 2 for b in brackets]
     report = verify_duality(spec, factor_spheres, r_max, exponents)
-    results = {**vars(report), "factor_brackets": brackets}
-    table = format_table(
-        ["quantity", "value"],
-        [
-            ("predicted", f"{report.predicted:.6f}"),
-            ("measured lower", f"{report.measured.lower:.6f}"),
-            ("measured upper", f"{report.measured.upper:.6f}"),
-            ("deviation", f"{report.deviation:.6f}"),
-            ("contains predicted", report.contains_predicted),
-        ],
-    )
-    return results, table, CountSequence.from_balls(report.balls).to_csv()
+    return {**vars(report), "factor_brackets": brackets}
 
 
-def _cmd_quotient(params: dict, budgets: dict):
+def _cmd_quotient(params: dict, budgets: dict) -> dict:
     spec = _product_spec(params)
     oracle = params["oracle"]
     r_max = budgets["r_max"]
     seq = quotient_ball_counts(spec, oracle, r_max)
     balls = seq.balls()
     b = check_subadditivity(balls)
-    fek = fekete_bracket(balls, b)
     results = {
         "oracle": oracle,
         "p": spec.p,
-        "fekete": fek,
+        "fekete": fekete_bracket(balls, b),
         "subadditivity_b": b,
         **_counts_result(seq),
     }
@@ -512,22 +419,12 @@ def _cmd_quotient(params: dict, budgets: dict):
         results["structure_check"] = struct
     else:
         results["section_size"] = balls[-1]
-    return results, _counts_table(seq), seq.to_csv()
+    return results
 
 
-def _cmd_tightness(params: dict, budgets: dict):
+def _cmd_tightness(params: dict, budgets: dict) -> dict:
     spec = _product_spec(params)
-    report = tightness_verdict(spec, params["oracle"], budgets["r_max"], budgets["tol"])
-    table = format_table(
-        ["quantity", "value"],
-        [
-            ("verdict", report.verdict),
-            ("delta_G", f"[{report.delta_G.lower:.6f}, {report.delta_G.upper:.6f}]"),
-            ("delta_G/N", f"[{report.delta_GN.lower:.6f}, {report.delta_GN.upper:.6f}]"),
-            ("gap", f"{report.gap:.6f}"),
-        ],
-    )
-    return report, table, None
+    return vars(tightness_verdict(spec, params["oracle"], budgets["r_max"], budgets["tol"]))
 
 
 def _random_letters(
@@ -558,8 +455,10 @@ def _random_axis(rng: random.Random, alphabet: Alphabet, core_max: int, conj_max
             return Axis.from_element(_word(alphabet, h))
 
 
-def _lemma31_sweep(alphabet: Alphabet, block: dict, budgets: dict):
+def _cmd_lemma31(params: dict, budgets: dict) -> dict:
     """Exhaustive power-or-bounded-projection dichotomy check over a ball."""
+    alphabet = Alphabet(params["rank"])
+    block = params["lemma31"]
     h = parse_word(alphabet, block["h"])
     g_max = _sweep_radius(block["g_max"], budgets)
     n_max = block["n_max"]
@@ -573,7 +472,7 @@ def _lemma31_sweep(alphabet: Alphabet, block: dict, budgets: dict):
             branches[rep.branch] = branches.get(rep.branch, 0) + 1
             if not rep.passed:
                 failures += 1
-    results = {
+    return {
         "mode": "lemma31",
         "h": format_word(h),
         "g_max": g_max,
@@ -583,88 +482,163 @@ def _lemma31_sweep(alphabet: Alphabet, block: dict, budgets: dict):
         "branches": branches,
         "failures": failures,
     }
-    rows = [
-        ("checked", checked),
-        ("failures", failures),
-        ("d_tree", D_TREE),
-    ] + sorted(branches.items())
-    return results, format_table(["quantity", "value"], rows), None
 
 
-def _cmd_axioms(params: dict, budgets: dict):
+def _cmd_random_axes(params: dict, budgets: dict) -> dict:
     alphabet = Alphabet(params["rank"])
-    if _mode(params, "axioms") == "lemma31":
-        return _lemma31_sweep(alphabet, params["lemma31"], budgets)
     samples = [parse_word(alphabet, t) for t in params["samples"]]
-    candidate = params["candidate_xi"]
     block = params["random"]
-    if block is not None:
-        # every axis of Z is one line; in F2 single letters give only the a- and b-lines
-        family = (alphabet.rank, block["core_max"], block["conjugator_max"])
-        if alphabet.rank == 1 or family == (2, 1, 0):
-            raise InvalidInputError("random axes span fewer than three distinct lines")
-        rng = random.Random(block["seed"])
-        xi_max = 0
-        total_violations = 0
-        for _ in range(block["triples"]):
-            axes = []
-            while len(axes) < 3:
-                ax = _random_axis(rng, alphabet, block["core_max"], block["conjugator_max"])
-                if not any(same_line(ax, other) for other in axes):
-                    axes.append(ax)
-            xi, violations = check_projection_axioms(axes, samples, candidate)
-            xi_max = max(xi_max, xi)
-            total_violations += len(violations)
-        bound = block["core_max"] + 2 * block["conjugator_max"]
-        results = {
-            "mode": "random",
-            "triples": block["triples"],
-            "xi_observed": xi_max,
-            "bound": bound,
-            "within_bound": xi_max <= bound,
-            "violations": total_violations,
-        }
-        rows = [
-            ("triples", block["triples"]),
-            ("xi_observed", xi_max),
-            ("bound", bound),
-            ("violations", total_violations),
-        ]
-    else:
-        axes = [
-            Axis.from_element(parse_word(alphabet, a["h"]), parse_word(alphabet, a["translate"]))
-            for a in params["axes"]
-        ]
-        xi, violations = check_projection_axioms(axes, samples, candidate)
-        bound = max(len(ax.core) for ax in axes) + 2 * max(
-            len(ax.conjugator) for ax in axes
-        )
-        results = {
-            "mode": "explicit",
-            "axes": [format_word(ax.element) for ax in axes],
-            "xi_observed": xi,
-            "bound": bound,
-            "within_bound": xi <= bound,
-            "violations": violations,
-        }
-        rows = [
-            ("axes", len(axes)),
-            ("xi_observed", xi),
-            ("bound", bound),
-            ("violations", len(violations)),
-        ]
-    return results, format_table(["quantity", "value"], rows), None
+    # every axis of Z is one line; in F2 single letters give only the a- and b-lines
+    family = (alphabet.rank, block["core_max"], block["conjugator_max"])
+    if alphabet.rank == 1 or family == (2, 1, 0):
+        raise InvalidInputError("random axes span fewer than three distinct lines")
+    rng = random.Random(block["seed"])
+    xi_max = 0
+    total_violations = 0
+    for _ in range(block["triples"]):
+        # draw three axes on distinct lines; the scans that tell the lines
+        # apart give check_projection_axioms the meets of every pair
+        axes, meets = [], {}
+        while len(axes) < 3:
+            ax = _random_axis(rng, alphabet, block["core_max"], block["conjugator_max"])
+            new = {}
+            for i, other in enumerate(axes):
+                new[(i, len(axes))] = meet = _meet(ax, other)
+                if meet is None:  # the line of an axis drawn before
+                    break
+            else:
+                meets.update(new)
+                axes.append(ax)
+        xi, violations = check_projection_axioms(axes, samples, params["candidate_xi"], meets)
+        xi_max = max(xi_max, xi)
+        total_violations += len(violations)
+    bound = block["core_max"] + 2 * block["conjugator_max"]
+    return {
+        "mode": "random",
+        "triples": block["triples"],
+        "xi_observed": xi_max,
+        "bound": bound,
+        "within_bound": xi_max <= bound,
+        "violations": total_violations,
+    }
 
 
+def _cmd_explicit_axes(params: dict, budgets: dict) -> dict:
+    alphabet = Alphabet(params["rank"])
+    samples = [parse_word(alphabet, t) for t in params["samples"]]
+    axes = [
+        Axis.from_element(parse_word(alphabet, a["h"]), parse_word(alphabet, a["translate"]))
+        for a in params["axes"]
+    ]
+    xi, violations = check_projection_axioms(axes, samples, params["candidate_xi"])
+    bound = max(len(ax.core) for ax in axes) + 2 * max(len(ax.conjugator) for ax in axes)
+    return {
+        "mode": "explicit",
+        "axes": [format_word(ax.element) for ax in axes],
+        "xi_observed": xi,
+        "bound": bound,
+        "within_bound": xi <= bound,
+        "violations": violations,
+    }
+
+
+# Table specs for reports.render_table: (headers, rows of (label, results
+# field path, format)); RADII is the per-radius table of spheres and balls.
+RADII = (("r", "sphere", "ball"), None)
+_QUANTITY = ("quantity", "value")
+_LANGUAGE = ("language", "lower", "upper")
+_WORD_COUNTS = {**_RANK, "forbidden": (WORDS, ())}
+_PROJECTION_FIELDS = {"samples": (), "candidate_xi": None}
+_PROJECTION_ROWS = [("xi_observed", "xi_observed", ""), ("bound", "bound", ""),
+                    ("violations", "violations", "")]
 COMMANDS = {
-    "count": _cmd_count,
-    "exponent": _cmd_exponent,
-    "avoid": _cmd_avoid,
-    "ghat": _cmd_ghat,
-    "product": _cmd_product,
-    "quotient": _cmd_quotient,
-    "tightness": _cmd_tightness,
-    "axioms": _cmd_axioms,
+    "count": Command(_WORD_COUNTS, {"r_max": 10}, Mode(_cmd_count, RADII)),
+    "exponent": Command(_WORD_COUNTS, {"r_max": 14}, Mode(_cmd_exponent, (
+        ("method", "lower", "upper"),
+        [("spectral", "spectral", ".12f"), ("fekete", "fekete", ".6f")],
+    ))),
+    "avoid": Command(
+        {
+            **_RANK,
+            "factors": (_list_of(STR, "a non-empty list of word strings", 1), None),
+            "compare_inverse": (BOOL, None),
+            "sweep": (_block({"max_len": (NATURAL, REQUIRED), "margin": (REAL, 1e-6)}), None),
+        },
+        {"r_max": 10},
+        modes={
+            "factors": Mode(_cmd_avoid_factors, (_LANGUAGE, [
+                ("avoid", "bracket", ".9f"), ("avoid+inverses", "with_inverses.bracket", ".9f"),
+            ]), {"compare_inverse": True}),
+            "sweep": Mode(_cmd_avoid_sweep, (_QUANTITY, [
+                ("languages", "languages", ""), ("worst f", "worst.f", ""),
+                ("worst upper", "worst.upper", ".9f"), ("worst margin", "worst.margin", ".9f"),
+                ("all strictly below", "all_strictly_below", ""),
+            ])),
+        },
+    ),
+    "ghat": Command(
+        {
+            **_RANK, "h": (STR, REQUIRED), "m": (INT, REQUIRED),
+            "shorten_sweep": (_block({"g_max": (NATURAL, REQUIRED), "K": (INT, None)}), None),
+        },
+        {"r_max": 10},
+        Mode(_cmd_ghat, (_LANGUAGE, [
+            ("restricted", "bracket", ".9f"), ("full", "full_bracket", ".9f"),
+            ("swept words", "shorten_sweep.checked", ""),
+            ("shortened", "shorten_sweep.shortened", ""),
+            ("failures", "shorten_sweep.failures", ""),
+        ])),
+    ),
+    "product": Command(_PRODUCT, {"r_max": 12}, Mode(_cmd_product, (_QUANTITY, [
+        ("predicted", "predicted", ".6f"), ("measured lower", "measured.lower", ".6f"),
+        ("measured upper", "measured.upper", ".6f"), ("deviation", "deviation", ".6f"),
+        ("contains predicted", "contains_predicted", ""),
+    ]))),
+    "quotient": Command(
+        {
+            **_PRODUCT, "oracle": (_oracle, REQUIRED),
+            "check": (_block({"h": (WORDS, REQUIRED), "K": (INT, REQUIRED)}), None),
+        },
+        {"r_max": 6},
+        Mode(_cmd_quotient, RADII),
+    ),
+    "tightness": Command(
+        {**_PRODUCT, "oracle": (_oracle, REQUIRED)},
+        {"r_max": 8, "tol": 0.08},
+        Mode(_cmd_tightness, (_QUANTITY, [
+            ("verdict", "verdict", ""), ("delta_G", "delta_G", ".6f"),
+            ("delta_G/N", "delta_GN", ".6f"), ("gap", "gap", ".6f"),
+        ])),
+    ),
+    "axioms": Command(
+        {
+            **_RANK,
+            "lemma31": (_block({
+                "h": (STR, REQUIRED), "g_max": (NATURAL, 4), "n_max": (POSITIVE, 8),
+            }), None),
+            "random": (_block({
+                "seed": (INT, 0), "triples": (NATURAL, 50), "core_max": (POSITIVE, 3),
+                "conjugator_max": (NATURAL, 1),
+            }), None),
+            "axes": (_AXES, None),
+            "samples": (WORDS, None),
+            "candidate_xi": (REAL, None),
+        },
+        {},
+        modes={
+            "lemma31": Mode(_cmd_lemma31, (_QUANTITY, [
+                ("checked", "checked", ""), ("failures", "failures", ""), ("d_tree", "d_tree", ""),
+                ("bounded-projection", "branches.bounded-projection", ""),
+                ("power-in-subgroup", "branches.power-in-subgroup", ""),
+            ])),
+            "random": Mode(_cmd_random_axes, (_QUANTITY, [
+                ("triples", "triples", ""), *_PROJECTION_ROWS,
+            ]), _PROJECTION_FIELDS),
+            "axes": Mode(_cmd_explicit_axes, (_QUANTITY, [
+                ("axes", "axes", ""), *_PROJECTION_ROWS,
+            ]), _PROJECTION_FIELDS),
+        },
+    ),
 }
 
 
@@ -688,9 +662,17 @@ def _load_job(path: str) -> dict:
     return job
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write output file: {exc}") from exc
+
+
 def _resolve_budgets(job: dict, args) -> dict:
     """The job's budgets over the command's defaults, with the flag overrides."""
-    budgets = {**BUDGET_DEFAULTS[job["command"]], **job["budgets"]}
+    budgets = {**COMMANDS[job["command"]].budgets, **job["budgets"]}
     budgets.update((n, getattr(args, n)) for n in BUDGET_FIELDS if getattr(args, n) is not None)
     budgets = _checked(budgets, BUDGET_FIELDS, "budget", "budget")
     return {name: value for name, value in budgets.items() if value is not None}
@@ -723,9 +705,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         job = _load_job(args.job)
+        command = COMMANDS[job["command"]]
         budgets = _resolve_budgets(job, args)
-        params = _checked(job["params"], PARAMS[job["command"]], "", "parameter")
-        results, table, csv_text = COMMANDS[job["command"]](params, budgets)
+        params = _checked(job["params"], command.params, "", "parameter")
+        mode = command.mode or _mode(params, command.modes)
+        results = mode.run(params, budgets)
         resolved = {
             "schema": JOB_SCHEMA,
             "command": job["command"],
@@ -734,16 +718,14 @@ def main(argv=None) -> int:
         }
         report = build_report(__version__, resolved, results)
         if not args.quiet:
-            print(table)
+            print(render_table(mode.table, results))
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(report))
+            _write(args.out, canonical_json(report))
         else:
             print(canonical_json(report), end="")
         csv_path = args.csv or job["output"]["csv"]
-        if csv_path and csv_text is not None:
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
+        if csv_path and "balls" in results:
+            _write(csv_path, CountSequence.from_balls(results["balls"]).to_csv())
         return 0
     except InvalidInputError as exc:
         print(f"growthtight: invalid input: {exc}", file=sys.stderr)

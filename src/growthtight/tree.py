@@ -193,6 +193,7 @@ def check_projection_axioms(
     axes: Sequence[Axis],
     sample: Sequence[ReducedWord] = (),
     candidate_xi: int | None = None,
+    meets: dict[tuple[int, int], tuple] | None = None,
 ) -> tuple[int, list[dict]]:
     """Observed projection constant for a family of axes.
 
@@ -201,15 +202,18 @@ def check_projection_axioms(
     projection distances exceeds xi; plus the violation list against
     candidate_xi (empty when no candidate is given, by minimality).  Sample
     points feed an idempotence self-check of the projection map; (P2)
-    finiteness is automatic for a finite family.
+    finiteness is automatic for a finite family.  meets[(t, s)], t < s, may
+    give a pair's intervals a caller has already scanned, as _meet(axes[s],
+    axes[t]) returns them; the other pairs are scanned here.
     """
     axes = list(axes)
+    meets = meets or {}
     # intervals[(t, s)]: the interval on axis t onto which axis s projects;
     # one scan per unordered pair gives both, lowest pair first
     intervals: dict[tuple[int, int], tuple[int, int]] = {}
     for ti, target in enumerate(axes):
         for si in range(ti + 1, len(axes)):
-            meet = _meet(axes[si], target)
+            meet = meets[(ti, si)] if (ti, si) in meets else _meet(axes[si], target)
             if meet is None:
                 raise InvalidInputError(f"axes {ti} and {si} are the same line")
             intervals[(ti, si)], intervals[(si, ti)] = meet

@@ -18,10 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthtight import __version__
-from growthtight import cli
+from growthtight import cli, tree
 from growthtight.errors import InternalInvariantError
 from growthtight.products import LpProductSpec
 from growthtight.quotients import KINDS, minimal_section
+from growthtight.reports import canonical_json, render_table
 from growthtight.tree import ghat_membership_exact, shorten, shorten_threshold
 from growthtight.words import Alphabet, ReducedWord, enumerate_sphere, format_word, parse_word
 
@@ -293,6 +294,20 @@ class TestCommands:
         assert res["mode"] == "random"
         assert res["violations"] == 0
         assert res["xi_observed"] <= res["bound"]
+
+    def test_random_axes_are_met_once_per_pair(self, tmp_path, capsys, monkeypatch):
+        # the scans that tell a triple's lines apart while it is drawn give
+        # check_projection_axioms every interval, so it scans no pair again
+        params = {"rank": 2, "random": {"seed": 5, "triples": 5, "core_max": 3}}
+        job = write_job(tmp_path, "axioms", params)
+        _, before, _ = run_cli(capsys, "run", str(job), "--quiet")
+
+        def rescan(source, target):
+            raise AssertionError("a pair of drawn axes was met twice")
+
+        monkeypatch.setattr(tree, "_meet", rescan)
+        code, after, _ = run_cli(capsys, "run", str(job), "--quiet")
+        assert code == 0 and after == before
 
     def test_axioms_lemma31_sweep(self, tmp_path, capsys):
         job = write_job(
@@ -608,6 +623,15 @@ class TestExitCodes:
          "compare_inverse applies only to factors, not sweep"),
         ("avoid", {"rank": 2, "sweep": {"max_len": 1}, "compare_inverse": True}, {},
          "compare_inverse applies only to factors, not sweep"),
+        # json.load reads NaN and Infinity; a report cannot embed them as numbers
+        ("exponent", {"rank": 2}, {"budgets": {"tol": math.inf}},
+         "budget tol must be a positive number, got inf"),
+        ("axioms", {"rank": 2, "random": {"triples": 2}, "candidate_xi": math.nan}, {},
+         "candidate_xi must be a number, got nan"),
+        ("axioms", {"rank": 2, "axes": ["a b", "b a"], "candidate_xi": -math.inf}, {},
+         "candidate_xi must be a number, got -inf"),
+        ("avoid", {"rank": 2, "sweep": {"max_len": 1, "margin": math.nan}}, {},
+         "sweep margin must be a number, got nan"),
     ], ids=[
         "lemma31-n_max-string", "lemma31-n_max-negative", "lemma31-misspelt-n_max",
         "sweep-margin-string", "sweep-max_len-zero", "compare_inverse-string",
@@ -622,6 +646,8 @@ class TestExitCodes:
         "avoid-factors-and-sweep", "avoid-no-mode", "axioms-lemma31-and-axes",
         "axioms-random-and-axes", "lemma31-with-samples", "lemma31-with-candidate_xi",
         "sweep-with-compare_inverse-false", "sweep-with-compare_inverse-true",
+        "tol-infinity", "random-candidate_xi-nan", "axes-candidate_xi-minus-infinity",
+        "sweep-margin-nan",
     ])
     def test_malformed_job_is_invalid_input(
         self, tmp_path, capsys, command, params, extra, message
@@ -634,22 +660,178 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 2 and f"invalid input: {message}" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("target", ["missing/report", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_output_is_invalid_input(self, tmp_path, capsys, flag, target):
+        job = write_job(tmp_path, "count", {"rank": 2}, {"r_max": 2})
+        code, _, err = run_cli(capsys, "run", str(job), "--quiet", flag, str(tmp_path / target))
+        assert code == 2 and "invalid input: cannot write output file" in err
+
+    @staticmethod
+    def _count_runs(monkeypatch, run):
+        count = cli.COMMANDS["count"]
+        mode = dataclasses.replace(count.mode, run=run)
+        monkeypatch.setitem(cli.COMMANDS, "count", dataclasses.replace(count, mode=mode))
+
     def test_invariant_breach_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(params, budgets):
             raise InternalInvariantError("synthetic breach")
 
-        monkeypatch.setitem(cli.COMMANDS, "count", boom)
+        self._count_runs(monkeypatch, boom)
         job = write_job(tmp_path, "count", {"rank": 2})
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 4 and "invariant breach" in err
 
     def test_unexpected_exception_maps_to_internal_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(
-            cli.COMMANDS, "count", lambda p, b: (_ for _ in ()).throw(ValueError("x"))
-        )
+        self._count_runs(monkeypatch, lambda p, b: (_ for _ in ()).throw(ValueError("x")))
         job = write_job(tmp_path, "count", {"rank": 2})
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 4 and "internal error" in err
+
+
+# One small job per command and mode block (mode None: the command has none),
+# and whether it writes a CSV: exactly the reports with balls do.
+VIEW_JOBS = [
+    ("count", None, {"rank": 2, "forbidden": ["a b"]}, {"r_max": 3}, True),
+    ("exponent", None, {"rank": 2}, {"r_max": 4}, True),
+    ("avoid", "factors", {"rank": 2, "factors": ["a b"]}, {"r_max": 4}, True),
+    ("avoid", "sweep", {"rank": 2, "sweep": {"max_len": 1}}, {}, False),
+    ("ghat", None, {"rank": 2, "h": "a", "m": 2, "shorten_sweep": {"g_max": 3}}, {"r_max": 3}, True),
+    ("product", None, {"factors": [{"rank": 2}, {"rank": 1}], "p": 2}, {"r_max": 8}, True),
+    (
+        "quotient",
+        None,
+        {
+            "factors": [{"rank": 2}, {"rank": 2}],
+            "p": 1,
+            "oracle": {"kind": "homomorphism-to-integers", "coefficients": [[1, 1], [1, -1]]},
+            "check": {"h": ["a b", "b a-"], "K": 6},
+        },
+        {"r_max": 3},
+        True,
+    ),
+    (
+        "quotient",
+        None,
+        {"factors": [{"rank": 2}, {"rank": 1}], "p": "inf", "oracle": {"kind": "factor-kernel"}},
+        {"r_max": 3},
+        True,
+    ),
+    (
+        "tightness",
+        None,
+        {"factors": [{"rank": 2}, {"rank": 2}], "p": 1, "oracle": {"kind": "abelianization-kernel"}},
+        {"r_max": 3},
+        False,
+    ),
+    ("axioms", "lemma31", {"rank": 2, "lemma31": {"h": "a b", "g_max": 2}}, {}, False),
+    ("axioms", "random", {"rank": 2, "random": {"seed": 1, "triples": 2}}, {}, False),
+    ("axioms", "axes", {"rank": 2, "axes": ["a b", "b a", "a b a"]}, {}, False),
+]
+VIEW_IDS = [
+    "count", "exponent", "avoid-factors", "avoid-sweep", "ghat-shorten_sweep", "product",
+    "quotient-check", "quotient-no-check", "tightness", "axioms-lemma31", "axioms-random",
+    "axioms-axes",
+]
+
+
+class TestViews:
+    """The text table and the CSV show the report and nothing else."""
+
+    @pytest.mark.parametrize("command,mode,params,budgets,writes_csv", VIEW_JOBS, ids=VIEW_IDS)
+    def test_table_and_csv_are_views_of_the_report(
+        self, tmp_path, capsys, command, mode, params, budgets, writes_csv
+    ):
+        job = write_job(tmp_path, command, params, budgets)
+        csv = tmp_path / "counts.csv"
+        code, out, err = run_cli(capsys, "run", str(job), "--csv", str(csv))
+        assert code == 0 and err == ""
+        start = out.index("\n{\n") + 1
+        text = out[start:]
+        report = json.loads(text)
+        assert text == canonical_json(report)
+        record = cli.COMMANDS[command]
+        spec = (record.modes[mode] if mode else record.mode).table
+        table = render_table(spec, report["results"])
+        assert out[:start] == table + "\n"
+        lines = table.splitlines()
+        assert lines[0].split() == list(spec[0]) and len(lines) > 2
+        results = report["results"]
+        assert csv.exists() == writes_csv == ("balls" in results)
+        if writes_csv:
+            balls = results["balls"]
+            spheres = results.get("spheres", [b - a for a, b in zip([0, *balls], balls)])
+            rows = [f"{r},{s},{b}" for r, (s, b) in enumerate(zip(spheres, balls))]
+            assert csv.read_text() == "\n".join(["r,sphere,ball", *rows]) + "\n"
+
+    def test_quiet_never_renders_a_table(self, tmp_path, capsys, monkeypatch):
+        def render(table, results):
+            raise AssertionError("rendered a table under --quiet")
+
+        monkeypatch.setattr(cli, "render_table", render)
+        for command, _, params, budgets, _ in VIEW_JOBS:
+            job = write_job(tmp_path, command, params, budgets)
+            code, out, err = run_cli(capsys, "run", str(job), "--quiet")
+            assert code == 0 and err == "" and out.startswith("{")
+
+    @pytest.mark.parametrize("command,params,budgets,table", [
+        (
+            "ghat",
+            {"rank": 2, "h": "a", "m": 2, "shorten_sweep": {"g_max": 3, "K": 4}},
+            {"r_max": 3},
+            "language     lower        upper\n"
+            "-----------  -----------  -----------\n"
+            "restricted   1.034467113  1.034467113\n"
+            "full         1.098612289  1.098612289\n"
+            "swept words  53\n"
+            "shortened    0\n"
+            "failures     0\n",
+        ),
+        (
+            "tightness",
+            {
+                "factors": [{"rank": 2}, {"rank": 2}],
+                "p": "inf",
+                "oracle": {"kind": "factor-kernel", "kill": [1]},
+            },
+            {"r_max": 3, "tol": 0.08},
+            "quantity   value\n"
+            "---------  --------------------\n"
+            "verdict    tight\n"
+            "delta_G    [2.197225, 2.197225]\n"
+            "delta_G/N  [1.098612, 1.098612]\n"
+            "gap        1.098612\n",
+        ),
+        (
+            "axioms",
+            {"rank": 2, "lemma31": {"h": "a b", "g_max": 2, "n_max": 3}},
+            {},
+            "quantity            value\n"
+            "------------------  -----\n"
+            "checked             16\n"
+            "failures            0\n"
+            "d_tree              0\n"
+            "bounded-projection  14\n"
+            "power-in-subgroup   2\n",
+        ),
+        (
+            # a finite language: the report holds its bracket as "-inf" strings
+            "avoid",
+            {"rank": 1, "factors": ["a", "a-"]},
+            {"r_max": 3},
+            "language        lower  upper\n"
+            "--------------  -----  -----\n"
+            "avoid           -inf   -inf\n"
+            "avoid+inverses  -inf   -inf\n",
+        ),
+    ], ids=[
+        "ghat-bracket-columns", "tightness-bracket-cells", "lemma31-branch-rows",
+        "avoid-infinite-bracket",
+    ])
+    def test_table_layout(self, tmp_path, capsys, command, params, budgets, table):
+        job = write_job(tmp_path, command, params, budgets)
+        code, out, _ = run_cli(capsys, "run", str(job))
+        assert code == 0 and out[: out.index("{")] == table
 
 
 class TestEntryPoints:
