@@ -1,14 +1,15 @@
 """Deterministic counting automata over symmetric alphabets.
 
 Counts are exact Python ints throughout (they pass 2**64 within a few dozen
-radii).  Spectral brackets come from Collatz-Wielandt ratios verified in exact
-rational arithmetic, not from an eigensolver.
+radii).  Spectral brackets come from the Collatz-Wielandt ratios of a float
+power iterate, evaluated exactly in ints (a float is an int over a power of
+two), not from an eigensolver.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add, mul, truediv
 from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -221,43 +222,56 @@ def _strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[i
     return components
 
 
-# denominator bound for the test vector of the exact Collatz-Wielandt check
-_MAX_DENOMINATOR = 10**12
+def _ellpack(rows: list[list[tuple[int, int]]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The sparse rows in an ELLPACK layout (cols, wts): slot k holds the
+    k-th entry (column cols[k][i], weight wts[k][i]) of every row i, rows in
+    increasing column order, short rows padded at the end with column 0 and
+    weight 0."""
+    n = len(rows)
+    width = max(len(row) for row in rows)
+    cols = [[0] * n for _ in range(width)]
+    wts = [[0] * n for _ in range(width)]
+    for i, row in enumerate(rows):
+        for k, (j, w) in enumerate(row):
+            cols[k][i] = j
+            wts[k][i] = w
+    return cols, wts
 
 
-def _nearest_ratio(v: float) -> tuple[int, int]:
-    """(p, q) in lowest terms with p/q == Fraction(v).limit_denominator(10**12),
-    computed on the ints of v.as_integer_ratio() with the stdlib's
-    continued-fraction walk.  When that approximation is not positive,
-    (1, 10**12) stands in for it, so a Collatz-Wielandt test vector stays
-    positive."""
-    if v > 0:
-        num, den = v.as_integer_ratio()
-        if den <= _MAX_DENOMINATOR:
-            return num, den
-        p0, q0, p1, q1 = 0, 1, 1, 0
-        n, d = num, den
-        while True:
-            a = n // d
-            q2 = q0 + a * q1
-            if q2 > _MAX_DENOMINATOR:
-                break
-            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-            n, d = d, n - a * d
-        k = (_MAX_DENOMINATOR - q0) // q1
-        q = q0 + k * q1
-        # p1/q1 and (p0 + k p1)/q lie on either side of v, 1/(q1 q) apart,
-        # and p1/q1 is d/(q1 den) from v.  The stdlib lets p1/q1 win a tie,
-        # but no float is a tie: the midpoint's reduced denominator is q1 q
-        # or 2 q1 q, and q1, q are coprime with q1 + q > 10**12, so they are
-        # not both powers of two (one would be 1, the other 10**12).
-        if 2 * d * q <= den:
-            p, q = p1, q1
-        else:
-            p = p0 + k * p1
-        if p > 0:
-            return p, q
-    return 1, _MAX_DENOMINATOR
+def _ratio_bounds(
+    cols: list[list[int]], wts: list[list[int]], x: list[float]
+) -> tuple[float, float]:
+    """Floats lo <= min_i (MX)_i / X_i and hi >= max_i (MX)_i / X_i, with M
+    in the ELLPACK layout of _ellpack and X the exact value of the float
+    vector x, so [lo, hi] contains the Perron root of M when M is
+    irreducible and X is positive (Collatz-Wielandt).
+
+    Every float is an int over a power of two, so X is kept as the ints of
+    x times its largest denominator; a zero entry becomes 1, which keeps X
+    positive.  MX is summed slot by slot in ints.  Int true division is
+    correctly rounded and monotone, so the least and greatest float ratio
+    are the exact extremes rounded to nearest; only the rows that tie one
+    are cross-multiplied against it, to decide whether it steps outward by
+    one ulp.  A ratio past the float range gives the bounds [0, inf].
+    """
+    pairs = [v.as_integer_ratio() for v in x]
+    den = max(q for _, q in pairs)
+    xs = [p * (den // q) or 1 for p, q in pairs]
+    ys = [0] * len(xs)
+    for c, w in zip(cols, wts):
+        ys = list(map(add, ys, map(mul, w, map(xs.__getitem__, c))))
+    try:
+        ratios = list(map(truediv, ys, xs))
+    except OverflowError:
+        return 0.0, math.inf
+    lo, hi = min(ratios), max(ratios)
+    p, q = lo.as_integer_ratio()
+    if any(y * q < p * v for y, v, r in zip(ys, xs, ratios) if r == lo):
+        lo = math.nextafter(lo, -math.inf)
+    p, q = hi.as_integer_ratio()
+    if any(y * q > p * v for y, v, r in zip(ys, xs, ratios) if r == hi):
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
 
 
 def _collatz_wielandt(
@@ -268,72 +282,33 @@ def _collatz_wielandt(
     (j, M[i][j]) with M[i][j] > 0 in increasing j.
 
     Iterates x -> (M + I)x in floats for speed; the +I shift makes the
-    iteration aperiodic so the gap actually closes.  The returned bounds come
-    from one exact evaluation of the ratios (Mx)_i / x_i, whose minimum and
-    maximum bound rho(M) for any positive test vector.  A pass costs O(edges).
+    iteration aperiodic so the gap actually closes.  The returned bounds are
+    the Collatz-Wielandt ratios of the float iterate itself, evaluated
+    exactly by _ratio_bounds.  A pass costs O(edges).
 
-    The float pass is vectorised over an ELLPACK layout: slot k holds the
-    k-th entry (column cols[k][i], weight wts[k][i]) of every row i, rows in
-    increasing column order, short rows padded at the end with weight 0.
-    Each row sum is accumulated slot by slot and only then added to x[i],
-    which is the order of a plain left-to-right row scan x[i] + (M[i][j] x[j]
+    The float pass is vectorised over the ELLPACK layout of _ellpack.  Each
+    row sum is accumulated slot by slot and only then added to x[i], which
+    is the order of a plain left-to-right row scan x[i] + (M[i][j] x[j]
     summed over increasing j); a padded term adds an exact 0.0.  So every
     float, stopping decision and bound is the one that uncompensated scan
     gives (the built-in sum() of floats is compensated from Python 3.12 on).
-
-    The exact evaluation runs on ints: each entry of x becomes its nearest
-    ratio p/q with q <= 10**12 (_nearest_ratio), row i's sum becomes one
-    unreduced fraction num/den, its ratio is num q_i / (den p_i), and the
-    extreme ratios are kept by cross-multiplication.  Only the final lo and
-    hi become Fractions, for the directed rounding to floats.
     """
     import numpy as np
 
-    n = len(rows)
-    width = max(len(row) for row in rows)
-    cols = [[0] * n for _ in range(width)]
-    wts = [[0] * n for _ in range(width)]
-    for i, row in enumerate(rows):
-        for k, (j, w) in enumerate(row):
-            cols[k][i] = j
-            wts[k][i] = w
-    cols = np.array(cols, dtype=np.intp)
-    wts = np.array(wts, dtype=float)
-    x = np.ones(n)
-
-    def exact_bounds(vec: list[float]) -> tuple[float, float]:
-        xq = [_nearest_ratio(v) for v in vec]
-        lo = hi = None
-        for i, row in enumerate(rows):
-            num, den = 0, 1
-            for j, w in row:
-                p, q = xq[j]
-                num, den = num * q + w * p * den, den * q
-            p, q = xq[i]
-            num, den = num * q, den * p
-            if lo is None or num * lo[1] < lo[0] * den:
-                lo = (num, den)
-            if hi is None or num * hi[1] > hi[0] * den:
-                hi = (num, den)
-        lo, hi = Fraction(*lo), Fraction(*hi)
-        lo_f = float(lo)
-        if Fraction(lo_f) > lo:
-            lo_f = math.nextafter(lo_f, -math.inf)
-        hi_f = float(hi)
-        if Fraction(hi_f) < hi:
-            hi_f = math.nextafter(hi_f, math.inf)
-        return lo_f, hi_f
-
+    cols, wts = _ellpack(rows)
+    slot_cols = np.array(cols, dtype=np.intp)
+    slot_wts = np.array(wts, dtype=float)
+    x = np.ones(len(rows))
     for it in range(1, max_iter + 1):
-        terms = wts * x[cols]
+        terms = slot_wts * x[slot_cols]
         acc = terms[0]
-        for k in range(1, width):
+        for k in range(1, len(cols)):
             acc += terms[k]
         y = x + acc
         ratios = y / x
         x = y / y.max()
         if ratios.max() - ratios.min() <= tol * 0.25 or it % 512 == 0:
-            lo, hi = exact_bounds(x.tolist())
+            lo, hi = _ratio_bounds(cols, wts, x.tolist())
             if hi - lo <= tol:
                 return lo, hi
     raise ResourceLimitError(

@@ -22,14 +22,18 @@ mode block or two, or a field only another block reads is invalid input.
 
 Words use the letter grammar "a b a-" ("-" or "'" marks an inverse; "" or "1"
 is the identity).  Exit status: 0 ok, 2 invalid input (an output path that
-cannot be written included), 3 resource limit, 4 internal invariant breach.
+cannot be written included), 3 resource limit (a count with more digits than
+the interpreter writes included), 4 internal invariant breach.  Nothing is
+written before every output has been rendered and opened.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import random
 import sys
 from collections.abc import Callable
@@ -662,11 +666,37 @@ def _load_job(path: str) -> dict:
     return job
 
 
-def _write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _digit_limit():
+    """Turns the interpreter's limit on int-to-text digits into a resource
+    limit, for a count too long to write."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        yield
+    except ValueError as exc:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or "integer string conversion" not in str(exc):
+            raise
+        raise ResourceLimitError(
+            f"a number in the report has more than {limit} digits, the limit "
+            "sys.get_int_max_str_digits() sets on writing an int"
+        ) from exc
+
+
+@contextlib.contextmanager
+def _outputs(paths: list[str]):
+    """The files at paths, all opened before any is written.  If one cannot
+    be opened, the ones opened before it are removed; that and a failed
+    write are invalid input."""
+    handles = []
+    try:
+        with contextlib.ExitStack() as stack:
+            for path in paths:
+                handles.append(stack.enter_context(open(path, "w", encoding="utf-8")))
+            yield handles
     except OSError as exc:
+        if len(handles) < len(paths):
+            for fh in handles:
+                os.remove(fh.name)
         raise InvalidInputError(f"cannot write output file: {exc}") from exc
 
 
@@ -717,15 +747,21 @@ def main(argv=None) -> int:
             "budgets": budgets,
         }
         report = build_report(__version__, resolved, results)
-        if not args.quiet:
-            print(render_table(mode.table, results))
-        if args.out:
-            _write(args.out, canonical_json(report))
-        else:
-            print(canonical_json(report), end="")
         csv_path = args.csv or job["output"]["csv"]
-        if csv_path and "balls" in results:
-            _write(csv_path, CountSequence.from_balls(results["balls"]).to_csv())
+        with _digit_limit():
+            table = None if args.quiet else render_table(mode.table, results)
+            text = canonical_json(report)
+            csv = None
+            if csv_path and "balls" in results:
+                csv = CountSequence.from_balls(results["balls"]).to_csv()
+        files = [(path, body) for path, body in ((args.out, text), (csv_path, csv)) if path and body]
+        with _outputs([path for path, _ in files]) as handles:
+            if table is not None:
+                print(table)
+            if not args.out:
+                print(text, end="")
+            for fh, (_, body) in zip(handles, files):
+                fh.write(body)
         return 0
     except InvalidInputError as exc:
         print(f"growthtight: invalid input: {exc}", file=sys.stderr)

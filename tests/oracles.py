@@ -239,6 +239,32 @@ class NotConverged(Exception):
     """collatz_wielandt_bounds did not close to width tol within max_iter."""
 
 
+def exact_ratio_bounds(rows: list[list[tuple[int, int]]], vec: list[float]) -> tuple[float, float]:
+    """The ratios ((M+I)x)_i / x_i - 1 evaluated as Fractions of the float
+    entries of vec exactly, a zero entry standing in as 1 over the largest
+    denominator of vec, with the extremes rounded outward to floats ([0, inf]
+    when the largest ratio rounds past the float range)."""
+    xf = [Fraction(v) for v in vec]
+    floor = Fraction(1, max(v.denominator for v in xf))
+    xf = [v if v > 0 else floor for v in xf]
+    lo = hi = None
+    for i, row in enumerate(rows):
+        yi = xf[i] + sum(w * xf[j] for j, w in row)
+        ratio = yi / xf[i] - 1
+        lo = ratio if lo is None or ratio < lo else lo
+        hi = ratio if hi is None or ratio > hi else hi
+    try:
+        hi_f = float(hi)
+    except OverflowError:
+        return 0.0, math.inf
+    lo_f = float(lo)
+    if Fraction(lo_f) > lo:
+        lo_f = math.nextafter(lo_f, -math.inf)
+    if Fraction(hi_f) < hi:
+        hi_f = math.nextafter(hi_f, math.inf)
+    return lo_f, hi_f
+
+
 def collatz_wielandt_bounds(
     rows: list[list[tuple[int, int]]], tol: float, max_iter: int
 ) -> tuple[float, float]:
@@ -246,29 +272,10 @@ def collatz_wielandt_bounds(
     irreducible non-negative integer matrix given by sparse rows (rows[i]
     lists (j, M[i][j]) in increasing j): iterate x -> (M + I)x one row at a
     time, and whenever the float ratios agree to tol / 4, or every 512th
-    iteration, evaluate the ratios ((M+I)x)_i / x_i - 1 exactly as Fractions
-    of x's entries rounded to denominators <= 10**12, rounding the extremes
-    outward to floats.  Raises NotConverged when max_iter runs out."""
+    iteration, take exact_ratio_bounds of the iterate.  Raises NotConverged
+    when max_iter runs out."""
     n = len(rows)
     x = [1.0] * n
-
-    def exact_bounds(vec: list[float]) -> tuple[float, float]:
-        xf = [Fraction(v).limit_denominator(10**12) for v in vec]
-        xf = [v if v > 0 else Fraction(1, 10**12) for v in xf]
-        lo = hi = None
-        for i in range(n):
-            yi = xf[i] + sum(w * xf[j] for j, w in rows[i])
-            ratio = yi / xf[i] - 1
-            lo = ratio if lo is None or ratio < lo else lo
-            hi = ratio if hi is None or ratio > hi else hi
-        lo_f = float(lo)
-        if Fraction(lo_f) > lo:
-            lo_f = math.nextafter(lo_f, -math.inf)
-        hi_f = float(hi)
-        if Fraction(hi_f) < hi:
-            hi_f = math.nextafter(hi_f, math.inf)
-        return lo_f, hi_f
-
     for it in range(1, max_iter + 1):
         y = []
         for i in range(n):
@@ -282,7 +289,7 @@ def collatz_wielandt_bounds(
         top = max(y)
         x = [v / top for v in y]
         if max(ratios) - min(ratios) <= tol * 0.25 or it % 512 == 0:
-            lo, hi = exact_bounds(x)
+            lo, hi = exact_ratio_bounds(rows, x)
             if hi - lo <= tol:
                 return lo, hi
     raise NotConverged(f"no width {tol} in {max_iter} iterations")

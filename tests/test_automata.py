@@ -28,7 +28,7 @@ from growthtight import (
 
 import oracles
 from conftest import RANK1, RANK2, RANK3, word2
-from growthtight.automata import _collatz_wielandt, _nearest_ratio
+from growthtight.automata import _collatz_wielandt, _ellpack, _ratio_bounds
 
 LOG3 = math.log(3)
 
@@ -421,40 +421,40 @@ class TestCollatzWielandtKernel:
         assert lo <= 2 ** (1 / 40) <= hi
 
 
-def limited(v: float) -> tuple[int, int]:
-    f = Fraction(v).limit_denominator(10**12)
-    return (f.numerator, f.denominator) if f > 0 else (1, 10**12)
+# float(2/3) lies just below 2/3, so on this weighted 4-cycle the ratios
+# (MX)_i / X_i are exactly 2, just over 3, just under 2 and exactly 3: each
+# float extreme is tied by a row whose exact ratio lies beyond it
+TIED_CYCLE = [[(1, 2)], [(2, 2)], [(3, 3)], [(0, 3)]]
+TIED_VECTOR = [2 / 3, 2 / 3, 1.0, 2 / 3]
 
 
-class TestNearestRatio:
-    """_nearest_ratio(v) is Fraction(v).limit_denominator(10**12) on ints."""
+class TestRatioBounds:
+    """The exact Collatz-Wielandt evaluation on chosen test vectors, against
+    the Fraction evaluation in oracles.py."""
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(
-        v=st.one_of(
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.floats(min_value=0.0, max_value=4.0),
-            st.floats(min_value=0.0, max_value=1e-11),
-            st.floats(min_value=0.0, max_value=1e-300, allow_subnormal=True),
-            st.builds(lambda p, q: p / q, st.integers(1, 10**13), st.integers(1, 10**12)),
-            st.builds(lambda m, e: m / 2**e, st.integers(1, 2**40), st.integers(0, 39)),
-        )
+    def test_a_tie_beyond_the_float_extreme_steps_outward(self):
+        x = [Fraction(v) for v in TIED_VECTOR]
+        exact = [w * x[j] / x[i] for i, ((j, w),) in enumerate(TIED_CYCLE)]
+        assert [float(r) for r in exact] == [2.0, 3.0, 2.0, 3.0]
+        assert exact[0] == 2 and exact[2] < 2 and exact[1] > 3 and exact[3] == 3
+        bounds = _ratio_bounds(*_ellpack(TIED_CYCLE), TIED_VECTOR)
+        assert bounds == (math.nextafter(2.0, 0.0), math.nextafter(3.0, 4.0))
+        assert bounds == oracles.exact_ratio_bounds(TIED_CYCLE, TIED_VECTOR)
+        # the Perron root of the cycle is (2 * 2 * 3 * 3) ** (1 / 4)
+        assert bounds[0] < math.sqrt(6) < bounds[1]
+
+    @pytest.mark.parametrize(
+        "vec",
+        [[1.0, 3e-200, 0.1, 7e-250], [1.0, 3e-200, 0.0, 7e-250], [1.0, 5e-324, 0.5, 0.25]],
+        ids=["span-2^826", "zero-entry", "ratio-past-float-range"],
     )
-    @example(v=5e-324)
-    @example(v=4.9e-13)
-    @example(v=5.1e-13)
-    @example(v=1e-12)
-    @example(v=0.0)
-    @example(v=-1.5)
-    @example(v=1 / 3)
-    @example(v=2.0**-40)
-    def test_matches_limit_denominator(self, v):
-        assert _nearest_ratio(v) == limited(v)
-
-    def test_fallback_below_half_the_resolution(self):
-        assert _nearest_ratio(4.9e-13) == (1, 10**12)
-        assert _nearest_ratio(5.1e-13) == (1, 10**12)
-        assert _nearest_ratio(2e-12) == (1, 5 * 10**11)
+    def test_entries_spanning_more_than_2_to_the_600(self, vec):
+        rows = [[(1, 1), (3, 2)], [(2, 1)], [(3, 1)], [(0, 1)]]
+        bounds = _ratio_bounds(*_ellpack(rows), vec)
+        assert all(type(b) is float for b in bounds)
+        assert bounds == oracles.exact_ratio_bounds(rows, vec)
+        # 1 / 5e-324 is 2**1074: no float holds that ratio
+        assert (bounds == (0.0, math.inf)) == (vec[1] == 5e-324)
 
 
 class TestWeightedAutomata:

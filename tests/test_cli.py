@@ -667,6 +667,39 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", str(job), "--quiet", flag, str(tmp_path / target))
         assert code == 2 and "invalid input: cannot write output file" in err
 
+    @pytest.mark.parametrize("bad", ["--out", "--csv"])
+    def test_unwritable_output_leaves_no_other_output(self, tmp_path, capsys, bad):
+        # both outputs are opened before either is written: a report next to
+        # an unwritable CSV path, or a CSV next to an unwritable report path,
+        # would look like the output of a run that succeeded
+        job = Path(__file__).resolve().parent.parent / "jobs" / "free_rank2_exponent.json"
+        paths = {"--out": tmp_path / "rep.json", "--csv": tmp_path / "rep.csv"}
+        paths[bad] = tmp_path
+        code, out, err = run_cli(
+            capsys, "run", str(job), "--out", str(paths["--out"]), "--csv", str(paths["--csv"])
+        )
+        assert code == 2 and "invalid input: cannot write output file" in err
+        assert out == ""
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no digit limit"
+    )
+    @pytest.mark.parametrize("quiet", [True, False])
+    def test_count_past_the_digit_limit_is_a_resource_limit(self, tmp_path, capsys, quiet):
+        # the sphere of radius 1400 in F2 holds 4 * 3**1399 words, 668 digits
+        job = write_job(tmp_path, "count", {"rank": 2}, {"r_max": 1400})
+        out_path, csv_path = tmp_path / "rep.json", tmp_path / "rep.csv"
+        argv = ["run", str(job), "--out", str(out_path), "--csv", str(csv_path)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, *argv, *(["--quiet"] if quiet else []))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 3 and "resource limit" in err and "more than 640 digits" in err
+        assert out == "" and not out_path.exists() and not csv_path.exists()
+
     @staticmethod
     def _count_runs(monkeypatch, run):
         count = cli.COMMANDS["count"]
