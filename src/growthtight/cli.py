@@ -682,21 +682,43 @@ def _digit_limit():
         ) from exc
 
 
+def _file_key(path: str):
+    """What names one file: its device and inode if it exists, else the
+    path with every symlink resolved."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 @contextlib.contextmanager
 def _outputs(paths: list[str]):
-    """The files at paths, all opened before any is written.  If one cannot
-    be opened, the ones opened before it are removed; that and a failed
-    write are invalid input."""
-    handles = []
+    """The files at paths, all opened before any is written, so that a path
+    that cannot be opened leaves no output behind.  Each is opened to append,
+    which keeps a file that was there as it was, and a regular file is
+    emptied only once all are open; if one cannot be opened, the files this
+    call created before it are removed.  Two paths naming one file, a failed
+    open and a failed write are invalid input."""
+    if len(set(map(_file_key, paths))) < len(paths):
+        raise InvalidInputError(f"output paths {' and '.join(paths)} name the same file")
+    handles, created = [], []
     try:
         with contextlib.ExitStack() as stack:
             for path in paths:
-                handles.append(stack.enter_context(open(path, "w", encoding="utf-8")))
+                existed = os.path.lexists(path)
+                handles.append(stack.enter_context(open(path, "a", encoding="utf-8")))
+                if not existed:
+                    created.append(path)
+            for fh in handles:
+                if os.path.isfile(fh.name):
+                    fh.seek(0)
+                    fh.truncate()
             yield handles
     except OSError as exc:
         if len(handles) < len(paths):
-            for fh in handles:
-                os.remove(fh.name)
+            for path in created:
+                os.remove(path)
         raise InvalidInputError(f"cannot write output file: {exc}") from exc
 
 
@@ -754,14 +776,16 @@ def main(argv=None) -> int:
             csv = None
             if csv_path and "balls" in results:
                 csv = CountSequence.from_balls(results["balls"]).to_csv()
-        files = [(path, body) for path, body in ((args.out, text), (csv_path, csv)) if path and body]
+        files = [
+            (path, body) for path, body in ((args.out, text), (csv_path, csv)) if path and body
+        ]
         with _outputs([path for path, _ in files]) as handles:
-            if table is not None:
-                print(table)
-            if not args.out:
-                print(text, end="")
             for fh, (_, body) in zip(handles, files):
                 fh.write(body)
+        if table is not None:
+            print(table)
+        if not args.out:
+            print(text, end="")
         return 0
     except InvalidInputError as exc:
         print(f"growthtight: invalid input: {exc}", file=sys.stderr)

@@ -682,6 +682,81 @@ class TestExitCodes:
         assert out == ""
         assert sorted(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("bad", ["--out", "--csv"])
+    @pytest.mark.parametrize("via_link", [False, True], ids=["file", "symlink"])
+    def test_unwritable_output_keeps_a_file_that_was_there(self, tmp_path, capsys, bad, via_link):
+        # the other output already exists: it is neither removed nor emptied,
+        # and a symlink naming it stays a symlink
+        job = Path(__file__).resolve().parent.parent / "jobs" / "free_rank2_exponent.json"
+        kept = tmp_path / "kept.txt"
+        kept.write_text("from before\n")
+        other = kept
+        if via_link:
+            other = tmp_path / "link.txt"
+            other.symlink_to(kept)
+        paths = {"--out": other, "--csv": other}
+        paths[bad] = tmp_path / "missing" / "x"
+        code, out, err = run_cli(
+            capsys, "run", str(job), "--out", str(paths["--out"]), "--csv", str(paths["--csv"])
+        )
+        assert code == 2 and "invalid input: cannot write output file" in err and out == ""
+        assert kept.read_text() == "from before\n"
+        assert other.is_symlink() == via_link
+
+    def test_outputs_replace_a_file_that_was_there(self, tmp_path, capsys):
+        # the outputs are opened to append and then emptied, so a longer
+        # file that was there leaves nothing of itself behind
+        job = Path(__file__).resolve().parent.parent / "jobs" / "free_rank2_exponent.json"
+        out_path, csv_path = tmp_path / "rep.json", tmp_path / "rep.csv"
+        code, _, _ = run_cli(capsys, "run", str(job), "--quiet", "--out", str(out_path))
+        report = out_path.read_text()
+        for path in (out_path, csv_path):
+            path.write_text("x" * (2 * len(report)))
+        code, out, _ = run_cli(
+            capsys, "run", str(job), "--quiet", "--out", str(out_path), "--csv", str(csv_path)
+        )
+        assert code == 0 and out == "" and out_path.read_text() == report
+        csv = csv_path.read_text()
+        assert csv.startswith("r,sphere,ball\n") and "x" not in csv
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_outputs_naming_one_file_are_invalid_input(self, tmp_path, capsys, spelling, existing):
+        # two handles on one file would each write from offset 0 and leave
+        # the CSV and pieces of the report mixed in it
+        job = Path(__file__).resolve().parent.parent / "jobs" / "free_rank2_exponent.json"
+        target = tmp_path / "same.txt"
+        if existing:
+            target.write_text("from before\n")
+        second = {
+            "same": target,
+            "dotted": tmp_path / "." / "same.txt",
+            "symlink": tmp_path / "link.txt",
+        }[spelling]
+        if spelling == "symlink":
+            second.symlink_to(target)
+        code, out, err = run_cli(
+            capsys, "run", str(job), "--out", str(target), "--csv", str(second)
+        )
+        assert code == 2 and "name the same file" in err and out == ""
+        assert target.exists() == existing
+        assert not existing or target.read_text() == "from before\n"
+
+    def test_a_failed_stdout_write_is_not_an_output_file_error(self, tmp_path, capsys, monkeypatch):
+        # a broken pipe on stdout keeps its exit 4: no output file is involved,
+        # and the report file is written in full before stdout is
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        job = write_job(tmp_path, "count", {"rank": 2}, {"r_max": 2})
+        out_path = tmp_path / "rep.json"
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        code = cli.main(["run", str(job), "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 4 and "BrokenPipeError" in err and "cannot write output file" not in err
+        assert json.loads(out_path.read_text())["job"]["command"] == "count"
+
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no digit limit"
     )
