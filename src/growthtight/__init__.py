@@ -10,6 +10,7 @@ from .automata import (
     count_lengths,
     oriented_vs_unoriented_gap,
     perron_root,
+    perron_roots,
 )
 from .errors import (
     AlphabetMismatchError,

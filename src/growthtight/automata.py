@@ -3,12 +3,15 @@
 Counts are exact Python ints throughout (they pass 2**64 within a few dozen
 radii).  Spectral brackets come from the Collatz-Wielandt ratios of a float
 power iterate, evaluated exactly in ints (a float is an int over a power of
-two), not from an eigensolver.
+two), not from an eigensolver.  perron_roots brackets many automata in one
+batched iteration; each bracket is bit for bit the one perron_root gives
+alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add, mul, truediv
 from typing import Sequence
 
@@ -59,9 +62,11 @@ class CountingAutomaton:
     under taking subwords); transitions[(state, letter)] = state.
 
     State 0 is initial and every state accepts: a word is accepted exactly
-    when its walk from state 0 never misses a transition.  States are
-    numbered breadth-first from state 0, so every state t > 0 is first
-    entered from a state s < t and none is unreachable.
+    when its walk from state 0 never misses a transition.  Every state is
+    reachable from state 0, so every strongly connected component counts
+    towards the growth.  The constructor checks this, and that every
+    transition joins two of the n_states states by a letter of the alphabet;
+    a breach is invalid input.
     """
 
     def __init__(
@@ -70,9 +75,38 @@ class CountingAutomaton:
         n_states: int,
         transitions: dict[tuple[int, int], int],
     ):
-        self.alphabet = alphabet
-        self.n_states = n_states
-        self.transitions = dict(transitions)
+        if type(n_states) is not int or n_states < 1:
+            raise InvalidInputError(f"n_states must be a positive integer, got {n_states!r}")
+        states = range(n_states)
+        succ: list[list[int]] = [[] for _ in states]
+        for (s, x), t in transitions.items():
+            if type(x) is not int or x not in alphabet.letters:
+                raise InvalidInputError(
+                    f"transition ({s!r}, {x!r}): {x!r} is not a letter of rank {alphabet.rank}"
+                )
+            if not (type(s) is int and s in states and type(t) is int and t in states):
+                raise InvalidInputError(
+                    f"transition ({s!r}, {x!r}) -> {t!r} leaves the states 0..{n_states - 1}"
+                )
+            succ[s].append(t)
+        seen = [True] + [False] * (n_states - 1)
+        frontier = [0]
+        while frontier:
+            for t in succ[frontier.pop()]:
+                if not seen[t]:
+                    seen[t] = True
+                    frontier.append(t)
+        if not all(seen):
+            raise InvalidInputError(f"state {seen.index(False)} is unreachable from state 0")
+        self.alphabet, self.n_states, self.transitions = alphabet, n_states, dict(transitions)
+
+    @classmethod
+    def _unchecked(cls, alphabet: Alphabet, n_states: int, transitions: dict):
+        """An automaton whose builder guarantees what the constructor checks;
+        it keeps transitions without copying them."""
+        aut = cls.__new__(cls)
+        aut.alphabet, aut.n_states, aut.transitions = alphabet, n_states, transitions
+        return aut
 
     def accepts(self, word: ReducedWord) -> bool:
         state = 0
@@ -96,8 +130,9 @@ def avoid_factors(
     the longest suffix of node + x that is a prefix, and dead[node] says
     that some suffix of node is forbidden.  The table has one row per
     prefix, and a transition is one lookup in it.  States are numbered
-    breadth-first from (None, ()), and a letter that cancels the last one,
-    or completes a forbidden factor, has no transition.
+    breadth-first from (None, ()), so each is reachable, and a letter that
+    cancels the last one, or completes a forbidden factor, has no
+    transition.  The automaton is built without the constructor's checks.
     """
     for f in forbidden:
         if not f:
@@ -141,7 +176,7 @@ def avoid_factors(
                 t = index[target] = len(index)
                 queue.append(target)
             transitions[(s, x)] = t
-    return CountingAutomaton(alphabet, len(index), transitions)
+    return CountingAutomaton._unchecked(alphabet, len(index), transitions)
 
 
 def _edge_weights(aut: CountingAutomaton) -> dict[tuple[int, int], int]:
@@ -225,11 +260,12 @@ def _strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[i
 def _ellpack(rows: list[list[tuple[int, int]]]) -> tuple[list[list[int]], list[list[int]]]:
     """The sparse rows in an ELLPACK layout (cols, wts): slot k holds the
     k-th entry (column cols[k][i], weight wts[k][i]) of every row i, rows in
-    increasing column order, short rows padded at the end with column 0 and
-    weight 0."""
+    increasing column order, short rows padded at the end with weight 0 on
+    their own column i, so every slot of a row stays in its block when rows
+    of several matrices share one layout."""
     n = len(rows)
     width = max(len(row) for row in rows)
-    cols = [[0] * n for _ in range(width)]
+    cols = [list(range(n)) for _ in range(width)]
     wts = [[0] * n for _ in range(width)]
     for i, row in enumerate(rows):
         for k, (j, w) in enumerate(row):
@@ -275,11 +311,11 @@ def _ratio_bounds(
 
 
 def _collatz_wielandt(
-    rows: list[list[tuple[int, int]]], tol: float, max_iter: int
-) -> tuple[float, float]:
-    """Rigorous two-sided bounds on the Perron root of an irreducible
-    non-negative integer matrix M given by sparse rows: rows[i] lists the
-    (j, M[i][j]) with M[i][j] > 0 in increasing j.
+    blocks: list[list[list[tuple[int, int]]]], tol: float, max_iter: int
+) -> list[tuple[float, float]]:
+    """Rigorous two-sided bounds on the Perron root of each of a list of
+    irreducible non-negative integer matrices M, each given by sparse rows:
+    rows[i] lists the (j, M[i][j]) with M[i][j] > 0 in increasing j.
 
     Iterates x -> (M + I)x in floats for speed; the +I shift makes the
     iteration aperiodic so the gap actually closes.  The returned bounds are
@@ -292,70 +328,139 @@ def _collatz_wielandt(
     summed over increasing j); a padded term adds an exact 0.0.  So every
     float, stopping decision and bound is the one that uncompensated scan
     gives (the built-in sum() of floats is compensated from Python 3.12 on).
+
+    The blocks are iterated together in one layout, each block's columns
+    offset by its first row.  Per-block reductions (np.maximum.reduceat and
+    np.minimum.reduceat) give each block's normaliser and ratio spread; a
+    block whose ratios agree to tol / 4, and every block at each 512th
+    iteration, gets _ratio_bounds on its own slice, and a block whose bounds
+    close leaves the layout.  So each block's floats, stopping iteration and
+    bounds are bit for bit those of a run on that block alone; with one
+    block left the loop reduces the whole iterate as such a run does.
+    Raises ResourceLimitError when a block is still open after max_iter.
     """
+    if not blocks:
+        return []
     import numpy as np
 
-    cols, wts = _ellpack(rows)
+    local = list(map(_ellpack, blocks))
+    sizes = list(map(len, blocks))
+    firsts = list(accumulate(sizes[:-1], initial=0))
+    if len(blocks) == 1:
+        cols, wts = local[0]
+    else:
+        cols, wts = _ellpack([
+            [(j + first, w) for j, w in row]
+            for rows, first in zip(blocks, firsts)
+            for row in rows
+        ])
     slot_cols = np.array(cols, dtype=np.intp)
     slot_wts = np.array(wts, dtype=float)
-    x = np.ones(len(rows))
+    x = np.ones(sum(sizes))
+    # the open blocks in layout order, with their row counts and first rows
+    live, spans = list(range(len(blocks))), sizes
+    bounds: list = [None] * len(blocks)
     for it in range(1, max_iter + 1):
         terms = slot_wts * x[slot_cols]
         acc = terms[0]
-        for k in range(1, len(cols)):
+        for k in range(1, len(terms)):
             acc += terms[k]
         y = x + acc
         ratios = y / x
-        x = y / y.max()
-        if ratios.max() - ratios.min() <= tol * 0.25 or it % 512 == 0:
-            lo, hi = _ratio_bounds(cols, wts, x.tolist())
+        if len(live) == 1:
+            x = y / y.max()
+            if not (ratios.max() - ratios.min() <= tol * 0.25 or it % 512 == 0):
+                continue
+            due = (0,)
+        else:
+            x = y / np.repeat(np.maximum.reduceat(y, firsts), spans)
+            if it % 512 == 0:
+                due = range(len(live))
+            else:
+                spread = np.maximum.reduceat(ratios, firsts) - np.minimum.reduceat(ratios, firsts)
+                due = np.flatnonzero(spread <= tol * 0.25).tolist()
+        closed = []
+        for i in due:
+            lo, hi = _ratio_bounds(*local[live[i]], x[firsts[i]:firsts[i] + spans[i]].tolist())
             if hi - lo <= tol:
-                return lo, hi
+                bounds[live[i]] = (lo, hi)
+                closed.append(i)
+        if len(closed) == len(live):
+            return bounds
+        if closed:
+            keep_block = np.ones(len(live), dtype=bool)
+            keep_block[closed] = False
+            keep = np.repeat(keep_block, spans)
+            live = [b for b, k in zip(live, keep_block.tolist()) if k]
+            spans = [sizes[b] for b in live]
+            firsts = list(accumulate(spans[:-1], initial=0))
+            width = max(len(local[b][0]) for b in live)
+            renumber = np.cumsum(keep) - 1
+            slot_cols = renumber[slot_cols[:width, keep]]
+            slot_wts = slot_wts[:width, keep]
+            x = x[keep]
     raise ResourceLimitError(
         f"Perron bounds did not reach width {tol} in {max_iter} iterations"
     )
 
 
-def perron_root(aut: CountingAutomaton, tol: float = 1e-9, max_iter: int = 200_000) -> GrowthBracket:
-    """Bracket for log of the Perron root of the transfer matrix.
+def perron_roots(
+    automata: Sequence[CountingAutomaton], tol: float = 1e-9, max_iter: int = 200_000
+) -> list[GrowthBracket]:
+    """Brackets for log of the Perron root of each automaton's transfer
+    matrix, in order.
 
     The spectral radius of a block-triangular non-negative matrix is the max
     over its strongly connected components, each of which is irreducible, so
     Collatz-Wielandt bounds per component are combined by max.  A cycle-free
     automaton gets the -inf sentinel.  The matrix is never built densely:
     each component gets sparse rows of aggregated edge weights.  Every state
-    is reachable from state 0 and accepts, so every component counts.
+    is reachable from state 0 and accepts, so every component counts.  The
+    components of all the automata are bracketed in one batched iteration
+    (_collatz_wielandt), which gives each the bounds it gets alone.
     """
     if tol < 1e-13:
         raise InvalidInputError(f"tol {tol} below float resolution")
-    weights = _edge_weights(aut)
-    n = aut.n_states
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for s, t in sorted(weights):
-        succ[s].append(t)
-    lo_best = hi_best = None
-    for comp in _strongly_connected_components(n, succ):
-        if len(comp) == 1:
-            s = comp[0]
-            if (s, s) not in weights:
-                continue
-            lo = hi = float(weights[(s, s)])
-        else:
-            local = {s: j for j, s in enumerate(comp)}
-            rows = [
-                [(local[t], weights[(s, t)]) for t in succ[s] if t in local]
-                for s in comp
-            ]
-            lo, hi = _collatz_wielandt(rows, tol, max_iter)
-        if hi_best is None or hi > hi_best:
-            hi_best = hi
-        if lo_best is None or lo > lo_best:
-            lo_best = lo
-    if hi_best is None:
-        return GrowthBracket(NEG_INF, NEG_INF, "spectral", regime="limit")
-    lower = math.nextafter(math.nextafter(math.log(lo_best), -math.inf), -math.inf)
-    upper = math.nextafter(math.nextafter(math.log(hi_best), math.inf), math.inf)
-    return GrowthBracket(lower, upper, "spectral", regime="limit")
+    found: list[list[tuple[float, float]]] = [[] for _ in automata]
+    blocks, owners = [], []
+    for a, aut in enumerate(automata):
+        weights = _edge_weights(aut)
+        n = aut.n_states
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for s, t in sorted(weights):
+            succ[s].append(t)
+        for comp in _strongly_connected_components(n, succ):
+            if len(comp) == 1:
+                s = comp[0]
+                if (s, s) in weights:
+                    found[a].append((float(weights[(s, s)]),) * 2)
+            else:
+                local = {s: j for j, s in enumerate(comp)}
+                blocks.append(
+                    [[(local[t], weights[(s, t)]) for t in succ[s] if t in local] for s in comp]
+                )
+                owners.append(a)
+    for a, bounds in zip(owners, _collatz_wielandt(blocks, tol, max_iter)):
+        found[a].append(bounds)
+    brackets = []
+    for pairs in found:
+        if not pairs:
+            brackets.append(GrowthBracket(NEG_INF, NEG_INF, "spectral", regime="limit"))
+            continue
+        lows, highs = zip(*pairs)
+        lo, hi = max(lows), max(highs)
+        lower = math.nextafter(math.nextafter(math.log(lo), -math.inf), -math.inf)
+        upper = math.nextafter(math.nextafter(math.log(hi), math.inf), math.inf)
+        brackets.append(GrowthBracket(lower, upper, "spectral", regime="limit"))
+    return brackets
+
+
+def perron_root(aut: CountingAutomaton, tol: float = 1e-9, max_iter: int = 200_000) -> GrowthBracket:
+    """Bracket for log of the Perron root of the transfer matrix:
+    perron_roots([aut], tol, max_iter)[0].  Callers with many automata may
+    bracket them in batches through perron_roots; the results are identical
+    bit for bit."""
+    return perron_roots([aut], tol, max_iter)[0]
 
 
 def oriented_vs_unoriented_gap(

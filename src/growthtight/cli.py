@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -45,6 +46,7 @@ from .automata import (
     avoid_factors,
     count_lengths,
     perron_root,
+    perron_roots,
 )
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .growth import (
@@ -246,8 +248,15 @@ def _cmd_exponent(params: dict, budgets: dict) -> dict:
     return {"rank": alphabet.rank, **results, "fekete": fekete, "subadditivity_b": b}
 
 
+# The avoid sweep brackets its languages through perron_roots this many at a
+# time: the batch shares one iteration, and memory stays bounded for any
+# max_len.  The brackets do not depend on it.
+SWEEP_BATCH = 256
+
+
 def _cmd_avoid_sweep(params: dict, budgets: dict) -> dict:
-    """One avoidance language per non-trivial f with |f| <= max_len."""
+    """One avoidance language per non-trivial f with |f| <= max_len,
+    bracketed in batches of SWEEP_BATCH languages."""
     alphabet = Alphabet(params["rank"])
     block = params["sweep"]
     if block["max_len"] == 0:
@@ -255,16 +264,19 @@ def _cmd_avoid_sweep(params: dict, budgets: dict) -> dict:
     max_len = _sweep_radius(block["max_len"], budgets, "max_len")
     threshold = block["margin"]
     full = math.log(2 * alphabet.rank - 1)
+    factors = (
+        f for length in range(1, max_len + 1)
+        for f in enumerate_sphere(alphabet, length, cutoff=budgets["cutoff"])
+    )
     entries = []
-    for length in range(1, max_len + 1):
-        for f in enumerate_sphere(alphabet, length, cutoff=budgets["cutoff"]):
-            upper = perron_root(avoid_factors(alphabet, [f]), budgets["tol"]).upper
-            entry = {
+    while batch := list(itertools.islice(factors, SWEEP_BATCH)):
+        automata = [avoid_factors(alphabet, [f]) for f in batch]
+        for f, bracket in zip(batch, perron_roots(automata, budgets["tol"])):
+            entries.append({
                 "f": format_word(f),
-                "upper": upper,
-                "margin": full - threshold - upper,
-            }
-            entries.append(entry)
+                "upper": bracket.upper,
+                "margin": full - threshold - bracket.upper,
+            })
     return {
         "rank": alphabet.rank,
         "max_len": max_len,
@@ -388,9 +400,12 @@ def _product_spec(params: dict) -> LpProductSpec:
 def _cmd_product(params: dict, budgets: dict) -> dict:
     spec = _product_spec(params)
     r_max = budgets["r_max"]
-    automata = [avoid_factors(a, ()) for a in spec.factors]
-    factor_spheres = [count_lengths(aut, r_max) for aut in automata]
-    brackets = [perron_root(aut, budgets["tol"]) for aut in automata]
+    free = {}  # factors of one rank share the automaton, the counts and the bracket
+    for alphabet in dict.fromkeys(spec.factors):
+        aut = avoid_factors(alphabet, ())
+        free[alphabet] = count_lengths(aut, r_max), perron_root(aut, budgets["tol"])
+    factor_spheres = [free[a][0] for a in spec.factors]
+    brackets = [free[a][1] for a in spec.factors]
     exponents = [(b.lower + b.upper) / 2 for b in brackets]
     report = verify_duality(spec, factor_spheres, r_max, exponents)
     return {**vars(report), "factor_brackets": brackets}

@@ -428,7 +428,8 @@ def tightness_verdict(
     tight/inconclusive can be concluded there.
     """
     oracle.validate_for(spec)
-    factor_brackets = [perron_root(avoid_factors(a, ())) for a in spec.factors]
+    free = {a: perron_root(avoid_factors(a, ())) for a in dict.fromkeys(spec.factors)}
+    factor_brackets = [free[a] for a in spec.factors]  # one bracket per rank
     delta_g = _dual_bracket(factor_brackets, spec.p)
     delta_gn, structural_witness = oracle.exponent(spec, factor_brackets, r_max, tol)
     gap = delta_g.lower - delta_gn.upper

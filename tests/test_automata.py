@@ -24,6 +24,7 @@ from growthtight import (
     oriented_vs_unoriented_gap,
     parse_word,
     perron_root,
+    perron_roots,
 )
 
 import oracles
@@ -387,18 +388,20 @@ def reference_or_none(rows, tol, max_iter):
         return None
 
 
-def kernel_or_none(rows, tol, max_iter):
+def kernel_or_none(blocks, tol, max_iter):
     try:
-        bounds = _collatz_wielandt(rows, tol, max_iter)
+        bounds = _collatz_wielandt(blocks, tol, max_iter)
     except ResourceLimitError:
         return None
-    assert all(type(b) is float for b in bounds)
+    assert len(bounds) == len(blocks)
+    assert all(type(b) is float for pair in bounds for b in pair)
     return bounds
 
 
 class TestCollatzWielandtKernel:
     """The vectorised kernel against the plain-Python reference in
-    oracles.py: the same bounds bit for bit, and the same failures."""
+    oracles.py: the same bounds bit for bit, and the same failures, for
+    one block and for a batch of them."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -411,13 +414,30 @@ class TestCollatzWielandtKernel:
     @example(rows=[[(1, 2)], [(0, 1)]], tol=1e-9, max_iter=200_000)
     @example(rows=[[(0, 3)]], tol=1e-9, max_iter=1)
     def test_matches_reference(self, rows, tol, max_iter):
-        assert kernel_or_none(rows, tol, max_iter) == reference_or_none(rows, tol, max_iter)
+        want = reference_or_none(rows, tol, max_iter)
+        assert kernel_or_none([rows], tol, max_iter) == (None if want is None else [want])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        blocks=st.lists(irreducible_rows(), min_size=1, max_size=4),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+        max_iter=st.sampled_from([1, 2, 40, 200_000]),
+    )
+    @example(blocks=[SLOW_CYCLE, [[(1, 2)], [(0, 1)]], [[(0, 3)]]], tol=1e-9, max_iter=200_000)
+    @example(blocks=[[[(1, 2)], [(0, 1)]], SLOW_CYCLE], tol=1e-9, max_iter=511)
+    @example(blocks=[[[(0, 3)]], [[(0, 3)]], SLOW_CYCLE, [[(0, 1)]]], tol=1e-12, max_iter=200_000)
+    def test_batch_matches_reference_per_block(self, blocks, tol, max_iter):
+        # a batch fails exactly when some block alone fails, and otherwise
+        # gives every block the bounds it gets alone
+        want = [reference_or_none(rows, tol, max_iter) for rows in blocks]
+        got = kernel_or_none(blocks, tol, max_iter)
+        assert got == (None if None in want else want)
 
     def test_slow_cycle_passes_the_periodic_exact_check(self):
         # no convergence within 511 iterations, so the it = 512 exact
         # evaluation runs before the bounds close
-        assert kernel_or_none(SLOW_CYCLE, 1e-9, 511) is None
-        lo, hi = _collatz_wielandt(SLOW_CYCLE, 1e-9, 200_000)
+        assert kernel_or_none([SLOW_CYCLE], 1e-9, 511) is None
+        [(lo, hi)] = _collatz_wielandt([SLOW_CYCLE], 1e-9, 200_000)
         assert lo <= 2 ** (1 / 40) <= hi
 
 
@@ -482,6 +502,31 @@ class TestWeightedAutomata:
         ]
         br = perron_root(aut, 1e-9)
         assert br.contains(math.log(2)) and br.width <= 2e-9
+        # both blocks run in one batch, each with the bounds it gets alone
+        blocks = [[[(1, first)], [(0, first)]], [[(1, second)], [(0, second)]]]
+        assert _collatz_wielandt(blocks, 1e-9, 200_000) == [
+            _collatz_wielandt([rows], 1e-9, 200_000)[0] for rows in blocks
+        ]
+        auts = [aut, BASE2, aut]
+        assert perron_roots(auts, 1e-9) == [perron_root(a, 1e-9) for a in auts]
+
+
+class TestPerronRootsBatch:
+    def test_avoid_sweep_len4_languages(self):
+        # the 160 languages of jobs/avoid_sweep_len4.json in one batch
+        factors = [f for length in range(1, 5) for f in enumerate_sphere(RANK2, length)]
+        auts = [avoid_factors(RANK2, [f]) for f in factors]
+        assert len(auts) == 160
+        assert perron_roots(auts, 1e-9) == [perron_root(a, 1e-9) for a in auts]
+
+    def test_cycle_free_and_empty(self):
+        assert perron_roots([], 1e-9) == []
+        [br] = perron_roots([avoid_factors(RANK2, [word2(t) for t in ("a", "A", "b", "B")])])
+        assert br.lower == br.upper == NEG_INF
+
+    def test_a_block_that_cannot_close_fails_the_batch(self):
+        with pytest.raises(ResourceLimitError):
+            perron_roots([BASE2, avoid2("ab")], 1e-9, max_iter=2)
 
 
 class TestOrientedGap:
@@ -505,6 +550,25 @@ class TestOrientedGap:
     def test_trivial_f_rejected(self):
         with pytest.raises(InvalidInputError):
             oriented_vs_unoriented_gap(RANK2, RANK2.identity)
+
+
+class TestAutomatonChecks:
+    """The constructor rejects what perron_root and count_lengths would
+    silently get wrong."""
+
+    def test_unreachable_state_is_rejected(self):
+        # state 1 carries three loops but no word reaches it: the growth is 0,
+        # not log 3
+        with pytest.raises(InvalidInputError, match="state 1 is unreachable"):
+            CountingAutomaton(RANK2, 2, {(0, 0): 0, (1, 0): 1, (1, 1): 1, (1, 2): 1})
+
+    def test_target_outside_the_states_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="leaves the states 0..1"):
+            CountingAutomaton(RANK2, 2, {(0, 0): 1, (1, 0): 2})
+
+    def test_letter_outside_the_alphabet_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="9 is not a letter of rank 2"):
+            CountingAutomaton(RANK2, 1, {(0, 9): 0})
 
 
 class TestAutomatonPlumbing:

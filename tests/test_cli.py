@@ -243,6 +243,29 @@ class TestCommands:
         assert res["verdict"] == "not-tight"
         assert res["overlap_gap"] <= 1e-6
 
+    def test_product_and_tightness_bracket_each_rank_once(self, tmp_path, capsys, monkeypatch):
+        # factors of one rank share the free group's automaton and bracket
+        from growthtight import automata, quotients
+
+        ranks = []
+
+        def counted(aut, *args):
+            ranks.append(aut.alphabet.rank)
+            return automata.perron_root(aut, *args)
+
+        monkeypatch.setattr(cli, "perron_root", counted)
+        monkeypatch.setattr(quotients, "perron_root", counted)
+        factors = [{"rank": 2}, {"rank": 3}, {"rank": 2}]
+        product = write_job(tmp_path, "product", {"factors": factors, "p": "inf"}, {"r_max": 6})
+        code, out, _ = run_cli(capsys, "run", str(product), "--quiet")
+        brackets = json.loads(out)["results"]["factor_brackets"]
+        assert code == 0 and ranks == [2, 3] and brackets[0] == brackets[2] != brackets[1]
+        ranks.clear()
+        params = {"factors": factors, "p": "inf", "oracle": {"kind": "factor-kernel", "kill": [2]}}
+        tightness = write_job(tmp_path, "tightness", params)
+        code, out, _ = run_cli(capsys, "run", str(tightness), "--quiet")
+        assert code == 0 and ranks == [2, 3]
+
     @pytest.mark.parametrize("oracle", [
         {"kind": "factor-kernel", "kill": [1]},
         {"kind": "abelianization-kernel"},

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from growthtight import cli
+from growthtight import cli, perron_roots
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = sorted((ROOT / "jobs").glob("*.json"))
@@ -34,3 +34,20 @@ def test_embedded_job_replays_byte_identical(job, tmp_path):
     out = tmp_path / job.name
     assert cli.main(["run", str(replay), "--quiet", "--out", str(out)]) == 0
     assert out.read_bytes() == golden
+
+
+def test_avoid_sweep_in_batches_of_7_is_byte_identical(tmp_path, monkeypatch):
+    # the 160 languages of the sweep go to perron_roots 7 at a time: 22 full
+    # batches and a short last one, with the report of the default batching
+    sizes = []
+
+    def recording(automata, *args):
+        sizes.append(len(automata))
+        return perron_roots(automata, *args)
+
+    monkeypatch.setattr(cli, "SWEEP_BATCH", 7)
+    monkeypatch.setattr(cli, "perron_roots", recording)
+    out = tmp_path / "avoid_sweep_len4.json"
+    assert cli.main(["run", str(ROOT / "jobs" / out.name), "--quiet", "--out", str(out)]) == 0
+    assert sizes == [7] * 22 + [6]
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
