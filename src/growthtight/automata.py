@@ -10,6 +10,7 @@ alone.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul, truediv
@@ -67,6 +68,14 @@ class CountingAutomaton:
     towards the growth.  The constructor checks this, and that every
     transition joins two of the n_states states by a letter of the alphabet;
     a breach is invalid input.
+
+    The successor rows that count_lengths and perron_roots read are built
+    once, with the transitions: succ[s] lists the target of each of s's
+    transitions in insertion order, and rows[s] the (target, number of
+    letters) pairs of s in increasing target order, parallel edges added
+    up, which is the row of the transfer matrix.  count_lengths pushes its
+    exact counts along succ, which spares it a multiplication per edge;
+    perron_roots cuts its sparse float rows from rows.
     """
 
     def __init__(
@@ -98,14 +107,24 @@ class CountingAutomaton:
                     frontier.append(t)
         if not all(seen):
             raise InvalidInputError(f"state {seen.index(False)} is unreachable from state 0")
+        rows = [sorted(Counter(targets).items()) for targets in succ]
         self.alphabet, self.n_states, self.transitions = alphabet, n_states, dict(transitions)
+        self.succ, self.rows = succ, rows
 
     @classmethod
-    def _unchecked(cls, alphabet: Alphabet, n_states: int, transitions: dict):
-        """An automaton whose builder guarantees what the constructor checks;
-        it keeps transitions without copying them."""
+    def _unchecked(
+        cls,
+        alphabet: Alphabet,
+        n_states: int,
+        transitions: dict,
+        succ: list[list[int]],
+        rows: list[list[tuple[int, int]]],
+    ):
+        """An automaton whose builder guarantees what the constructor checks
+        and hands over the successor rows; it keeps them without copying."""
         aut = cls.__new__(cls)
         aut.alphabet, aut.n_states, aut.transitions = alphabet, n_states, transitions
+        aut.succ, aut.rows = succ, rows
         return aut
 
     def accepts(self, word: ReducedWord) -> bool:
@@ -125,81 +144,93 @@ def avoid_factors(
 
     A state is (last letter, longest suffix of the input that is a prefix of
     a forbidden word).  The suffixes are read off an Aho-Corasick table
-    (Aho and Corasick 1975) whose nodes are the prefixes of the forbidden
-    words, numbered by length from the root (): goto[node][x] is the node of
-    the longest suffix of node + x that is a prefix, and dead[node] says
-    that some suffix of node is forbidden.  The table has one row per
-    prefix, and a transition is one lookup in it.  States are numbered
-    breadth-first from (None, ()), so each is reachable, and a letter that
-    cancels the last one, or completes a forbidden factor, has no
-    transition.  The automaton is built without the constructor's checks.
+    (Aho and Corasick 1975) over the integer trie of the forbidden words:
+    node 0 is the empty prefix, children[node] maps a letter to the node one
+    letter longer, goto[node][x] is the node of the longest suffix of
+    node + x that is a prefix, and dead[node] says that some suffix of node
+    is forbidden.  goto rows and fail links are filled breadth-first, so a
+    transition is one lookup in a list.  States are numbered breadth-first
+    from (None, root), so each is reachable, and a letter that cancels the
+    last one, or completes a forbidden factor, has no transition.  The
+    automaton is built without the constructor's checks; the successor rows
+    are made with the transitions.
     """
     for f in forbidden:
         if not f:
             raise InvalidInputError("forbidden factors must be non-empty")
         if f.alphabet != alphabet:
             raise InvalidInputError("forbidden factor over a different alphabet")
-    bad = {f.letters for f in forbidden}
-    nodes = sorted({()} | {f[:i] for f in bad for i in range(1, len(f) + 1)}, key=len)
-    node_id = {p: i for i, p in enumerate(nodes)}
-    dead = [p in bad for p in nodes]
-    # fail[i]: the node of the longest proper suffix of node i that is a
-    # prefix.  It is shorter than node i, so its goto row is built first.
-    fail = [0] * len(nodes)
-    goto: list[list[int]] = []
-    for i, p in enumerate(nodes):
-        row = []
-        for x in alphabet.letters:
-            link = goto[fail[i]][x] if i else 0
-            child = node_id.get(p + (x,))
+    letters = alphabet.letters
+    children: list[dict[int, int]] = [{}]
+    dead = [False]
+    for f in forbidden:
+        node = 0
+        for x in f.letters:
+            child = children[node].get(x)
             if child is None:
-                row.append(link)
-            else:
-                fail[child] = link
-                dead[child] = dead[child] or dead[link]
-                row.append(child)
-        goto.append(row)
+                child = children[node][x] = len(children)
+                children.append({})
+                dead.append(False)
+            node = child
+        dead[node] = True
+    # fail[node]: the node of the longest proper suffix of node that is a
+    # prefix.  It is shorter than node, so its goto row is built first.
+    fail = [0] * len(children)
+    goto: list[list[int]] = [[]] * len(children)
+    goto[0] = [children[0].get(x, 0) for x in letters]
+    queue = list(children[0].values())
+    for node in queue:
+        link = goto[fail[node]]
+        row = link.copy()
+        for x, child in children[node].items():
+            fail[child] = link[x]
+            dead[child] = dead[child] or dead[link[x]]
+            row[x] = child
+            queue.append(child)
+        goto[node] = row
 
-    index: dict[tuple, int] = {(None, 0): 0}
-    queue = [(None, 0)]
+    # state s is (lasts[s], nodes[s]); state_of[node * width + x] is the
+    # state (x, node), or -1 before it is numbered
+    width = len(letters)
+    state_of = [-1] * (len(goto) * width)
+    # the start state has no last letter; -2 ^ 1 = -1 is no letter to cancel
+    lasts, nodes = [-2], [0]
     transitions: dict[tuple[int, int], int] = {}
-    for s, (last, node) in enumerate(queue):
-        back = None if last is None else last ^ 1
+    succ: list[list[int]] = []
+    rows: list[list[tuple[int, int]]] = []
+    for s, node in enumerate(nodes):
+        back = lasts[s] ^ 1
         row = goto[node]
-        for x in alphabet.letters:
+        targets = []
+        for x in letters:
             nxt = row[x]
             if x == back or dead[nxt]:
                 continue
-            target = (x, nxt)
-            t = index.get(target)
-            if t is None:
-                t = index[target] = len(index)
-                queue.append(target)
+            key = nxt * width + x
+            t = state_of[key]
+            if t < 0:
+                t = state_of[key] = len(nodes)
+                nodes.append(nxt)
+                lasts.append(x)
             transitions[(s, x)] = t
-    return CountingAutomaton._unchecked(alphabet, len(index), transitions)
-
-
-def _edge_weights(aut: CountingAutomaton) -> dict[tuple[int, int], int]:
-    """Transfer-matrix entries as {(s, t): number of letters from s to t}."""
-    weights: dict[tuple[int, int], int] = {}
-    for (s, _), t in aut.transitions.items():
-        weights[(s, t)] = weights.get((s, t), 0) + 1
-    return weights
+            targets.append(t)
+        # the letters of a state lead to distinct states, so no edge is parallel
+        succ.append(targets)
+        rows.append([(t, 1) for t in sorted(targets)])
+    return CountingAutomaton._unchecked(alphabet, len(nodes), transitions, succ, rows)
 
 
 def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
     """Exact counts of accepted words of each length 0..r_max.
 
     v[s] counts the accepted words of the current length that end in state
-    s; a step pushes v[s] along each of s's transitions, one successor entry
-    per letter, so parallel edges are added rather than multiplied and
-    states with no words are skipped.  Counts are exact ints.
+    s; a step pushes v[s] along each of s's transitions, one entry of
+    aut.succ[s] per letter, so parallel edges are added rather than
+    multiplied and states with no words are skipped.  Counts are exact ints.
     """
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
-    succ: list[list[int]] = [[] for _ in range(aut.n_states)]
-    for (s, _), t in aut.transitions.items():
-        succ[s].append(t)
+    succ = aut.succ
     v = [0] * aut.n_states
     v[0] = 1
     counts = [1]
@@ -215,28 +246,27 @@ def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
 
 
 def _strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[int]]:
-    """Kosaraju with iterative DFS."""
+    """Kosaraju with iterative DFS; each component in increasing order."""
     seen = [False] * n
     order: list[int] = []
     for start in range(n):
         if seen[start]:
             continue
-        stack = [(start, 0)]
         seen[start] = True
+        stack = [(start, iter(succ[start]))]
         while stack:
-            node, i = stack[-1]
-            if i < len(succ[node]):
-                stack[-1] = (node, i + 1)
-                t = succ[node][i]
+            node, targets = stack[-1]
+            for t in targets:
                 if not seen[t]:
                     seen[t] = True
-                    stack.append((t, 0))
+                    stack.append((t, iter(succ[t])))
+                    break
             else:
                 order.append(node)
                 stack.pop()
     pred: list[list[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        for t in succ[s]:
+    for s, targets in enumerate(succ):
+        for t in targets:
             pred[t].append(s)
     assigned = [False] * n
     components = []
@@ -245,14 +275,11 @@ def _strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[i
             continue
         comp = [node]
         assigned[node] = True
-        frontier = [node]
-        while frontier:
-            u = frontier.pop()
+        for u in comp:
             for w in pred[u]:
                 if not assigned[w]:
                     assigned[w] = True
                     comp.append(w)
-                    frontier.append(w)
         components.append(sorted(comp))
     return components
 
@@ -414,30 +441,28 @@ def perron_roots(
     over its strongly connected components, each of which is irreducible, so
     Collatz-Wielandt bounds per component are combined by max.  A cycle-free
     automaton gets the -inf sentinel.  The matrix is never built densely:
-    each component gets sparse rows of aggregated edge weights.  Every state
-    is reachable from state 0 and accepts, so every component counts.  The
-    components of all the automata are bracketed in one batched iteration
-    (_collatz_wielandt), which gives each the bounds it gets alone.
+    the components are found on aut.succ, and each component's sparse rows
+    are cut from aut.rows, which the automaton was built with; their
+    aggregated edge weights in increasing target order fix the order of
+    every float sum.  Every state is reachable from state 0 and accepts, so
+    every component counts.  The components of all the automata are
+    bracketed in one batched iteration (_collatz_wielandt), which gives
+    each the bounds it gets alone.
     """
     if tol < 1e-13:
         raise InvalidInputError(f"tol {tol} below float resolution")
     found: list[list[tuple[float, float]]] = [[] for _ in automata]
     blocks, owners = [], []
     for a, aut in enumerate(automata):
-        weights = _edge_weights(aut)
-        n = aut.n_states
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for s, t in sorted(weights):
-            succ[s].append(t)
-        for comp in _strongly_connected_components(n, succ):
+        rows = aut.rows
+        for comp in _strongly_connected_components(aut.n_states, aut.succ):
             if len(comp) == 1:
                 s = comp[0]
-                if (s, s) in weights:
-                    found[a].append((float(weights[(s, s)]),) * 2)
+                found[a].extend((float(w),) * 2 for t, w in rows[s] if t == s)
             else:
                 local = {s: j for j, s in enumerate(comp)}
                 blocks.append(
-                    [[(local[t], weights[(s, t)]) for t in succ[s] if t in local] for s in comp]
+                    [[(local[t], w) for t, w in rows[s] if t in local] for s in comp]
                 )
                 owners.append(a)
     for a, bounds in zip(owners, _collatz_wielandt(blocks, tol, max_iter)):

@@ -421,14 +421,18 @@ def tightness_verdict(
     """Growth-tightness verdict comparing the full product exponent with the
     quotient exponent.
 
-    delta_G combines per-factor spectral brackets by the conjugate norm, and
+    delta_G combines per-factor spectral brackets, taken at tol min(tol,
+    1e-9) (never looser than perron_root's default), by the conjugate norm, and
     delta_G/N is the record's exponent: for factor kernels the same
     combination over survivors (exact); the other kinds get a Fekete bracket
     from exact quotient counts, whose lower end is heuristic, so only
     tight/inconclusive can be concluded there.
     """
     oracle.validate_for(spec)
-    free = {a: perron_root(avoid_factors(a, ())) for a in dict.fromkeys(spec.factors)}
+    bracket_tol = min(tol, 1e-9)
+    free = {
+        a: perron_root(avoid_factors(a, ()), bracket_tol) for a in dict.fromkeys(spec.factors)
+    }
     factor_brackets = [free[a] for a in spec.factors]  # one bracket per rank
     delta_g = _dual_bracket(factor_brackets, spec.p)
     delta_gn, structural_witness = oracle.exponent(spec, factor_brackets, r_max, tol)

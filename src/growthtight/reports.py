@@ -1,11 +1,18 @@
-"""Report serialization shared by the CLI: canonical JSON plus aligned tables
-rendered from the results."""
+"""Report serialization shared by the CLI: canonical JSON written in one
+pass straight from the result objects, plus aligned tables rendered from
+the results.
+
+canonical_json gives, byte for byte, json.dumps of the strict-JSON-safe form
+_sanitize makes, with indent=2, sort_keys=True and ensure_ascii=False.  It
+writes that text itself because json falls back to its pure-Python encoder
+whenever indent is set, and it skips the _sanitize copy; render_table still
+reads that copy."""
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
+from json.encoder import encode_basestring
 from typing import Sequence
 
 JOB_SCHEMA = "growthtight/job-v1"
@@ -36,7 +43,121 @@ def _sanitize(obj):
 
 def canonical_json(obj) -> str:
     """Deterministic strict JSON: sorted keys, fixed indentation, newline-terminated."""
-    return json.dumps(_sanitize(obj), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    chunks: list[str] = []
+    _write(obj, chunks.append, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _float_text(x: float) -> str:
+    # an infinity or nan is written as the string _sanitize makes of it
+    if x != x:
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A non-string dict key as json writes it: stringified (a float key as
+    json spells it, infinities included), then quoted."""
+    if isinstance(key, float):
+        if key != key:
+            text = "NaN"
+        elif math.isinf(key):
+            text = "Infinity" if key > 0 else "-Infinity"
+        else:
+            text = float.__repr__(key)
+    elif key is True:
+        text = "true"
+    elif key is False:
+        text = "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring(text)
+
+
+# per dataclass type: its field names in key order, and their key texts
+_FIELDS: dict[type, tuple[list[str], list[str]]] = {}
+_INT_ONLY = {int}
+
+
+def _write(obj, put, newline: str) -> None:
+    """Pass the JSON text of obj to put, piece by piece; newline is the line
+    break and indentation of the line obj starts on.  The cases and their
+    order are _sanitize's, and each leaf is written as json writes it."""
+    if isinstance(obj, str):
+        put(encode_basestring(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, float):
+        put(_float_text(obj))
+    elif isinstance(obj, dict):
+        items = sorted(obj.items())
+        _write_items(
+            [(encode_basestring(k) if isinstance(k, str) else _key_text(k)) + ": " for k, _ in items],
+            [v for _, v in items],
+            put,
+            newline,
+        )
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = newline + "  "
+        if {*map(type, obj)} == _INT_ONLY:
+            put("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep, comma = "[" + inner, "," + inner
+        for value in obj:
+            put(sep)
+            sep = comma
+            if type(value) is str:
+                put(encode_basestring(value))
+            else:
+                _write(value, put, inner)
+        put(newline + "]")
+    else:
+        fields = _FIELDS.get(type(obj))
+        if fields is None:
+            if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
+                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            names = sorted(f.name for f in dataclasses.fields(obj))
+            fields = _FIELDS[type(obj)] = names, [encode_basestring(n) + ": " for n in names]
+        names, keys = fields
+        _write_items(keys, [getattr(obj, name) for name in names], put, newline)
+
+
+def _write_items(keys: list[str], values: list, put, newline: str) -> None:
+    """The JSON object of the given key texts ("key": ) and values."""
+    if not keys:
+        put("{}")
+        return
+    inner = newline + "  "
+    sep, comma = "{" + inner, "," + inner
+    for key, value in zip(keys, values):
+        put(sep + key)
+        sep = comma
+        kind = type(value)
+        if kind is str:
+            put(encode_basestring(value))
+        elif kind is int:
+            put(int.__repr__(value))
+        elif kind is float:
+            put(_float_text(value))
+        else:
+            _write(value, put, inner)
+    put(newline + "}")
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:

@@ -511,6 +511,63 @@ class TestWeightedAutomata:
         assert perron_roots(auts, 1e-9) == [perron_root(a, 1e-9) for a in auts]
 
 
+@st.composite
+def weighted_automata(draw):
+    """(n_states, transitions) over RANK3 (six letters): a random spanning
+    tree from state 0 keeps every state reachable, and every other letter
+    of a state is left out or sent to a target drawn with a bias towards
+    the state itself and an earlier target of the state, so parallel edges
+    and self-loops of weight 2 or more are common."""
+    n = draw(st.integers(1, 6))
+    transitions = {}
+    free = {s: list(RANK3.letters) for s in range(n)}
+    for s in range(1, n):
+        parent = draw(st.integers(0, s - 1))
+        transitions[(parent, free[parent].pop(draw(st.integers(0, len(free[parent]) - 1))))] = s
+    for s in range(n):
+        for x in free[s]:
+            earlier = [t for (u, _), t in transitions.items() if u == s]
+            choice = draw(st.sampled_from(["none", "self", "earlier", "any"]))
+            if choice == "self":
+                transitions[(s, x)] = s
+            elif choice == "earlier" and earlier:
+                transitions[(s, x)] = draw(st.sampled_from(earlier))
+            elif choice == "any":
+                transitions[(s, x)] = draw(st.integers(0, n - 1))
+    return n, transitions
+
+
+class TestConstructorRows:
+    """The successor rows the public constructor builds, which count_lengths
+    and perron_roots read, against the dense transfer matrix."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=weighted_automata())
+    @example(case=(1, {(0, 0): 0, (0, 1): 0}))  # a self-loop of weight 2
+    @example(case=(2, {(0, 0): 1, (0, 1): 1, (1, 2): 1, (1, 3): 1, (1, 4): 0}))
+    @example(case=(3, {(0, 0): 1, (0, 1): 2, (1, 0): 0, (1, 1): 0, (2, 0): 2, (2, 1): 2}))
+    def test_rows_counts_and_brackets_match_the_matrix(self, case):
+        n, transitions = case
+        aut = CountingAutomaton(RANK3, n, transitions)
+        mat = transfer_matrix(aut)
+        # parallel edges aggregated, targets in increasing order
+        assert aut.rows == [[(t, w) for t, w in enumerate(row) if w] for row in mat]
+        assert [sorted(targets) for targets in aut.succ] == [
+            [t for t, w in enumerate(row) for _ in range(w)] for row in mat
+        ]
+        # counts[r] sums the first row of M^r
+        v, want = [1] + [0] * (n - 1), []
+        for _ in range(n + 3):
+            want.append(sum(v))
+            v = [sum(v[s] * mat[s][t] for s in range(n)) for t in range(n)]
+        assert list(count_lengths(aut, n + 2).spheres) == want
+        br = perron_root(aut, 1e-9)
+        if want[n] == 0:  # no word of length n: no cycle, and M is nilpotent
+            assert br.lower == br.upper == NEG_INF
+        else:
+            assert_brackets_log_rho(br, log_spectral_radius(aut), 1e-9)
+
+
 class TestPerronRootsBatch:
     def test_avoid_sweep_len4_languages(self):
         # the 160 languages of jobs/avoid_sweep_len4.json in one batch

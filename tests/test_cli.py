@@ -243,6 +243,48 @@ class TestCommands:
         assert res["verdict"] == "not-tight"
         assert res["overlap_gap"] <= 1e-6
 
+    TIGHTNESS_INF = {
+        "factors": [{"rank": 2}, {"rank": 3}],
+        "p": "inf",
+        "oracle": {"kind": "factor-kernel", "kill": [1]},
+    }
+
+    @pytest.mark.parametrize("command,params", [
+        ("tightness", TIGHTNESS_INF),
+        ("exponent", {"rank": 2}),
+        ("product", {"factors": [{"rank": 2}, {"rank": 3}], "p": "inf"}),
+    ], ids=["tightness", "exponent", "product"])
+    def test_tol_below_float_resolution_is_invalid(self, tmp_path, capsys, command, params):
+        job = write_job(tmp_path, command, params, {"r_max": 4})
+        code, out, err = run_cli(capsys, "run", str(job), "--quiet", "--tol", "1e-14")
+        assert code == 2 and out == "" and "below float resolution" in err
+
+    def test_tightness_brackets_the_factors_at_the_job_tol_below_1e9(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at the default tol 0.08, or any tol >= 1e-9, the factors get
+        # perron_root's default tol 1e-9, so delta_G does not depend on tol;
+        # a smaller tol reaches perron_root and can only narrow delta_G
+        from growthtight import automata, quotients
+
+        tols = []
+
+        def recorded(aut, tol):
+            tols.append(tol)
+            return automata.perron_root(aut, tol)
+
+        monkeypatch.setattr(quotients, "perron_root", recorded)
+        brackets = []
+        for tol in (0.08, 1e-3, 1e-9, 1e-12):
+            job = write_job(tmp_path, "tightness", self.TIGHTNESS_INF, {"r_max": 4, "tol": tol})
+            code, out, _ = run_cli(capsys, "run", str(job), "--quiet")
+            assert code == 0
+            brackets.append(json.loads(out)["results"]["delta_G"])
+        assert tols == [1e-9] * 6 + [1e-12] * 2
+        assert brackets[0] == brackets[1] == brackets[2]
+        coarse, fine = brackets[2], brackets[3]
+        assert coarse["lower"] <= fine["lower"] <= fine["upper"] <= coarse["upper"]
+
     def test_product_and_tightness_bracket_each_rank_once(self, tmp_path, capsys, monkeypatch):
         # factors of one rank share the free group's automaton and bracket
         from growthtight import automata, quotients
