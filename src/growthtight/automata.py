@@ -10,7 +10,6 @@ alone.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul, truediv
@@ -69,13 +68,13 @@ class CountingAutomaton:
     transition joins two of the n_states states by a letter of the alphabet;
     a breach is invalid input.
 
-    The successor rows that count_lengths and perron_roots read are built
-    once, with the transitions: succ[s] lists the target of each of s's
-    transitions in insertion order, and rows[s] the (target, number of
-    letters) pairs of s in increasing target order, parallel edges added
-    up, which is the row of the transfer matrix.  count_lengths pushes its
-    exact counts along succ, which spares it a multiplication per edge;
-    perron_roots cuts its sparse float rows from rows.
+    The successor table that count_lengths, perron_roots and
+    tree.walk_ghat_ball read is built once, with the transitions: succ[s]
+    lists the target of each of s's transitions, one per letter, in
+    increasing order, so a transfer-matrix weight M[s][t] > 1 is t repeated
+    M[s][t] times.  count_lengths pushes its exact counts along succ, which
+    spares it a multiplication per edge; perron_roots cuts its components'
+    successor lists from it.
     """
 
     def __init__(
@@ -98,6 +97,8 @@ class CountingAutomaton:
                     f"transition ({s!r}, {x!r}) -> {t!r} leaves the states 0..{n_states - 1}"
                 )
             succ[s].append(t)
+        for targets in succ:
+            targets.sort()
         seen = [True] + [False] * (n_states - 1)
         frontier = [0]
         while frontier:
@@ -107,24 +108,19 @@ class CountingAutomaton:
                     frontier.append(t)
         if not all(seen):
             raise InvalidInputError(f"state {seen.index(False)} is unreachable from state 0")
-        rows = [sorted(Counter(targets).items()) for targets in succ]
         self.alphabet, self.n_states, self.transitions = alphabet, n_states, dict(transitions)
-        self.succ, self.rows = succ, rows
+        self.succ = succ
 
     @classmethod
     def _unchecked(
-        cls,
-        alphabet: Alphabet,
-        n_states: int,
-        transitions: dict,
-        succ: list[list[int]],
-        rows: list[list[tuple[int, int]]],
+        cls, alphabet: Alphabet, n_states: int, transitions: dict, succ: list[list[int]]
     ):
         """An automaton whose builder guarantees what the constructor checks
-        and hands over the successor rows; it keeps them without copying."""
+        and hands over the sorted successor table; it keeps it without
+        copying."""
         aut = cls.__new__(cls)
         aut.alphabet, aut.n_states, aut.transitions = alphabet, n_states, transitions
-        aut.succ, aut.rows = succ, rows
+        aut.succ = succ
         return aut
 
     def accepts(self, word: ReducedWord) -> bool:
@@ -152,8 +148,8 @@ def avoid_factors(
     transition is one lookup in a list.  States are numbered breadth-first
     from (None, root), so each is reachable, and a letter that cancels the
     last one, or completes a forbidden factor, has no transition.  The
-    automaton is built without the constructor's checks; the successor rows
-    are made with the transitions.
+    automaton is built without the constructor's checks; each state's
+    successor list is sorted as its transitions are made.
     """
     for f in forbidden:
         if not f:
@@ -197,7 +193,6 @@ def avoid_factors(
     lasts, nodes = [-2], [0]
     transitions: dict[tuple[int, int], int] = {}
     succ: list[list[int]] = []
-    rows: list[list[tuple[int, int]]] = []
     for s, node in enumerate(nodes):
         back = lasts[s] ^ 1
         row = goto[node]
@@ -215,9 +210,9 @@ def avoid_factors(
             transitions[(s, x)] = t
             targets.append(t)
         # the letters of a state lead to distinct states, so no edge is parallel
+        targets.sort()
         succ.append(targets)
-        rows.append([(t, 1) for t in sorted(targets)])
-    return CountingAutomaton._unchecked(alphabet, len(nodes), transitions, succ, rows)
+    return CountingAutomaton._unchecked(alphabet, len(nodes), transitions, succ)
 
 
 def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
@@ -284,20 +279,20 @@ def _strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[i
     return components
 
 
-def _ellpack(rows: list[list[tuple[int, int]]]) -> tuple[list[list[int]], list[list[int]]]:
-    """The sparse rows in an ELLPACK layout (cols, wts): slot k holds the
-    k-th entry (column cols[k][i], weight wts[k][i]) of every row i, rows in
-    increasing column order, short rows padded at the end with weight 0 on
-    their own column i, so every slot of a row stays in its block when rows
-    of several matrices share one layout."""
-    n = len(rows)
-    width = max(len(row) for row in rows)
+def _ellpack(succ: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The successor lists of a matrix in an ELLPACK layout (cols, wts):
+    slot k holds the k-th successor (column cols[k][i], weight wts[k][i] = 1)
+    of every row i, successors in increasing order, short rows padded at the
+    end with weight 0 on their own column i, so every slot of a row stays in
+    its block when rows of several matrices share one layout."""
+    n = len(succ)
+    width = max(map(len, succ))
     cols = [list(range(n)) for _ in range(width)]
     wts = [[0] * n for _ in range(width)]
-    for i, row in enumerate(rows):
-        for k, (j, w) in enumerate(row):
+    for i, targets in enumerate(succ):
+        for k, j in enumerate(targets):
             cols[k][i] = j
-            wts[k][i] = w
+            wts[k][i] = 1
     return cols, wts
 
 
@@ -338,11 +333,12 @@ def _ratio_bounds(
 
 
 def _collatz_wielandt(
-    blocks: list[list[list[tuple[int, int]]]], tol: float, max_iter: int
+    blocks: list[list[list[int]]], tol: float, max_iter: int
 ) -> list[tuple[float, float]]:
     """Rigorous two-sided bounds on the Perron root of each of a list of
-    irreducible non-negative integer matrices M, each given by sparse rows:
-    rows[i] lists the (j, M[i][j]) with M[i][j] > 0 in increasing j.
+    irreducible non-negative integer matrices M, each given by successor
+    lists: succ[i] lists each j with M[i][j] > 0, M[i][j] times, in
+    increasing order.
 
     Iterates x -> (M + I)x in floats for speed; the +I shift makes the
     iteration aperiodic so the gap actually closes.  The returned bounds are
@@ -351,10 +347,10 @@ def _collatz_wielandt(
 
     The float pass is vectorised over the ELLPACK layout of _ellpack.  Each
     row sum is accumulated slot by slot and only then added to x[i], which
-    is the order of a plain left-to-right row scan x[i] + (M[i][j] x[j]
-    summed over increasing j); a padded term adds an exact 0.0.  So every
-    float, stopping decision and bound is the one that uncompensated scan
-    gives (the built-in sum() of floats is compensated from Python 3.12 on).
+    is the order of a plain left-to-right row scan x[i] + (x[j] summed over
+    succ[i]); a padded term adds an exact 0.0.  So every float, stopping
+    decision and bound is the one that uncompensated scan gives (the
+    built-in sum() of floats is compensated from Python 3.12 on).
 
     The blocks are iterated together in one layout, each block's columns
     offset by its first row.  Per-block reductions (np.maximum.reduceat and
@@ -377,9 +373,9 @@ def _collatz_wielandt(
         cols, wts = local[0]
     else:
         cols, wts = _ellpack([
-            [(j + first, w) for j, w in row]
-            for rows, first in zip(blocks, firsts)
-            for row in rows
+            [j + first for j in targets]
+            for succ, first in zip(blocks, firsts)
+            for targets in succ
         ])
     slot_cols = np.array(cols, dtype=np.intp)
     slot_wts = np.array(wts, dtype=float)
@@ -441,29 +437,28 @@ def perron_roots(
     over its strongly connected components, each of which is irreducible, so
     Collatz-Wielandt bounds per component are combined by max.  A cycle-free
     automaton gets the -inf sentinel.  The matrix is never built densely:
-    the components are found on aut.succ, and each component's sparse rows
-    are cut from aut.rows, which the automaton was built with; their
-    aggregated edge weights in increasing target order fix the order of
-    every float sum.  Every state is reachable from state 0 and accepts, so
-    every component counts.  The components of all the automata are
-    bracketed in one batched iteration (_collatz_wielandt), which gives
-    each the bounds it gets alone.
+    the components are found on aut.succ, the sorted successor table the
+    automaton was built with, and each component's successor lists are cut
+    from it; their increasing order fixes the order of every float sum.
+    Every state is reachable from state 0 and accepts, so every component
+    counts.  The components of all the automata are bracketed in one
+    batched iteration (_collatz_wielandt), which gives each the bounds it
+    gets alone.
     """
-    if tol < 1e-13:
+    if not tol >= 1e-13:  # a nan tol is refused too
         raise InvalidInputError(f"tol {tol} below float resolution")
     found: list[list[tuple[float, float]]] = [[] for _ in automata]
     blocks, owners = [], []
     for a, aut in enumerate(automata):
-        rows = aut.rows
-        for comp in _strongly_connected_components(aut.n_states, aut.succ):
+        succ = aut.succ
+        for comp in _strongly_connected_components(aut.n_states, succ):
             if len(comp) == 1:
-                s = comp[0]
-                found[a].extend((float(w),) * 2 for t, w in rows[s] if t == s)
+                loops = succ[comp[0]].count(comp[0])
+                if loops:
+                    found[a].append((float(loops),) * 2)
             else:
                 local = {s: j for j, s in enumerate(comp)}
-                blocks.append(
-                    [[(local[t], w) for t, w in rows[s] if t in local] for s in comp]
-                )
+                blocks.append([[local[t] for t in succ[s] if t in local] for s in comp])
                 owners.append(a)
     for a, bounds in zip(owners, _collatz_wielandt(blocks, tol, max_iter)):
         found[a].append(bounds)

@@ -786,8 +786,8 @@ def main(argv=None) -> int:
         report = build_report(__version__, resolved, results)
         csv_path = args.csv or job["output"]["csv"]
         with _digit_limit():
-            table = None if args.quiet else render_table(mode.table, results)
             text = canonical_json(report)
+            table = None if args.quiet else render_table(mode.table, json.loads(text)["results"])
             csv = None
             if csv_path and "balls" in results:
                 csv = CountSequence.from_balls(results["balls"]).to_csv()

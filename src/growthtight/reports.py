@@ -1,12 +1,13 @@
 """Report serialization shared by the CLI: canonical JSON written in one
 pass straight from the result objects, plus aligned tables rendered from
-the results.
+the parsed report.
 
-canonical_json gives, byte for byte, json.dumps of the strict-JSON-safe form
-_sanitize makes, with indent=2, sort_keys=True and ensure_ascii=False.  It
-writes that text itself because json falls back to its pure-Python encoder
-whenever indent is set, and it skips the _sanitize copy; render_table still
-reads that copy."""
+canonical_json gives, byte for byte, what json.dumps gives with indent=2,
+sort_keys=True and ensure_ascii=False on the strict-JSON-safe form of the
+results: a dataclass becomes the dict of its fields, a tuple a list, an
+infinity or nan a string.  It writes that text itself because json falls
+back to its pure-Python encoder whenever indent is set.  render_table reads
+the results back from that text, so a table shows what the report says."""
 from __future__ import annotations
 
 import dataclasses
@@ -20,27 +21,6 @@ REPORT_SCHEMA = "growthtight/report-v1"
 TOOL_NAME = "growthtight"
 
 
-def _sanitize(obj):
-    """Strict-JSON-safe form of a result: a dataclass becomes the dict of its
-    fields, a tuple a list, an infinity or nan a string."""
-    # most leaves are ints and strings, so they are returned before any other test
-    if obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _sanitize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    return obj
-
-
 def canonical_json(obj) -> str:
     """Deterministic strict JSON: sorted keys, fixed indentation, newline-terminated."""
     chunks: list[str] = []
@@ -50,7 +30,7 @@ def canonical_json(obj) -> str:
 
 
 def _float_text(x: float) -> str:
-    # an infinity or nan is written as the string _sanitize makes of it
+    # an infinity or nan is written as a string
     if x != x:
         return '"nan"'
     if math.isinf(x):
@@ -88,8 +68,8 @@ _INT_ONLY = {int}
 
 def _write(obj, put, newline: str) -> None:
     """Pass the JSON text of obj to put, piece by piece; newline is the line
-    break and indentation of the line obj starts on.  The cases and their
-    order are _sanitize's, and each leaf is written as json writes it."""
+    break and indentation of the line obj starts on.  Each leaf is written
+    as json writes it."""
     if isinstance(obj, str):
         put(encode_basestring(obj))
     elif obj is None:
@@ -179,13 +159,13 @@ def _cell(value, fmt: str) -> str:
     return format(value, fmt) if isinstance(value, (int, float)) else str(value)
 
 
-def render_table(table: tuple, results) -> str:
-    """The text view of a report's results.  table is (headers, rows), a row
-    (label, dotted path of a results field, format); a field the results lack
-    leaves its row out.  A bracket fills the lower and upper columns of a
-    three-column table, else one "[lower, upper]" cell; a list shows its
-    length.  rows None is the per-radius table of the spheres and balls."""
-    data = _sanitize(results)
+def render_table(table: tuple, data: dict) -> str:
+    """The text view of a report's results, as json.loads reads them from
+    the report.  table is (headers, rows), a row (label, dotted path of a
+    results field, format); a field the results lack leaves its row out.  A
+    bracket fills the lower and upper columns of a three-column table, else
+    one "[lower, upper]" cell; a list shows its length.  rows None is the
+    per-radius table of the spheres and balls."""
     headers, spec = table
     rows = list(zip(itertools.count(), data["spheres"], data["balls"])) if spec is None else []
     for label, path, fmt in spec or ():

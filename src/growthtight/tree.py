@@ -449,10 +449,8 @@ def walk_ghat_ball(
     inside = [[1] * aut.n_states]
     free = [1]
     for _ in range(g_max):
-        prev, row = inside[-1], [1] * aut.n_states
-        for (s, _), t in step.items():
-            row[s] += prev[t]
-        inside.append(row)
+        prev = inside[-1].__getitem__
+        inside.append([1 + sum(map(prev, targets)) for targets in aut.succ])
         free.append(1 + (len(letters) - 1) * free[-1])
     path: list[int] = []
     checked = in_ghat = 1  # the identity

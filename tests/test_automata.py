@@ -319,6 +319,12 @@ class TestPerronBrackets:
         assert first <= 29
         assert all(inside[first:])
 
+    @pytest.mark.parametrize("tol", [1e-14, 0.0, math.nan], ids=["1e-14", "zero", "nan"])
+    def test_tol_below_float_resolution_is_rejected(self, tol):
+        # a nan tol would never close a bracket and run out every iteration
+        with pytest.raises(InvalidInputError, match="below float resolution"):
+            perron_root(avoid2("ab"), tol)
+
 
 def log_spectral_radius(aut: CountingAutomaton) -> float:
     mat = numpy.array(transfer_matrix(aut), dtype=float)
@@ -381,16 +387,25 @@ def irreducible_rows(draw):
 SLOW_CYCLE = [[((i + 1) % 40, 2 if i == 0 else 1)] for i in range(40)]
 
 
+def as_successors(rows):
+    """A matrix given by sparse rows of (j, M[i][j]) in the two forms the
+    code under test and the references read: the successor lists of the
+    kernel (j repeated M[i][j] times, in increasing order), and the same
+    entries as (j, 1) rows for oracles.py."""
+    succ = [[j for j, w in row for _ in range(w)] for row in rows]
+    return succ, [[(j, 1) for j in targets] for targets in succ]
+
+
 def reference_or_none(rows, tol, max_iter):
     try:
-        return oracles.collatz_wielandt_bounds(rows, tol, max_iter)
+        return oracles.collatz_wielandt_bounds(as_successors(rows)[1], tol, max_iter)
     except oracles.NotConverged:
         return None
 
 
 def kernel_or_none(blocks, tol, max_iter):
     try:
-        bounds = _collatz_wielandt(blocks, tol, max_iter)
+        bounds = _collatz_wielandt([as_successors(rows)[0] for rows in blocks], tol, max_iter)
     except ResourceLimitError:
         return None
     assert len(bounds) == len(blocks)
@@ -437,7 +452,7 @@ class TestCollatzWielandtKernel:
         # no convergence within 511 iterations, so the it = 512 exact
         # evaluation runs before the bounds close
         assert kernel_or_none([SLOW_CYCLE], 1e-9, 511) is None
-        [(lo, hi)] = _collatz_wielandt([SLOW_CYCLE], 1e-9, 200_000)
+        [(lo, hi)] = kernel_or_none([SLOW_CYCLE], 1e-9, 200_000)
         assert lo <= 2 ** (1 / 40) <= hi
 
 
@@ -457,9 +472,10 @@ class TestRatioBounds:
         exact = [w * x[j] / x[i] for i, ((j, w),) in enumerate(TIED_CYCLE)]
         assert [float(r) for r in exact] == [2.0, 3.0, 2.0, 3.0]
         assert exact[0] == 2 and exact[2] < 2 and exact[1] > 3 and exact[3] == 3
-        bounds = _ratio_bounds(*_ellpack(TIED_CYCLE), TIED_VECTOR)
+        succ, unit_rows = as_successors(TIED_CYCLE)
+        bounds = _ratio_bounds(*_ellpack(succ), TIED_VECTOR)
         assert bounds == (math.nextafter(2.0, 0.0), math.nextafter(3.0, 4.0))
-        assert bounds == oracles.exact_ratio_bounds(TIED_CYCLE, TIED_VECTOR)
+        assert bounds == oracles.exact_ratio_bounds(unit_rows, TIED_VECTOR)
         # the Perron root of the cycle is (2 * 2 * 3 * 3) ** (1 / 4)
         assert bounds[0] < math.sqrt(6) < bounds[1]
 
@@ -469,10 +485,10 @@ class TestRatioBounds:
         ids=["span-2^826", "zero-entry", "ratio-past-float-range"],
     )
     def test_entries_spanning_more_than_2_to_the_600(self, vec):
-        rows = [[(1, 1), (3, 2)], [(2, 1)], [(3, 1)], [(0, 1)]]
-        bounds = _ratio_bounds(*_ellpack(rows), vec)
+        succ, unit_rows = as_successors([[(1, 1), (3, 2)], [(2, 1)], [(3, 1)], [(0, 1)]])
+        bounds = _ratio_bounds(*_ellpack(succ), vec)
         assert all(type(b) is float for b in bounds)
-        assert bounds == oracles.exact_ratio_bounds(rows, vec)
+        assert bounds == oracles.exact_ratio_bounds(unit_rows, vec)
         # 1 / 5e-324 is 2**1074: no float holds that ratio
         assert (bounds == (0.0, math.inf)) == (vec[1] == 5e-324)
 
@@ -504,8 +520,8 @@ class TestWeightedAutomata:
         assert br.contains(math.log(2)) and br.width <= 2e-9
         # both blocks run in one batch, each with the bounds it gets alone
         blocks = [[[(1, first)], [(0, first)]], [[(1, second)], [(0, second)]]]
-        assert _collatz_wielandt(blocks, 1e-9, 200_000) == [
-            _collatz_wielandt([rows], 1e-9, 200_000)[0] for rows in blocks
+        assert kernel_or_none(blocks, 1e-9, 200_000) == [
+            kernel_or_none([rows], 1e-9, 200_000)[0] for rows in blocks
         ]
         auts = [aut, BASE2, aut]
         assert perron_roots(auts, 1e-9) == [perron_root(a, 1e-9) for a in auts]
@@ -538,7 +554,7 @@ def weighted_automata(draw):
 
 
 class TestConstructorRows:
-    """The successor rows the public constructor builds, which count_lengths
+    """The successor table the public constructor builds, which count_lengths
     and perron_roots read, against the dense transfer matrix."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -550,11 +566,8 @@ class TestConstructorRows:
         n, transitions = case
         aut = CountingAutomaton(RANK3, n, transitions)
         mat = transfer_matrix(aut)
-        # parallel edges aggregated, targets in increasing order
-        assert aut.rows == [[(t, w) for t, w in enumerate(row) if w] for row in mat]
-        assert [sorted(targets) for targets in aut.succ] == [
-            [t for t, w in enumerate(row) for _ in range(w)] for row in mat
-        ]
+        # one target per letter, in increasing order: M[s][t] copies of t
+        assert aut.succ == [[t for t, w in enumerate(row) for _ in range(w)] for row in mat]
         # counts[r] sums the first row of M^r
         v, want = [1] + [0] * (n - 1), []
         for _ in range(n + 3):
@@ -566,6 +579,60 @@ class TestConstructorRows:
             assert br.lower == br.upper == NEG_INF
         else:
             assert_brackets_log_rho(br, log_spectral_radius(aut), 1e-9)
+
+
+def reference_bracket(aut: CountingAutomaton, tol: float) -> tuple[float, float]:
+    """perron_root's bracket rebuilt from oracles.py: the strongly connected
+    components found by brute-force reachability on aut.transitions, each
+    one with a cycle bounded by collatz_wielandt_bounds on its (j, 1) rows,
+    the bounds combined by max, and two outward steps from each log."""
+    n = aut.n_states
+    mat = transfer_matrix(aut)
+    reach = []
+    for s in range(n):
+        seen, frontier = {s}, [s]
+        while frontier:
+            u = frontier.pop()
+            for t in range(n):
+                if mat[u][t] and t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+        reach.append(seen)
+    pairs = []
+    for s in range(n):
+        comp = sorted(t for t in reach[s] if s in reach[t])
+        # each component once, at its least state, and only one with a cycle
+        if comp[0] != s or comp == [s] and not mat[s][s]:
+            continue
+        rows = [[(j, 1) for j, t in enumerate(comp) for _ in range(mat[u][t])] for u in comp]
+        pairs.append(oracles.collatz_wielandt_bounds(rows, tol, 200_000))
+    if not pairs:
+        return NEG_INF, NEG_INF
+    lo, hi = max(lo for lo, _ in pairs), max(hi for _, hi in pairs)
+    lower = math.nextafter(math.nextafter(math.log(lo), -math.inf), -math.inf)
+    upper = math.nextafter(math.nextafter(math.log(hi), math.inf), math.inf)
+    return lower, upper
+
+
+class TestBracketsAgainstReference:
+    """perron_root on real automata, whose components the kernel cuts from
+    the successor table, equals bit for bit the bracket built from the
+    plain-Python reference in oracles.py."""
+
+    def test_rank2_avoid_languages(self):
+        for length in (1, 2, 3):
+            for f in enumerate_sphere(RANK2, length):
+                aut = avoid_factors(RANK2, [f])
+                br = perron_root(aut, 1e-9)
+                assert (br.lower, br.upper) == reference_bracket(aut, 1e-9), format_word(f)
+
+    @pytest.mark.parametrize("h", ["a", "a b", "a a b", "a b a- b-"])
+    def test_ghat(self, h):
+        word = parse_word(RANK2, h)
+        for m in range(len(word), 2 * len(word) + 3):
+            aut = ghat_automaton(RANK2, word, m)
+            br = perron_root(aut, 1e-9)
+            assert (br.lower, br.upper) == reference_bracket(aut, 1e-9), m
 
 
 class TestPerronRootsBatch:

@@ -1,6 +1,7 @@
 """The one report serializer: result objects written from their fields."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from growthtight.reports import _sanitize, canonical_json
+from growthtight.reports import canonical_json
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,26 @@ class Pair:
 @dataclass
 class Empty:
     pass
+
+
+def _sanitize(obj):
+    """Strict-JSON-safe form of a result: a dataclass becomes the dict of its
+    fields, a tuple a list, an infinity or nan a string."""
+    if obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+        return obj
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _sanitize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
 
 
 def reference_json(obj) -> str:
