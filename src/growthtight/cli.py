@@ -77,6 +77,7 @@ from .words import (
     _word,
     enumerate_sphere,
     format_word,
+    iter_sphere_letters,
     parse_word,
 )
 
@@ -446,32 +447,54 @@ def _cmd_tightness(params: dict, budgets: dict) -> dict:
     return vars(tightness_verdict(spec, params["oracle"], budgets["r_max"], budgets["tol"]))
 
 
-def _random_letters(
-    rng: random.Random, alphabet: Alphabet, length: int, cyclic: bool
-) -> tuple[int, ...]:
-    letters: list[int] = []
-    for _ in range(length):
-        options = [
-            x
-            for x in alphabet.letters
-            if (not letters or x != letters[-1] ^ 1)
-            and not (
-                cyclic and len(letters) == length - 1 and letters and x == letters[0] ^ 1
-            )
+def _letter_options(alphabet: Alphabet) -> dict[tuple, list[int]]:
+    """options[(previous, first)]: the letters a random reduced word may take
+    after previous (None at the start), in alphabet order; first is the
+    word's first letter at the last position of a cyclic word, else None."""
+    ends = [None, *alphabet.letters]
+    return {
+        (previous, first): [
+            x for x in alphabet.letters
+            if (previous is None or x != previous ^ 1) and (first is None or x != first ^ 1)
         ]
-        letters.append(rng.choice(options))
+        for previous in ends
+        for first in ends
+    }
+
+
+def _random_letters(
+    rng: random.Random, options: dict[tuple, list[int]], length: int, cyclic: bool
+) -> tuple[int, ...]:
+    """A uniform choice at each position among the letters that keep the word
+    reduced (and cyclically reduced when cyclic)."""
+    letters: list[int] = []
+    for i in range(length):
+        previous = letters[-1] if letters else None
+        first = letters[0] if cyclic and i and i == length - 1 else None
+        letters.append(rng.choice(options[previous, first]))
     return tuple(letters)
 
 
-def _random_axis(rng: random.Random, alphabet: Alphabet, core_max: int, conj_max: int) -> Axis:
+def _random_axis(
+    rng: random.Random,
+    alphabet: Alphabet,
+    options: dict[tuple, list[int]],
+    drawn: dict[tuple[int, ...], Axis],
+    core_max: int,
+    conj_max: int,
+) -> Axis:
+    """A random axis; drawn maps the letters of each h drawn before to its
+    axis, so a repeated h reuses it."""
     while True:
         core_len = rng.randint(1, core_max)
         conj_len = rng.randint(0, conj_max)
-        core = _random_letters(rng, alphabet, core_len, cyclic=True)
-        conj = _random_letters(rng, alphabet, conj_len, cyclic=False)
+        core = _random_letters(rng, options, core_len, cyclic=True)
+        conj = _random_letters(rng, options, conj_len, cyclic=False)
         h = _reduce_concat(_reduce_concat(conj, core), _inverse(conj))
         if h:
-            return Axis.from_element(_word(alphabet, h))
+            if h not in drawn:
+                drawn[h] = Axis.from_element(_word(alphabet, h))
+            return drawn[h]
 
 
 def _cmd_lemma31(params: dict, budgets: dict) -> dict:
@@ -485,8 +508,8 @@ def _cmd_lemma31(params: dict, budgets: dict) -> dict:
     checked = failures = 0
     branches: dict[str, int] = {}
     for r in range(1, g_max + 1):
-        for g in enumerate_sphere(alphabet, r, cutoff=budgets["cutoff"]):
-            rep = lemma31_bound_check(ax, g, n_max)
+        for letters in iter_sphere_letters(alphabet, r):
+            rep = lemma31_bound_check(ax, _word(alphabet, letters), n_max)
             checked += 1
             branches[rep.branch] = branches.get(rep.branch, 0) + 1
             if not rep.passed:
@@ -512,6 +535,8 @@ def _cmd_random_axes(params: dict, budgets: dict) -> dict:
     if alphabet.rank == 1 or family == (2, 1, 0):
         raise InvalidInputError("random axes span fewer than three distinct lines")
     rng = random.Random(block["seed"])
+    options = _letter_options(alphabet)
+    drawn: dict[tuple[int, ...], Axis] = {}
     xi_max = 0
     total_violations = 0
     for _ in range(block["triples"]):
@@ -519,7 +544,9 @@ def _cmd_random_axes(params: dict, budgets: dict) -> dict:
         # apart give check_projection_axioms the meets of every pair
         axes, meets = [], {}
         while len(axes) < 3:
-            ax = _random_axis(rng, alphabet, block["core_max"], block["conjugator_max"])
+            ax = _random_axis(
+                rng, alphabet, options, drawn, block["core_max"], block["conjugator_max"]
+            )
             new = {}
             for i, other in enumerate(axes):
                 new[(i, len(axes))] = meet = _meet(ax, other)

@@ -13,7 +13,11 @@ reading the root forward, found by the same prefix scan; a run's witness is
 built only where it is returned, and a shortening step deletes one core's
 letters from the run.  Sweeps over a ball of words count whole subtrees of
 Ghat(K) from its automaton and build only the words outside.  The lemma 3.1
-root test and orbit and the shortening witness run on letter tuples.
+root test and orbit and the shortening witness run on letter tuples.  The
+orbit g^n.p stops at its stable index: once the letters of g's cyclic core no
+longer all cancel into p, every later orbit point extends a prefix the
+current one already has, and when both ray agreements of the current point
+end inside that prefix, its projection is every later one's.
 """
 from __future__ import annotations
 
@@ -252,6 +256,28 @@ def check_projection_axioms(
     return xi_observed, violations
 
 
+def _orbit_shared_prefix(
+    local_g: tuple[int, ...], p: tuple[int, ...]
+) -> Callable[[int], int]:
+    """shared(n): how many leading letters x_n = local_g^n . p has in common
+    with every later x_m (0 when that is not yet known).  The orbit's stable
+    index is the first n at which x_n's longer ray agreement, |coordinate|,
+    is below shared(n).
+
+    Split local_g = u c u^-1 with c cyclically reduced, and let A be the
+    agreement of w = u^-1 p with (c^-1)^infinity.  Once n|c| > A, the letters
+    of c^n cancel exactly A letters of w, so x_n = u c^n[:n|c| - A] w[A:]
+    with no cancellation; its first |u| + n|c| - A letters are u read into
+    c^infinity, a prefix of every later x_m.
+    """
+    u, root, e = _root_key(local_g)
+    period = len(root) * e
+    w = _reduce_concat(_inverse(u), p)
+    lag = _agreement(w, _inverse(root))
+    lead = len(u) - lag
+    return lambda n: n * period + lead if n * period > lag else 0
+
+
 @dataclass(frozen=True)
 class Lemma31Report:
     branch: str  # "power-in-subgroup" or "bounded-projection"
@@ -269,7 +295,11 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     projections of g^n.p stay within 2 d(p, g.p) + D_TREE of p's projection,
     where p is the axis vertex nearest the identity (Axis.base).  The orbit
     runs on letter tuples in the axis frame (g conjugated by the origin): one
-    free reduction per step.
+    free reduction per step.  It stops at its stable index, the first n at
+    which both ray agreements of x_n = g^n.p end inside the prefix that every
+    later x_m shares (_orbit_shared_prefix): each later x_m has the same
+    agreements, so the same coordinate, and its row repeats row n.  Almost
+    every g is stable at n = 1.
     """
     if not g:
         raise InvalidInputError("g must be non-trivial")
@@ -292,16 +322,23 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     local_g = _reduce_concat(
         _reduce_concat(ax.origin_inverse.letters, g.letters), ax.origin.letters
     )
-    bound = 2 * len(_reduce_concat(_inverse(p), _reduce_concat(local_g, p))) + D_TREE
+    x = _reduce_concat(local_g, p)  # x_1 = g.p
+    bound = 2 * len(_reduce_concat(_inverse(p), x)) + D_TREE
+    shared = _orbit_shared_prefix(local_g, p)
     rows = []
     ok = True
-    x = p
     for n in range(1, n_max + 1):
-        x = _reduce_concat(local_g, x)
         coord, _ = _frame_coordinate(x, ax)
         dpi = abs(coord - base_coord)
         rows.append((n, dpi))
         ok = ok and dpi <= bound
+        # |coord| is the longer ray agreement; when it ends inside the prefix
+        # every later orbit point shares, so do both agreements of every
+        # later point, and the coordinate is fixed from here on
+        if abs(coord) < shared(n):
+            rows.extend((m, dpi) for m in range(n + 1, n_max + 1))
+            break
+        x = _reduce_concat(local_g, x)
     return Lemma31Report(
         branch="bounded-projection",
         passed=ok,
@@ -342,9 +379,12 @@ def _threshold(core: ReducedWord, conjugator: ReducedWord) -> int:
 
 def _long_runs(letters: Sequence[int], ray: Sequence[int], K: int) -> list[tuple[int, int, int]]:
     """(start, phase, length) of the maximal forward matches of letters against
-    ray^infinity with length >= K, in (start, phase) order."""
+    ray^infinity with length >= K, in (start, phase) order.  A run starting
+    fewer than K letters from the end is too short, so no start there is
+    scanned."""
     runs = []
-    for i, x in enumerate(letters):
+    for i in range(len(letters) - K + 1):
+        x = letters[i]
         for phase, y in enumerate(ray):
             # ray[phase - 1] wraps to the last letter at phase 0
             if x != y or (i and letters[i - 1] == ray[phase - 1]):

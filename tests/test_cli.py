@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 import shutil
 import subprocess
 import sys
@@ -373,6 +374,51 @@ class TestCommands:
         monkeypatch.setattr(tree, "_meet", rescan)
         code, after, _ = run_cli(capsys, "run", str(job), "--quiet")
         assert code == 0 and after == before
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_random_letters_draw_as_the_option_comprehension(self, rank):
+        # the per-position option list the draws were first made from; the
+        # precomputed lists must make the same rng calls on the same lists
+        def reference(rng, alphabet, length, cyclic):
+            letters: list[int] = []
+            for _ in range(length):
+                options = [
+                    x
+                    for x in alphabet.letters
+                    if (not letters or x != letters[-1] ^ 1)
+                    and not (
+                        cyclic and len(letters) == length - 1 and letters and x == letters[0] ^ 1
+                    )
+                ]
+                letters.append(rng.choice(options))
+            return tuple(letters)
+
+        alphabet = Alphabet(rank)
+        options = cli._letter_options(alphabet)
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for length in range(1, 5):
+                for cyclic in (False, True):
+                    assert cli._random_letters(ours, options, length, cyclic) == reference(
+                        theirs, alphabet, length, cyclic
+                    )
+            assert ours.getstate() == theirs.getstate()
+
+    def test_random_axes_build_each_h_once(self, tmp_path, capsys, monkeypatch):
+        params = {"rank": 2, "random": {"seed": 5, "triples": 30, "core_max": 2}}
+        job = write_job(tmp_path, "axioms", params)
+        _, before, _ = run_cli(capsys, "run", str(job), "--quiet")
+        built = []
+        from_element = cli.Axis.from_element
+
+        def record(h, translate=None):
+            built.append(h)
+            return from_element(h, translate)
+
+        monkeypatch.setattr(cli.Axis, "from_element", record)
+        code, after, _ = run_cli(capsys, "run", str(job), "--quiet")
+        assert code == 0 and after == before
+        assert built and len(built) == len(set(built))
 
     def test_axioms_lemma31_sweep(self, tmp_path, capsys):
         job = write_job(
@@ -1180,7 +1226,10 @@ class TestShortenSweep:
         def untouchable(*args, **kwargs):
             raise AssertionError("sweep work ran past the cutoff guard")
 
-        for name in ("shorten", "walk_ghat_ball", "lemma31_bound_check", "enumerate_sphere"):
+        for name in (
+            "shorten", "walk_ghat_ball", "lemma31_bound_check", "enumerate_sphere",
+            "iter_sphere_letters",
+        ):
             monkeypatch.setattr(cli, name, untouchable)
         job = write_job(tmp_path, command, params, {"cutoff": 14})
         code, _, err = run_cli(capsys, "run", str(job))

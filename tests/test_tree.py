@@ -14,6 +14,7 @@ from growthtight import (
     InvalidInputError,
     check_projection_axioms,
     count_lengths,
+    enumerate_ball,
     enumerate_sphere,
     find_long_projections,
     ghat_automaton,
@@ -27,7 +28,8 @@ from growthtight import (
     shorten_threshold,
     walk_ghat_ball,
 )
-from growthtight.tree import D_TREE, _meet
+from growthtight.tree import D_TREE, _frame_coordinate, _meet
+from growthtight.words import _reduce_concat
 
 import oracles
 from conftest import RANK2, RANK3, chars, report_fields, word2
@@ -336,8 +338,11 @@ class TestLemma31:
         h=char_words(2, 6, min_size=1),
         t=char_words(2, 3),
         g=char_words(2, 4, min_size=1),
-        n_max=st.integers(1, 12),
+        n_max=st.integers(1, 30),
     )
+    # all of g's core cancels into p at n = 1 (n|c| = A): x_1 is the axis
+    # origin, no prefix of x_2, and the coordinate moves from 0 to 1 at n = 2
+    @example(h="abAB", t="aBA", g="aBA", n_max=6)
     def test_rows_match_brute_projection(self, h, t, g, n_max):
         rep = lemma31_bound_check(axis2(h, t), word2(g), n_max)
         assume(rep.branch == "bounded-projection")
@@ -349,6 +354,30 @@ class TestLemma31:
             x = oracles.mult(g, x)
             rows.append((n, abs(oracles.brute_project(x, h, translate=t)[0] - base)))
         assert rep.rows == tuple(rows)
+
+    def test_rows_match_the_literal_orbit_far_past_the_cut_off(self):
+        # every h with |h| <= 4, untranslated and moved by a one-letter
+        # translate, against every g with |g| <= 5: the check stops its orbit
+        # at the stable index (almost always n = 1), this test never does
+        letters = enumerate_sphere(RANK2, 1)
+        gs = enumerate_ball(RANK2, 5)[1:]
+        checked = 0
+        for i, h in enumerate(enumerate_ball(RANK2, 4)[1:]):
+            for t in (None, letters[i % len(letters)]):
+                ax = Axis.from_element(h, t)
+                base, p = ax.base
+                for g in gs:
+                    rep = lemma31_bound_check(ax, g, 40)
+                    if rep.branch != "bounded-projection":
+                        continue
+                    local_g = (ax.origin_inverse * g * ax.origin).letters
+                    rows, x = [], p
+                    for n in range(1, 41):
+                        x = _reduce_concat(local_g, x)
+                        rows.append((n, abs(_frame_coordinate(x, ax)[0] - base)))
+                    assert rep.rows == tuple(rows), (chars(h), t and chars(t), chars(g))
+                    checked += 1
+        assert checked == 153_792
 
     def test_report_fields(self):
         rep = lemma31_bound_check(AB, word2("b"), 3)
