@@ -7,6 +7,7 @@ from .automata import (
     CountingAutomaton,
     CountSequence,
     avoid_factors,
+    avoid_sweep,
     count_lengths,
     oriented_vs_unoriented_gap,
     perron_root,
@@ -58,10 +59,13 @@ from .tree import (
     ghat_automaton,
     ghat_membership_exact,
     lemma31_bound_check,
+    lemma31_sweep,
     project_axis_onto_axis,
     project_to_axis,
+    random_axis_family,
     same_line,
     shorten,
+    shorten_sweep,
     shorten_threshold,
     walk_ghat_ball,
 )

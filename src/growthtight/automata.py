@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, mul, truediv
 from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .growth import NEG_INF, GrowthBracket
-from .words import Alphabet, ReducedWord
+from .words import Alphabet, ReducedWord, _check_cutoff, enumerate_sphere, format_word
+
+# avoid_sweep brackets its languages through perron_roots this many at a
+# time: the batch shares one iteration, and memory stays bounded for any
+# max_len.  The brackets do not depend on it.
+SWEEP_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -41,20 +46,11 @@ class CountSequence:
         return cls(tuple(b - a for a, b in zip([0, *balls], balls)))
 
     def balls(self) -> list[int]:
-        out = []
-        total = 0
-        for c in self.spheres:
-            total += c
-            out.append(total)
-        return out
+        return list(accumulate(self.spheres))
 
     def to_csv(self) -> str:
-        lines = ["r,sphere,ball"]
-        total = 0
-        for r, c in enumerate(self.spheres):
-            total += c
-            lines.append(f"{r},{c},{total}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.spheres, self.balls())
+        return "r,sphere,ball\n" + "".join(f"{r},{c},{b}\n" for r, (c, b) in enumerate(rows))
 
 
 class CountingAutomaton:
@@ -492,3 +488,38 @@ def oriented_vs_unoriented_gap(
     oriented = perron_root(avoid_factors(alphabet, [f]))
     unoriented = perron_root(avoid_factors(alphabet, [f, ~f]))
     return oriented, unoriented
+
+
+def avoid_sweep(
+    alphabet: Alphabet, max_len: int, margin: float, tol: float, *, cutoff: int
+) -> dict:
+    """The language that avoids f, for each non-trivial f with |f| <= max_len,
+    bracketed in batches of SWEEP_BATCH; an entry's margin is how far its
+    upper end lies more than margin below the full exponent log(2 rank - 1)."""
+    if max_len == 0:
+        raise InvalidInputError("sweep max_len must be at least 1: no factor has length 0")
+    _check_cutoff("max_len", max_len, cutoff)
+    full = math.log(2 * alphabet.rank - 1)
+    factors = (
+        f for length in range(1, max_len + 1)
+        for f in enumerate_sphere(alphabet, length, cutoff=cutoff)
+    )
+    entries = []
+    while batch := list(islice(factors, SWEEP_BATCH)):
+        languages = [avoid_factors(alphabet, [f]) for f in batch]
+        for f, bracket in zip(batch, perron_roots(languages, tol)):
+            entries.append({
+                "f": format_word(f),
+                "upper": bracket.upper,
+                "margin": full - margin - bracket.upper,
+            })
+    return {
+        "rank": alphabet.rank,
+        "max_len": max_len,
+        "margin_threshold": margin,
+        "full_exponent": full,
+        "languages": len(entries),
+        "worst": min(entries, key=lambda e: e["margin"]),
+        "all_strictly_below": all(e["margin"] > 0 for e in entries),
+        "entries": entries,
+    }

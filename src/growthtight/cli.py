@@ -9,16 +9,19 @@ Jobs are JSON files with schema "growthtight/job-v1":
      "budgets": {"r_max": int, "tol": float, "cutoff": int},
      "output": {"csv": path}}
 
-COMMANDS holds one Command record per command: its parameter table, budget
-defaults and Mode, the run function and the table spec.  avoid and axioms
-hold one Mode per mode block (avoid factors or sweep, axioms lemma31, random
-or axes) with the fields only it reads.  A run function returns the results
-alone: the table (reports.render_table) and the CSV (the report's balls) are
-views of the report, built only when written.  The parameter tables,
-JOB_FIELDS, BUDGET_FIELDS and _ORACLES (one per quotient kind) give every
-field a job may hold its kind and default.  An unknown field at any level, a
-missing required one, a wrong kind, a number that is not finite (p aside), no
-mode block or two, or a field only another block reads is invalid input.
+The CLI is job plumbing: it checks a job, calls the library and shapes the
+report.  COMMANDS holds one Command record per command: its parameter table,
+budget defaults and Mode, the run function and the table spec.  avoid and
+axioms hold one Mode per mode block (avoid factors or sweep, axioms lemma31,
+random or axes) with the fields only it reads.  A run function parses its
+parameters and returns the results of library calls (the sweeps are
+avoid_sweep, shorten_sweep, lemma31_sweep and random_axis_family): the table
+(reports.render_table) and the CSV (the report's balls) are views of the
+report, built only when written.  The parameter tables, JOB_FIELDS,
+BUDGET_FIELDS and _ORACLES (one per quotient kind) give every field a job may
+hold its kind and default.  An unknown field at any level, a missing required
+one, a wrong kind, a number that is not finite (p aside), no mode block or
+two, or a field only another block reads is invalid input.
 
 Words use the letter grammar "a b a-" ("-" or "'" marks an inverse; "" or "1"
 is the identity).  Exit status: 0 ok, 2 invalid input (an output path that
@@ -31,23 +34,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
-import random
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import __version__
-from .automata import (
-    CountSequence,
-    avoid_factors,
-    count_lengths,
-    perron_root,
-    perron_roots,
-)
+from .automata import CountSequence, avoid_factors, avoid_sweep, count_lengths, perron_root
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .growth import (
     check_subadditivity,
@@ -59,27 +54,15 @@ from .products import LpProductSpec, parse_exponent, verify_duality
 from .quotients import KINDS, check_prop_minimal, quotient_ball_counts, tightness_verdict
 from .reports import JOB_SCHEMA, build_report, canonical_json, render_table
 from .tree import (
-    D_TREE,
     Axis,
-    _meet,
     check_projection_axioms,
     ghat_automaton,
-    lemma31_bound_check,
-    shorten,
+    lemma31_sweep,
+    random_axis_family,
+    shorten_sweep,
     shorten_threshold,
-    walk_ghat_ball,
 )
-from .words import (
-    Alphabet,
-    ReducedWord,
-    _inverse,
-    _reduce_concat,
-    _word,
-    enumerate_sphere,
-    format_word,
-    iter_sphere_letters,
-    parse_word,
-)
+from .words import Alphabet, format_word, parse_word
 
 REQUIRED = object()  # the default of a field every job must give
 
@@ -234,60 +217,24 @@ def _language(alphabet: Alphabet, key: str, words: list, budgets: dict, bracket:
     return {**results, **_counts_result(count_lengths(aut, budgets["r_max"]))}
 
 
-def _cmd_count(params: dict, budgets: dict) -> dict:
+def _cmd_count(params: dict, budgets: dict, bracket: str = "") -> dict:
     alphabet = Alphabet(params["rank"])
     forbidden = [parse_word(alphabet, t) for t in params["forbidden"]]
-    return {"rank": alphabet.rank, **_language(alphabet, "forbidden", forbidden, budgets)}
+    return {"rank": alphabet.rank, **_language(alphabet, "forbidden", forbidden, budgets, bracket)}
 
 
 def _cmd_exponent(params: dict, budgets: dict) -> dict:
-    alphabet = Alphabet(params["rank"])
-    forbidden = [parse_word(alphabet, t) for t in params["forbidden"]]
-    results = _language(alphabet, "forbidden", forbidden, budgets, "spectral")
+    results = _cmd_count(params, budgets, "spectral")
     b = check_subadditivity(results["balls"])
-    fekete = fekete_bracket(results["balls"], b)
-    return {"rank": alphabet.rank, **results, "fekete": fekete, "subadditivity_b": b}
-
-
-# The avoid sweep brackets its languages through perron_roots this many at a
-# time: the batch shares one iteration, and memory stays bounded for any
-# max_len.  The brackets do not depend on it.
-SWEEP_BATCH = 256
+    return {**results, "fekete": fekete_bracket(results["balls"], b), "subadditivity_b": b}
 
 
 def _cmd_avoid_sweep(params: dict, budgets: dict) -> dict:
-    """One avoidance language per non-trivial f with |f| <= max_len,
-    bracketed in batches of SWEEP_BATCH languages."""
-    alphabet = Alphabet(params["rank"])
     block = params["sweep"]
-    if block["max_len"] == 0:
-        raise InvalidInputError("sweep max_len must be at least 1: no factor has length 0")
-    max_len = _sweep_radius(block["max_len"], budgets, "max_len")
-    threshold = block["margin"]
-    full = math.log(2 * alphabet.rank - 1)
-    factors = (
-        f for length in range(1, max_len + 1)
-        for f in enumerate_sphere(alphabet, length, cutoff=budgets["cutoff"])
+    return avoid_sweep(
+        Alphabet(params["rank"]), block["max_len"], block["margin"], budgets["tol"],
+        cutoff=budgets["cutoff"],
     )
-    entries = []
-    while batch := list(itertools.islice(factors, SWEEP_BATCH)):
-        automata = [avoid_factors(alphabet, [f]) for f in batch]
-        for f, bracket in zip(batch, perron_roots(automata, budgets["tol"])):
-            entries.append({
-                "f": format_word(f),
-                "upper": bracket.upper,
-                "margin": full - threshold - bracket.upper,
-            })
-    return {
-        "rank": alphabet.rank,
-        "max_len": max_len,
-        "margin_threshold": threshold,
-        "full_exponent": full,
-        "languages": len(entries),
-        "worst": min(entries, key=lambda e: e["margin"]),
-        "all_strictly_below": all(e["margin"] > 0 for e in entries),
-        "entries": entries,
-    }
 
 
 def _cmd_avoid_factors(params: dict, budgets: dict) -> dict:
@@ -306,9 +253,11 @@ def _cmd_avoid_factors(params: dict, budgets: dict) -> dict:
 def _cmd_ghat(params: dict, budgets: dict) -> dict:
     alphabet = Alphabet(params["rank"])
     h = parse_word(alphabet, params["h"])
-    sweep = None
-    if params["shorten_sweep"] is not None:
-        sweep = _shorten_sweep_params(h, params["shorten_sweep"], budgets)
+    block = params["shorten_sweep"]
+    # the sweep runs first, so that its block is checked before any other work
+    sweep = {} if block is None else {"shorten_sweep": shorten_sweep(
+        alphabet, h, block["g_max"], block["K"], cutoff=budgets["cutoff"]
+    )}
     aut = ghat_automaton(alphabet, h, params["m"])
     bracket = perron_root(aut, budgets["tol"])
     seq = count_lengths(aut, budgets["r_max"])
@@ -317,7 +266,7 @@ def _cmd_ghat(params: dict, budgets: dict) -> dict:
         seq.balls(), full["balls"], budgets["tol"] * 10, bracket, full["bracket"]
     )
     divergence = divergence_at_critical(seq.balls(), bracket)
-    results = {
+    return {
         "rank": alphabet.rank,
         "h": format_word(h),
         "m": params["m"],
@@ -327,69 +276,7 @@ def _cmd_ghat(params: dict, budgets: dict) -> dict:
         "gap": gap,
         "divergence": divergence,
         **_counts_result(seq),
-    }
-    if sweep is not None:
-        results["shorten_sweep"] = _shorten_sweep(alphabet, h, *sweep)
-    return results
-
-
-def _sweep_radius(radius: int, budgets: dict, name: str = "g_max") -> int:
-    """A sweep radius, checked against the cutoff before any word is visited."""
-    if radius > budgets["cutoff"]:
-        raise ResourceLimitError(
-            f"{name} {radius} exceeds enumeration cutoff {budgets['cutoff']}"
-        )
-    return radius
-
-
-def _shorten_sweep_params(h: ReducedWord, block: dict, budgets: dict) -> tuple[int, int]:
-    """(g_max, K) of a shorten_sweep block; K defaults to shorten_threshold(h)
-    and may not lie below it."""
-    g_max = _sweep_radius(block["g_max"], budgets)
-    threshold = shorten_threshold(h)
-    K = threshold if block["K"] is None else block["K"]
-    if K < threshold:
-        raise InvalidInputError(
-            f"shorten_sweep K={K!r} below the shortening threshold {threshold} of h"
-        )
-    return g_max, K
-
-
-def _shorten_sweep(alphabet: Alphabet, h: ReducedWord, g_max: int, K: int) -> dict:
-    """Exhaustive shortening check: every g with |g| <= g_max outside Ghat(K)
-    must get strictly shorter, to k h^-1 k^-1 g.
-
-    The ball is walked through the Ghat(K) automaton (walk_ghat_ball), so only
-    the words outside Ghat(K) reach shorten.  checked counts the ball,
-    in_ghat the words in Ghat(K), shortened the other words that passed;
-    failures lists the rest in shortlex order.
-    """
-    shortened = 0
-    failures: list[ReducedWord] = []
-    h_inverse = _inverse(h.letters)
-
-    def check(g: ReducedWord) -> None:
-        nonlocal shortened
-        res = shorten(g, h, K)
-        if res is not None and len(res.g_prime) < len(g):
-            k = res.k.letters
-            # g' = k h^-1 k^-1 g, on letter tuples
-            recomposed = _reduce_concat(
-                _reduce_concat(_reduce_concat(k, h_inverse), _inverse(k)), g.letters
-            )
-            if res.g_prime.letters == recomposed:
-                shortened += 1
-                return
-        failures.append(g)
-
-    checked, in_ghat = walk_ghat_ball(alphabet, h, K, g_max, check)
-    return {
-        "g_max": g_max,
-        "K": K,
-        "checked": checked,
-        "in_ghat": in_ghat,
-        "shortened": shortened,
-        "failures": [format_word(g) for g in sorted(failures)],
+        **sweep,
     }
 
 
@@ -433,10 +320,9 @@ def _cmd_quotient(params: dict, budgets: dict) -> dict:
                 f"check h has {len(check['h'])} words for {spec.n} factors; give one per factor"
             )
         h_words = [parse_word(a, t) for a, t in zip(spec.factors, check["h"])]
-        struct = check_prop_minimal(
+        results["structure_check"] = check_prop_minimal(
             spec, oracle, spec.point(h_words), check["K"], r_max, cutoff=budgets["cutoff"]
         )
-        results["structure_check"] = struct
     else:
         results["section_size"] = balls[-1]
     return results
@@ -447,126 +333,17 @@ def _cmd_tightness(params: dict, budgets: dict) -> dict:
     return vars(tightness_verdict(spec, params["oracle"], budgets["r_max"], budgets["tol"]))
 
 
-def _letter_options(alphabet: Alphabet) -> dict[tuple, list[int]]:
-    """options[(previous, first)]: the letters a random reduced word may take
-    after previous (None at the start), in alphabet order; first is the
-    word's first letter at the last position of a cyclic word, else None."""
-    ends = [None, *alphabet.letters]
-    return {
-        (previous, first): [
-            x for x in alphabet.letters
-            if (previous is None or x != previous ^ 1) and (first is None or x != first ^ 1)
-        ]
-        for previous in ends
-        for first in ends
-    }
-
-
-def _random_letters(
-    rng: random.Random, options: dict[tuple, list[int]], length: int, cyclic: bool
-) -> tuple[int, ...]:
-    """A uniform choice at each position among the letters that keep the word
-    reduced (and cyclically reduced when cyclic)."""
-    letters: list[int] = []
-    for i in range(length):
-        previous = letters[-1] if letters else None
-        first = letters[0] if cyclic and i and i == length - 1 else None
-        letters.append(rng.choice(options[previous, first]))
-    return tuple(letters)
-
-
-def _random_axis(
-    rng: random.Random,
-    alphabet: Alphabet,
-    options: dict[tuple, list[int]],
-    drawn: dict[tuple[int, ...], Axis],
-    core_max: int,
-    conj_max: int,
-) -> Axis:
-    """A random axis; drawn maps the letters of each h drawn before to its
-    axis, so a repeated h reuses it."""
-    while True:
-        core_len = rng.randint(1, core_max)
-        conj_len = rng.randint(0, conj_max)
-        core = _random_letters(rng, options, core_len, cyclic=True)
-        conj = _random_letters(rng, options, conj_len, cyclic=False)
-        h = _reduce_concat(_reduce_concat(conj, core), _inverse(conj))
-        if h:
-            if h not in drawn:
-                drawn[h] = Axis.from_element(_word(alphabet, h))
-            return drawn[h]
-
-
 def _cmd_lemma31(params: dict, budgets: dict) -> dict:
-    """Exhaustive power-or-bounded-projection dichotomy check over a ball."""
     alphabet = Alphabet(params["rank"])
     block = params["lemma31"]
     h = parse_word(alphabet, block["h"])
-    g_max = _sweep_radius(block["g_max"], budgets)
-    n_max = block["n_max"]
-    ax = Axis.from_element(h)
-    checked = failures = 0
-    branches: dict[str, int] = {}
-    for r in range(1, g_max + 1):
-        for letters in iter_sphere_letters(alphabet, r):
-            rep = lemma31_bound_check(ax, _word(alphabet, letters), n_max)
-            checked += 1
-            branches[rep.branch] = branches.get(rep.branch, 0) + 1
-            if not rep.passed:
-                failures += 1
-    return {
-        "mode": "lemma31",
-        "h": format_word(h),
-        "g_max": g_max,
-        "n_max": n_max,
-        "d_tree": D_TREE,
-        "checked": checked,
-        "branches": branches,
-        "failures": failures,
-    }
+    return lemma31_sweep(alphabet, h, block["g_max"], block["n_max"], cutoff=budgets["cutoff"])
 
 
 def _cmd_random_axes(params: dict, budgets: dict) -> dict:
     alphabet = Alphabet(params["rank"])
     samples = [parse_word(alphabet, t) for t in params["samples"]]
-    block = params["random"]
-    # every axis of Z is one line; in F2 single letters give only the a- and b-lines
-    family = (alphabet.rank, block["core_max"], block["conjugator_max"])
-    if alphabet.rank == 1 or family == (2, 1, 0):
-        raise InvalidInputError("random axes span fewer than three distinct lines")
-    rng = random.Random(block["seed"])
-    options = _letter_options(alphabet)
-    drawn: dict[tuple[int, ...], Axis] = {}
-    xi_max = 0
-    total_violations = 0
-    for _ in range(block["triples"]):
-        # draw three axes on distinct lines; the scans that tell the lines
-        # apart give check_projection_axioms the meets of every pair
-        axes, meets = [], {}
-        while len(axes) < 3:
-            ax = _random_axis(
-                rng, alphabet, options, drawn, block["core_max"], block["conjugator_max"]
-            )
-            new = {}
-            for i, other in enumerate(axes):
-                new[(i, len(axes))] = meet = _meet(ax, other)
-                if meet is None:  # the line of an axis drawn before
-                    break
-            else:
-                meets.update(new)
-                axes.append(ax)
-        xi, violations = check_projection_axioms(axes, samples, params["candidate_xi"], meets)
-        xi_max = max(xi_max, xi)
-        total_violations += len(violations)
-    bound = block["core_max"] + 2 * block["conjugator_max"]
-    return {
-        "mode": "random",
-        "triples": block["triples"],
-        "xi_observed": xi_max,
-        "bound": bound,
-        "within_bound": xi_max <= bound,
-        "violations": total_violations,
-    }
+    return random_axis_family(alphabet, samples, params["candidate_xi"], **params["random"])
 
 
 def _cmd_explicit_axes(params: dict, budgets: dict) -> dict:

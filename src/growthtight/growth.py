@@ -26,8 +26,10 @@ _DIVERGENCE_TOL = 1e-6
 class GrowthBracket:
     """Two-sided bracket for a growth exponent.
 
-    The upper end is certified by construction for every method; the lower end
-    is certified for "spectral" and flagged heuristic for data-driven methods.
+    Both ends of a "spectral" bracket are certified.  A "fekete" upper end is
+    certified only when its constant b holds for the whole sequence, not when
+    check_subadditivity fits b to finite data.  The "fekete" lower end and both
+    "regression" ends are heuristic; heuristic_lower flags the data methods.
     """
 
     lower: float

@@ -359,7 +359,17 @@ def duality_exponent(deltas: Sequence[float], p: float) -> float:
     for d in deltas:
         if d < 0:
             raise InvalidInputError(f"factor exponent must be >= 0, got {d}")
-    return float(_lp_norm(deltas, _conjugate(p)))
+    q = _conjugate(p)
+    try:
+        norm = float(_lp_norm(deltas, q))
+    except OverflowError:  # one float weight d**q out of range
+        norm = math.inf
+    if norm == math.inf:  # or their float sum
+        raise ResourceLimitError(
+            f"the conjugate exponent q = {q:g} of p = {p!r} overflows a float"
+            " in the predicted exponent; use p = 1 for q = inf"
+        )
+    return norm
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .automata import CountSequence, avoid_factors, perron_root
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .growth import GrowthBracket, bracket_gap, check_subadditivity, fekete_bracket
 from .products import (
     LatticeTable,
@@ -41,6 +41,7 @@ from .words import (
     DEFAULT_ENUMERATION_CUTOFF,
     Alphabet,
     ReducedWord,
+    _check_cutoff,
     _word,
     enumerate_sphere,
     format_word,
@@ -292,11 +293,7 @@ def minimal_section(
     oracle.validate_for(spec)
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
-    rfloor = math.floor(r_max)
-    if rfloor > cutoff:
-        raise ResourceLimitError(
-            f"sphere radius {cutoff + 1} exceeds enumeration cutoff {cutoff}"
-        )
+    rfloor = _check_cutoff("sphere radius", math.floor(r_max), cutoff)
     budget = norm_budget(spec.p, r_max)
     # reps[i][r] = [(part, first word with that part), ...]
     reps = [oracle.first_words(i, a, rfloor, cutoff) for i, a in enumerate(spec.factors)]

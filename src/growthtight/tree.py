@@ -21,6 +21,8 @@ end inside that prefix, its projection is every later one's.
 """
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -30,12 +32,14 @@ from .errors import InternalInvariantError, InvalidInputError
 from .words import (
     Alphabet,
     ReducedWord,
+    _check_cutoff,
     _check_same_alphabet,
     _inverse,
     _reduce_concat,
     _root_key,
     _word,
     format_word,
+    iter_sphere_letters,
 )
 
 # Empirical slack for the power/projection dichotomy bound
@@ -80,6 +84,13 @@ class Axis:
     def backward_ray(self) -> tuple[int, ...]:
         """Letters of the negative core direction, (root^-1)^infinity."""
         return _inverse(self.root.letters)
+
+    @cached_property
+    def line_key(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(conjugator, root, root^-1) of the root key of the line element
+        translate * element * translate^-1, which moves this line along itself."""
+        conjugator, root, _ = _root_key(self.element.conjugated_by(self.translate).letters)
+        return conjugator, root, _inverse(root)
 
     @cached_property
     def base(self) -> tuple[int, tuple[int, ...]]:
@@ -224,18 +235,13 @@ def check_projection_axioms(
     pair_diams = {key: hi - lo for key, (lo, hi) in intervals.items()}
     xi_observed = max(pair_diams.values(), default=0)
     triples = []
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            for k in range(j + 1, len(axes)):
-                quantities = {}
-                for target, others in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
-                    spans = [intervals[(target, o)] for o in others]
-                    quantities[target] = max(s[1] for s in spans) - min(
-                        s[0] for s in spans
-                    )
-                second = sorted(quantities.values())[-2]
-                xi_observed = max(xi_observed, second)
-                triples.append(((i, j, k), quantities))
+    for i, j, k in itertools.combinations(range(len(axes)), 3):
+        quantities = {}
+        for target, others in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
+            spans = [intervals[(target, o)] for o in others]
+            quantities[target] = max(s[1] for s in spans) - min(s[0] for s in spans)
+        xi_observed = max(xi_observed, sorted(quantities.values())[-2])
+        triples.append(((i, j, k), quantities))
     candidate = xi_observed if candidate_xi is None else candidate_xi
     violations: list[dict] = []
     for key, diam in sorted(pair_diams.items()):
@@ -254,6 +260,96 @@ def check_projection_axioms(
             if again.distance != 0 or again.foot != foot:
                 violations.append({"kind": "projection", "axis": idx, "x": format_word(x)})
     return xi_observed, violations
+
+
+def _letter_options(alphabet: Alphabet) -> dict[tuple, list[int]]:
+    """options[(previous, first)]: the letters a random reduced word may take
+    after previous (None at the start), in alphabet order; first is the
+    word's first letter at the last position of a cyclic word, else None."""
+    ends = [None, *alphabet.letters]
+    return {
+        (previous, first): [
+            x for x in alphabet.letters
+            if (previous is None or x != previous ^ 1) and (first is None or x != first ^ 1)
+        ]
+        for previous in ends
+        for first in ends
+    }
+
+
+def _random_letters(
+    rng: random.Random, options: dict[tuple, list[int]], length: int, cyclic: bool
+) -> tuple[int, ...]:
+    """A uniform choice at each position among the letters that keep the word
+    reduced (and cyclically reduced when cyclic)."""
+    letters: list[int] = []
+    for i in range(length):
+        previous = letters[-1] if letters else None
+        first = letters[0] if cyclic and i and i == length - 1 else None
+        letters.append(rng.choice(options[previous, first]))
+    return tuple(letters)
+
+
+def _random_axis(
+    rng: random.Random, alphabet: Alphabet, options: dict, drawn: dict, core_max: int,
+    conj_max: int,
+) -> Axis:
+    """A random axis; drawn maps the letters of each h drawn before to its
+    axis, so a repeated h reuses it."""
+    while True:
+        core_len = rng.randint(1, core_max)
+        conj_len = rng.randint(0, conj_max)
+        core = _random_letters(rng, options, core_len, cyclic=True)
+        conj = _random_letters(rng, options, conj_len, cyclic=False)
+        h = _reduce_concat(_reduce_concat(conj, core), _inverse(conj))
+        if h:
+            if h not in drawn:
+                drawn[h] = Axis.from_element(_word(alphabet, h))
+            return drawn[h]
+
+
+def random_axis_family(
+    alphabet: Alphabet, samples: Sequence[ReducedWord] = (), candidate_xi: int | None = None,
+    *, seed: int, triples: int, core_max: int, conjugator_max: int,
+) -> dict:
+    """The projection axioms (check_projection_axioms) on triples of random
+    axes of h = u c u^-1, c cyclically reduced with 1 to core_max letters and
+    |u| <= conjugator_max, drawn by random.Random(seed): the largest
+    projection constant against core_max + 2 conjugator_max, and the
+    violations of candidate_xi."""
+    # every axis of Z is one line; in F2 single letters give only the a- and b-lines
+    if alphabet.rank == 1 or (alphabet.rank, core_max, conjugator_max) == (2, 1, 0):
+        raise InvalidInputError("random axes span fewer than three distinct lines")
+    rng = random.Random(seed)
+    options = _letter_options(alphabet)
+    drawn: dict[tuple[int, ...], Axis] = {}
+    xi_max = total_violations = 0
+    for _ in range(triples):
+        # draw three axes on distinct lines; the scans that tell the lines
+        # apart give check_projection_axioms the meets of every pair
+        axes, meets = [], {}
+        while len(axes) < 3:
+            ax = _random_axis(rng, alphabet, options, drawn, core_max, conjugator_max)
+            new = {}
+            for i, other in enumerate(axes):
+                new[(i, len(axes))] = meet = _meet(ax, other)
+                if meet is None:  # the line of an axis drawn before
+                    break
+            else:
+                meets.update(new)
+                axes.append(ax)
+        xi, violations = check_projection_axioms(axes, samples, candidate_xi, meets)
+        xi_max = max(xi_max, xi)
+        total_violations += len(violations)
+    bound = core_max + 2 * conjugator_max
+    return {
+        "mode": "random",
+        "triples": triples,
+        "xi_observed": xi_max,
+        "bound": bound,
+        "within_bound": xi_max <= bound,
+        "violations": total_violations,
+    }
 
 
 def _orbit_shared_prefix(
@@ -290,8 +386,8 @@ class Lemma31Report:
 def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     """Power-or-bounded-projection dichotomy for the orbit of g against an axis.
 
-    Either some power of g lands in the cyclic group of the axis element
-    (equivalent to sharing a primitive root, tested exactly), or the
+    Either some power of g lands in the cyclic group of the line element
+    t h t^-1 (equivalent to sharing a primitive root, tested exactly), or the
     projections of g^n.p stay within 2 d(p, g.p) + D_TREE of p's projection,
     where p is the axis vertex nearest the identity (Axis.base).  The orbit
     runs on letter tuples in the axis frame (g conjugated by the origin): one
@@ -304,16 +400,17 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     if not g:
         raise InvalidInputError("g must be non-trivial")
     _check_same_alphabet(g, ax.element)
-    # g and h share a primitive root up to sign exactly when their root keys
-    # do: h's is (conjugator, root) and its inverse's (conjugator, root^-1)
+    # g and the line element share a primitive root up to sign exactly when
+    # g's root key has the line's conjugator and its root or root^-1
     conjugator, root_g, exp_g = _root_key(g.letters)
-    if conjugator == ax.conjugator.letters and root_g in (ax.root.letters, ax.backward_ray):
-        sign = 1 if root_g == ax.root.letters else -1
-        exp_h = len(ax.core) // len(ax.root)
-        # g^exp_h = root^(exp_g*exp_h) = h^(sign*exp_g)
+    line_conjugator, line_root, line_back = ax.line_key
+    if conjugator == line_conjugator and root_g in (line_root, line_back):
+        sign = 1 if root_g == line_root else -1
+        exp_h = len(ax.core) // len(ax.root)  # conjugation keeps the exponent
+        # g^exp_h = root^(exp_g*exp_h) = line^(sign*exp_g), line = t h t^-1
         return Lemma31Report(
             branch="power-in-subgroup",
-            passed=g ** exp_h == ax.element ** (sign * exp_g),
+            passed=g ** exp_h == ax.element.conjugated_by(ax.translate) ** (sign * exp_g),
             bound=0.0,
             rows=(),
             power_witness=(exp_h, sign * exp_g),
@@ -345,6 +442,35 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
         bound=bound,
         rows=tuple(rows),
     )
+
+
+def lemma31_sweep(
+    alphabet: Alphabet, h: ReducedWord, g_max: int, n_max: int, *, cutoff: int
+) -> dict:
+    """lemma31_bound_check against h's axis for every non-trivial g with
+    |g| <= g_max, streamed sphere by sphere: the words checked, the count
+    per branch and the failures."""
+    _check_cutoff("g_max", g_max, cutoff)
+    ax = Axis.from_element(h)
+    checked = failures = 0
+    branches: dict[str, int] = {}
+    for r in range(1, g_max + 1):
+        for letters in iter_sphere_letters(alphabet, r):
+            rep = lemma31_bound_check(ax, _word(alphabet, letters), n_max)
+            checked += 1
+            branches[rep.branch] = branches.get(rep.branch, 0) + 1
+            if not rep.passed:
+                failures += 1
+    return {
+        "mode": "lemma31",
+        "h": format_word(h),
+        "g_max": g_max,
+        "n_max": n_max,
+        "d_tree": D_TREE,
+        "checked": checked,
+        "branches": branches,
+        "failures": failures,
+    }
 
 
 @dataclass(frozen=True)
@@ -561,3 +687,51 @@ def shorten(g: ReducedWord, h: ReducedWord, K: int) -> ShortenResult | None:
     start = best[0]
     g_prime = _word(g.alphabet, g.letters[:start] + g.letters[start + len(core):])
     return ShortenResult(g_prime=g_prime, k=witness.k, witness=witness)
+
+
+def shorten_sweep(
+    alphabet: Alphabet, h: ReducedWord, g_max: int, K: int | None = None, *, cutoff: int
+) -> dict:
+    """Exhaustive shortening check: every g with |g| <= g_max outside Ghat(K)
+    must get strictly shorter, to k h^-1 k^-1 g.  K defaults to
+    shorten_threshold(h) and may not lie below it.
+
+    The ball is walked through the Ghat(K) automaton (walk_ghat_ball), so only
+    the words outside Ghat(K) reach shorten.  checked counts the ball,
+    in_ghat the words in Ghat(K), shortened the other words that passed;
+    failures lists the rest in shortlex order.
+    """
+    _check_cutoff("g_max", g_max, cutoff)
+    threshold = shorten_threshold(h)
+    K = threshold if K is None else K
+    if K < threshold:
+        raise InvalidInputError(
+            f"shorten_sweep K={K!r} below the shortening threshold {threshold} of h"
+        )
+    shortened = 0
+    failures: list[ReducedWord] = []
+    h_inverse = _inverse(h.letters)
+
+    def check(g: ReducedWord) -> None:
+        nonlocal shortened
+        res = shorten(g, h, K)
+        if res is not None and len(res.g_prime) < len(g):
+            k = res.k.letters
+            # g' = k h^-1 k^-1 g, on letter tuples
+            recomposed = _reduce_concat(
+                _reduce_concat(_reduce_concat(k, h_inverse), _inverse(k)), g.letters
+            )
+            if res.g_prime.letters == recomposed:
+                shortened += 1
+                return
+        failures.append(g)
+
+    checked, in_ghat = walk_ghat_ball(alphabet, h, K, g_max, check)
+    return {
+        "g_max": g_max,
+        "K": K,
+        "checked": checked,
+        "in_ghat": in_ghat,
+        "shortened": shortened,
+        "failures": [format_word(g) for g in sorted(failures)],
+    }

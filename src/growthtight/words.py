@@ -246,14 +246,19 @@ def iter_sphere_letters(alphabet: Alphabet, r: int) -> Iterator[tuple[int, ...]]
                 stack.append(word + (x,))
 
 
+def _check_cutoff(name: str, radius: int, cutoff: int) -> int:
+    """radius, checked against the enumeration cutoff before any word is
+    visited; name says what the radius bounds."""
+    if radius > cutoff:
+        raise ResourceLimitError(f"{name} {radius} exceeds enumeration cutoff {cutoff}")
+    return radius
+
+
 def enumerate_sphere(
     alphabet: Alphabet, r: int, *, cutoff: int = DEFAULT_ENUMERATION_CUTOFF
 ) -> list[ReducedWord]:
     """All reduced words of length exactly r, shortlex sorted; guarded by cutoff."""
-    if r > cutoff:
-        raise ResourceLimitError(
-            f"sphere radius {r} exceeds enumeration cutoff {cutoff}"
-        )
+    _check_cutoff("sphere radius", r, cutoff)
     return [_word(alphabet, w) for w in iter_sphere_letters(alphabet, r)]
 
 

@@ -1,6 +1,7 @@
 """Job-document CLI: reports, budgets, exit codes, reproducibility."""
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthtight import __version__
-from growthtight import cli, tree
+from growthtight import automata, cli, tree, words
 from growthtight.errors import InternalInvariantError
 from growthtight.products import LpProductSpec
 from growthtight.quotients import KINDS, minimal_section
@@ -49,6 +50,19 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
 def report_from(out: str) -> dict:
     # stdout is: table, then the canonical JSON document starting at '{'
     return json.loads(out[out.index("{") :])
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    # the CLI is job plumbing: the library's underscore names stay inside it
+    source = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(source)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 class TestRunBasics:
@@ -371,7 +385,14 @@ class TestCommands:
         def rescan(source, target):
             raise AssertionError("a pair of drawn axes was met twice")
 
-        monkeypatch.setattr(tree, "_meet", rescan)
+        check = tree.check_projection_axioms
+
+        def check_without_meeting(*args):
+            with monkeypatch.context() as inside:
+                inside.setattr(tree, "_meet", rescan)
+                return check(*args)
+
+        monkeypatch.setattr(tree, "check_projection_axioms", check_without_meeting)
         code, after, _ = run_cli(capsys, "run", str(job), "--quiet")
         assert code == 0 and after == before
 
@@ -394,12 +415,12 @@ class TestCommands:
             return tuple(letters)
 
         alphabet = Alphabet(rank)
-        options = cli._letter_options(alphabet)
+        options = tree._letter_options(alphabet)
         for seed in range(200):
             ours, theirs = random.Random(seed), random.Random(seed)
             for length in range(1, 5):
                 for cyclic in (False, True):
-                    assert cli._random_letters(ours, options, length, cyclic) == reference(
+                    assert tree._random_letters(ours, options, length, cyclic) == reference(
                         theirs, alphabet, length, cyclic
                     )
             assert ours.getstate() == theirs.getstate()
@@ -409,13 +430,13 @@ class TestCommands:
         job = write_job(tmp_path, "axioms", params)
         _, before, _ = run_cli(capsys, "run", str(job), "--quiet")
         built = []
-        from_element = cli.Axis.from_element
+        from_element = tree.Axis.from_element
 
         def record(h, translate=None):
             built.append(h)
             return from_element(h, translate)
 
-        monkeypatch.setattr(cli.Axis, "from_element", record)
+        monkeypatch.setattr(tree.Axis, "from_element", record)
         code, after, _ = run_cli(capsys, "run", str(job), "--quiet")
         assert code == 0 and after == before
         assert built and len(built) == len(set(built))
@@ -576,6 +597,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", str(job))
         assert time.perf_counter() - start < 1.0
         assert code == 3 and f"p = {p:g}" in err and '"inf"' in err
+
+    @pytest.mark.parametrize("command", ["product", "tightness"])
+    @pytest.mark.parametrize("p,code", [(1.0001, 3), (1 + 1e-9, 3), (1.0002, 0), (1.001, 0)])
+    def test_p_just_above_1_is_a_resource_limit_where_q_overflows(
+        self, tmp_path, capsys, command, p, code
+    ):
+        # the predicted exponent is ||deltas||_q with q = p/(p - 1); its
+        # float weights overflow once q passes about 7 550
+        params = {"factors": [{"rank": 2}, {"rank": 2}], "p": p, **self.HUGE_P_JOBS[command]}
+        job = write_job(tmp_path, command, params)
+        got, _, err = run_cli(capsys, "run", str(job), "--quiet")
+        assert got == code
+        assert (f"p = {p!r}" in err and "overflows a float" in err) if code else err == ""
 
     def test_p_1000_still_runs(self, tmp_path, capsys):
         params = {"factors": [{"rank": 2}, {"rank": 2}], "p": 1000}
@@ -1181,7 +1215,8 @@ class TestShortenSweep:
     @example((Alphabet(3), parse_word(Alphabet(3), "c a b"), 5, 8))
     def test_walk_equals_per_word_sweep(self, case):
         alphabet, h, g_max, K = case
-        assert cli._shorten_sweep(alphabet, h, g_max, K) == per_word_sweep(alphabet, h, g_max, K)
+        sweep = tree.shorten_sweep(alphabet, h, g_max, K, cutoff=g_max)
+        assert sweep == per_word_sweep(alphabet, h, g_max, K)
 
     def test_failures_come_in_shortlex_order(self, monkeypatch):
         alphabet = Alphabet(2)
@@ -1192,8 +1227,8 @@ class TestShortenSweep:
         def shorten_or_fail(g, h, K):
             return None if format_word(g) in broken else shorten(g, h, K)
 
-        monkeypatch.setattr(cli, "shorten", shorten_or_fail)
-        sweep = cli._shorten_sweep(alphabet, h, 8, 6)
+        monkeypatch.setattr(tree, "shorten", shorten_or_fail)
+        sweep = tree.shorten_sweep(alphabet, h, 8, 6, cutoff=8)
         assert sweep["failures"] == ["b a b a b a", "a b a b a b a"]
         reference = per_word_sweep(alphabet, h, 8, 6)
         assert sweep["shortened"] == reference["shortened"] - 2
@@ -1209,8 +1244,8 @@ class TestShortenSweep:
             res = shorten(g, h, K)
             return None if res is None else dataclasses.replace(res, k=res.k * extra)
 
-        monkeypatch.setattr(cli, "shorten", shorten_with_wrong_k)
-        sweep = cli._shorten_sweep(alphabet, h, 8, 6)
+        monkeypatch.setattr(tree, "shorten", shorten_with_wrong_k)
+        sweep = tree.shorten_sweep(alphabet, h, 8, 6, cutoff=8)
         reference = per_word_sweep(alphabet, h, 8, 6)
         assert sweep["shortened"] == 0
         assert len(sweep["failures"]) == reference["shortened"] > 0
@@ -1219,6 +1254,7 @@ class TestShortenSweep:
     @pytest.mark.parametrize("command,params", [
         ("ghat", {"rank": 2, "h": "a b", "m": 6, "shorten_sweep": {"g_max": 15}}),
         ("axioms", {"rank": 2, "lemma31": {"h": "a b", "g_max": 15}}),
+        ("avoid", {"rank": 2, "sweep": {"max_len": 15}}),
     ])
     def test_radius_above_cutoff_exits_3_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, params
@@ -1226,15 +1262,21 @@ class TestShortenSweep:
         def untouchable(*args, **kwargs):
             raise AssertionError("sweep work ran past the cutoff guard")
 
-        for name in (
-            "shorten", "walk_ghat_ball", "lemma31_bound_check", "enumerate_sphere",
-            "iter_sphere_letters",
+        # every name the sweeps and the ghat job look their work up by
+        for module, names in (
+            (tree, ("shorten", "walk_ghat_ball", "lemma31_bound_check", "iter_sphere_letters",
+                    "ghat_automaton")),
+            (words, ("enumerate_sphere", "iter_sphere_letters")),
+            (automata, ("enumerate_sphere", "avoid_factors", "perron_roots")),
+            (cli, ("ghat_automaton", "avoid_factors", "perron_root")),
         ):
-            monkeypatch.setattr(cli, name, untouchable)
+            for name in names:
+                monkeypatch.setattr(module, name, untouchable)
         job = write_job(tmp_path, command, params, {"cutoff": 14})
         code, _, err = run_cli(capsys, "run", str(job))
         assert code == 3
-        assert "g_max 15 exceeds enumeration cutoff 14" in err
+        radius = "max_len" if command == "avoid" else "g_max"
+        assert f"{radius} 15 exceeds enumeration cutoff 14" in err
 
     @pytest.mark.parametrize("g_max", [3, 5])
     def test_K_below_threshold_is_rejected(self, tmp_path, capsys, g_max):

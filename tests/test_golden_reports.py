@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from growthtight import cli, perron_roots
+from growthtight import (
+    Alphabet,
+    automata,
+    avoid_sweep,
+    cli,
+    lemma31_sweep,
+    parse_word,
+    perron_roots,
+    random_axis_family,
+    shorten_sweep,
+)
+from growthtight.reports import canonical_json
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = sorted((ROOT / "jobs").glob("*.json"))
@@ -41,13 +52,49 @@ def test_avoid_sweep_in_batches_of_7_is_byte_identical(tmp_path, monkeypatch):
     # batches and a short last one, with the report of the default batching
     sizes = []
 
-    def recording(automata, *args):
-        sizes.append(len(automata))
-        return perron_roots(automata, *args)
+    def recording(languages, *args):
+        sizes.append(len(languages))
+        return perron_roots(languages, *args)
 
-    monkeypatch.setattr(cli, "SWEEP_BATCH", 7)
-    monkeypatch.setattr(cli, "perron_roots", recording)
+    monkeypatch.setattr(automata, "SWEEP_BATCH", 7)
+    monkeypatch.setattr(automata, "perron_roots", recording)
     out = tmp_path / "avoid_sweep_len4.json"
     assert cli.main(["run", str(ROOT / "jobs" / out.name), "--quiet", "--out", str(out)]) == 0
     assert sizes == [7] * 22 + [6]
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+RANK2 = Alphabet(2)
+
+
+def golden_results(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_bytes())["results"]
+
+
+def as_written(results: dict) -> dict:
+    """results as a report writes them, read back."""
+    return json.loads(canonical_json(results))
+
+
+@pytest.mark.parametrize("name,h", [("shorten_sweep_a", "a"), ("shorten_sweep_ab", "a b")])
+def test_shorten_sweep_is_the_golden_block(name, h):
+    sweep = shorten_sweep(RANK2, parse_word(RANK2, h), 10, cutoff=14)
+    assert as_written(sweep) == golden_results(name)["shorten_sweep"]
+
+
+@pytest.mark.parametrize("name,h", [("axioms_lemma31_a", "a"), ("axioms_lemma31_ab", "a b")])
+def test_lemma31_sweep_is_the_golden_block(name, h):
+    sweep = lemma31_sweep(RANK2, parse_word(RANK2, h), 4, 8, cutoff=14)
+    assert as_written(sweep) == golden_results(name)
+
+
+def test_random_axis_family_is_the_golden_block():
+    family = random_axis_family(
+        RANK2, candidate_xi=5, seed=20260814, triples=200, core_max=3, conjugator_max=1
+    )
+    assert as_written(family) == golden_results("axioms_random_triples")
+
+
+def test_avoid_sweep_is_the_golden_block():
+    sweep = avoid_sweep(RANK2, 4, 1e-6, 1e-9, cutoff=14)
+    assert as_written(sweep) == golden_results("avoid_sweep_len4")

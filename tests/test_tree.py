@@ -21,6 +21,7 @@ from growthtight import (
     ghat_membership_exact,
     lemma31_bound_check,
     parse_word,
+    primitive_root,
     project_axis_onto_axis,
     project_to_axis,
     same_line,
@@ -324,6 +325,18 @@ class TestLemma31:
                 branches[rep.branch] += 1
         assert branches == {"power-in-subgroup": 2, "bounded-projection": 50}
 
+    def test_power_of_the_translated_line_element(self):
+        # a's axis moved by b is the line of b a b-, which b a b- moves along
+        rep = lemma31_bound_check(axis2("a", "b"), word2("baB"), 8)
+        assert rep.branch == "power-in-subgroup"
+        assert rep.passed
+        assert rep.power_witness == (1, 1)
+
+    def test_power_of_h_is_transverse_to_a_translated_line(self):
+        rep = lemma31_bound_check(axis2("a", "b"), word2("a"), 8)
+        assert rep.branch == "bounded-projection"
+        assert rep.passed
+
     def test_identity_is_rejected(self):
         with pytest.raises(InvalidInputError):
             lemma31_bound_check(AB, RANK2.identity, 4)
@@ -359,15 +372,23 @@ class TestLemma31:
         # every h with |h| <= 4, untranslated and moved by a one-letter
         # translate, against every g with |g| <= 5: the check stops its orbit
         # at the stable index (almost always n = 1), this test never does
+        # the power test reads the translated line t h t^-1, not h: tally the
+        # pairs whose branch differs from a test against h's own root
         letters = enumerate_sphere(RANK2, 1)
         gs = enumerate_ball(RANK2, 5)[1:]
         checked = 0
+        moved = {}
+        roots = {g: primitive_root(g)[0] for g in gs}
         for i, h in enumerate(enumerate_ball(RANK2, 4)[1:]):
+            h_roots = (roots[h], ~roots[h])
             for t in (None, letters[i % len(letters)]):
                 ax = Axis.from_element(h, t)
                 base, p = ax.base
                 for g in gs:
                     rep = lemma31_bound_check(ax, g, 40)
+                    if (roots[g] in h_roots) != (rep.branch == "power-in-subgroup"):
+                        key = (t is None, rep.branch, rep.passed)
+                        moved[key] = moved.get(key, 0) + 1
                     if rep.branch != "bounded-projection":
                         continue
                     local_g = (ax.origin_inverse * g * ax.origin).letters
@@ -377,7 +398,12 @@ class TestLemma31:
                         rows.append((n, abs(_frame_coordinate(x, ax)[0] - base)))
                     assert rep.rows == tuple(rows), (chars(h), t and chars(t), chars(g))
                     checked += 1
-        assert checked == 153_792
+        assert checked == 153_948
+        # translated axes only: 268 powers of the line element pass the power
+        # test, and 424 powers of h alone leave it and pass the bounded one
+        assert moved == {
+            (False, "power-in-subgroup", True): 268, (False, "bounded-projection", True): 424,
+        }
 
     def test_report_fields(self):
         rep = lemma31_bound_check(AB, word2("b"), 3)
