@@ -55,6 +55,7 @@ from .quotients import KINDS, check_prop_minimal, quotient_ball_counts, tightnes
 from .reports import JOB_SCHEMA, build_report, canonical_json, render_table
 from .tree import (
     Axis,
+    check_ghat_m,
     check_projection_axioms,
     ghat_automaton,
     lemma31_sweep,
@@ -62,7 +63,7 @@ from .tree import (
     shorten_sweep,
     shorten_threshold,
 )
-from .words import Alphabet, format_word, parse_word
+from .words import DEFAULT_ENUMERATION_CUTOFF, Alphabet, format_word, parse_word
 
 REQUIRED = object()  # the default of a field every job must give
 
@@ -153,7 +154,7 @@ BUDGET_FIELDS = {
     "r_max": (NATURAL, None),
     "tol": (_kind(lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number"),
             1e-9),
-    "cutoff": (NATURAL, 14),
+    "cutoff": (NATURAL, DEFAULT_ENUMERATION_CUTOFF),
 }
 JOB_FIELDS = {
     "schema": (STR, REQUIRED), "command": (STR, REQUIRED),
@@ -254,7 +255,8 @@ def _cmd_ghat(params: dict, budgets: dict) -> dict:
     alphabet = Alphabet(params["rank"])
     h = parse_word(alphabet, params["h"])
     block = params["shorten_sweep"]
-    # the sweep runs first, so that its block is checked before any other work
+    check_ghat_m(h, params["m"])
+    # the sweep runs next, so that its block is checked before any other work
     sweep = {} if block is None else {"shorten_sweep": shorten_sweep(
         alphabet, h, block["g_max"], block["K"], cutoff=budgets["cutoff"]
     )}

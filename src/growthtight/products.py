@@ -413,6 +413,8 @@ def verify_duality(
             f"{len(factor_exponents)} exponents for {spec.n} factors"
         )
     _check_factor_count(spec, factor_spheres)
+    # first, as a p just above 1 overflows here before any lattice work
+    predicted = duality_exponent(list(factor_exponents), spec.p)
     step = 1.0 if spec.p == math.inf else spec.n ** (1.0 / spec.p)
     # nudge up so exact-budget arithmetic keeps the corner profile inside
     support_radii = [
@@ -424,7 +426,6 @@ def verify_duality(
     measured = regression_bracket(support_balls, radii=support_radii)
     b = check_subadditivity(balls)
     fek = fekete_bracket(balls, b)
-    predicted = duality_exponent(list(factor_exponents), spec.p)
     midpoint = (measured.lower + measured.upper) / 2
     return DualityReport(
         p=spec.p,

@@ -10,10 +10,9 @@ coordinate by coordinate, so each record counts its balls from per-factor
 images and enumerates nothing.  A minimal section keeps the first product
 point per key in (length, tuple-shortlex) order; its scan runs over the first
 word of each part value in each factor sphere, not over every product point
-(see minimal_section).  The abelianization and homomorphism parts add up
-letter by letter, so those first words are spelled without listing any
-sphere; only a factor-kernel section lists words.  The enumeration cutoff
-bounds the section radius of every kind.
+(see minimal_section).  Every kind's part adds up letter by letter, so one
+speller (_Kernel.first_words) finds those first words without listing any
+sphere.  The enumeration cutoff bounds the section radius of every kind.
 """
 from __future__ import annotations
 
@@ -43,7 +42,6 @@ from .words import (
     ReducedWord,
     _check_cutoff,
     _word,
-    enumerate_sphere,
     format_word,
     sphere_size,
 )
@@ -52,7 +50,9 @@ from .words import (
 class _Kernel:
     """What every quotient kind shares.  key(point) is constant on cosets gN
     and separates them within the radii we enumerate; normality holds by
-    construction (kernels of homomorphisms, or projection onto survivors)."""
+    construction (kernels of homomorphisms, or projection onto survivors).
+    A kind states part, combine, add (part(u x) from part(u) and part(x),
+    for reduced u x), ball_counts and exponent."""
 
     def validate_for(self, spec: LpProductSpec) -> None:
         """Reject a product the record does not fit; every product fits by default."""
@@ -60,49 +60,34 @@ class _Kernel:
     def key(self, point: ProductPoint):
         return self.combine([self.part(i, w) for i, w in enumerate(point.coords)])
 
-
-class _AdditiveKernel(_Kernel):
-    """A kind whose part adds up letter by letter, with self.add."""
-
-    def first_words(self, index: int, alphabet: Alphabet, r_max: int, cutoff: int) -> list:
+    def first_words(self, index: int, alphabet: Alphabet, r_max: int) -> list:
         """reps[r] = [(part value, first word of the radius-r sphere with that
         part), ...] in order of first occurrence in the shortlex sphere
-        listing, for factor index; no word is listed, so no cutoff binds.
+        listing, for factor index: one forward pass for every kind.
 
-        reach[m][prev] maps each part of a reduced word of length m whose first
-        letter is not prev ^ 1 to (first letter, part of the rest) of the least
-        such word; row 2k has no letter excluded, for no previous letter.
-        Taking the least letter whose rest is reachable at every step spells
-        the lex-first word of a part, and sorting those words gives the order
-        of first occurrence.
-        """
+        best maps (last letter, part) to the least word of the current length
+        with that key (the start has no last letter; -2 ^ 1 cancels none).  A
+        key's least word is the least word of a shorter key plus one letter,
+        and extending best in order, letters increasing, yields words in
+        increasing order: setdefault keeps each key's least word, and best
+        stays in word order, so its first word per part is the sphere's."""
         add = self.add
-        letters = alphabet.letters
-        start = len(letters)
-        letter_parts = [self.part(index, _word(alphabet, (x,))) for x in letters]
+        letter_parts = [(x, self.part(index, _word(alphabet, (x,)))) for x in alphabet.letters]
         identity = alphabet.identity
         zero = self.part(index, identity)
-        reach = [[{zero: None}] * (start + 1)]
+        best = {(-2, zero): ()}
         reps = [[(zero, identity)]]
-        for m in range(1, r_max + 1):
-            below = reach[-1]
-            heads = [{add(px, t): (x, t) for t in below[x]} for x, px in zip(letters, letter_parts)]
-            rows = []
-            for prev in range(start + 1):
-                row: dict = {}
-                for x in reversed(letters):  # the least first letter is written last
-                    if x != prev ^ 1:
-                        row.update(heads[x])
-                rows.append(row)
-            reach.append(rows)
-            spelled = []
-            for value in rows[start]:
-                word, prev, t = [], start, value
-                for left in range(m, 0, -1):
-                    prev, t = reach[left][prev][t]
-                    word.append(prev)
-                spelled.append((tuple(word), value))
-            reps.append([(value, _word(alphabet, word)) for word, value in sorted(spelled)])
+        for _ in range(r_max):
+            grown: dict = {}
+            for (last, part), word in best.items():
+                for x, px in letter_parts:
+                    if x != last ^ 1:
+                        grown.setdefault((x, add(part, px)), word + (x,))
+            best = grown
+            first: dict = {}
+            for (_, part), word in best.items():
+                first.setdefault(part, word)
+            reps.append([(part, _word(alphabet, word)) for part, word in first.items()])
         return reps
 
     def exponent(self, spec: LpProductSpec, brackets: list, r_max: int, tol: float) -> tuple:
@@ -137,18 +122,9 @@ class FactorKernel(_Kernel):
     def combine(self, parts: Sequence):
         return tuple(p for p in parts if p is not None)
 
-    def first_words(self, index: int, alphabet: Alphabet, r_max: int, cutoff: int) -> list:
-        """As _AdditiveKernel.first_words.  A killed part is None, so one word
-        stands for each sphere: its first, a^r, as a letter never cancels
-        itself.  A surviving part is the word itself, so every word is its own
-        first word and every sphere is listed."""
-        if index in self.kill:
-            a = alphabet.letters[0]
-            return [[(None, _word(alphabet, (a,) * r))] for r in range(r_max + 1)]
-        return [
-            [(w.letters, w) for w in enumerate_sphere(alphabet, r, cutoff=cutoff)]
-            for r in range(r_max + 1)
-        ]
+    @staticmethod
+    def add(u, v):
+        return None if u is None else u + v
 
     def ball_counts(self, spec: LpProductSpec, r_max: int) -> CountSequence:
         """A lattice sum over per-factor quotient spheres: (1, 0, 0, ...) for a
@@ -178,7 +154,7 @@ def _l1_sphere_counts(k: int, r_max: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class Abelianization(_AdditiveKernel):
+class Abelianization(_Kernel):
     """The kernel of the coordinate-wise abelianization: a key is the tuple
     of the factors' exponent-sum vectors."""
 
@@ -205,7 +181,7 @@ def _sumset(xs: set, ys: set) -> set:
 
 
 @dataclass(frozen=True)
-class HomToIntegers(_AdditiveKernel):
+class HomToIntegers(_Kernel):
     """The kernel of the homomorphism to Z that sends letter j of factor i to
     coefficients[i][j]: a key is the sum of the factors' images."""
 
@@ -296,7 +272,7 @@ def minimal_section(
     rfloor = _check_cutoff("sphere radius", math.floor(r_max), cutoff)
     budget = norm_budget(spec.p, r_max)
     # reps[i][r] = [(part, first word with that part), ...]
-    reps = [oracle.first_words(i, a, rfloor, cutoff) for i, a in enumerate(spec.factors)]
+    reps = [oracle.first_words(i, a, rfloor) for i, a in enumerate(spec.factors)]
     keyed = [
         (norm_key(spec.p, prof), prof)
         for prof in itertools.product(range(rfloor + 1), repeat=spec.n)

@@ -569,6 +569,13 @@ def ghat_membership_exact(g: ReducedWord, h: ReducedWord, K: int) -> bool:
     return not _checked_runs(g, h, K)[2]
 
 
+def check_ghat_m(h: ReducedWord, m: int) -> None:
+    """Reject an m below the length of h's core, which ghat_automaton needs."""
+    core = _axis_parts(h)[0]
+    if m < len(core):
+        raise InvalidInputError(f"m={m} below core length {len(core)}")
+
+
 def ghat_automaton(alphabet: Alphabet, h: ReducedWord, m: int) -> CountingAutomaton:
     """Automaton for the words with no forward core^infinity run of length >= m.
 
@@ -576,10 +583,8 @@ def ghat_automaton(alphabet: Alphabet, h: ReducedWord, m: int) -> CountingAutoma
     realizes the restricted set exactly on the tree: acceptance coincides with
     ghat_membership_exact(., h, m).
     """
-    core, _, root = _axis_parts(h)
-    if m < len(core):
-        raise InvalidInputError(f"m={m} below core length {len(core)}")
-    ray = root.letters
+    check_ghat_m(h, m)
+    ray = _axis_parts(h)[2].letters
     n = len(ray)
     factors = {tuple(ray[(s + i) % n] for i in range(m)) for s in range(n)}
     forbidden = [_word(alphabet, f) for f in sorted(factors)]

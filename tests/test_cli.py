@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthtight import __version__
-from growthtight import automata, cli, tree, words
+from growthtight import automata, cli, products, tree, words
 from growthtight.errors import InternalInvariantError
 from growthtight.products import LpProductSpec
 from growthtight.quotients import KINDS, minimal_section
@@ -601,10 +601,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["product", "tightness"])
     @pytest.mark.parametrize("p,code", [(1.0001, 3), (1 + 1e-9, 3), (1.0002, 0), (1.001, 0)])
     def test_p_just_above_1_is_a_resource_limit_where_q_overflows(
-        self, tmp_path, capsys, command, p, code
+        self, tmp_path, capsys, monkeypatch, command, p, code
     ):
         # the predicted exponent is ||deltas||_q with q = p/(p - 1); its
-        # float weights overflow once q passes about 7 550
+        # float weights overflow once q passes about 7 550, and a product job
+        # finds that out before it builds a lattice table
+        if code and command == "product":
+            def untouchable(*args, **kwargs):
+                raise AssertionError("a lattice table was built before the exit")
+
+            monkeypatch.setattr(products, "LatticeTable", untouchable)
         params = {"factors": [{"rank": 2}, {"rank": 2}], "p": p, **self.HUGE_P_JOBS[command]}
         job = write_job(tmp_path, command, params)
         got, _, err = run_cli(capsys, "run", str(job), "--quiet")
@@ -1277,6 +1283,18 @@ class TestShortenSweep:
         assert code == 3
         radius = "max_len" if command == "avoid" else "g_max"
         assert f"{radius} 15 exceeds enumeration cutoff 14" in err
+
+    def test_m_below_core_length_exits_2_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def untouchable(*args, **kwargs):
+            raise AssertionError("the sweep ran before m was checked")
+
+        for name in ("shorten", "walk_ghat_ball"):
+            monkeypatch.setattr(tree, name, untouchable)
+        job = write_job(
+            tmp_path, "ghat", {"rank": 2, "h": "a b", "m": 1, "shorten_sweep": {"g_max": 13}}
+        )
+        code, _, err = run_cli(capsys, "run", str(job))
+        assert code == 2 and "m=1 below core length 2" in err
 
     @pytest.mark.parametrize("g_max", [3, 5])
     def test_K_below_threshold_is_rejected(self, tmp_path, capsys, g_max):

@@ -204,23 +204,33 @@ class TestSpelledRepresentatives:
             oracle = Abelianization()
         else:
             oracle = HomToIntegers([row])
-        got = oracle.first_words(0, Alphabet(rank), r_max, r_max)
+        got = oracle.first_words(0, Alphabet(rank), r_max)
         want = oracles.first_words_by_part(rank, r_max, _part_fn(rank, row))
         assert [[(t, chars(w)) for t, w in sphere] for sphere in got] == want
 
+    @pytest.mark.parametrize("rank,r_max", [(1, 8), (2, 7), (3, 5)])
+    def test_factor_kernel_first_words(self, rank, r_max):
+        # factor 0 survives, so its part is the word itself; factor 1 is
+        # killed, so one word, the first, stands for each sphere
+        oracle = FactorKernel([1])
+        for index, part_fn in ((0, oracles.lex_key), (1, lambda w: None)):
+            got = oracle.first_words(index, Alphabet(rank), r_max)
+            want = oracles.first_words_by_part(rank, r_max, part_fn)
+            assert [[(t, chars(w)) for t, w in sphere] for sphere in got] == want
 
-def listed_first_words(self, index, alphabet, r_max, cutoff):
-    """FactorKernel.first_words by listing every sphere and keeping, for a
-    killed factor, only its first word: the reference the spelled word of
-    a killed factor must reproduce."""
-    spheres = [words.enumerate_sphere(alphabet, r, cutoff=cutoff) for r in range(r_max + 1)]
+
+def listed_first_words(self, index, alphabet, r_max):
+    """FactorKernel first words by listing every sphere and keeping, for a
+    killed factor, only its first word: the reference the spelled words
+    must reproduce."""
+    spheres = [words.enumerate_sphere(alphabet, r) for r in range(r_max + 1)]
     if index in self.kill:
         return [[(None, sphere[0])] for sphere in spheres]
     return [[(w.letters, w) for w in sphere] for sphere in spheres]
 
 
 class TestFactorKernelSections:
-    """A killed factor's first words are spelled, not listed."""
+    """A factor kernel's first words are spelled, not listed."""
 
     # (p, largest radius of the brute scan): keep it to ~30 000 product points
     CASES = [(1, 6), (2, 5), (INF, 4)]
@@ -248,6 +258,10 @@ class TestFactorKernelSections:
         monkeypatch.setattr(words, "iter_sphere_letters", listing)
         sec = minimal_section(F2F2_P1, FactorKernel([0, 1]), 6)
         assert charmap(sec) == {(): (("", ""), 0)}
+        # nor does any other kind: one representative per coset of the ball
+        for oracle in (Abelianization(), HOM):
+            size = minimal_section(F2F2_P1, oracle, 6).size
+            assert size == quotient_ball_counts(F2F2_P1, oracle, 6).balls()[-1] > 1
 
 
 @st.composite
