@@ -12,12 +12,18 @@ axes (the restricted set Ghat, the shortening move) are the maximal runs of g
 reading the root forward, found by the same prefix scan; a run's witness is
 built only where it is returned, and a shortening step deletes one core's
 letters from the run.  Sweeps over a ball of words count whole subtrees of
-Ghat(K) from its automaton and build only the words outside.  The lemma 3.1
-root test and orbit and the shortening witness run on letter tuples.  The
+Ghat(K) from its automaton and list only the words outside.  The lemma 3.1
 orbit g^n.p stops at its stable index: once the letters of g's cyclic core no
 longer all cancel into p, every later orbit point extends a prefix the
 current one already has, and when both ray agreements of the current point
 end inside that prefix, its projection is every later one's.
+
+The shortening step and the lemma 3.1 check each have one per-word kernel on
+letter tuples (_shortened, _lemma31_orbit).  The sweeps call the kernels
+directly, with everything that depends only on h, K or the axis read once
+per sweep, and build no word, witness or report per word.  The public
+per-word functions (shorten, lemma31_bound_check) wrap the same kernels:
+they check their inputs and build the result objects.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .automata import CountingAutomaton, avoid_factors
@@ -98,6 +105,19 @@ class Axis:
         identity, in the axis frame."""
         coordinate, _ = _frame_coordinate(self.origin_inverse.letters, self)
         return coordinate, self.ray_prefix(coordinate).letters
+
+    @cached_property
+    def _lemma31_frame(self) -> tuple:
+        """What the lemma 3.1 kernel (_lemma31_orbit) reads of this axis:
+        the line element, the three parts of line_key, h's exponent (which
+        conjugation keeps), the letters of the origin and its inverse, and
+        base with the inverse of its letters."""
+        coordinate, p = self.base
+        return (
+            self.element.conjugated_by(self.translate), *self.line_key,
+            len(self.core) // len(self.root), self.origin_inverse.letters, self.origin.letters,
+            coordinate, p, _inverse(p),
+        )
 
     def ray_prefix(self, coordinate: int) -> ReducedWord:
         """Vertex at signed arc-length position in the axis frame (origin at 1)."""
@@ -383,6 +403,44 @@ class Lemma31Report:
     power_witness: tuple[int, int] | None = None
 
 
+def _lemma31_orbit(ax: Axis, frame: tuple, g: tuple[int, ...], n_max: int) -> tuple:
+    """The lemma 3.1 check of non-empty letters g against ax, whose
+    Axis._lemma31_frame is frame: (branch, passed, bound, the projection
+    distances up to the stable index, power witness).  The per-word kernel
+    of lemma31_bound_check and lemma31_sweep; ax itself is read only by
+    _frame_coordinate."""
+    (
+        line, line_conjugator, line_root, line_back, exp_h, origin_inverse, origin,
+        base_coord, p, p_inverse,
+    ) = frame
+    # g and the line element share a primitive root up to sign exactly when
+    # g's root key has the line's conjugator and its root or root^-1
+    conjugator, root_g, exp_g = _root_key(g)
+    if conjugator == line_conjugator and root_g in (line_root, line_back):
+        sign = 1 if root_g == line_root else -1
+        # g^exp_h = root^(exp_g*exp_h) = line^(sign*exp_g), line = t h t^-1
+        passed = _word(line.alphabet, g) ** exp_h == line ** (sign * exp_g)
+        return "power-in-subgroup", passed, 0.0, (), (exp_h, sign * exp_g)
+    local_g = _reduce_concat(_reduce_concat(origin_inverse, g), origin)
+    x = _reduce_concat(local_g, p)  # x_1 = g.p
+    bound = 2 * len(_reduce_concat(p_inverse, x)) + D_TREE
+    shared = _orbit_shared_prefix(local_g, p)
+    distances = []
+    passed = True
+    for n in range(1, n_max + 1):
+        coord, _ = _frame_coordinate(x, ax)
+        dpi = abs(coord - base_coord)
+        distances.append(dpi)
+        passed = passed and dpi <= bound
+        # |coord| is the longer ray agreement; when it ends inside the prefix
+        # every later orbit point shares, so do both agreements of every
+        # later point, and the coordinate is fixed from here on
+        if abs(coord) < shared(n):
+            break
+        x = _reduce_concat(local_g, x)
+    return "bounded-projection", passed, bound, distances, None
+
+
 def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     """Power-or-bounded-projection dichotomy for the orbit of g against an axis.
 
@@ -395,52 +453,21 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
     which both ray agreements of x_n = g^n.p end inside the prefix that every
     later x_m shares (_orbit_shared_prefix): each later x_m has the same
     agreements, so the same coordinate, and its row repeats row n.  Almost
-    every g is stable at n = 1.
+    every g is stable at n = 1.  This wraps the per-word kernel
+    _lemma31_orbit, which lemma31_sweep calls directly: it checks g and
+    writes the report, with the rows past the stable index filled in.
     """
     if not g:
         raise InvalidInputError("g must be non-trivial")
     _check_same_alphabet(g, ax.element)
-    # g and the line element share a primitive root up to sign exactly when
-    # g's root key has the line's conjugator and its root or root^-1
-    conjugator, root_g, exp_g = _root_key(g.letters)
-    line_conjugator, line_root, line_back = ax.line_key
-    if conjugator == line_conjugator and root_g in (line_root, line_back):
-        sign = 1 if root_g == line_root else -1
-        exp_h = len(ax.core) // len(ax.root)  # conjugation keeps the exponent
-        # g^exp_h = root^(exp_g*exp_h) = line^(sign*exp_g), line = t h t^-1
-        return Lemma31Report(
-            branch="power-in-subgroup",
-            passed=g ** exp_h == ax.element.conjugated_by(ax.translate) ** (sign * exp_g),
-            bound=0.0,
-            rows=(),
-            power_witness=(exp_h, sign * exp_g),
-        )
-    base_coord, p = ax.base
-    local_g = _reduce_concat(
-        _reduce_concat(ax.origin_inverse.letters, g.letters), ax.origin.letters
+    branch, passed, bound, distances, power_witness = _lemma31_orbit(
+        ax, ax._lemma31_frame, g.letters, n_max
     )
-    x = _reduce_concat(local_g, p)  # x_1 = g.p
-    bound = 2 * len(_reduce_concat(_inverse(p), x)) + D_TREE
-    shared = _orbit_shared_prefix(local_g, p)
-    rows = []
-    ok = True
-    for n in range(1, n_max + 1):
-        coord, _ = _frame_coordinate(x, ax)
-        dpi = abs(coord - base_coord)
-        rows.append((n, dpi))
-        ok = ok and dpi <= bound
-        # |coord| is the longer ray agreement; when it ends inside the prefix
-        # every later orbit point shares, so do both agreements of every
-        # later point, and the coordinate is fixed from here on
-        if abs(coord) < shared(n):
-            rows.extend((m, dpi) for m in range(n + 1, n_max + 1))
-            break
-        x = _reduce_concat(local_g, x)
+    rows = tuple(enumerate(distances, 1))
+    if distances:  # every row after the stable index repeats the last one
+        rows += tuple((m, distances[-1]) for m in range(len(distances) + 1, n_max + 1))
     return Lemma31Report(
-        branch="bounded-projection",
-        passed=ok,
-        bound=bound,
-        rows=tuple(rows),
+        branch=branch, passed=passed, bound=bound, rows=rows, power_witness=power_witness
     )
 
 
@@ -449,17 +476,20 @@ def lemma31_sweep(
 ) -> dict:
     """lemma31_bound_check against h's axis for every non-trivial g with
     |g| <= g_max, streamed sphere by sphere: the words checked, the count
-    per branch and the failures."""
+    per branch and the failures.  Each word's letters go straight to the
+    kernel _lemma31_orbit, with the axis constants read once."""
     _check_cutoff("g_max", g_max, cutoff)
+    _check_same_alphabet(h, alphabet.identity)
     ax = Axis.from_element(h)
+    frame = ax._lemma31_frame
     checked = failures = 0
     branches: dict[str, int] = {}
     for r in range(1, g_max + 1):
         for letters in iter_sphere_letters(alphabet, r):
-            rep = lemma31_bound_check(ax, _word(alphabet, letters), n_max)
+            branch, passed = _lemma31_orbit(ax, frame, letters, n_max)[:2]
             checked += 1
-            branches[rep.branch] = branches.get(rep.branch, 0) + 1
-            if not rep.passed:
+            branches[branch] = branches.get(branch, 0) + 1
+            if not passed:
                 failures += 1
     return {
         "mode": "lemma31",
@@ -521,29 +551,39 @@ def _long_runs(letters: Sequence[int], ray: Sequence[int], K: int) -> list[tuple
     return runs
 
 
-def _witness(
-    g: ReducedWord, conjugator: ReducedWord, root: ReducedWord, run: tuple[int, int, int]
-) -> LongProjectionWitness:
-    """The witness of one long run: k maps h's axis onto the line the run reads."""
-    start, phase, length = run
-    # k = before back^-1 conjugator^-1, with before = g[:start], back = root[:phase]
-    k = _reduce_concat(
-        _reduce_concat(g.letters[:start], _inverse(root.letters[:phase])),
-        _inverse(conjugator.letters),
+def _run_k(
+    g: tuple[int, ...], run: tuple[int, int, int], root: tuple[int, ...],
+    conjugator_inverse: tuple[int, ...],
+) -> tuple[int, ...]:
+    """Letters of the k that maps h's axis onto the line a run of g reads:
+    k = before back^-1 conjugator^-1, with before = g[:start] and
+    back = root[:phase]."""
+    start, phase, _ = run
+    return _reduce_concat(
+        _reduce_concat(g[:start], _inverse(root[:phase])), conjugator_inverse
     )
+
+
+def _witness(
+    alphabet: Alphabet, k: tuple[int, ...], run: tuple[int, int, int]
+) -> LongProjectionWitness:
+    """The witness of one long run, whose k has the given letters."""
+    start, phase, length = run
     return LongProjectionWitness(
-        k=_word(g.alphabet, k), projection_diameter=length, start=start, phase=phase
+        k=_word(alphabet, k), projection_diameter=length, start=start, phase=phase
     )
 
 
 def _checked_runs(
     g: ReducedWord, h: ReducedWord, K: int
-) -> tuple[ReducedWord, ReducedWord, list[tuple[int, int, int]]]:
-    """(conjugator, root, long runs) of g against h's axis, after checking h and K."""
+) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, int, int]]]:
+    """(conjugator^-1, root) letters and the long runs of g against h's
+    axis, after checking the alphabets, h and K."""
+    _check_same_alphabet(g, h)
     _, conjugator, root = _axis_parts(h)
     if K < 1:
         raise InvalidInputError(f"K must be >= 1, got {K}")
-    return conjugator, root, _long_runs(g.letters, root.letters, K)
+    return _inverse(conjugator.letters), root.letters, _long_runs(g.letters, root.letters, K)
 
 
 def find_long_projections(
@@ -556,8 +596,11 @@ def find_long_projections(
     overlap of [o, g.o] with that line, and positively aligned overlaps are
     exactly the maximal runs of g reading core^infinity forward.
     """
-    conjugator, root, runs = _checked_runs(g, h, K)
-    return [_witness(g, conjugator, root, run) for run in runs]
+    conjugator_inverse, root, runs = _checked_runs(g, h, K)
+    return [
+        _witness(g.alphabet, _run_k(g.letters, run, root, conjugator_inverse), run)
+        for run in runs
+    ]
 
 
 def ghat_membership_exact(g: ReducedWord, h: ReducedWord, K: int) -> bool:
@@ -612,6 +655,20 @@ def walk_ghat_ball(
     without being visited, so only the words outside and their prefixes are
     walked.  Only the current root-to-leaf path is held.
     """
+    return _walk_ghat_letters(
+        alphabet, h, K, g_max, lambda letters: outside(_word(alphabet, letters))
+    )
+
+
+def _walk_ghat_letters(
+    alphabet: Alphabet,
+    h: ReducedWord,
+    K: int,
+    g_max: int,
+    outside: Callable[[tuple[int, ...]], None],
+) -> tuple[int, int]:
+    """walk_ghat_ball, calling outside on the letters of each word outside
+    Ghat(K)."""
     if g_max < 0:
         raise InvalidInputError(f"g_max must be >= 0, got {g_max}")
     aut = ghat_automaton(alphabet, h, K)
@@ -636,7 +693,7 @@ def walk_ghat_ball(
             return
         checked += 1
         if state is None:
-            outside(_word(alphabet, tuple(path)))
+            outside(tuple(path))
         else:
             in_ghat += 1
         if rest:
@@ -668,30 +725,48 @@ class ShortenResult:
     witness: LongProjectionWitness
 
 
+def _shortened(
+    g: tuple[int, ...], root: tuple[int, ...], conjugator_inverse: tuple[int, ...],
+    core_length: int, K: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, int, int]] | None:
+    """(g' letters, k letters, run) of one shortening step on the letters g,
+    or None when g has no K-long run: the per-word kernel of shorten and
+    shorten_sweep, for a K the caller has checked."""
+    runs = _long_runs(g, root, K)
+    if not runs:
+        return None
+    # runs come in (start, phase) order and max keeps the first longest, so
+    # ties go to the earliest start, then the lowest phase
+    run = max(runs, key=itemgetter(2))
+    start = run[0]
+    return g[:start] + g[start + core_length:], _run_k(g, run, root, conjugator_inverse), run
+
+
 def shorten(g: ReducedWord, h: ReducedWord, K: int) -> ShortenResult | None:
     """One shortening step: replace g by k h^-1 k^-1 g along the longest K-long
     positive projection; returns None (no-op) when g has none.
 
-    With k = before back^-1 conjugator^-1 (_witness), k h^-1 k^-1 is
+    With k = before back^-1 conjugator^-1 (_run_k), k h^-1 k^-1 is
     before back^-1 core^-1 back before^-1, and back^-1 core back is core read
     from the run's phase, which the run (longer than core, as K exceeds the
     threshold) reads from its start.  So the step deletes |core| letters at
     the run start; the letter after them repeats the one at the start, so
     the result is reduced and strictly shorter.  It stays in the coset g N
-    for every normal N containing h.
+    for every normal N containing h.  This wraps the per-word kernel
+    _shortened, which shorten_sweep calls directly: it checks g, h and K and
+    builds the result's words and witness.
     """
+    _check_same_alphabet(g, h)
     core, conjugator, root = _axis_parts(h)
     threshold = _threshold(core, conjugator)
     if K < threshold:
         raise InvalidInputError(f"K={K} below shortening threshold {threshold}")
-    runs = _long_runs(g.letters, root.letters, K)
-    if not runs:
+    step = _shortened(g.letters, root.letters, _inverse(conjugator.letters), len(core), K)
+    if step is None:
         return None
-    best = max(runs, key=lambda run: (run[2], -run[0], -run[1]))
-    witness = _witness(g, conjugator, root, best)
-    start = best[0]
-    g_prime = _word(g.alphabet, g.letters[:start] + g.letters[start + len(core):])
-    return ShortenResult(g_prime=g_prime, k=witness.k, witness=witness)
+    g_prime, k, run = step
+    witness = _witness(g.alphabet, k, run)
+    return ShortenResult(g_prime=_word(g.alphabet, g_prime), k=witness.k, witness=witness)
 
 
 def shorten_sweep(
@@ -701,42 +776,48 @@ def shorten_sweep(
     must get strictly shorter, to k h^-1 k^-1 g.  K defaults to
     shorten_threshold(h) and may not lie below it.
 
-    The ball is walked through the Ghat(K) automaton (walk_ghat_ball), so only
-    the words outside Ghat(K) reach shorten.  checked counts the ball,
-    in_ghat the words in Ghat(K), shortened the other words that passed;
-    failures lists the rest in shortlex order.
+    The ball is walked through the Ghat(K) automaton (_walk_ghat_letters), so
+    only the letters of the words outside Ghat(K) reach the kernel
+    _shortened, with h's parts read once.  checked counts the ball, in_ghat
+    the words in Ghat(K), shortened the other words that passed; failures
+    lists the rest in shortlex order.
     """
     _check_cutoff("g_max", g_max, cutoff)
-    threshold = shorten_threshold(h)
+    _check_same_alphabet(h, alphabet.identity)
+    core, conjugator, root = _axis_parts(h)
+    threshold = _threshold(core, conjugator)
     K = threshold if K is None else K
     if K < threshold:
         raise InvalidInputError(
             f"shorten_sweep K={K!r} below the shortening threshold {threshold} of h"
         )
-    shortened = 0
-    failures: list[ReducedWord] = []
+    root = root.letters
+    core_length = len(core)
+    conjugator_inverse = _inverse(conjugator.letters)
     h_inverse = _inverse(h.letters)
+    shortened = 0
+    failures: list[tuple[int, ...]] = []
 
-    def check(g: ReducedWord) -> None:
+    def check(g: tuple[int, ...]) -> None:
         nonlocal shortened
-        res = shorten(g, h, K)
-        if res is not None and len(res.g_prime) < len(g):
-            k = res.k.letters
-            # g' = k h^-1 k^-1 g, on letter tuples
-            recomposed = _reduce_concat(
-                _reduce_concat(_reduce_concat(k, h_inverse), _inverse(k)), g.letters
-            )
-            if res.g_prime.letters == recomposed:
+        step = _shortened(g, root, conjugator_inverse, core_length, K)
+        if step is not None:
+            g_prime, k, _ = step
+            # g' = k h^-1 k^-1 g, recomposed independently of the deletion
+            if len(g_prime) < len(g) and g_prime == _reduce_concat(
+                _reduce_concat(_reduce_concat(k, h_inverse), _inverse(k)), g
+            ):
                 shortened += 1
                 return
         failures.append(g)
 
-    checked, in_ghat = walk_ghat_ball(alphabet, h, K, g_max, check)
+    checked, in_ghat = _walk_ghat_letters(alphabet, h, K, g_max, check)
+    failures.sort(key=lambda g: (len(g), g))  # shortlex
     return {
         "g_max": g_max,
         "K": K,
         "checked": checked,
         "in_ghat": in_ghat,
         "shortened": shortened,
-        "failures": [format_word(g) for g in sorted(failures)],
+        "failures": [format_word(_word(alphabet, g)) for g in failures],
     }

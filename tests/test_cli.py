@@ -1228,15 +1228,16 @@ class TestShortenSweep:
         alphabet = Alphabet(2)
         h = parse_word(alphabet, "a b")
         # the walk reaches the longer word first (a < b); shortlex puts it last
-        broken = {"a b a b a b a", "b a b a b a"}
+        broken = {parse_word(alphabet, t).letters for t in ("a b a b a b a", "b a b a b a")}
+        reference = per_word_sweep(alphabet, h, 8, 6)  # before shorten's kernel is patched
+        kernel = tree._shortened
 
-        def shorten_or_fail(g, h, K):
-            return None if format_word(g) in broken else shorten(g, h, K)
+        def shorten_or_fail(g, *constants):
+            return None if g in broken else kernel(g, *constants)
 
-        monkeypatch.setattr(tree, "shorten", shorten_or_fail)
+        monkeypatch.setattr(tree, "_shortened", shorten_or_fail)
         sweep = tree.shorten_sweep(alphabet, h, 8, 6, cutoff=8)
         assert sweep["failures"] == ["b a b a b a", "a b a b a b a"]
-        reference = per_word_sweep(alphabet, h, 8, 6)
         assert sweep["shortened"] == reference["shortened"] - 2
         assert sweep["in_ghat"] == reference["in_ghat"]
 
@@ -1245,14 +1246,18 @@ class TestShortenSweep:
         alphabet = Alphabet(2)
         h = parse_word(alphabet, "a b")
         extra = parse_word(alphabet, "b")
+        reference = per_word_sweep(alphabet, h, 8, 6)  # before shorten's kernel is patched
+        kernel = tree._shortened
 
-        def shorten_with_wrong_k(g, h, K):
-            res = shorten(g, h, K)
-            return None if res is None else dataclasses.replace(res, k=res.k * extra)
+        def shorten_with_wrong_k(g, *constants):
+            step = kernel(g, *constants)
+            if step is None:
+                return None
+            g_prime, k, run = step
+            return g_prime, (ReducedWord(alphabet, k) * extra).letters, run
 
-        monkeypatch.setattr(tree, "shorten", shorten_with_wrong_k)
+        monkeypatch.setattr(tree, "_shortened", shorten_with_wrong_k)
         sweep = tree.shorten_sweep(alphabet, h, 8, 6, cutoff=8)
-        reference = per_word_sweep(alphabet, h, 8, 6)
         assert sweep["shortened"] == 0
         assert len(sweep["failures"]) == reference["shortened"] > 0
         assert sweep["in_ghat"] == reference["in_ghat"]
@@ -1270,7 +1275,8 @@ class TestShortenSweep:
 
         # every name the sweeps and the ghat job look their work up by
         for module, names in (
-            (tree, ("shorten", "walk_ghat_ball", "lemma31_bound_check", "iter_sphere_letters",
+            (tree, ("shorten", "_shortened", "walk_ghat_ball", "_walk_ghat_letters",
+                    "lemma31_bound_check", "_lemma31_orbit", "iter_sphere_letters",
                     "ghat_automaton")),
             (words, ("enumerate_sphere", "iter_sphere_letters")),
             (automata, ("enumerate_sphere", "avoid_factors", "perron_roots")),
@@ -1288,7 +1294,7 @@ class TestShortenSweep:
         def untouchable(*args, **kwargs):
             raise AssertionError("the sweep ran before m was checked")
 
-        for name in ("shorten", "walk_ghat_ball"):
+        for name in ("shorten", "_shortened", "walk_ghat_ball", "_walk_ghat_letters"):
             monkeypatch.setattr(tree, name, untouchable)
         job = write_job(
             tmp_path, "ghat", {"rank": 2, "h": "a b", "m": 1, "shorten_sweep": {"g_max": 13}}

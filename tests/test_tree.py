@@ -17,15 +17,18 @@ from growthtight import (
     enumerate_ball,
     enumerate_sphere,
     find_long_projections,
+    format_word,
     ghat_automaton,
     ghat_membership_exact,
     lemma31_bound_check,
+    lemma31_sweep,
     parse_word,
     primitive_root,
     project_axis_onto_axis,
     project_to_axis,
     same_line,
     shorten,
+    shorten_sweep,
     shorten_threshold,
     walk_ghat_ball,
 )
@@ -470,6 +473,11 @@ class TestFindLongProjections:
             assert member == (not find_long_projections(word2(g), word2("ab"), 4))
             assert member == oracles.ghat_member(g, "ab", 4)
 
+    @pytest.mark.parametrize("check", [find_long_projections, ghat_membership_exact])
+    def test_word_of_another_rank_is_rejected(self, check):
+        with pytest.raises(AlphabetMismatchError):
+            check(parse_word(RANK3, "c a a a a a b"), word2("a"), 4)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInputError):
             find_long_projections(word2("ab"), RANK2.identity, 3)
@@ -648,6 +656,11 @@ class TestShorten:
         with pytest.raises(InvalidInputError, match="below shortening threshold"):
             shorten(word2("ab") ** 8, word2("ab"), 5)
 
+    def test_word_of_another_rank_is_rejected(self):
+        # the witness k of a rank-3 g could not be multiplied by a rank-2 h
+        with pytest.raises(AlphabetMismatchError):
+            shorten(parse_word(RANK3, "c a a a a a b"), word2("a"), 4)
+
     def test_iterated_shortening_lands_in_the_restricted_set(self):
         g = word2("ab") ** 8
         seen = []
@@ -683,3 +696,81 @@ class TestShorten:
                     res = shorten(g, h, 6)
                     assert len(res.g_prime) < len(g)
                     assert res.g_prime == res.k * ~h * ~res.k * g
+
+
+def per_word_shorten_sweep(alphabet, h, g_max, K) -> dict:
+    """shorten_sweep as one public membership test and shortening step per
+    word of the ball, with the step recomposed as k h^-1 k^-1 g."""
+    in_ghat = shortened = 0
+    failures = []
+    ball = enumerate_ball(alphabet, g_max)
+    for g in ball:
+        if ghat_membership_exact(g, h, K):
+            in_ghat += 1
+            continue
+        res = shorten(g, h, K)
+        if res is not None and len(res.g_prime) < len(g) and res.g_prime == res.k * ~h * ~res.k * g:
+            shortened += 1
+        else:
+            failures.append(format_word(g))
+    return {
+        "g_max": g_max, "K": K, "checked": len(ball), "in_ghat": in_ghat,
+        "shortened": shortened, "failures": failures,
+    }
+
+
+def per_word_lemma31_sweep(alphabet, h, g_max, n_max) -> dict:
+    """lemma31_sweep as one public lemma31_bound_check per non-trivial word
+    of the ball."""
+    ax = Axis.from_element(h)
+    branches = {}
+    failures = 0
+    ball = enumerate_ball(alphabet, g_max)[1:]
+    for g in ball:
+        rep = lemma31_bound_check(ax, g, n_max)
+        branches[rep.branch] = branches.get(rep.branch, 0) + 1
+        failures += not rep.passed
+    return {
+        "mode": "lemma31", "h": format_word(h), "g_max": g_max, "n_max": n_max,
+        "d_tree": D_TREE, "checked": len(ball), "branches": branches, "failures": failures,
+    }
+
+
+# (rank, h): powers, a conjugate, a rank-3 h, and a- b b b, whose lemma 3.1
+# check fails against D_TREE = 0
+SWEEP_HS = [(2, "a"), (2, "a a"), (2, "a b"), (2, "b a b-"), (3, "a c-"), (2, "a- b b b")]
+
+
+class TestSweepsAgainstPerWordChecks:
+    """The sweeps run the per-word kernels on letter tuples; they must count
+    exactly what the public per-word functions say word by word."""
+
+    @pytest.mark.parametrize("extra_K", [0, 2])
+    @pytest.mark.parametrize("rank,h", SWEEP_HS)
+    def test_shorten_sweep(self, rank, h, extra_K):
+        alphabet = Alphabet(rank)
+        h = parse_word(alphabet, h)
+        K = shorten_threshold(h) + extra_K
+        sweep = shorten_sweep(alphabet, h, 6, K, cutoff=6)
+        assert sweep == per_word_shorten_sweep(alphabet, h, 6, K)
+
+    @pytest.mark.parametrize("g_max", [1, 4])
+    @pytest.mark.parametrize("rank,h", SWEEP_HS)
+    def test_lemma31_sweep(self, rank, h, g_max):
+        alphabet = Alphabet(rank)
+        h = parse_word(alphabet, h)
+        sweep = lemma31_sweep(alphabet, h, g_max, 12, cutoff=g_max)
+        assert sweep == per_word_lemma31_sweep(alphabet, h, g_max, 12)
+        if format_word(h) == "a- b b b":
+            # g = b- (ROADMAP item 6): its projections reach 3 against the bound 2
+            assert sweep["failures"] >= 1
+
+    @pytest.mark.parametrize("sweep", ["shorten", "lemma31"])
+    @pytest.mark.parametrize("ranks", [(3, 2), (2, 3)])
+    def test_word_of_another_rank_is_rejected(self, sweep, ranks):
+        alphabet, h = Alphabet(ranks[0]), parse_word(Alphabet(ranks[1]), "a")
+        with pytest.raises(AlphabetMismatchError):
+            if sweep == "shorten":
+                shorten_sweep(alphabet, h, 6, cutoff=6)
+            else:
+                lemma31_sweep(alphabet, h, 2, 4, cutoff=6)
