@@ -1,11 +1,16 @@
 """Deterministic counting automata over symmetric alphabets.
 
 Counts are exact Python ints throughout (they pass 2**64 within a few dozen
-radii).  Spectral brackets come from the Collatz-Wielandt ratios of a float
-power iterate, evaluated exactly in ints (a float is an int over a power of
-two), not from an eigensolver.  perron_roots brackets many automata in one
-batched iteration; each bracket is bit for bit the one perron_root gives
-alone.
+radii).  count_lengths pushes them through the automaton step by step; at a
+long radius it does so for the first 2n terms of an n-state automaton only,
+and takes the rest from their integer linear recurrence of order at most n,
+found modulo 2**61 - 1 (Berlekamp-Massey) and proved over the integers
+(_linear_recurrence).  Spectral brackets come from the Collatz-Wielandt
+ratios of a float power iterate, evaluated exactly in ints (a float is an
+int over a power of two), not from an eigensolver; a component whose rows
+all have the same length d, as the free group's has, gets its exact root d
+without iterating.  perron_roots brackets many automata in one batched
+iteration; each bracket is bit for bit the one perron_root gives alone.
 """
 from __future__ import annotations
 
@@ -218,15 +223,33 @@ def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
     s; a step pushes v[s] along each of s's transitions, one entry of
     aut.succ[s] per letter, so parallel edges are added rather than
     multiplied and states with no words are skipped.  Counts are exact ints.
+
+    A long radius is counted by _count_by_recurrence instead: the DP runs
+    for the first 2n terms only (n states, e transitions), and the rest
+    follow from their verified integer recurrence of order L <= n.  A DP
+    step costs about e + n operations (an addition per edge, a visit per
+    state), a recurrence term at most 2n (a small-int multiple and an
+    addition per coefficient), so each term past 2n saves at least e - n;
+    finding and checking the recurrence costs a few n^2.  The recurrence
+    is taken when (r_max - 2n)(e - n) exceeds 24 n^2.  On CPython 3.11
+    (x86-64), over avoid and Ghat automata of 3-40 states, the two paths
+    crossed below 20 n^2, so the DP runs wherever it is as fast.  Both
+    give the same counts; should no recurrence verify, the DP runs after
+    all.
     """
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
+    n = aut.n_states
+    if (r_max - 2 * n) * (len(aut.transitions) - n) > 24 * n * n:
+        counts = _count_by_recurrence(aut, r_max)
+        if counts is not None:
+            return CountSequence(tuple(counts))
     succ = aut.succ
-    v = [0] * aut.n_states
+    v = [0] * n
     v[0] = 1
     counts = [1]
     for _ in range(r_max):
-        nxt = [0] * aut.n_states
+        nxt = [0] * n
         for vs, targets in zip(v, succ):
             if vs:
                 for t in targets:
@@ -234,6 +257,85 @@ def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
         v = nxt
         counts.append(sum(v))
     return CountSequence(tuple(counts))
+
+
+# _linear_recurrence finds a recurrence modulo this prime (2**61 - 1), then
+# proves its lift over the integers
+_MODULUS = 2**61 - 1
+
+
+def _count_by_recurrence(aut: CountingAutomaton, r_max: int) -> list[int] | None:
+    """count_lengths' counts 0..r_max, for r_max >= 2n - 1 with n states:
+    the DP gives the first 2n, and the verified recurrence of
+    _linear_recurrence the rest, each term sum(map(mul, coefficients,
+    window)) over the preceding ones; None when no recurrence verifies.
+    Trailing zero coefficients are dropped first: the recurrence holds
+    from index L on with them or without, and every term appended here has
+    index >= 2n > L."""
+    n = aut.n_states
+    # below radius 2n, count_lengths runs the DP
+    counts = list(count_lengths(aut, 2 * n - 1))
+    coeffs = _linear_recurrence(counts, n)
+    if coeffs is None:
+        return None
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    # window[i] multiplies the term i + 1 places back; with no coefficient
+    # left the slice is empty (not counts[-0:]) and every term is 0
+    order = len(coeffs)
+    window = coeffs[::-1]
+    for k in range(2 * n, r_max + 1):
+        counts.append(sum(map(mul, window, counts[k - order:])))
+    return counts
+
+
+def _linear_recurrence(counts: Sequence[int], n: int) -> list[int] | None:
+    """Integers c_0..c_{L-1} with counts[k] = sum_i c_i counts[k-1-i] for
+    every k >= L, read off the first 2n sphere counts of an n-state
+    automaton; None when the candidate fails its check.
+
+    The transfer matrix M is n x n, so by Cayley-Hamilton the counts
+    a_k = e_0 M^k 1 satisfy a monic integer recurrence of order n.  The
+    candidate is the shortest recurrence of the counts modulo _MODULUS
+    (Berlekamp-Massey, Massey 1969; L <= n, since the order-n one holds
+    modulo any prime too), its coefficients lifted to the symmetric
+    residues.  It is then checked over Z on terms L..n-1+L, all among the
+    2n given.  That check is a proof: b_k = a_{k+L} - sum_i c_i a_{k+L-1-i}
+    is a combination of shifts of a, so it satisfies the same order-n
+    recurrence, and n zeros in a row make it zero for ever.  A modulus too
+    small for the true coefficients, or one that divides a discrepancy,
+    fails the check and gives None.
+    """
+    p = _MODULUS
+    seq = [a % p for a in counts[:2 * n]]
+    # Berlekamp-Massey: seq[k] + sum_j conn[j] seq[k-j] = 0 (mod p) for
+    # every k >= L, with conn[0] = 1 and len(conn) = L + 1
+    conn, prev = [1], [1]
+    order, shift, last = 0, 1, 1
+    for i, s in enumerate(seq):
+        d = sum(map(mul, conn, seq[i::-1])) % p
+        if not d:
+            shift += 1
+            continue
+        coef = d * pow(last, -1, p) % p
+        new = conn + [0] * (len(prev) + shift - len(conn))
+        for j, b in enumerate(prev, shift):
+            new[j] = (new[j] - coef * b) % p
+        if 2 * order <= i:
+            order, prev, last, shift = i + 1 - order, conn, d, 1
+        else:
+            shift += 1
+        # conn keeps order + 1 entries; its degree is at most order, so
+        # the dropped ones are zeros
+        conn = new[:order + 1] + [0] * (order + 1 - len(new))
+    # c_i = -conn[i + 1], lifted to the residue of least absolute value
+    coeffs = [-c % p for c in conn[1:]]
+    coeffs = [c - p if c > p // 2 else c for c in coeffs]
+    window = coeffs[::-1]
+    for k in range(order, n + order):
+        if counts[k] != sum(map(mul, window, counts[k - order:k])):
+            return None
+    return coeffs
 
 
 def _strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[int]]:
@@ -440,6 +542,15 @@ def perron_roots(
     counts.  The components of all the automata are bracketed in one
     batched iteration (_collatz_wielandt), which gives each the bounds it
     gets alone.
+
+    A regular component, one whose rows in the component all have the same
+    length d (parallel edges counted), as the free group's has with
+    d = 2k - 1, has Perron root exactly d and gets the bounds (d, d)
+    without iterating.  They are the kernel's own at its first iteration:
+    from x = ones every ratio is d, and _ratio_bounds returns (d, d), which
+    closes for every tol; so every bracket is the one the kernel gives.
+    With max_iter < 1 the component still goes to the kernel, which raises
+    ResourceLimitError as for any other.
     """
     if not tol >= 1e-13:  # a nan tol is refused too
         raise InvalidInputError(f"tol {tol} below float resolution")
@@ -454,8 +565,13 @@ def perron_roots(
                     found[a].append((float(loops),) * 2)
             else:
                 local = {s: j for j, s in enumerate(comp)}
-                blocks.append([[local[t] for t in succ[s] if t in local] for s in comp])
-                owners.append(a)
+                rows = [[local[t] for t in succ[s] if t in local] for s in comp]
+                degree = len(rows[0])
+                if max_iter >= 1 and all(len(row) == degree for row in rows):
+                    found[a].append((float(degree),) * 2)
+                else:
+                    blocks.append(rows)
+                    owners.append(a)
     for a, bounds in zip(owners, _collatz_wielandt(blocks, tol, max_iter)):
         found[a].append(bounds)
     brackets = []

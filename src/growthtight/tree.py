@@ -624,8 +624,9 @@ def ghat_automaton(alphabet: Alphabet, h: ReducedWord, m: int) -> CountingAutoma
 
     Forbidding every length-m factor of core^infinity (at most |root| distinct)
     realizes the restricted set exactly on the tree: acceptance coincides with
-    ghat_membership_exact(., h, m).
+    ghat_membership_exact(., h, m).  h must be a word over alphabet.
     """
+    _check_same_alphabet(h, alphabet.identity)
     check_ghat_m(h, m)
     ray = _axis_parts(h)[2].letters
     n = len(ray)

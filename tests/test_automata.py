@@ -29,6 +29,7 @@ from growthtight import (
 
 import oracles
 from conftest import RANK1, RANK2, RANK3, word2
+from growthtight import automata
 from growthtight.automata import _collatz_wielandt, _ellpack, _ratio_bounds
 
 LOG3 = math.log(3)
@@ -709,3 +710,178 @@ class TestAutomatonPlumbing:
     def test_counts0_is_zero_or_one(self):
         for aut in (BASE2, avoid2("ab"), avoid2("a", "A", "b", "B")):
             assert count_lengths(aut, 0)[0] == 1
+
+
+def dp_counts(aut: CountingAutomaton, r_max: int) -> list[int]:
+    """The sphere counts 0..r_max by the plain DP, the reference for
+    count_lengths at every radius: every step pushes each state's count
+    along each of its transitions, read from aut.transitions."""
+    v = [1] + [0] * (aut.n_states - 1)
+    counts = [1]
+    for _ in range(r_max):
+        nxt = [0] * aut.n_states
+        for (s, _), t in aut.transitions.items():
+            nxt[t] += v[s]
+        v = nxt
+        counts.append(sum(v))
+    return counts
+
+
+@st.composite
+def counted_automata(draw):
+    """A random avoid automaton (forbidden_sets) or Ghat automaton (as in
+    ghat_cases, with |h| <= 6 so the DP reference stays quick)."""
+    if draw(st.booleans()):
+        rank, forbidden = draw(forbidden_sets())
+        alphabet = RANKS[rank]
+        return avoid_factors(alphabet, [parse_word(alphabet, oracles.to_lib_text(f)) for f in forbidden])
+    rank = draw(st.integers(2, 4))
+    h = _reduced_extension(draw, oracles.letters(rank), "", draw(st.integers(1, 6)))
+    word = parse_word(RANKS[rank], oracles.to_lib_text(h))
+    return ghat_automaton(RANKS[rank], word, draw(st.integers(len(h), 2 * len(h) + 2)))
+
+
+def free_group(rank: int) -> CountingAutomaton:
+    return avoid_factors(RANKS[rank], ())
+
+
+class TestCountRecurrence:
+    """Long radii are counted from the verified integer recurrence of the
+    first 2n counts; every count equals the plain DP's."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(aut=counted_automata(), radius=st.sampled_from(["2n-1", "2n", "2n+1", "5n", "1000"]))
+    def test_recurrence_counts_equal_the_dp(self, aut, radius):
+        n = aut.n_states
+        r_max = {"2n-1": 2 * n - 1, "2n": 2 * n, "2n+1": 2 * n + 1, "5n": 5 * n, "1000": 1000}[radius]
+        want = dp_counts(aut, r_max)
+        assert automata._count_by_recurrence(aut, r_max) == want
+        assert list(count_lengths(aut, r_max).spheres) == want
+        coeffs = automata._linear_recurrence(want, n)
+        assert coeffs is not None and len(coeffs) <= n
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_free_group_closed_form_at_radius_3000(self, rank):
+        aut = free_group(rank)
+        counts = count_lengths(aut, 3000).spheres
+        assert counts[0] == 1
+        assert all(c == 2 * rank * (2 * rank - 1) ** (r - 1) for r, c in enumerate(counts) if r)
+        # a_r = (2k - 1) a_{r-1} from r = 2 on, so the order is 2
+        assert automata._linear_recurrence(counts, aut.n_states) == [2 * rank - 1, 0]
+
+    def test_recurrence_with_negative_coefficients(self):
+        # avoiding ab and ba: a_r = 3 a_{r-1} - a_{r-2}, lifted from 2**61 - 2
+        aut = avoid2("ab", "ba")
+        assert automata._linear_recurrence(dp_counts(aut, 9), aut.n_states) == [3, -1, 0]
+        assert list(count_lengths(aut, 1000).spheres) == dp_counts(aut, 1000)
+
+    def test_finite_language_reaches_order_0(self):
+        # the reduced words of length <= 2: counts 1, 4, 12, then zeros, and
+        # the recurrence [0, 0, 0] has no coefficient left once trimmed
+        aut = avoid_factors(RANK2, list(enumerate_sphere(RANK2, 3)))
+        n = aut.n_states
+        want = [1, 4, 12] + [0] * 998
+        assert dp_counts(aut, 1000) == want
+        assert automata._linear_recurrence(want, n) == [0, 0, 0]
+        assert automata._count_by_recurrence(aut, 1000) == want
+        assert list(count_lengths(aut, 1000).spheres) == want
+
+    @pytest.mark.parametrize("make", [lambda: free_group(2), lambda: avoid2("ab", "ba")])
+    def test_a_lift_that_fails_the_check_falls_back_to_the_dp(self, make, monkeypatch):
+        aut = make()
+        n = aut.n_states
+        want = dp_counts(aut, 1000)
+        monkeypatch.setattr(automata, "_MODULUS", 3)
+        assert automata._linear_recurrence(want, n) is None
+        assert automata._count_by_recurrence(aut, 1000) is None
+        assert list(count_lengths(aut, 1000).spheres) == want
+
+    def test_the_check_covers_n_terms(self, monkeypatch):
+        # modulo 7 these counts double at every step (1, 2, 4, 1, 2, 4), and
+        # over Z they do at terms 1 and 2 but not at term 3: a check of
+        # fewer than n = 3 terms would accept a_k = 2 a_{k-1}
+        monkeypatch.setattr(automata, "_MODULUS", 7)
+        assert automata._linear_recurrence([1, 2, 4, 15, 30, 60], 3) is None
+        assert automata._linear_recurrence([1, 2, 4, 8, 16, 32], 3) == [2]
+
+    def test_short_radii_run_the_dp(self, monkeypatch):
+        # where the DP is as fast, count_lengths does not look for a recurrence
+        def refuse(*args):
+            raise AssertionError("recurrence sought for a short radius")
+
+        monkeypatch.setattr(automata, "_linear_recurrence", refuse)
+        for aut, r_max in [(BASE2, 30), (free_group(3), 24), (avoid2("ab"), 10)]:
+            assert list(count_lengths(aut, r_max).spheres) == dp_counts(aut, r_max)
+
+
+def bracket_of(lo: float, hi: float) -> tuple[float, float]:
+    """perron_roots' bracket for Perron bounds (lo, hi): two outward steps
+    from each log."""
+    lower = math.nextafter(math.nextafter(math.log(lo), -math.inf), -math.inf)
+    upper = math.nextafter(math.nextafter(math.log(hi), math.inf), math.inf)
+    return lower, upper
+
+
+# a 2-regular component that is not a free group's: state 0 leads into
+# {1, 2, 3}, where 2 -> 3 is a double edge
+TWO_REGULAR = CountingAutomaton(
+    RANK2, 4, {(0, 0): 1, (1, 0): 2, (1, 1): 3, (2, 0): 3, (2, 1): 3, (3, 0): 1, (3, 2): 2}
+)
+
+
+def kernel_blocks(aut: CountingAutomaton, tol: float, max_iter: int, monkeypatch) -> list:
+    """The blocks perron_root sends to _collatz_wielandt."""
+    seen = []
+    real = automata._collatz_wielandt
+
+    def spy(blocks, tol, max_iter):
+        seen.extend(blocks)
+        return real(blocks, tol, max_iter)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(automata, "_collatz_wielandt", spy)
+        try:
+            perron_root(aut, tol, max_iter)
+        except ResourceLimitError:
+            pass
+    return seen
+
+
+class TestRegularComponents:
+    """A component whose rows all have one length d gets (d, d) without the
+    kernel: the kernel's own bounds, bit for bit."""
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-9, 0.5])
+    @pytest.mark.parametrize("aut", [free_group(2), free_group(3), free_group(4), TWO_REGULAR],
+                             ids=["F2", "F3", "F4", "two-regular"])
+    def test_equals_the_kernel_on_the_same_block(self, aut, tol, monkeypatch):
+        # max_iter 0 sends the block to the kernel, which shows what it is
+        [block] = kernel_blocks(aut, tol, 0, monkeypatch)
+        degree = len(block[0])
+        assert all(len(row) == degree for row in block) and len(block) >= 2
+        [bounds] = _collatz_wielandt([block], tol, 200_000)
+        assert bounds == (float(degree),) * 2
+        assert kernel_blocks(aut, tol, 200_000, monkeypatch) == []
+        br = perron_root(aut, tol)
+        assert (br.lower, br.upper) == bracket_of(*bounds)
+
+    def test_blocks_cut_from_the_successor_table(self, monkeypatch):
+        assert kernel_blocks(TWO_REGULAR, 1e-9, 0, monkeypatch) == [[[1, 2], [2, 2], [0, 1]]]
+        assert kernel_blocks(free_group(2), 1e-9, 0, monkeypatch) == [
+            [[0, 2, 3], [1, 2, 3], [0, 1, 2], [0, 1, 3]]
+        ]
+        # a component with rows of lengths 2 and 3 still goes to the kernel
+        assert len(kernel_blocks(avoid2("ab"), 1e-9, 200_000, monkeypatch)) == 1
+
+    def test_a_mixed_batch_equals_one_call_per_automaton(self):
+        auts = [
+            free_group(2), avoid2("ab"), free_group(3), TWO_REGULAR,
+            ghat_automaton(RANK2, word2("ab"), 4), BASE2, free_group(1), avoid2("a", "A", "b", "B"),
+        ]
+        for tol in (1e-12, 1e-9, 1e-6):
+            assert perron_roots(auts, tol) == [perron_root(a, tol) for a in auts]
+
+    @pytest.mark.parametrize("aut", [BASE2, free_group(4), TWO_REGULAR])
+    def test_max_iter_0_still_raises(self, aut):
+        with pytest.raises(ResourceLimitError):
+            perron_root(aut, 1e-9, max_iter=0)

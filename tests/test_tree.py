@@ -624,6 +624,16 @@ class TestGhatAutomaton:
         with pytest.raises(InvalidInputError, match="below core length"):
             ghat_automaton(RANK2, word2("ab"), 1)
 
+    @pytest.mark.parametrize("ranks,h", [((2, 3), "c a"), ((3, 2), "a b")])
+    def test_word_of_another_rank_is_rejected(self, ranks, h):
+        # an h of higher rank once died with IndexError, and one of lower
+        # rank was read as a word of the larger alphabet
+        alphabet, h = Alphabet(ranks[0]), parse_word(Alphabet(ranks[1]), h)
+        with pytest.raises(AlphabetMismatchError):
+            ghat_automaton(alphabet, h, 4)
+        with pytest.raises(AlphabetMismatchError):
+            walk_ghat_ball(alphabet, h, 4, 3, lambda g: None)
+
 
 class TestShorten:
     @pytest.mark.parametrize("h,k", [("a", 4), ("ab", 6), ("baB", 8), ("abab", 10)])
