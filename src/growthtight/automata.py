@@ -1,16 +1,18 @@
 """Deterministic counting automata over symmetric alphabets.
 
 Counts are exact Python ints throughout (they pass 2**64 within a few dozen
-radii).  count_lengths pushes them through the automaton step by step; at a
-long radius it does so for the first 2n terms of an n-state automaton only,
-and takes the rest from their integer linear recurrence of order at most n,
-found modulo 2**61 - 1 (Berlekamp-Massey) and proved over the integers
-(_linear_recurrence).  Spectral brackets come from the Collatz-Wielandt
-ratios of a float power iterate, evaluated exactly in ints (a float is an
-int over a power of two), not from an eigensolver; a component whose rows
-all have the same length d, as the free group's has, gets its exact root d
-without iterating.  perron_roots brackets many automata in one batched
-iteration; each bracket is bit for bit the one perron_root gives alone.
+radii).  count_lengths pushes them through the automaton step by step in
+one DP loop; at a long radius the loop stops after the first 2n terms of an
+n-state automaton and takes the rest from their integer linear recurrence
+of order at most n, found modulo 2**61 - 1 (Berlekamp-Massey) and proved
+over the integers (_linear_recurrence), or carries on when none is proved.
+Spectral brackets come from the Collatz-Wielandt ratios of a float power
+iterate, evaluated exactly in ints (a float is an int over a power of two),
+not from an eigensolver; perron_roots closes every strongly connected
+component by one rule: a component whose rows all have the same length d,
+as a looped single state or the free group's has, gets its exact root d
+without iterating, and the others are bracketed in one batched iteration,
+each bit for bit as perron_root brackets it alone.
 """
 from __future__ import annotations
 
@@ -224,31 +226,43 @@ def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
     aut.succ[s] per letter, so parallel edges are added rather than
     multiplied and states with no words are skipped.  Counts are exact ints.
 
-    A long radius is counted by _count_by_recurrence instead: the DP runs
-    for the first 2n terms only (n states, e transitions), and the rest
-    follow from their verified integer recurrence of order L <= n.  A DP
-    step costs about e + n operations (an addition per edge, a visit per
-    state), a recurrence term at most 2n (a small-int multiple and an
-    addition per coefficient), so each term past 2n saves at least e - n;
-    finding and checking the recurrence costs a few n^2.  The recurrence
-    is taken when (r_max - 2n)(e - n) exceeds 24 n^2.  On CPython 3.11
-    (x86-64), over avoid and Ghat automata of 3-40 states, the two paths
-    crossed below 20 n^2, so the DP runs wherever it is as fast.  Both
-    give the same counts; should no recurrence verify, the DP runs after
-    all.
+    At a long radius the DP stops once, after the first 2n counts (n states,
+    e transitions), and asks _linear_recurrence for their verified integer
+    recurrence of order L <= n; the rest follow from it, each term
+    sum(map(mul, coefficients, window)) over the preceding ones, with
+    trailing zero coefficients dropped first (the recurrence holds from
+    index L on with them or without, and every term it gives has index
+    >= 2n > L).  Should no recurrence verify, the DP continues.  A DP step
+    costs about e + n operations (an addition per edge, a visit per state),
+    a recurrence term at most 2n (a small-int multiple and an addition per
+    coefficient), so each term past 2n saves at least e - n; finding and
+    checking the recurrence costs a few n^2.  It is sought when
+    (r_max - 2n)(e - n) exceeds 24 n^2.  On CPython 3.11 (x86-64), over
+    avoid and Ghat automata of 3-40 states, the two ways crossed below
+    20 n^2, so the DP runs wherever it is as fast.  Both give the same
+    counts.
     """
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
     n = aut.n_states
-    if (r_max - 2 * n) * (len(aut.transitions) - n) > 24 * n * n:
-        counts = _count_by_recurrence(aut, r_max)
-        if counts is not None:
-            return CountSequence(tuple(counts))
+    # the radius at which the DP stops to seek a recurrence; none when short
+    seek = 2 * n if (r_max - 2 * n) * (len(aut.transitions) - n) > 24 * n * n else 0
     succ = aut.succ
     v = [0] * n
     v[0] = 1
     counts = [1]
-    for _ in range(r_max):
+    for r in range(1, r_max + 1):
+        if r == seek and (coeffs := _linear_recurrence(counts, n)) is not None:
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            # window[i] multiplies the term i + 1 places back; with no
+            # coefficient left the slice is empty (not counts[-0:]) and
+            # every term is 0
+            order = len(coeffs)
+            window = coeffs[::-1]
+            for k in range(r, r_max + 1):
+                counts.append(sum(map(mul, window, counts[k - order:])))
+            break
         nxt = [0] * n
         for vs, targets in zip(v, succ):
             if vs:
@@ -262,31 +276,6 @@ def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
 # _linear_recurrence finds a recurrence modulo this prime (2**61 - 1), then
 # proves its lift over the integers
 _MODULUS = 2**61 - 1
-
-
-def _count_by_recurrence(aut: CountingAutomaton, r_max: int) -> list[int] | None:
-    """count_lengths' counts 0..r_max, for r_max >= 2n - 1 with n states:
-    the DP gives the first 2n, and the verified recurrence of
-    _linear_recurrence the rest, each term sum(map(mul, coefficients,
-    window)) over the preceding ones; None when no recurrence verifies.
-    Trailing zero coefficients are dropped first: the recurrence holds
-    from index L on with them or without, and every term appended here has
-    index >= 2n > L."""
-    n = aut.n_states
-    # below radius 2n, count_lengths runs the DP
-    counts = list(count_lengths(aut, 2 * n - 1))
-    coeffs = _linear_recurrence(counts, n)
-    if coeffs is None:
-        return None
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    # window[i] multiplies the term i + 1 places back; with no coefficient
-    # left the slice is empty (not counts[-0:]) and every term is 0
-    order = len(coeffs)
-    window = coeffs[::-1]
-    for k in range(2 * n, r_max + 1):
-        counts.append(sum(map(mul, window, counts[k - order:])))
-    return counts
 
 
 def _linear_recurrence(counts: Sequence[int], n: int) -> list[int] | None:
@@ -533,24 +522,26 @@ def perron_roots(
 
     The spectral radius of a block-triangular non-negative matrix is the max
     over its strongly connected components, each of which is irreducible, so
-    Collatz-Wielandt bounds per component are combined by max.  A cycle-free
-    automaton gets the -inf sentinel.  The matrix is never built densely:
-    the components are found on aut.succ, the sorted successor table the
-    automaton was built with, and each component's successor lists are cut
-    from it; their increasing order fixes the order of every float sum.
-    Every state is reachable from state 0 and accepts, so every component
-    counts.  The components of all the automata are bracketed in one
-    batched iteration (_collatz_wielandt), which gives each the bounds it
-    gets alone.
+    Collatz-Wielandt bounds per component are combined by max.  The matrix
+    is never built densely: the components are found on aut.succ, the
+    sorted successor table the automaton was built with, and each
+    component's successor lists are cut from it; their increasing order
+    fixes the order of every float sum.  Every state is reachable from
+    state 0 and accepts, so every component counts.
 
+    One rule closes every component.  A single state with no loop has no
+    cycle and is skipped, so a cycle-free automaton gets the -inf sentinel.
     A regular component, one whose rows in the component all have the same
-    length d (parallel edges counted), as the free group's has with
-    d = 2k - 1, has Perron root exactly d and gets the bounds (d, d)
-    without iterating.  They are the kernel's own at its first iteration:
-    from x = ones every ratio is d, and _ratio_bounds returns (d, d), which
-    closes for every tol; so every bracket is the one the kernel gives.
-    With max_iter < 1 the component still goes to the kernel, which raises
-    ResourceLimitError as for any other.
+    length d (parallel edges counted), has Perron root exactly d and gets
+    the bounds (d, d) without iterating: a single state with d loops, or
+    the free group's component with d = 2k - 1.  They are the kernel's own
+    at its first iteration: from x = ones every ratio is d, and
+    _ratio_bounds returns (d, d), which closes for every tol; so every
+    bracket is the one the kernel gives.  Every other component, and with
+    max_iter < 1 every component (the kernel then raises
+    ResourceLimitError), is bracketed in one batched iteration over all
+    the automata (_collatz_wielandt), which gives each the bounds it gets
+    alone.
     """
     if not tol >= 1e-13:  # a nan tol is refused too
         raise InvalidInputError(f"tol {tol} below float resolution")
@@ -559,19 +550,16 @@ def perron_roots(
     for a, aut in enumerate(automata):
         succ = aut.succ
         for comp in _strongly_connected_components(aut.n_states, succ):
-            if len(comp) == 1:
-                loops = succ[comp[0]].count(comp[0])
-                if loops:
-                    found[a].append((float(loops),) * 2)
+            local = {s: j for j, s in enumerate(comp)}
+            rows = [[local[t] for t in succ[s] if t in local] for s in comp]
+            degree = len(rows[0])
+            if not degree:
+                continue  # one state with no loop: no cycle
+            if max_iter >= 1 and all(len(row) == degree for row in rows):
+                found[a].append((float(degree),) * 2)
             else:
-                local = {s: j for j, s in enumerate(comp)}
-                rows = [[local[t] for t in succ[s] if t in local] for s in comp]
-                degree = len(rows[0])
-                if max_iter >= 1 and all(len(row) == degree for row in rows):
-                    found[a].append((float(degree),) * 2)
-                else:
-                    blocks.append(rows)
-                    owners.append(a)
+                blocks.append(rows)
+                owners.append(a)
     for a, bounds in zip(owners, _collatz_wielandt(blocks, tol, max_iter)):
         found[a].append(bounds)
     brackets = []

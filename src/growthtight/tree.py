@@ -646,9 +646,11 @@ def walk_ghat_ball(
     returns (words checked, words in Ghat(K)) and calls outside(g) on every
     other word, in lexicographic (not shortlex) order.
 
-    The walk runs depth first through ghat_automaton(alphabet, h, K).  Ghat(K)
-    is closed under taking subwords, so a missing transition puts a word and
-    its whole subtree outside, and that subtree is listed without lookups.
+    The walk runs depth first through ghat_automaton(alphabet, h, K), built
+    at a smaller m when that accepts the same words of length <= g_max
+    (_walk_ghat_letters).  Ghat(K) is closed under taking subwords, so a
+    missing transition puts a word and its whole subtree outside, and that
+    subtree is listed without lookups.
     At a word in Ghat(K) with r letters left, inside[r][state] counts the
     words of length <= r the automaton reads from its state (the DP of
     count_lengths) and free[r] all reduced words of length <= r after a
@@ -669,10 +671,15 @@ def _walk_ghat_letters(
     outside: Callable[[tuple[int, ...]], None],
 ) -> tuple[int, int]:
     """walk_ghat_ball, calling outside on the letters of each word outside
-    Ghat(K)."""
+    Ghat(K).
+
+    No word of length <= g_max has a run of length >= g_max + 1, so every K
+    past that and past |core| (ghat_automaton's least m) gives the same
+    walk, and the automaton is built at the larger of the two instead of at
+    K; a K below |core| still reaches ghat_automaton, which refuses it."""
     if g_max < 0:
         raise InvalidInputError(f"g_max must be >= 0, got {g_max}")
-    aut = ghat_automaton(alphabet, h, K)
+    aut = ghat_automaton(alphabet, h, min(K, max(g_max + 1, len(_axis_parts(h)[0]))))
     step = aut.transitions
     letters = tuple(alphabet.letters)
     inside = [[1] * aut.n_states]

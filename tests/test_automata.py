@@ -755,7 +755,6 @@ class TestCountRecurrence:
         n = aut.n_states
         r_max = {"2n-1": 2 * n - 1, "2n": 2 * n, "2n+1": 2 * n + 1, "5n": 5 * n, "1000": 1000}[radius]
         want = dp_counts(aut, r_max)
-        assert automata._count_by_recurrence(aut, r_max) == want
         assert list(count_lengths(aut, r_max).spheres) == want
         coeffs = automata._linear_recurrence(want, n)
         assert coeffs is not None and len(coeffs) <= n
@@ -783,18 +782,42 @@ class TestCountRecurrence:
         want = [1, 4, 12] + [0] * 998
         assert dp_counts(aut, 1000) == want
         assert automata._linear_recurrence(want, n) == [0, 0, 0]
-        assert automata._count_by_recurrence(aut, 1000) == want
         assert list(count_lengths(aut, 1000).spheres) == want
 
     @pytest.mark.parametrize("make", [lambda: free_group(2), lambda: avoid2("ab", "ba")])
     def test_a_lift_that_fails_the_check_falls_back_to_the_dp(self, make, monkeypatch):
+        # the DP stops once, at term 2n, and carries on when no recurrence
+        # of the first 2n counts verifies
         aut = make()
         n = aut.n_states
         want = dp_counts(aut, 1000)
         monkeypatch.setattr(automata, "_MODULUS", 3)
-        assert automata._linear_recurrence(want, n) is None
-        assert automata._count_by_recurrence(aut, 1000) is None
+        real = automata._linear_recurrence
+        calls = []
+
+        def spy(counts, n):
+            coeffs = real(counts, n)
+            calls.append((list(counts), n, coeffs))
+            return coeffs
+
+        monkeypatch.setattr(automata, "_linear_recurrence", spy)
         assert list(count_lengths(aut, 1000).spheres) == want
+        assert calls == [(want[:2 * n], n, None)]
+
+    def test_count_lengths_never_calls_itself(self, monkeypatch):
+        # a long radius is counted in one call, wrapped through the module
+        # global as perfbench/layertrace.py wraps it
+        aut = ghat_automaton(RANK3, parse_word(RANK3, "a b c"), 4)
+        real = automata.count_lengths
+        calls = []
+
+        def wrapper(aut, r_max):
+            calls.append(r_max)
+            return real(aut, r_max)
+
+        monkeypatch.setattr(automata, "count_lengths", wrapper)
+        assert list(automata.count_lengths(aut, 1000).spheres) == dp_counts(aut, 1000)
+        assert calls == [1000]
 
     def test_the_check_covers_n_terms(self, monkeypatch):
         # modulo 7 these counts double at every step (1, 2, 4, 1, 2, 4), and
@@ -827,6 +850,9 @@ def bracket_of(lo: float, hi: float) -> tuple[float, float]:
 TWO_REGULAR = CountingAutomaton(
     RANK2, 4, {(0, 0): 1, (1, 0): 2, (1, 1): 3, (2, 0): 3, (2, 1): 3, (3, 0): 1, (3, 2): 2}
 )
+
+# one state with two loops: a one-state regular component with d = 2
+TWO_LOOPS = CountingAutomaton(RANK2, 1, {(0, 0): 0, (0, 1): 0})
 
 
 def kernel_blocks(aut: CountingAutomaton, tol: float, max_iter: int, monkeypatch) -> list:
@@ -865,6 +891,20 @@ class TestRegularComponents:
         br = perron_root(aut, tol)
         assert (br.lower, br.upper) == bracket_of(*bounds)
 
+    @pytest.mark.parametrize("tol", [1e-13, 1e-9, 0.5])
+    @pytest.mark.parametrize("aut,want", [(TWO_LOOPS, [[[0, 0]]]), (free_group(1), [[[0]], [[0]]])],
+                             ids=["two-loops", "F1"])
+    def test_a_looped_state_is_a_regular_component(self, aut, want, tol, monkeypatch):
+        # the one-state blocks, each with d loops, get the kernel's (d, d);
+        # F1's start state has no loop and reaches the kernel under no rule
+        assert kernel_blocks(aut, tol, 0, monkeypatch) == want
+        for block in want:
+            degree = len(block[0])
+            assert _collatz_wielandt([block], tol, 200_000) == [(float(degree),) * 2]
+        assert kernel_blocks(aut, tol, 200_000, monkeypatch) == []
+        br = perron_root(aut, tol)
+        assert (br.lower, br.upper) == bracket_of(float(degree), float(degree))
+
     def test_blocks_cut_from_the_successor_table(self, monkeypatch):
         assert kernel_blocks(TWO_REGULAR, 1e-9, 0, monkeypatch) == [[[1, 2], [2, 2], [0, 1]]]
         assert kernel_blocks(free_group(2), 1e-9, 0, monkeypatch) == [
@@ -881,7 +921,7 @@ class TestRegularComponents:
         for tol in (1e-12, 1e-9, 1e-6):
             assert perron_roots(auts, tol) == [perron_root(a, tol) for a in auts]
 
-    @pytest.mark.parametrize("aut", [BASE2, free_group(4), TWO_REGULAR])
+    @pytest.mark.parametrize("aut", [BASE2, free_group(4), TWO_REGULAR, TWO_LOOPS])
     def test_max_iter_0_still_raises(self, aut):
         with pytest.raises(ResourceLimitError):
             perron_root(aut, 1e-9, max_iter=0)

@@ -32,6 +32,7 @@ from growthtight import (
     shorten_threshold,
     walk_ghat_ball,
 )
+from growthtight import tree
 from growthtight.tree import D_TREE, _frame_coordinate, _meet
 from growthtight.words import _reduce_concat
 
@@ -763,6 +764,23 @@ class TestSweepsAgainstPerWordChecks:
         K = shorten_threshold(h) + extra_K
         sweep = shorten_sweep(alphabet, h, 6, K, cutoff=6)
         assert sweep == per_word_shorten_sweep(alphabet, h, 6, K)
+
+    @pytest.mark.parametrize("K", [8, 1000, 10**9])
+    def test_shorten_sweep_past_g_max_builds_at_g_max_plus_1(self, K, monkeypatch):
+        # no word of length <= 6 has a run of 7, so every K > 7 sweeps as
+        # K = 7 does, and the Ghat automaton is built at 7, not at K
+        h = word2("ab")
+        lengths = []
+        real = tree.avoid_factors
+
+        def spy(alphabet, forbidden):
+            lengths.extend(len(f) for f in forbidden)
+            return real(alphabet, forbidden)
+
+        want = shorten_sweep(RANK2, h, 6, 7, cutoff=6)
+        monkeypatch.setattr(tree, "avoid_factors", spy)
+        assert shorten_sweep(RANK2, h, 6, K, cutoff=6) == {**want, "K": K}
+        assert lengths and max(lengths) == 7
 
     @pytest.mark.parametrize("g_max", [1, 4])
     @pytest.mark.parametrize("rank,h", SWEEP_HS)
