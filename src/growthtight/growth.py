@@ -233,6 +233,8 @@ def strict_gap_check(
     """Check that the sublanguage growth sits strictly below the full growth:
     the margin is full_bracket.lower - sub_bracket.upper.
 
+    When both brackets are spectral, both ends of the margin are certified,
+    so strict is decided by its sign; otherwise the margin must exceed tol.
     The counts only guard that the sublanguage lies inside the full one.  The
     verdict is certified when the full bracket's lower end is (spectral
     brackets); a Fekete full bracket leaves it heuristic, and the report says
@@ -242,10 +244,11 @@ def strict_gap_check(
     if any(sub_counts[r] > full_counts[r] for r in range(shared)):
         raise InvalidInputError("sub counts exceed full counts somewhere")
     margin = full_bracket.lower - sub_bracket.upper
+    spectral = sub_bracket.method == full_bracket.method == "spectral"
     return GapReport(
         sub=sub_bracket,
         full=full_bracket,
         margin=margin,
-        strict=margin > tol,
+        strict=margin > (0 if spectral else tol),
         certified=not full_bracket.heuristic_lower,
     )

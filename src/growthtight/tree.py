@@ -4,10 +4,13 @@ An axis is the bi-infinite geodesic of a non-trivial element: translate the
 line of its cyclically reduced core's primitive root t, i.e. the vertices
 origin * (prefixes of t^infinity and t^-infinity).  Because t is cyclically
 reduced, the two rays leave the origin through different edges, so projections
-reduce to longest-common-prefix scans.  Axis-to-axis geometry (same_line, the
-projection of one axis onto another) is one scan from a shared vertex, and
-that scan gives the intervals of a pair on both axes, so the projection axioms
-scan each unordered pair once.  Long projections of [o, g.o] onto translated
+reduce to longest-common-prefix scans.  The scans read an axis through its
+letter frame (_letter_frame): the letters of the origin, of its inverse, of
+the root and of its inverse.  Axis-to-axis geometry (same_line, the
+projection of one axis onto another) is one scan from a shared vertex
+(_meet), and that scan gives the intervals of a pair on both axes, so the
+projection axioms scan each unordered pair once and score the intervals in
+one place (_score_axes).  Long projections of [o, g.o] onto translated
 axes (the restricted set Ghat, the shortening move) are the maximal runs of g
 reading the root forward, found by the same prefix scan; a run's witness is
 built only where it is returned, and a shortening step deletes one core's
@@ -23,7 +26,10 @@ letter tuples (_shortened, _lemma31_orbit).  The sweeps call the kernels
 directly, with everything that depends only on h, K or the axis read once
 per sweep, and build no word, witness or report per word.  The public
 per-word functions (shorten, lemma31_bound_check) wrap the same kernels:
-they check their inputs and build the result objects.
+they check their inputs and build the result objects.  The random
+projection-axiom family works the same way: it keeps one letter frame per
+distinct h and builds no Axis, while check_projection_axioms builds the
+frames of explicit axes and scores them with the same scorer.
 """
 from __future__ import annotations
 
@@ -84,13 +90,9 @@ class Axis:
     # once; cached_property stores them outside the dataclass fields, so
     # equality and hashing are unchanged.
     @cached_property
-    def origin_inverse(self) -> ReducedWord:
-        return ~self.origin
-
-    @cached_property
-    def backward_ray(self) -> tuple[int, ...]:
-        """Letters of the negative core direction, (root^-1)^infinity."""
-        return _inverse(self.root.letters)
+    def frame(self) -> tuple[tuple[int, ...], ...]:
+        """The letter frame (_letter_frame) that the projections read."""
+        return _letter_frame(self.element.letters, self.translate.letters)
 
     @cached_property
     def line_key(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -103,26 +105,24 @@ class Axis:
     def base(self) -> tuple[int, tuple[int, ...]]:
         """(coordinate, ray-prefix letters) of the axis vertex nearest the
         identity, in the axis frame."""
-        coordinate, _ = _frame_coordinate(self.origin_inverse.letters, self)
-        return coordinate, self.ray_prefix(coordinate).letters
+        coordinate, _ = _frame_coordinate(self.frame[1], self.frame)
+        return coordinate, _ray_prefix(self.frame, coordinate)
 
     @cached_property
     def _lemma31_frame(self) -> tuple:
         """What the lemma 3.1 kernel (_lemma31_orbit) reads of this axis:
-        the line element, the three parts of line_key, h's exponent (which
-        conjugation keeps), the letters of the origin and its inverse, and
-        base with the inverse of its letters."""
+        the letter frame, the line element, the three parts of line_key, h's
+        exponent (which conjugation keeps), and base with the inverse of its
+        letters."""
         coordinate, p = self.base
         return (
-            self.element.conjugated_by(self.translate), *self.line_key,
-            len(self.core) // len(self.root), self.origin_inverse.letters, self.origin.letters,
-            coordinate, p, _inverse(p),
+            self.frame, self.element.conjugated_by(self.translate), *self.line_key,
+            len(self.core) // len(self.root), coordinate, p, _inverse(p),
         )
 
     def ray_prefix(self, coordinate: int) -> ReducedWord:
         """Vertex at signed arc-length position in the axis frame (origin at 1)."""
-        ray = self.root.letters if coordinate >= 0 else self.backward_ray
-        return _word(self.alphabet, tuple(ray[i % len(ray)] for i in range(abs(coordinate))))
+        return _word(self.alphabet, _ray_prefix(self.frame, coordinate))
 
     def point(self, coordinate: int) -> ReducedWord:
         """Vertex at signed arc-length position along the core direction."""
@@ -146,12 +146,28 @@ def _agreement(letters: Sequence[int], ray: Sequence[int], phase: int = 0) -> in
     return m
 
 
-def _frame_coordinate(v: Sequence[int], ax: Axis) -> tuple[int, int]:
+def _letter_frame(h: tuple[int, ...], translate: tuple[int, ...] = ()) -> tuple:
+    """(origin, origin^-1, root, root^-1) letters of the axis of the
+    non-empty reduced letters h moved by translate: all that the projections
+    (_frame_coordinate, _meet) read of an axis.  The origin is translate *
+    conjugator and root is h's primitive root (words._root_key)."""
+    conjugator, root, _ = _root_key(h)
+    origin = _reduce_concat(translate, conjugator)
+    return origin, _inverse(origin), root, _inverse(root)
+
+
+def _ray_prefix(frame: tuple, coordinate: int) -> tuple[int, ...]:
+    """Letters, in the axis frame, of the axis vertex at a signed coordinate."""
+    ray = frame[2] if coordinate >= 0 else frame[3]
+    return tuple(ray[i % len(ray)] for i in range(abs(coordinate)))
+
+
+def _frame_coordinate(v: Sequence[int], frame: tuple) -> tuple[int, int]:
     """(axis coordinate, distance) of the projection of the vertex
-    ax.origin * v, read from the letters of v in the axis frame without
-    building the foot."""
-    forward = _agreement(v, ax.root.letters)
-    backward = _agreement(v, ax.backward_ray)
+    origin * v onto the axis with the given letter frame, read from the
+    letters of v without building the foot."""
+    forward = _agreement(v, frame[2])
+    backward = _agreement(v, frame[3])
     if forward > 0 and backward > 0:
         raise InternalInvariantError(
             "both rays match a positive prefix; root not cyclically reduced?"
@@ -162,32 +178,37 @@ def _frame_coordinate(v: Sequence[int], ax: Axis) -> tuple[int, int]:
 
 def project_to_axis(x: ReducedWord, ax: Axis) -> ProjectionResult:
     """Nearest-point projection of the vertex x onto the axis (unique in a tree)."""
-    coordinate, distance = _frame_coordinate((ax.origin_inverse * x).letters, ax)
+    _check_same_alphabet(x, ax.element)
+    coordinate, distance = _frame_coordinate(_reduce_concat(ax.frame[1], x.letters), ax.frame)
     return ProjectionResult(
         foot=ax.point(coordinate), distance=distance, axis_coordinate=coordinate
     )
 
 
-def _meet(source: Axis, target: Axis) -> tuple[tuple[int, int], tuple[int, int]] | None:
+def _meet(source: tuple, target: tuple) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """(target-coordinate interval onto which the whole source line projects,
     source-coordinate interval onto which the whole target line projects),
-    or None when the two axes are the same line.
+    or None when the two axes are the same line; source and target are the
+    axes' letter frames (_letter_frame).
 
     Disjoint lines project to the two ends of the bridge between them;
     meeting lines project to their shared segment, read in either frame.
     From a shared vertex each source ray follows at most one target ray, and
     distinct lines agree on fewer than |root_s| + |root_t| letters
-    (Fine-Wilf), so reaching that cap means the same line.
+    (Fine-Wilf), so reaching that cap means the same line.  Every
+    axis-to-axis question (same_line, project_axis_onto_axis, the projection
+    axioms of explicit and of random axes) is answered by this scan.
     """
-    v = _reduce_concat(target.origin_inverse.letters, source.origin.letters)
+    origin, _, s, s_back = source
+    _, target_origin_inverse, t, t_back = target
+    v = _reduce_concat(target_origin_inverse, origin)
     c, d = _frame_coordinate(v, target)
-    s = source.root.letters
-    j = 0  # source coordinate of the shared vertex target.point(c)
+    j = 0  # source coordinate of the shared vertex at target coordinate c
     if d:
-        # the path from source.origin to the target foot, in the source frame
+        # the path from the source origin to the target foot, in the source frame
         back = _inverse(v[len(v) - d :])
         forward = _agreement(back, s)
-        backward = _agreement(back, source.backward_ray)
+        backward = _agreement(back, s_back)
         if forward == d:
             j = d
         elif backward == d:
@@ -196,14 +217,14 @@ def _meet(source: Axis, target: Axis) -> tuple[tuple[int, int], tuple[int, int]]
             # the bridge leaves the source line where this path does
             foot = forward if forward >= backward else -backward
             return (c, c), (foot, foot)
-    cap = len(s) + len(target.root)
+    cap = len(s) + len(t)
     spans = []
     lo = hi = c
-    for ray, phase in ((s, j), (source.backward_ray, -j)):
+    for ray, phase in ((s, j), (s_back, -j)):
         n = len(ray)
         letters = [ray[(phase + i) % n] for i in range(cap)]
-        forward = _agreement(letters, target.root.letters, c)
-        backward = _agreement(letters, target.backward_ray, -c)
+        forward = _agreement(letters, t, c)
+        backward = _agreement(letters, t_back, -c)
         if max(forward, backward) == cap:
             return None
         spans.append(max(forward, backward))
@@ -213,55 +234,41 @@ def _meet(source: Axis, target: Axis) -> tuple[tuple[int, int], tuple[int, int]]
 
 def same_line(a: Axis, b: Axis) -> bool:
     """Whether two axes are the same bi-infinite geodesic (as vertex sets)."""
-    return a.alphabet == b.alphabet and _meet(a, b) is None
+    return a.alphabet == b.alphabet and _meet(a.frame, b.frame) is None
 
 
 def project_axis_onto_axis(source: Axis, target: Axis) -> tuple[int, int]:
     """Coordinate interval on target swept by projecting the whole source line."""
-    meet = _meet(source, target)
+    meet = _meet(source.frame, target.frame)
     if meet is None:
         raise InvalidInputError("source and target are the same line")
     return meet[0]
 
 
-def check_projection_axioms(
-    axes: Sequence[Axis],
-    sample: Sequence[ReducedWord] = (),
-    candidate_xi: int | None = None,
-    meets: dict[tuple[int, int], tuple] | None = None,
+def _score_axes(
+    frames: Sequence[tuple],
+    meets: dict[tuple[int, int], tuple],
+    sample: Sequence[ReducedWord],
+    candidate_xi: int | None,
 ) -> tuple[int, list[dict]]:
-    """Observed projection constant for a family of axes.
-
-    Returns the smallest xi for which (P0) every pairwise projection has
-    diameter <= xi and (P1) in every triple at most one of the three mutual
-    projection distances exceeds xi; plus the violation list against
-    candidate_xi (empty when no candidate is given, by minimality).  Sample
-    points feed an idempotence self-check of the projection map; (P2)
-    finiteness is automatic for a finite family.  meets[(t, s)], t < s, may
-    give a pair's intervals a caller has already scanned, as _meet(axes[s],
-    axes[t]) returns them; the other pairs are scanned here.
-    """
-    axes = list(axes)
-    meets = meets or {}
-    # intervals[(t, s)]: the interval on axis t onto which axis s projects;
-    # one scan per unordered pair gives both, lowest pair first
+    """(xi, violations) of the projection axioms for the axes with the given
+    letter frames, read from meets[(t, s)] = _meet(frames[s], frames[t]) for
+    every pair t < s, which no pair may lack; the one scorer behind
+    check_projection_axioms and random_axis_family."""
+    # intervals[(t, s)]: the interval on axis t onto which axis s projects
     intervals: dict[tuple[int, int], tuple[int, int]] = {}
-    for ti, target in enumerate(axes):
-        for si in range(ti + 1, len(axes)):
-            meet = meets[(ti, si)] if (ti, si) in meets else _meet(axes[si], target)
-            if meet is None:
-                raise InvalidInputError(f"axes {ti} and {si} are the same line")
-            intervals[(ti, si)], intervals[(si, ti)] = meet
+    for (t, s), (on_t, on_s) in meets.items():
+        intervals[(t, s)], intervals[(s, t)] = on_t, on_s
     pair_diams = {key: hi - lo for key, (lo, hi) in intervals.items()}
     xi_observed = max(pair_diams.values(), default=0)
     triples = []
-    for i, j, k in itertools.combinations(range(len(axes)), 3):
+    for ids in itertools.combinations(range(len(frames)), 3):
         quantities = {}
-        for target, others in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
-            spans = [intervals[(target, o)] for o in others]
-            quantities[target] = max(s[1] for s in spans) - min(s[0] for s in spans)
+        for target in ids:
+            (lo1, hi1), (lo2, hi2) = [intervals[(target, o)] for o in ids if o != target]
+            quantities[target] = max(hi1, hi2) - min(lo1, lo2)
         xi_observed = max(xi_observed, sorted(quantities.values())[-2])
-        triples.append(((i, j, k), quantities))
+        triples.append((ids, quantities))
     candidate = xi_observed if candidate_xi is None else candidate_xi
     violations: list[dict] = []
     for key, diam in sorted(pair_diams.items()):
@@ -273,13 +280,42 @@ def check_projection_axioms(
             violations.append(
                 {"kind": "P1", "triple": ids, "quantities": quantities}
             )
+    # idempotence: the foot of x, projected again, is itself at distance 0
     for x in sample:
-        for idx, ax in enumerate(axes):
-            foot = project_to_axis(x, ax).foot
-            again = project_to_axis(foot, ax)
-            if again.distance != 0 or again.foot != foot:
+        for idx, frame in enumerate(frames):
+            coordinate, _ = _frame_coordinate(_reduce_concat(frame[1], x.letters), frame)
+            if _frame_coordinate(_ray_prefix(frame, coordinate), frame) != (coordinate, 0):
                 violations.append({"kind": "projection", "axis": idx, "x": format_word(x)})
     return xi_observed, violations
+
+
+def check_projection_axioms(
+    axes: Sequence[Axis],
+    sample: Sequence[ReducedWord] = (),
+    candidate_xi: int | None = None,
+) -> tuple[int, list[dict]]:
+    """Observed projection constant for a family of axes.
+
+    Returns the smallest xi for which (P0) every pairwise projection has
+    diameter <= xi and (P1) in every triple at most one of the three mutual
+    projection distances exceeds xi; plus the violation list against
+    candidate_xi (empty when no candidate is given, by minimality).  Sample
+    points feed an idempotence self-check of the projection map; (P2)
+    finiteness is automatic for a finite family.  Each unordered pair is
+    scanned once (_meet), lowest pair first, and the scans go to the scorer
+    that random_axis_family shares.
+    """
+    frames = [ax.frame for ax in axes]
+    for ax in axes:
+        for x in sample:
+            _check_same_alphabet(x, ax.element)
+    meets = {}
+    for ti, target in enumerate(frames):
+        for si in range(ti + 1, len(frames)):
+            meets[(ti, si)] = meet = _meet(frames[si], target)
+            if meet is None:
+                raise InvalidInputError(f"axes {ti} and {si} are the same line")
+    return _score_axes(frames, meets, sample, candidate_xi)
 
 
 def _letter_options(alphabet: Alphabet) -> dict[tuple, list[int]]:
@@ -311,11 +347,10 @@ def _random_letters(
 
 
 def _random_axis(
-    rng: random.Random, alphabet: Alphabet, options: dict, drawn: dict, core_max: int,
-    conj_max: int,
-) -> Axis:
-    """A random axis; drawn maps the letters of each h drawn before to its
-    axis, so a repeated h reuses it."""
+    rng: random.Random, options: dict, frames: dict, core_max: int, conj_max: int
+) -> tuple:
+    """The letter frame of a random axis; frames maps the letters of each h
+    drawn before to its frame, so a repeated h reuses it."""
     while True:
         core_len = rng.randint(1, core_max)
         conj_len = rng.randint(0, conj_max)
@@ -323,42 +358,49 @@ def _random_axis(
         conj = _random_letters(rng, options, conj_len, cyclic=False)
         h = _reduce_concat(_reduce_concat(conj, core), _inverse(conj))
         if h:
-            if h not in drawn:
-                drawn[h] = Axis.from_element(_word(alphabet, h))
-            return drawn[h]
+            frame = frames.get(h)
+            if frame is None:
+                frame = frames[h] = _letter_frame(h)
+            return frame
 
 
 def random_axis_family(
     alphabet: Alphabet, samples: Sequence[ReducedWord] = (), candidate_xi: int | None = None,
     *, seed: int, triples: int, core_max: int, conjugator_max: int,
 ) -> dict:
-    """The projection axioms (check_projection_axioms) on triples of random
-    axes of h = u c u^-1, c cyclically reduced with 1 to core_max letters and
-    |u| <= conjugator_max, drawn by random.Random(seed): the largest
-    projection constant against core_max + 2 conjugator_max, and the
-    violations of candidate_xi."""
+    """The projection axioms on triples of random axes of h = u c u^-1, c
+    cyclically reduced with 1 to core_max letters and |u| <= conjugator_max,
+    drawn by random.Random(seed): the largest projection constant against
+    core_max + 2 conjugator_max, and the violations of candidate_xi.
+
+    The family runs on letter frames (_letter_frame), one per distinct h,
+    and builds no Axis or word.  The _meet scans that tell a triple's lines
+    apart while it is drawn are the three meets its score reads
+    (_score_axes, as check_projection_axioms scores explicit axes)."""
     # every axis of Z is one line; in F2 single letters give only the a- and b-lines
     if alphabet.rank == 1 or (alphabet.rank, core_max, conjugator_max) == (2, 1, 0):
         raise InvalidInputError("random axes span fewer than three distinct lines")
+    for x in samples:
+        _check_same_alphabet(x, alphabet.identity)
     rng = random.Random(seed)
     options = _letter_options(alphabet)
-    drawn: dict[tuple[int, ...], Axis] = {}
+    frames: dict[tuple[int, ...], tuple] = {}
     xi_max = total_violations = 0
     for _ in range(triples):
-        # draw three axes on distinct lines; the scans that tell the lines
-        # apart give check_projection_axioms the meets of every pair
-        axes, meets = [], {}
-        while len(axes) < 3:
-            ax = _random_axis(rng, alphabet, options, drawn, core_max, conjugator_max)
+        # draw three axes on distinct lines, keeping the meets of every pair
+        drawn: list[tuple] = []
+        meets: dict[tuple[int, int], tuple] = {}
+        while len(drawn) < 3:
+            frame = _random_axis(rng, options, frames, core_max, conjugator_max)
             new = {}
-            for i, other in enumerate(axes):
-                new[(i, len(axes))] = meet = _meet(ax, other)
+            for i, other in enumerate(drawn):
+                new[(i, len(drawn))] = meet = _meet(frame, other)
                 if meet is None:  # the line of an axis drawn before
                     break
             else:
                 meets.update(new)
-                axes.append(ax)
-        xi, violations = check_projection_axioms(axes, samples, candidate_xi, meets)
+                drawn.append(frame)
+        xi, violations = _score_axes(drawn, meets, samples, candidate_xi)
         xi_max = max(xi_max, xi)
         total_violations += len(violations)
     bound = core_max + 2 * conjugator_max
@@ -373,25 +415,23 @@ def random_axis_family(
 
 
 def _orbit_shared_prefix(
-    local_g: tuple[int, ...], p: tuple[int, ...]
-) -> Callable[[int], int]:
-    """shared(n): how many leading letters x_n = local_g^n . p has in common
-    with every later x_m (0 when that is not yet known).  The orbit's stable
-    index is the first n at which x_n's longer ray agreement, |coordinate|,
-    is below shared(n).
+    key: tuple[tuple[int, ...], tuple[int, ...], int], p: tuple[int, ...]
+) -> tuple[int, int, int]:
+    """(period, lag, lead) of the orbit x_n = local_g^n . p, from the root key
+    (u, root, e) of local_g (words._root_key): once n * period > lag, x_n has
+    its first n * period + lead letters in common with every later x_m.  The
+    orbit's stable index is the first such n at which x_n's longer ray
+    agreement, |coordinate|, is below that count.
 
-    Split local_g = u c u^-1 with c cyclically reduced, and let A be the
-    agreement of w = u^-1 p with (c^-1)^infinity.  Once n|c| > A, the letters
-    of c^n cancel exactly A letters of w, so x_n = u c^n[:n|c| - A] w[A:]
-    with no cancellation; its first |u| + n|c| - A letters are u read into
-    c^infinity, a prefix of every later x_m.
+    local_g = u c u^-1 with c = root^e cyclically reduced, and lag is the
+    agreement of w = u^-1 p with (c^-1)^infinity.  Once n|c| > lag, the
+    letters of c^n cancel exactly lag letters of w, so x_n = u c^n[:n|c| -
+    lag] w[lag:] with no cancellation; its first |u| + n|c| - lag letters are
+    u read into c^infinity, a prefix of every later x_m.
     """
-    u, root, e = _root_key(local_g)
-    period = len(root) * e
-    w = _reduce_concat(_inverse(u), p)
-    lag = _agreement(w, _inverse(root))
-    lead = len(u) - lag
-    return lambda n: n * period + lead if n * period > lag else 0
+    u, root, e = key
+    lag = _agreement(_reduce_concat(_inverse(u), p), _inverse(root))
+    return len(root) * e, lag, len(u) - lag
 
 
 @dataclass(frozen=True)
@@ -403,39 +443,43 @@ class Lemma31Report:
     power_witness: tuple[int, int] | None = None
 
 
-def _lemma31_orbit(ax: Axis, frame: tuple, g: tuple[int, ...], n_max: int) -> tuple:
-    """The lemma 3.1 check of non-empty letters g against ax, whose
+def _lemma31_orbit(frame: tuple, g: tuple[int, ...], n_max: int) -> tuple:
+    """The lemma 3.1 check of non-empty letters g against the axis whose
     Axis._lemma31_frame is frame: (branch, passed, bound, the projection
     distances up to the stable index, power witness).  The per-word kernel
-    of lemma31_bound_check and lemma31_sweep; ax itself is read only by
-    _frame_coordinate."""
+    of lemma31_bound_check and lemma31_sweep."""
     (
-        line, line_conjugator, line_root, line_back, exp_h, origin_inverse, origin,
-        base_coord, p, p_inverse,
+        axis_frame, line, line_conjugator, line_root, line_back, exp_h, base_coord, p,
+        p_inverse,
     ) = frame
     # g and the line element share a primitive root up to sign exactly when
     # g's root key has the line's conjugator and its root or root^-1
-    conjugator, root_g, exp_g = _root_key(g)
+    key = conjugator, root_g, exp_g = _root_key(g)
     if conjugator == line_conjugator and root_g in (line_root, line_back):
         sign = 1 if root_g == line_root else -1
         # g^exp_h = root^(exp_g*exp_h) = line^(sign*exp_g), line = t h t^-1
         passed = _word(line.alphabet, g) ** exp_h == line ** (sign * exp_g)
         return "power-in-subgroup", passed, 0.0, (), (exp_h, sign * exp_g)
-    local_g = _reduce_concat(_reduce_concat(origin_inverse, g), origin)
+    # the orbit runs in the axis frame, on g conjugated by the origin
+    origin, origin_inverse = axis_frame[:2]
+    local_g = g
+    if origin:
+        local_g = _reduce_concat(_reduce_concat(origin_inverse, g), origin)
+        key = _root_key(local_g)
+    period, lag, lead = _orbit_shared_prefix(key, p)
     x = _reduce_concat(local_g, p)  # x_1 = g.p
     bound = 2 * len(_reduce_concat(p_inverse, x)) + D_TREE
-    shared = _orbit_shared_prefix(local_g, p)
     distances = []
     passed = True
     for n in range(1, n_max + 1):
-        coord, _ = _frame_coordinate(x, ax)
+        coord, _ = _frame_coordinate(x, axis_frame)
         dpi = abs(coord - base_coord)
         distances.append(dpi)
         passed = passed and dpi <= bound
         # |coord| is the longer ray agreement; when it ends inside the prefix
         # every later orbit point shares, so do both agreements of every
         # later point, and the coordinate is fixed from here on
-        if abs(coord) < shared(n):
+        if n * period > lag and abs(coord) < n * period + lead:
             break
         x = _reduce_concat(local_g, x)
     return "bounded-projection", passed, bound, distances, None
@@ -461,7 +505,7 @@ def lemma31_bound_check(ax: Axis, g: ReducedWord, n_max: int) -> Lemma31Report:
         raise InvalidInputError("g must be non-trivial")
     _check_same_alphabet(g, ax.element)
     branch, passed, bound, distances, power_witness = _lemma31_orbit(
-        ax, ax._lemma31_frame, g.letters, n_max
+        ax._lemma31_frame, g.letters, n_max
     )
     rows = tuple(enumerate(distances, 1))
     if distances:  # every row after the stable index repeats the last one
@@ -480,13 +524,12 @@ def lemma31_sweep(
     kernel _lemma31_orbit, with the axis constants read once."""
     _check_cutoff("g_max", g_max, cutoff)
     _check_same_alphabet(h, alphabet.identity)
-    ax = Axis.from_element(h)
-    frame = ax._lemma31_frame
+    frame = Axis.from_element(h)._lemma31_frame
     checked = failures = 0
     branches: dict[str, int] = {}
     for r in range(1, g_max + 1):
         for letters in iter_sphere_letters(alphabet, r):
-            branch, passed = _lemma31_orbit(ax, frame, letters, n_max)[:2]
+            branch, passed = _lemma31_orbit(frame, letters, n_max)[:2]
             checked += 1
             branches[branch] = branches.get(branch, 0) + 1
             if not passed:

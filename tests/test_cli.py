@@ -202,6 +202,16 @@ class TestCommands:
         assert sweep["failures"] == []
         assert sweep["in_ghat"] + sweep["shortened"] == sweep["checked"]
 
+    def test_ghat_strictness_is_decided_by_sign(self, tmp_path, capsys):
+        # a spectral-workload-shaped job, |h| = 12 and m = 2|h| + 2: both
+        # brackets are spectral, so the certified margin of about 5e-13,
+        # far below 10 tol, already proves that Ghat grows strictly slower
+        job = write_job(tmp_path, "ghat", {"rank": 2, "h": "a a a b b b a a b- a b b", "m": 26})
+        _, out, _ = run_cli(capsys, "run", str(job), "--quiet")
+        gap = json.loads(out)["results"]["gap"]
+        assert 0 < gap["margin"] < 1e-12
+        assert gap["strict"] is True and gap["certified"] is True
+
     def test_product_duality(self, tmp_path, capsys):
         job = write_job(
             tmp_path,
@@ -376,25 +386,42 @@ class TestCommands:
         assert res["xi_observed"] <= res["bound"]
 
     def test_random_axes_are_met_once_per_pair(self, tmp_path, capsys, monkeypatch):
-        # the scans that tell a triple's lines apart while it is drawn give
-        # check_projection_axioms every interval, so it scans no pair again
+        # the scans that tell a triple's lines apart while it is drawn are
+        # the three meets its score reads: the scorer gets exactly those
+        # scan results, and no pair is met and no frame built while it runs
         params = {"rank": 2, "random": {"seed": 5, "triples": 5, "core_max": 3}}
         job = write_job(tmp_path, "axioms", params)
         _, before, _ = run_cli(capsys, "run", str(job), "--quiet")
+        meet, letter_frame, score = tree._meet, tree._letter_frame, tree._score_axes
+        scoring, drawn_meets, scored = [False], [], []
 
-        def rescan(source, target):
-            raise AssertionError("a pair of drawn axes was met twice")
+        def spy_meet(source, target):
+            assert not scoring[0], "a pair of drawn axes was met twice"
+            drawn_meets.append(meet(source, target))
+            return drawn_meets[-1]
 
-        check = tree.check_projection_axioms
+        def spy_frame(*args):
+            assert not scoring[0], "a frame was built while a triple was scored"
+            return letter_frame(*args)
 
-        def check_without_meeting(*args):
-            with monkeypatch.context() as inside:
-                inside.setattr(tree, "_meet", rescan)
-                return check(*args)
+        def spy_score(frames, meets, *args):
+            assert len(frames) == 3 and sorted(meets) == [(0, 1), (0, 2), (1, 2)]
+            assert all(any(m is d for d in drawn_meets) for m in meets.values())
+            scored.append(len(drawn_meets))
+            drawn_meets.clear()
+            scoring[0] = True
+            try:
+                return score(frames, meets, *args)
+            finally:
+                scoring[0] = False
 
-        monkeypatch.setattr(tree, "check_projection_axioms", check_without_meeting)
+        monkeypatch.setattr(tree, "_meet", spy_meet)
+        monkeypatch.setattr(tree, "_letter_frame", spy_frame)
+        monkeypatch.setattr(tree, "_score_axes", spy_score)
         code, after, _ = run_cli(capsys, "run", str(job), "--quiet")
         assert code == 0 and after == before
+        # one score per triple, each after at least the three scans of its pairs
+        assert len(scored) == 5 and min(scored) >= 3
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_random_letters_draw_as_the_option_comprehension(self, rank):
@@ -426,20 +453,30 @@ class TestCommands:
             assert ours.getstate() == theirs.getstate()
 
     def test_random_axes_build_each_h_once(self, tmp_path, capsys, monkeypatch):
+        # one letter frame per distinct h, and every pair the family meets is
+        # a pair of those frames, so no axis is built another way
         params = {"rank": 2, "random": {"seed": 5, "triples": 30, "core_max": 2}}
         job = write_job(tmp_path, "axioms", params)
         _, before, _ = run_cli(capsys, "run", str(job), "--quiet")
-        built = []
-        from_element = tree.Axis.from_element
+        meet, letter_frame = tree._meet, tree._letter_frame
+        built, frames, met = [], [], []
 
-        def record(h, translate=None):
+        def spy_frame(h, *args):
             built.append(h)
-            return from_element(h, translate)
+            frames.append(letter_frame(h, *args))
+            return frames[-1]
 
-        monkeypatch.setattr(tree.Axis, "from_element", record)
+        def spy_meet(source, target):
+            assert any(source is f for f in frames) and any(target is f for f in frames)
+            met.append((source, target))
+            return meet(source, target)
+
+        monkeypatch.setattr(tree, "_letter_frame", spy_frame)
+        monkeypatch.setattr(tree, "_meet", spy_meet)
         code, after, _ = run_cli(capsys, "run", str(job), "--quiet")
         assert code == 0 and after == before
         assert built and len(built) == len(set(built))
+        assert len(met) >= 3 * 30
 
     def test_axioms_lemma31_sweep(self, tmp_path, capsys):
         job = write_job(

@@ -194,6 +194,33 @@ class TestStrictGapCheck:
         assert rep.certified
         assert rep.margin > 0.1
 
+    def test_spectral_brackets_decide_by_sign(self):
+        # both ends of the margin are certified, so tol plays no part
+        sub_aut = ghat_automaton(RANK2, word2("ab"), 4)
+        rep = strict_gap_check(
+            count_lengths(sub_aut, 12).balls(),
+            F2_BALLS[:13],
+            1.0,
+            sub_bracket=perron_root(sub_aut, 1e-9),
+            full_bracket=perron_root(avoid_factors(RANK2, ()), 1e-9),
+        )
+        assert 0 < rep.margin < 1.0
+        assert rep.strict
+
+    def test_a_fekete_bracket_still_needs_tol(self):
+        sub = count_lengths(avoid_factors(RANK2, [word2("a")]), 12).balls()
+        full_bracket = perron_root(avoid_factors(RANK2, ()), 1e-9)
+        rep = strict_gap_check(sub, F2_BALLS[:13], 1.0, fekete(sub), full_bracket)
+        assert 0 < rep.margin < 1.0
+        assert not rep.strict
+
+    def test_equal_spectral_brackets_have_no_gap(self):
+        # decided by sign, a zero margin is not strict
+        br = perron_root(avoid_factors(RANK2, ()), 1e-9)
+        rep = strict_gap_check(F2_BALLS, F2_BALLS, 0.01, br, br)
+        assert rep.margin <= 0.0
+        assert not rep.strict
+
     def test_equal_counts_have_no_gap(self):
         br = fekete(F2_BALLS)
         rep = strict_gap_check(F2_BALLS, F2_BALLS, 0.01, br, br)

@@ -1,6 +1,7 @@
 """Axes in the Cayley tree: projections, restricted sets, the shortening move."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from growthtight import (
     primitive_root,
     project_axis_onto_axis,
     project_to_axis,
+    random_axis_family,
     same_line,
     shorten,
     shorten_sweep,
@@ -251,12 +253,12 @@ class TestOverlapReference:
         if want is None:
             with pytest.raises(InvalidInputError, match="same line"):
                 project_axis_onto_axis(source, target)
-            assert _meet(source, target) is None
+            assert _meet(source.frame, target.frame) is None
         else:
             assert project_axis_onto_axis(source, target) == want
             # the same scan gives the interval of target's line on source
             reverse = oracles.axis_overlap(target_h, target_t, source_h, source_t)
-            assert _meet(source, target) == (want, reverse)
+            assert _meet(source.frame, target.frame) == (want, reverse)
 
 
 class TestProjectionAxioms:
@@ -298,6 +300,102 @@ class TestProjectionAxioms:
         family = [axis2("ba"), AB, axis2("aba"), axis2("BA"), axis2("ab", "ab")]
         with pytest.raises(InvalidInputError, match="axes 1 and 3 are the same line"):
             check_projection_axioms(family)
+
+
+def per_axis_random_family(alphabet, samples, candidate_xi, *, seed, triples, core_max,
+                           conjugator_max) -> dict:
+    """random_axis_family as it ran on Axis objects: the same draws, one
+    Axis.from_element per distinct h, lines told apart by same_line, and
+    each triple scored by the projection axioms written on the public
+    per-axis functions."""
+    rng = random.Random(seed)
+    options = tree._letter_options(alphabet)
+    drawn = {}
+    xi_max = total_violations = 0
+    for _ in range(triples):
+        axes = []
+        while len(axes) < 3:
+            while True:
+                core_len = rng.randint(1, core_max)
+                conj_len = rng.randint(0, conjugator_max)
+                core = tree._random_letters(rng, options, core_len, cyclic=True)
+                conj = tree._random_letters(rng, options, conj_len, cyclic=False)
+                conj, core = tree._word(alphabet, conj), tree._word(alphabet, core)
+                h = conj * core * ~conj
+                if h:
+                    break
+            if h not in drawn:
+                drawn[h] = Axis.from_element(h)
+            if not any(same_line(drawn[h], other) for other in axes):
+                axes.append(drawn[h])
+        xi, violations = per_axis_projection_axioms(axes, samples, candidate_xi)
+        xi_max = max(xi_max, xi)
+        total_violations += violations
+    bound = core_max + 2 * conjugator_max
+    return {
+        "mode": "random", "triples": triples, "xi_observed": xi_max, "bound": bound,
+        "within_bound": xi_max <= bound, "violations": total_violations,
+    }
+
+
+def per_axis_projection_axioms(axes, sample, candidate_xi) -> tuple[int, int]:
+    """(xi, number of violations) of check_projection_axioms, written on
+    project_axis_onto_axis and project_to_axis."""
+    intervals = {
+        (t, s): project_axis_onto_axis(axes[s], axes[t])
+        for t in range(len(axes)) for s in range(len(axes)) if s != t
+    }
+    diams = [hi - lo for lo, hi in intervals.values()]
+    xi = max(diams, default=0)
+    triples = []
+    for ids in itertools.combinations(range(len(axes)), 3):
+        quantities = []
+        for t in ids:
+            spans = [intervals[(t, o)] for o in ids if o != t]
+            quantities.append(max(hi for _, hi in spans) - min(lo for lo, _ in spans))
+        xi = max(xi, sorted(quantities)[-2])
+        triples.append(quantities)
+    candidate = xi if candidate_xi is None else candidate_xi
+    violations = sum(d > candidate for d in diams)
+    violations += sum(sum(q > candidate for q in qs) >= 2 for qs in triples)
+    for x in sample:
+        for ax in axes:
+            foot = project_to_axis(x, ax).foot
+            again = project_to_axis(foot, ax)
+            violations += again.distance != 0 or again.foot != foot
+    return xi, violations
+
+
+class TestRandomFamilyAgainstPerAxisChecks:
+    """random_axis_family scores letter frames; it must report exactly what
+    the per-axis path reports on the same draws."""
+
+    @pytest.mark.parametrize("rank,core_max,conjugator_max", [
+        (rank, core_max, conjugator_max)
+        for rank in (2, 3) for core_max in range(1, 5) for conjugator_max in range(3)
+        if (rank, core_max, conjugator_max) != (2, 1, 0)
+    ])
+    def test_matches_the_per_axis_path(self, rank, core_max, conjugator_max):
+        alphabet = Alphabet(rank)
+        rng = random.Random(f"{rank}:{core_max}:{conjugator_max}")
+        samples = [lib_word(rank, rand_chars(rng, rank, n)) for n in (0, 1, 3, 6)]
+        for seed in range(3):
+            for candidate in (None, 2, 4):
+                for sample in ((), samples):
+                    params = dict(
+                        seed=seed, triples=12, core_max=core_max, conjugator_max=conjugator_max
+                    )
+                    want = per_axis_random_family(alphabet, sample, candidate, **params)
+                    assert random_axis_family(alphabet, sample, candidate, **params) == want
+
+    def test_the_compared_families_have_violations(self):
+        # the comparison above also counts P0 and P1 violations, not only zeros
+        assert sum(
+            per_axis_random_family(
+                RANK2, (), 2, seed=seed, triples=12, core_max=4, conjugator_max=2
+            )["violations"]
+            for seed in range(3)
+        ) > 0
 
 
 class TestLemma31:
@@ -395,11 +493,11 @@ class TestLemma31:
                         moved[key] = moved.get(key, 0) + 1
                     if rep.branch != "bounded-projection":
                         continue
-                    local_g = (ax.origin_inverse * g * ax.origin).letters
+                    local_g = (~ax.origin * g * ax.origin).letters
                     rows, x = [], p
                     for n in range(1, 41):
                         x = _reduce_concat(local_g, x)
-                        rows.append((n, abs(_frame_coordinate(x, ax)[0] - base)))
+                        rows.append((n, abs(_frame_coordinate(x, ax.frame)[0] - base)))
                     assert rep.rows == tuple(rows), (chars(h), t and chars(t), chars(g))
                     checked += 1
         assert checked == 153_948
