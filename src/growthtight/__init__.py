@@ -6,10 +6,11 @@ __version__ = "0.1.0"
 from .automata import (
     CountingAutomaton,
     CountSequence,
+    Language,
     avoid_factors,
     avoid_sweep,
     count_lengths,
-    oriented_vs_unoriented_gap,
+    once_each,
     perron_root,
     perron_roots,
 )
@@ -56,7 +57,7 @@ from .tree import (
     Axis,
     check_projection_axioms,
     find_long_projections,
-    ghat_automaton,
+    ghat_language,
     ghat_membership_exact,
     lemma31_bound_check,
     lemma31_sweep,

@@ -13,16 +13,22 @@ component by one rule: a component whose rows all have the same length d,
 as a looped single state or the free group's has, gets its exact root d
 without iterating, and the others are bracketed in one batched iteration,
 each bit for bit as perron_root brackets it alone.
+
+Language(alphabet, forbidden) is a language from build to report: it builds
+its automaton on first use and gives its counts and bracket, each through
+avoid_factors, count_lengths or perron_root by its module-global name.  With
+once_each, equal languages (the free group of one rank, say) share them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, islice
 from operator import add, mul, truediv
 from typing import Sequence
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import AlphabetMismatchError, InvalidInputError, ResourceLimitError
 from .growth import NEG_INF, GrowthBracket
 from .words import Alphabet, ReducedWord, _check_cutoff, enumerate_sphere, format_word
 
@@ -114,18 +120,6 @@ class CountingAutomaton:
         self.alphabet, self.n_states, self.transitions = alphabet, n_states, dict(transitions)
         self.succ = succ
 
-    @classmethod
-    def _unchecked(
-        cls, alphabet: Alphabet, n_states: int, transitions: dict, succ: list[list[int]]
-    ):
-        """An automaton whose builder guarantees what the constructor checks
-        and hands over the sorted successor table; it keeps it without
-        copying."""
-        aut = cls.__new__(cls)
-        aut.alphabet, aut.n_states, aut.transitions = alphabet, n_states, transitions
-        aut.succ = succ
-        return aut
-
     def accepts(self, word: ReducedWord) -> bool:
         state = 0
         for x in word.letters:
@@ -158,7 +152,7 @@ def avoid_factors(
         if not f:
             raise InvalidInputError("forbidden factors must be non-empty")
         if f.alphabet != alphabet:
-            raise InvalidInputError("forbidden factor over a different alphabet")
+            raise AlphabetMismatchError(f"factor over rank {f.alphabet.rank}, not {alphabet.rank}")
     letters = alphabet.letters
     children: list[dict[int, int]] = [{}]
     dead = [False]
@@ -215,7 +209,9 @@ def avoid_factors(
         # the letters of a state lead to distinct states, so no edge is parallel
         targets.sort()
         succ.append(targets)
-    return CountingAutomaton._unchecked(alphabet, len(nodes), transitions, succ)
+    aut = CountingAutomaton.__new__(CountingAutomaton)
+    aut.alphabet, aut.n_states, aut.transitions, aut.succ = alphabet, len(nodes), transitions, succ
+    return aut
 
 
 def count_lengths(aut: CountingAutomaton, r_max: int) -> CountSequence:
@@ -583,15 +579,35 @@ def perron_root(aut: CountingAutomaton, tol: float = 1e-9, max_iter: int = 200_0
     return perron_roots([aut], tol, max_iter)[0]
 
 
-def oriented_vs_unoriented_gap(
-    alphabet: Alphabet, f: ReducedWord
-) -> tuple[GrowthBracket, GrowthBracket]:
-    """Spectral brackets for avoiding f alone versus avoiding {f, f^-1}."""
-    if not f:
-        raise InvalidInputError("factor must be non-trivial")
-    oriented = perron_root(avoid_factors(alphabet, [f]))
-    unoriented = perron_root(avoid_factors(alphabet, [f, ~f]))
-    return oriented, unoriented
+@dataclass(frozen=True)
+class Language:
+    """The reduced words over alphabet with no factor in forbidden; with
+    nothing forbidden, the free group.  The automaton is built on first use
+    and kept; equal records are the same language."""
+
+    alphabet: Alphabet
+    forbidden: tuple[ReducedWord, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "forbidden", tuple(self.forbidden))
+
+    @cached_property
+    def automaton(self) -> CountingAutomaton:
+        return avoid_factors(self.alphabet, self.forbidden)
+
+    def counts(self, r_max: int) -> CountSequence:
+        return count_lengths(self.automaton, r_max)
+
+    def bracket(self, tol: float = 1e-9) -> GrowthBracket:
+        return perron_root(self.automaton, tol)
+
+
+def once_each(languages: Sequence[Language], method, *args) -> list:
+    """method(language, *args) for each of languages, in order, called once
+    per distinct record, on the first of the equal ones, so that equal
+    languages share its automaton too."""
+    found = {lang: method(lang, *args) for lang in dict.fromkeys(languages)}
+    return [found[lang] for lang in languages]
 
 
 def avoid_sweep(
@@ -610,7 +626,7 @@ def avoid_sweep(
     )
     entries = []
     while batch := list(islice(factors, SWEEP_BATCH)):
-        languages = [avoid_factors(alphabet, [f]) for f in batch]
+        languages = [Language(alphabet, (f,)).automaton for f in batch]
         for f, bracket in zip(batch, perron_roots(languages, tol)):
             entries.append({
                 "f": format_word(f),

@@ -15,8 +15,9 @@ budget defaults and Mode, the run function and the table spec.  avoid and
 axioms hold one Mode per mode block (avoid factors or sweep, axioms lemma31,
 random or axes) with the fields only it reads.  A run function parses its
 parameters and returns the results of library calls (the sweeps are
-avoid_sweep, shorten_sweep, lemma31_sweep and random_axis_family): the table
-(reports.render_table) and the CSV (the report's balls) are views of the
+avoid_sweep, shorten_sweep, lemma31_sweep and random_axis_family, and every
+other language is an automata.Language record, which the CLI only reads): the
+table (reports.render_table) and the CSV (the report's balls) are views of the
 report, built only when written.  The parameter tables, JOB_FIELDS,
 BUDGET_FIELDS and _ORACLES (one per quotient kind) give every field a job may
 hold its kind and default.  An unknown field at any level, a missing required
@@ -42,7 +43,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import __version__
-from .automata import CountSequence, avoid_factors, avoid_sweep, count_lengths, perron_root
+from .automata import CountSequence, Language, avoid_sweep, once_each
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .growth import (
     check_subadditivity,
@@ -55,9 +56,8 @@ from .quotients import KINDS, check_prop_minimal, quotient_ball_counts, tightnes
 from .reports import JOB_SCHEMA, build_report, canonical_json, render_table
 from .tree import (
     Axis,
-    check_ghat_m,
     check_projection_axioms,
-    ghat_automaton,
+    ghat_language,
     lemma31_sweep,
     random_axis_family,
     shorten_sweep,
@@ -211,11 +211,11 @@ def _counts_result(seq) -> dict:
 def _language(alphabet: Alphabet, key: str, words: list, budgets: dict, bracket: str = "") -> dict:
     """Results for the language that avoids words: the words under key, the
     Perron bracket under bracket (if one is named), the sphere and ball counts."""
-    aut = avoid_factors(alphabet, words)
+    language = Language(alphabet, words)
     results = {key: [format_word(f) for f in words]}
     if bracket:
-        results[bracket] = perron_root(aut, budgets["tol"])
-    return {**results, **_counts_result(count_lengths(aut, budgets["r_max"]))}
+        results[bracket] = language.bracket(budgets["tol"])
+    return {**results, **_counts_result(language.counts(budgets["r_max"]))}
 
 
 def _cmd_count(params: dict, budgets: dict, bracket: str = "") -> dict:
@@ -243,10 +243,7 @@ def _cmd_avoid_factors(params: dict, budgets: dict) -> dict:
     factors = [parse_word(alphabet, t) for t in params["factors"]]
     results = {"rank": alphabet.rank, **_language(alphabet, "factors", factors, budgets, "bracket")}
     if params["compare_inverse"]:
-        sym = list(factors)
-        for f in factors:
-            if ~f not in sym:
-                sym.append(~f)
+        sym = factors + [g for g in dict.fromkeys(~f for f in factors) if g not in factors]
         results["with_inverses"] = _language(alphabet, "factors", sym, budgets, "bracket")
     return results
 
@@ -254,29 +251,25 @@ def _cmd_avoid_factors(params: dict, budgets: dict) -> dict:
 def _cmd_ghat(params: dict, budgets: dict) -> dict:
     alphabet = Alphabet(params["rank"])
     h = parse_word(alphabet, params["h"])
-    block = params["shorten_sweep"]
-    check_ghat_m(h, params["m"])
-    # the sweep runs next, so that its block is checked before any other work
+    block, tol, r_max = params["shorten_sweep"], budgets["tol"], budgets["r_max"]
+    # m is checked here and the automata are built on first use, so the sweep
+    # block is checked before any other work
+    ghat, full = ghat_language(alphabet, h, params["m"]), Language(alphabet)
     sweep = {} if block is None else {"shorten_sweep": shorten_sweep(
         alphabet, h, block["g_max"], block["K"], cutoff=budgets["cutoff"]
     )}
-    aut = ghat_automaton(alphabet, h, params["m"])
-    bracket = perron_root(aut, budgets["tol"])
-    seq = count_lengths(aut, budgets["r_max"])
-    full = _language(alphabet, "factors", [], budgets, "bracket")  # the free group
-    gap = strict_gap_check(
-        seq.balls(), full["balls"], budgets["tol"] * 10, bracket, full["bracket"]
-    )
-    divergence = divergence_at_critical(seq.balls(), bracket)
+    bracket, full_bracket = ghat.bracket(tol), full.bracket(tol)
+    seq = ghat.counts(r_max)
+    gap = strict_gap_check(seq.balls(), full.counts(r_max).balls(), tol * 10, bracket, full_bracket)
     return {
         "rank": alphabet.rank,
         "h": format_word(h),
         "m": params["m"],
         "shorten_threshold": shorten_threshold(h),
         "bracket": bracket,
-        "full_bracket": full["bracket"],
+        "full_bracket": full_bracket,
         "gap": gap,
-        "divergence": divergence,
+        "divergence": divergence_at_critical(seq.balls(), bracket),
         **_counts_result(seq),
         **sweep,
     }
@@ -290,12 +283,10 @@ def _product_spec(params: dict) -> LpProductSpec:
 def _cmd_product(params: dict, budgets: dict) -> dict:
     spec = _product_spec(params)
     r_max = budgets["r_max"]
-    free = {}  # factors of one rank share the automaton, the counts and the bracket
-    for alphabet in dict.fromkeys(spec.factors):
-        aut = avoid_factors(alphabet, ())
-        free[alphabet] = count_lengths(aut, r_max), perron_root(aut, budgets["tol"])
-    factor_spheres = [free[a][0] for a in spec.factors]
-    brackets = [free[a][1] for a in spec.factors]
+    # factors of one rank share the free group's automaton, counts and bracket
+    free = list(map(Language, spec.factors))
+    factor_spheres = once_each(free, Language.counts, r_max)
+    brackets = once_each(free, Language.bracket, budgets["tol"])
     exponents = [(b.lower + b.upper) / 2 for b in brackets]
     report = verify_duality(spec, factor_spheres, r_max, exponents)
     return {**vars(report), "factor_brackets": brackets}

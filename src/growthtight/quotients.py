@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .automata import CountSequence, avoid_factors, perron_root
+from .automata import CountSequence, Language, once_each
 from .errors import InvalidInputError
 from .growth import GrowthBracket, bracket_gap, check_subadditivity, fekete_bracket
 from .products import (
@@ -402,11 +402,7 @@ def tightness_verdict(
     tight/inconclusive can be concluded there.
     """
     oracle.validate_for(spec)
-    bracket_tol = min(tol, 1e-9)
-    free = {
-        a: perron_root(avoid_factors(a, ()), bracket_tol) for a in dict.fromkeys(spec.factors)
-    }
-    factor_brackets = [free[a] for a in spec.factors]  # one bracket per rank
+    factor_brackets = once_each(list(map(Language, spec.factors)), Language.bracket, min(tol, 1e-9))
     delta_g = _dual_bracket(factor_brackets, spec.p)
     delta_gn, structural_witness = oracle.exponent(spec, factor_brackets, r_max, tol)
     gap = delta_g.lower - delta_gn.upper

@@ -14,8 +14,9 @@ one place (_score_axes).  Long projections of [o, g.o] onto translated
 axes (the restricted set Ghat, the shortening move) are the maximal runs of g
 reading the root forward, found by the same prefix scan; a run's witness is
 built only where it is returned, and a shortening step deletes one core's
-letters from the run.  Sweeps over a ball of words count whole subtrees of
-Ghat(K) from its automaton and list only the words outside.  The lemma 3.1
+letters from the run.  Ghat(K) is an automata.Language (ghat_language);
+sweeps over a ball of words count its whole subtrees from that language's
+automaton and list only the words outside.  The lemma 3.1
 orbit g^n.p stops at its stable index: once the letters of g's cyclic core no
 longer all cancel into p, every later orbit point extends a prefix the
 current one already has, and when both ray agreements of the current point
@@ -40,7 +41,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .automata import CountingAutomaton, avoid_factors
+from .automata import Language
 from .errors import InternalInvariantError, InvalidInputError
 from .words import (
     Alphabet,
@@ -655,27 +656,21 @@ def ghat_membership_exact(g: ReducedWord, h: ReducedWord, K: int) -> bool:
     return not _checked_runs(g, h, K)[2]
 
 
-def check_ghat_m(h: ReducedWord, m: int) -> None:
-    """Reject an m below the length of h's core, which ghat_automaton needs."""
-    core = _axis_parts(h)[0]
-    if m < len(core):
-        raise InvalidInputError(f"m={m} below core length {len(core)}")
-
-
-def ghat_automaton(alphabet: Alphabet, h: ReducedWord, m: int) -> CountingAutomaton:
-    """Automaton for the words with no forward core^infinity run of length >= m.
+def ghat_language(alphabet: Alphabet, h: ReducedWord, m: int) -> Language:
+    """The words with no forward core^infinity run of length >= m.
 
     Forbidding every length-m factor of core^infinity (at most |root| distinct)
     realizes the restricted set exactly on the tree: acceptance coincides with
-    ghat_membership_exact(., h, m).  h must be a word over alphabet.
+    ghat_membership_exact(., h, m).  h must be a word over alphabet and m at
+    least |core|; both are checked before anything is built.
     """
     _check_same_alphabet(h, alphabet.identity)
-    check_ghat_m(h, m)
-    ray = _axis_parts(h)[2].letters
+    core, _, ray = _axis_parts(h)
+    if m < len(core):
+        raise InvalidInputError(f"m={m} below core length {len(core)}")
     n = len(ray)
-    factors = {tuple(ray[(s + i) % n] for i in range(m)) for s in range(n)}
-    forbidden = [_word(alphabet, f) for f in sorted(factors)]
-    return avoid_factors(alphabet, forbidden)
+    factors = {tuple(ray.letters[(s + i) % n] for i in range(m)) for s in range(n)}
+    return Language(alphabet, [_word(alphabet, f) for f in sorted(factors)])
 
 
 def walk_ghat_ball(
@@ -689,11 +684,11 @@ def walk_ghat_ball(
     returns (words checked, words in Ghat(K)) and calls outside(g) on every
     other word, in lexicographic (not shortlex) order.
 
-    The walk runs depth first through ghat_automaton(alphabet, h, K), built
-    at a smaller m when that accepts the same words of length <= g_max
-    (_walk_ghat_letters).  Ghat(K) is closed under taking subwords, so a
-    missing transition puts a word and its whole subtree outside, and that
-    subtree is listed without lookups.
+    The walk runs depth first through the automaton of ghat_language(alphabet,
+    h, K), built at a smaller m when that accepts the same words of length
+    <= g_max (_walk_ghat_letters).  Ghat(K) is closed under taking subwords,
+    so a missing transition puts a word and its whole subtree outside, and
+    that subtree is listed without lookups.
     At a word in Ghat(K) with r letters left, inside[r][state] counts the
     words of length <= r the automaton reads from its state (the DP of
     count_lengths) and free[r] all reduced words of length <= r after a
@@ -717,12 +712,12 @@ def _walk_ghat_letters(
     Ghat(K).
 
     No word of length <= g_max has a run of length >= g_max + 1, so every K
-    past that and past |core| (ghat_automaton's least m) gives the same
+    past that and past |core| (ghat_language's least m) gives the same
     walk, and the automaton is built at the larger of the two instead of at
-    K; a K below |core| still reaches ghat_automaton, which refuses it."""
+    K; a K below |core| still reaches ghat_language, which refuses it."""
     if g_max < 0:
         raise InvalidInputError(f"g_max must be >= 0, got {g_max}")
-    aut = ghat_automaton(alphabet, h, min(K, max(g_max + 1, len(_axis_parts(h)[0]))))
+    aut = ghat_language(alphabet, h, min(K, max(g_max + 1, len(_axis_parts(h)[0])))).automaton
     step = aut.transitions
     letters = tuple(alphabet.letters)
     inside = [[1] * aut.n_states]

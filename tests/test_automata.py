@@ -13,15 +13,17 @@ from hypothesis import strategies as st
 from growthtight import (
     NEG_INF,
     Alphabet,
+    AlphabetMismatchError,
     CountingAutomaton,
     InvalidInputError,
+    Language,
     ResourceLimitError,
     avoid_factors,
     count_lengths,
     enumerate_sphere,
     format_word,
-    ghat_automaton,
-    oriented_vs_unoriented_gap,
+    ghat_language,
+    once_each,
     parse_word,
     perron_root,
     perron_roots,
@@ -102,6 +104,12 @@ class TestAvoidFactors:
     def test_empty_forbidden_word_rejected(self):
         with pytest.raises(InvalidInputError):
             avoid_factors(RANK2, [RANK2.identity])
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_factor_over_another_alphabet_rejected(self, rank):
+        # as every word and tree function does; still invalid input (exit 2)
+        with pytest.raises(AlphabetMismatchError, match=f"factor over rank {rank}, not 2"):
+            avoid_factors(RANK2, [word2("a"), parse_word(Alphabet(rank), "a")])
 
     @pytest.mark.parametrize(
         "forbidden",
@@ -278,8 +286,69 @@ class TestAvoidFactorsMatchesSuffixMatcher:
     def test_ghat_automata(self, case):
         rank, h, m = case
         alphabet = RANKS[rank]
-        aut = ghat_automaton(alphabet, parse_word(alphabet, oracles.to_lib_text(h)), m)
+        aut = ghat_language(alphabet, parse_word(alphabet, oracles.to_lib_text(h)), m).automaton
         assert_same_automaton(aut, rank, oracles.ghat_factors(h, m))
+
+
+@st.composite
+def language_pairs(draw):
+    """Two equal records made apart: an avoid language (forbidden_sets), once
+    from a list and once from a tuple, or a Ghat language (ghat_cases) from
+    two ghat_language calls."""
+    if draw(st.booleans()):
+        rank, forbidden = draw(forbidden_sets())
+        alphabet = RANKS[rank]
+        words = [parse_word(alphabet, oracles.to_lib_text(f)) for f in forbidden]
+        return Language(alphabet, words), Language(alphabet, tuple(words))
+    rank, h, m = draw(ghat_cases())
+    word = parse_word(RANKS[rank], oracles.to_lib_text(h))
+    return ghat_language(RANKS[rank], word, m), ghat_language(RANKS[rank], word, m)
+
+
+def float_bits(bracket) -> tuple[str, str]:
+    return bracket.lower.hex(), bracket.upper.hex()
+
+
+def recording(calls: list, name: str):
+    """automata's function name, wrapped to append name to calls on every
+    call, as perfbench/layertrace.py wraps it in the module namespace."""
+    real = getattr(automata, name)
+
+    def wrapper(*args):
+        calls.append(name)
+        return real(*args)
+
+    return wrapper
+
+
+class TestLanguage:
+    """The record's counts and bracket are count_lengths and perron_root on
+    avoid_factors' automaton, and equal records share one build and one
+    bracket through once_each."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(pair=language_pairs())
+    def test_equal_records_share_one_build_and_one_bracket(self, pair):
+        first, second = pair
+        assert first == second and hash(first) == hash(second) and first is not second
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("avoid_factors", "count_lengths", "perron_root"):
+                mp.setattr(automata, name, recording(calls, name))
+            brackets = once_each([first, second], Language.bracket, 1e-9)
+            counts = once_each([first, second], Language.counts, 12)
+        assert calls == ["avoid_factors", "perron_root", "count_lengths"]
+        assert brackets[0] is brackets[1] and counts[0] is counts[1]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(pair=language_pairs())
+    def test_counts_and_bracket_are_the_direct_calls(self, pair):
+        language = pair[0]
+        aut = avoid_factors(language.alphabet, language.forbidden)
+        assert language.counts(20).spheres == count_lengths(aut, 20).spheres
+        assert float_bits(language.bracket(1e-9)) == float_bits(perron_root(aut, 1e-9))
+        assert language.automaton is language.automaton
+        assert list(language.automaton.transitions.items()) == list(aut.transitions.items())
 
 
 class TestPerronBrackets:
@@ -356,7 +425,7 @@ class TestPerronAgainstEigensolver:
         [("a", 2), ("a b", 4), ("a a b", 6), ("a b a- b-", 8), ("a b a b-", 10), ("a b- a b a- b", 12)],
     )
     def test_ghat(self, h, m):
-        aut = ghat_automaton(RANK2, parse_word(RANK2, h), m)
+        aut = ghat_language(RANK2, parse_word(RANK2, h), m).automaton
         assert_brackets_log_rho(perron_root(aut, 1e-9), log_spectral_radius(aut), 1e-9)
 
 
@@ -631,7 +700,7 @@ class TestBracketsAgainstReference:
     def test_ghat(self, h):
         word = parse_word(RANK2, h)
         for m in range(len(word), 2 * len(word) + 3):
-            aut = ghat_automaton(RANK2, word, m)
+            aut = ghat_language(RANK2, word, m).automaton
             br = perron_root(aut, 1e-9)
             assert (br.lower, br.upper) == reference_bracket(aut, 1e-9), m
 
@@ -652,29 +721,6 @@ class TestPerronRootsBatch:
     def test_a_block_that_cannot_close_fails_the_batch(self):
         with pytest.raises(ResourceLimitError):
             perron_roots([BASE2, avoid2("ab")], 1e-9, max_iter=2)
-
-
-class TestOrientedGap:
-    def test_ab_orientation_ordering(self):
-        one_sided, both = oriented_vs_unoriented_gap(RANK2, word2("ab"))
-        assert one_sided.upper < LOG3 - 1e-6
-        assert both.upper < LOG3 - 1e-6
-        assert one_sided.upper >= both.upper  # larger language grows faster
-
-    def test_single_letter_matches_brute(self):
-        one_sided, both = oriented_vs_unoriented_gap(RANK2, word2("a"))
-        counts_one = oracles.avoid_sphere_counts(2, ["a"], 10)
-        counts_both = oracles.avoid_sphere_counts(2, ["a", "A"], 10)
-        got_one = list(count_lengths(avoid2("a"), 10).spheres)
-        got_both = list(count_lengths(avoid2("a", "A"), 10).spheres)
-        assert got_one == counts_one and got_both == counts_both
-        # words over {b, b-} alone form a line: growth zero
-        assert abs(both.upper) < 1e-9
-        assert one_sided.upper > 0.8
-
-    def test_trivial_f_rejected(self):
-        with pytest.raises(InvalidInputError):
-            oriented_vs_unoriented_gap(RANK2, RANK2.identity)
 
 
 class TestAutomatonChecks:
@@ -738,7 +784,7 @@ def counted_automata(draw):
     rank = draw(st.integers(2, 4))
     h = _reduced_extension(draw, oracles.letters(rank), "", draw(st.integers(1, 6)))
     word = parse_word(RANKS[rank], oracles.to_lib_text(h))
-    return ghat_automaton(RANKS[rank], word, draw(st.integers(len(h), 2 * len(h) + 2)))
+    return ghat_language(RANKS[rank], word, draw(st.integers(len(h), 2 * len(h) + 2))).automaton
 
 
 def free_group(rank: int) -> CountingAutomaton:
@@ -807,7 +853,7 @@ class TestCountRecurrence:
     def test_count_lengths_never_calls_itself(self, monkeypatch):
         # a long radius is counted in one call, wrapped through the module
         # global as perfbench/layertrace.py wraps it
-        aut = ghat_automaton(RANK3, parse_word(RANK3, "a b c"), 4)
+        aut = ghat_language(RANK3, parse_word(RANK3, "a b c"), 4).automaton
         real = automata.count_lengths
         calls = []
 
@@ -916,7 +962,8 @@ class TestRegularComponents:
     def test_a_mixed_batch_equals_one_call_per_automaton(self):
         auts = [
             free_group(2), avoid2("ab"), free_group(3), TWO_REGULAR,
-            ghat_automaton(RANK2, word2("ab"), 4), BASE2, free_group(1), avoid2("a", "A", "b", "B"),
+            ghat_language(RANK2, word2("ab"), 4).automaton, BASE2, free_group(1),
+            avoid2("a", "A", "b", "B"),
         ]
         for tol in (1e-12, 1e-9, 1e-6):
             assert perron_roots(auts, tol) == [perron_root(a, tol) for a in auts]

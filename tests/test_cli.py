@@ -290,15 +290,15 @@ class TestCommands:
         # at the default tol 0.08, or any tol >= 1e-9, the factors get
         # perron_root's default tol 1e-9, so delta_G does not depend on tol;
         # a smaller tol reaches perron_root and can only narrow delta_G
-        from growthtight import automata, quotients
-
         tols = []
+        real = automata.perron_root
 
         def recorded(aut, tol):
             tols.append(tol)
-            return automata.perron_root(aut, tol)
+            return real(aut, tol)
 
-        monkeypatch.setattr(quotients, "perron_root", recorded)
+        # Language.bracket calls perron_root by its module-global name
+        monkeypatch.setattr(automata, "perron_root", recorded)
         brackets = []
         for tol in (0.08, 1e-3, 1e-9, 1e-12):
             job = write_job(tmp_path, "tightness", self.TIGHTNESS_INF, {"r_max": 4, "tol": tol})
@@ -311,27 +311,48 @@ class TestCommands:
         assert coarse["lower"] <= fine["lower"] <= fine["upper"] <= coarse["upper"]
 
     def test_product_and_tightness_bracket_each_rank_once(self, tmp_path, capsys, monkeypatch):
-        # factors of one rank share the free group's automaton and bracket
-        from growthtight import automata, quotients
+        # factors of one rank share the free group's automaton and bracket,
+        # and a ghat job builds and brackets Ghat and the free group once each
+        ranks, built, counted = [], [], []
+        real_root, real_build, real_count = (
+            automata.perron_root, automata.avoid_factors, automata.count_lengths
+        )
 
-        ranks = []
-
-        def counted(aut, *args):
+        def bracketed(aut, *args):
             ranks.append(aut.alphabet.rank)
-            return automata.perron_root(aut, *args)
+            return real_root(aut, *args)
 
-        monkeypatch.setattr(cli, "perron_root", counted)
-        monkeypatch.setattr(quotients, "perron_root", counted)
+        def build(alphabet, forbidden):
+            built.append((alphabet.rank, len(forbidden)))
+            return real_build(alphabet, forbidden)
+
+        def count(aut, r_max):
+            counted.append(aut.alphabet.rank)
+            return real_count(aut, r_max)
+
+        monkeypatch.setattr(automata, "perron_root", bracketed)
+        monkeypatch.setattr(automata, "avoid_factors", build)
+        monkeypatch.setattr(automata, "count_lengths", count)
         factors = [{"rank": 2}, {"rank": 3}, {"rank": 2}]
         product = write_job(tmp_path, "product", {"factors": factors, "p": "inf"}, {"r_max": 6})
         code, out, _ = run_cli(capsys, "run", str(product), "--quiet")
         brackets = json.loads(out)["results"]["factor_brackets"]
         assert code == 0 and ranks == [2, 3] and brackets[0] == brackets[2] != brackets[1]
+        assert built == [(2, 0), (3, 0)] and counted == [2, 3]
         ranks.clear()
+        built.clear()
         params = {"factors": factors, "p": "inf", "oracle": {"kind": "factor-kernel", "kill": [2]}}
         tightness = write_job(tmp_path, "tightness", params)
         code, out, _ = run_cli(capsys, "run", str(tightness), "--quiet")
-        assert code == 0 and ranks == [2, 3]
+        assert code == 0 and ranks == [2, 3] and built == [(2, 0), (3, 0)]
+        ranks.clear()
+        built.clear()
+        counted.clear()
+        ghat = write_job(tmp_path, "ghat", {"rank": 3, "h": "a b", "m": 4}, {"r_max": 6})
+        code, out, _ = run_cli(capsys, "run", str(ghat), "--quiet")
+        # Ghat(a b, 4) forbids the two length-4 factors of (a b)^infinity
+        assert code == 0 and ranks == [3, 3] and counted == [3, 3]
+        assert built == [(3, 2), (3, 0)]
 
     @pytest.mark.parametrize("oracle", [
         {"kind": "factor-kernel", "kill": [1]},
@@ -490,6 +511,38 @@ class TestCommands:
         assert res["failures"] == 0
         assert res["branches"] == {"bounded-projection": 50, "power-in-subgroup": 2}
         assert res["d_tree"] == 0
+
+
+class TestOrientedGap:
+    """The avoid job's compare_inverse path: avoiding the factors alone
+    against avoiding them and their inverses."""
+
+    def avoid(self, tmp_path, capsys, factors, r_max=10):
+        job = write_job(tmp_path, "avoid", {"rank": 2, "factors": factors}, {"r_max": r_max})
+        code, out, err = run_cli(capsys, "run", str(job), "--quiet")
+        return code, json.loads(out)["results"] if code == 0 else err
+
+    def test_ab_orientation_ordering(self, tmp_path, capsys):
+        code, res = self.avoid(tmp_path, capsys, ["a b"])
+        one_sided, both = res["bracket"], res["with_inverses"]["bracket"]
+        assert code == 0 and res["with_inverses"]["factors"] == ["a b", "b- a-"]
+        assert one_sided["upper"] < math.log(3) - 1e-6
+        assert both["upper"] < math.log(3) - 1e-6
+        assert one_sided["upper"] >= both["upper"]  # larger language grows faster
+
+    def test_single_letter_matches_brute(self, tmp_path, capsys):
+        code, res = self.avoid(tmp_path, capsys, ["a"])
+        both = res["with_inverses"]
+        assert code == 0 and both["factors"] == ["a", "a-"]
+        assert res["spheres"] == oracles.avoid_sphere_counts(2, ["a"], 10)
+        assert both["spheres"] == oracles.avoid_sphere_counts(2, ["a", "A"], 10)
+        # words over {b, b-} alone form a line: growth zero
+        assert abs(both["bracket"]["upper"]) < 1e-9
+        assert res["bracket"]["upper"] > 0.8
+
+    def test_trivial_f_rejected(self, tmp_path, capsys):
+        code, err = self.avoid(tmp_path, capsys, ["1"])
+        assert code == 2 and "forbidden factors must be non-empty" in err
 
 
 class TestExitCodes:
@@ -1313,11 +1366,10 @@ class TestShortenSweep:
         # every name the sweeps and the ghat job look their work up by
         for module, names in (
             (tree, ("shorten", "_shortened", "walk_ghat_ball", "_walk_ghat_letters",
-                    "lemma31_bound_check", "_lemma31_orbit", "iter_sphere_letters",
-                    "ghat_automaton")),
+                    "lemma31_bound_check", "_lemma31_orbit", "iter_sphere_letters")),
             (words, ("enumerate_sphere", "iter_sphere_letters")),
-            (automata, ("enumerate_sphere", "avoid_factors", "perron_roots")),
-            (cli, ("ghat_automaton", "avoid_factors", "perron_root")),
+            (automata, ("enumerate_sphere", "avoid_factors", "count_lengths", "perron_root",
+                        "perron_roots")),
         ):
             for name in names:
                 monkeypatch.setattr(module, name, untouchable)

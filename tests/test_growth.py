@@ -16,7 +16,7 @@ from growthtight import (
     divergence_at_critical,
     fekete_bracket,
     fekete_upper_profile,
-    ghat_automaton,
+    ghat_language,
     perron_root,
     regression_bracket,
     strict_gap_check,
@@ -166,7 +166,7 @@ class TestDivergenceAtCritical:
 class TestStrictGapCheck:
     def test_restricted_language_sits_below_the_group(self):
         # the true gap is ~0.013, so both sides need spectral brackets
-        sub_aut = ghat_automaton(RANK2, word2("ab"), 4)
+        sub_aut = ghat_language(RANK2, word2("ab"), 4).automaton
         rep = strict_gap_check(
             count_lengths(sub_aut, 12).balls(),
             F2_BALLS[:13],
@@ -196,7 +196,7 @@ class TestStrictGapCheck:
 
     def test_spectral_brackets_decide_by_sign(self):
         # both ends of the margin are certified, so tol plays no part
-        sub_aut = ghat_automaton(RANK2, word2("ab"), 4)
+        sub_aut = ghat_language(RANK2, word2("ab"), 4).automaton
         rep = strict_gap_check(
             count_lengths(sub_aut, 12).balls(),
             F2_BALLS[:13],

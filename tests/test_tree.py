@@ -19,7 +19,7 @@ from growthtight import (
     enumerate_sphere,
     find_long_projections,
     format_word,
-    ghat_automaton,
+    ghat_language,
     ghat_membership_exact,
     lemma31_bound_check,
     lemma31_sweep,
@@ -34,7 +34,7 @@ from growthtight import (
     shorten_threshold,
     walk_ghat_ball,
 )
-from growthtight import tree
+from growthtight import automata, tree
 from growthtight.tree import D_TREE, _frame_coordinate, _meet
 from growthtight.words import _reduce_concat
 
@@ -657,16 +657,16 @@ class TestRunsAgainstAnyRoot:
 
 class TestGhatAutomaton:
     def test_counts_for_ab_cutoff4(self):
-        aut = ghat_automaton(RANK2, word2("ab"), 4)
+        aut = ghat_language(RANK2, word2("ab"), 4).automaton
         assert list(count_lengths(aut, 6).spheres) == [1, 4, 12, 36, 106, 314, 930]
 
     def test_counts_for_single_letter_cutoff3(self):
-        aut = ghat_automaton(RANK2, word2("a"), 3)
+        aut = ghat_language(RANK2, word2("a"), 3).automaton
         assert list(count_lengths(aut, 5).spheres) == [1, 4, 12, 35, 103, 303]
 
     @pytest.mark.parametrize("h,m", [("ab", 4), ("a", 3)])
     def test_acceptance_equals_exact_membership(self, h, m):
-        aut = ghat_automaton(RANK2, word2(h), m)
+        aut = ghat_language(RANK2, word2(h), m).automaton
         for r in range(7):
             for g in enumerate_sphere(RANK2, r):
                 assert aut.accepts(g) == ghat_membership_exact(g, word2(h), m)
@@ -680,7 +680,7 @@ class TestGhatAutomaton:
                     assert ghat_membership_exact(g, word2("ab"), m + 1)
 
     def test_cutoff_at_core_length(self):
-        aut = ghat_automaton(RANK2, word2("ab"), 2)
+        aut = ghat_language(RANK2, word2("ab"), 2).automaton
         assert list(count_lengths(aut, 3).spheres) == [1, 4, 10, 26]
 
     @pytest.mark.parametrize("h,m", [("ab", 6), ("a", 4), ("baB", 8)])
@@ -689,7 +689,7 @@ class TestGhatAutomaton:
         checked, in_ghat = walk_ghat_ball(RANK2, word2(h), m, 6, outside.append)
         ball = [g for r in range(7) for g in enumerate_sphere(RANK2, r)]
         assert checked == len(ball) == 1457
-        aut = ghat_automaton(RANK2, word2(h), m)
+        aut = ghat_language(RANK2, word2(h), m).automaton
         assert in_ghat == sum(count_lengths(aut, 6))
         expected = [g for g in ball if not ghat_membership_exact(g, word2(h), m)]
         assert len(outside) == checked - in_ghat
@@ -721,7 +721,7 @@ class TestGhatAutomaton:
 
     def test_cutoff_below_core_is_rejected(self):
         with pytest.raises(InvalidInputError, match="below core length"):
-            ghat_automaton(RANK2, word2("ab"), 1)
+            ghat_language(RANK2, word2("ab"), 1)
 
     @pytest.mark.parametrize("ranks,h", [((2, 3), "c a"), ((3, 2), "a b")])
     def test_word_of_another_rank_is_rejected(self, ranks, h):
@@ -729,7 +729,7 @@ class TestGhatAutomaton:
         # rank was read as a word of the larger alphabet
         alphabet, h = Alphabet(ranks[0]), parse_word(Alphabet(ranks[1]), h)
         with pytest.raises(AlphabetMismatchError):
-            ghat_automaton(alphabet, h, 4)
+            ghat_language(alphabet, h, 4)
         with pytest.raises(AlphabetMismatchError):
             walk_ghat_ball(alphabet, h, 4, 3, lambda g: None)
 
@@ -869,14 +869,15 @@ class TestSweepsAgainstPerWordChecks:
         # K = 7 does, and the Ghat automaton is built at 7, not at K
         h = word2("ab")
         lengths = []
-        real = tree.avoid_factors
+        real = automata.avoid_factors
 
         def spy(alphabet, forbidden):
             lengths.extend(len(f) for f in forbidden)
             return real(alphabet, forbidden)
 
         want = shorten_sweep(RANK2, h, 6, 7, cutoff=6)
-        monkeypatch.setattr(tree, "avoid_factors", spy)
+        # the Ghat language builds its automaton through automata's global
+        monkeypatch.setattr(automata, "avoid_factors", spy)
         assert shorten_sweep(RANK2, h, 6, K, cutoff=6) == {**want, "K": K}
         assert lengths and max(lengths) == 7
 
