@@ -8,11 +8,12 @@ of order at most n, found modulo 2**61 - 1 (Berlekamp-Massey) and proved
 over the integers (_linear_recurrence), or carries on when none is proved.
 Spectral brackets come from the Collatz-Wielandt ratios of a float power
 iterate, evaluated exactly in ints (a float is an int over a power of two),
-not from an eigensolver; perron_roots closes every strongly connected
-component by one rule: a component whose rows all have the same length d,
-as a looped single state or the free group's has, gets its exact root d
-without iterating, and the others are bracketed in one batched iteration,
-each bit for bit as perron_root brackets it alone.
+not from an eigensolver; perron_roots finds the strongly connected
+components on the successor table (Tarjan) and closes each by one rule: a
+component whose rows all have the same length d, as a looped single state
+or the free group's has, gets its exact root d without iterating, and the
+others are bracketed in one batched iteration over a padded slot table,
+with no weight matrix, each bit for bit as perron_root brackets it alone.
 
 Language(alphabet, forbidden) is a language from build to report: it builds
 its automaton on first use and gives its counts and bracket, each through
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
 from operator import add, mul, truediv
 from typing import Sequence
 
@@ -81,9 +82,10 @@ class CountingAutomaton:
     tree.walk_ghat_ball read is built once, with the transitions: succ[s]
     lists the target of each of s's transitions, one per letter, in
     increasing order, so a transfer-matrix weight M[s][t] > 1 is t repeated
-    M[s][t] times.  count_lengths pushes its exact counts along succ, which
-    spares it a multiplication per edge; perron_roots cuts its components'
-    successor lists from it.
+    M[s][t] times and no weight is stored.  count_lengths pushes its exact
+    counts along succ, which spares it a multiplication per edge;
+    perron_roots finds its components on succ and cuts their successor
+    lists from it.
     """
 
     def __init__(
@@ -324,64 +326,61 @@ def _linear_recurrence(counts: Sequence[int], n: int) -> list[int] | None:
 
 
 def _strongly_connected_components(n: int, succ: list[list[int]]) -> list[list[int]]:
-    """Kosaraju with iterative DFS; each component in increasing order."""
-    seen = [False] * n
-    order: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [(start, iter(succ[start]))]
-        while stack:
-            node, targets = stack[-1]
-            for t in targets:
-                if not seen[t]:
-                    seen[t] = True
-                    stack.append((t, iter(succ[t])))
-                    break
-            else:
-                order.append(node)
-                stack.pop()
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for s, targets in enumerate(succ):
-        for t in targets:
-            pred[t].append(s)
-    assigned = [False] * n
+    """Tarjan (1972) with an iterative DFS, no predecessor lists: each
+    component in increasing order, listed after every component it reaches.
+    index[s] is -1 until s is found, then its place on the stack (where the
+    states lie in the order found), and n once its component is out.  A
+    search keeps the least index it reaches (least); one that ends at its
+    own (at) roots a component, the stack from at up.  frames hold the
+    searches a deeper one interrupted."""
+    index = [-1] * n
+    stack: list[int] = []
     components = []
-    for node in reversed(order):
-        if assigned[node]:
+    for start in range(n):
+        if index[start] >= 0:
             continue
-        comp = [node]
-        assigned[node] = True
-        for u in comp:
-            for w in pred[u]:
-                if not assigned[w]:
-                    assigned[w] = True
-                    comp.append(w)
-        components.append(sorted(comp))
+        index[start] = at = least = 0
+        stack.append(start)
+        targets, frames = iter(succ[start]), []
+        while True:
+            for t in targets:
+                found = index[t]
+                if found < 0:
+                    frames.append((targets, at, least))
+                    index[t] = at = least = len(stack)
+                    stack.append(t)
+                    targets = iter(succ[t])
+                    break
+                if found < least:
+                    least = found
+            else:
+                if least == at:
+                    comp = stack[at:]
+                    del stack[at:]
+                    for s in comp:
+                        index[s] = n
+                    comp.sort()
+                    components.append(comp)
+                if not frames:
+                    break
+                reached = least
+                targets, at, least = frames.pop()
+                if reached < least:
+                    least = reached
     return components
 
 
-def _ellpack(succ: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """The successor lists of a matrix in an ELLPACK layout (cols, wts):
-    slot k holds the k-th successor (column cols[k][i], weight wts[k][i] = 1)
-    of every row i, successors in increasing order, short rows padded at the
-    end with weight 0 on their own column i, so every slot of a row stays in
-    its block when rows of several matrices share one layout."""
-    n = len(succ)
-    width = max(map(len, succ))
-    cols = [list(range(n)) for _ in range(width)]
-    wts = [[0] * n for _ in range(width)]
-    for i, targets in enumerate(succ):
-        for k, j in enumerate(targets):
-            cols[k][i] = j
-            wts[k][i] = 1
-    return cols, wts
+def _ellpack(succ: list[list[int]]) -> list[tuple[int, ...]]:
+    """The successor lists of a matrix in an ELLPACK layout: slot k holds
+    the k-th successor cols[k][i] of every row i, successors in increasing
+    order, and a short row is padded at the end with column n = len(succ),
+    one past the rows, which the kernels read as an entry 0 of the vector.
+    Rows of several matrices share one layout, and its one zero column, when
+    their successor lists are offset and joined."""
+    return list(zip_longest(*succ, fillvalue=len(succ)))
 
 
-def _ratio_bounds(
-    cols: list[list[int]], wts: list[list[int]], x: list[float]
-) -> tuple[float, float]:
+def _ratio_bounds(cols: list[tuple[int, ...]], x: list[float]) -> tuple[float, float]:
     """Floats lo <= min_i (MX)_i / X_i and hi >= max_i (MX)_i / X_i, with M
     in the ELLPACK layout of _ellpack and X the exact value of the float
     vector x, so [lo, hi] contains the Perron root of M when M is
@@ -389,18 +388,20 @@ def _ratio_bounds(
 
     Every float is an int over a power of two, so X is kept as the ints of
     x times its largest denominator; a zero entry becomes 1, which keeps X
-    positive.  MX is summed slot by slot in ints.  Int true division is
-    correctly rounded and monotone, so the least and greatest float ratio
-    are the exact extremes rounded to nearest; only the rows that tie one
-    are cross-multiplied against it, to decide whether it steps outward by
-    one ulp.  A ratio past the float range gives the bounds [0, inf].
+    positive.  MX is summed slot by slot in ints, the pads reading the 0
+    that extends X.  Int true division is correctly rounded and monotone, so
+    the least and greatest float ratio are the exact extremes rounded to
+    nearest; only the rows that tie one are cross-multiplied against it, to
+    decide whether it steps outward by one ulp.  A ratio past the float
+    range gives the bounds [0, inf].
     """
     pairs = [v.as_integer_ratio() for v in x]
     den = max(q for _, q in pairs)
     xs = [p * (den // q) or 1 for p, q in pairs]
+    read = [*xs, 0].__getitem__
     ys = [0] * len(xs)
-    for c, w in zip(cols, wts):
-        ys = list(map(add, ys, map(mul, w, map(xs.__getitem__, c))))
+    for c in cols:
+        ys = list(map(add, ys, map(read, c)))
     try:
         ratios = list(map(truediv, ys, xs))
     except OverflowError:
@@ -428,22 +429,25 @@ def _collatz_wielandt(
     the Collatz-Wielandt ratios of the float iterate itself, evaluated
     exactly by _ratio_bounds.  A pass costs O(edges).
 
-    The float pass is vectorised over the ELLPACK layout of _ellpack.  Each
-    row sum is accumulated slot by slot and only then added to x[i], which
-    is the order of a plain left-to-right row scan x[i] + (x[j] summed over
-    succ[i]); a padded term adds an exact 0.0.  So every float, stopping
+    The float pass gathers x, extended by a trailing 0.0 for the pads, over
+    the ELLPACK layout of _ellpack, and one reduction over the slots
+    (np.add.reduce, axis 0) sums each row slot by slot before x[i] is
+    added: the order of a plain left-to-right row scan x[i] + (x[j] summed
+    over succ[i]), a pad adding an exact 0.0.  So every float, stopping
     decision and bound is the one that uncompensated scan gives (the
     built-in sum() of floats is compensated from Python 3.12 on).
 
     The blocks are iterated together in one layout, each block's columns
-    offset by its first row.  Per-block reductions (np.maximum.reduceat and
+    offset by its first row and every pad on the one zero column after the
+    rows.  Per-block reductions (np.maximum.reduceat and
     np.minimum.reduceat) give each block's normaliser and ratio spread; a
     block whose ratios agree to tol / 4, and every block at each 512th
     iteration, gets _ratio_bounds on its own slice, and a block whose bounds
-    close leaves the layout.  So each block's floats, stopping iteration and
-    bounds are bit for bit those of a run on that block alone; with one
-    block left the loop reduces the whole iterate as such a run does.
-    Raises ResourceLimitError when a block is still open after max_iter.
+    close leaves the layout (the zero column stays last).  So each block's
+    floats, stopping iteration and bounds are bit for bit those of a run on
+    that block alone; with one block left the loop reduces the whole iterate
+    as such a run does.  Raises ResourceLimitError when a block is still
+    open after max_iter.
     """
     if not blocks:
         return []
@@ -452,34 +456,25 @@ def _collatz_wielandt(
     local = list(map(_ellpack, blocks))
     sizes = list(map(len, blocks))
     firsts = list(accumulate(sizes[:-1], initial=0))
-    if len(blocks) == 1:
-        cols, wts = local[0]
-    else:
-        cols, wts = _ellpack([
-            [j + first for j in targets]
-            for succ, first in zip(blocks, firsts)
-            for targets in succ
-        ])
+    cols = local[0] if len(blocks) == 1 else _ellpack(
+        [[j + first for j in targets] for succ, first in zip(blocks, firsts) for targets in succ]
+    )
     slot_cols = np.array(cols, dtype=np.intp)
-    slot_wts = np.array(wts, dtype=float)
-    x = np.ones(sum(sizes))
+    x = np.append(np.ones(sum(sizes)), 0.0)
+    head = x[:-1]  # the iterate; x[-1] is the pads' 0.0
     # the open blocks in layout order, with their row counts and first rows
     live, spans = list(range(len(blocks))), sizes
     bounds: list = [None] * len(blocks)
     for it in range(1, max_iter + 1):
-        terms = slot_wts * x[slot_cols]
-        acc = terms[0]
-        for k in range(1, len(terms)):
-            acc += terms[k]
-        y = x + acc
-        ratios = y / x
+        y = head + np.add.reduce(x.take(slot_cols), axis=0)
+        ratios = y / head
         if len(live) == 1:
-            x = y / y.max()
-            if not (ratios.max() - ratios.min() <= tol * 0.25 or it % 512 == 0):
+            np.divide(y, np.maximum.reduce(y), out=head)
+            if not (np.maximum.reduce(ratios) - np.minimum.reduce(ratios) <= tol * 0.25 or it % 512 == 0):
                 continue
             due = (0,)
         else:
-            x = y / np.repeat(np.maximum.reduceat(y, firsts), spans)
+            np.divide(y, np.repeat(np.maximum.reduceat(y, firsts), spans), out=head)
             if it % 512 == 0:
                 due = range(len(live))
             else:
@@ -487,7 +482,7 @@ def _collatz_wielandt(
                 due = np.flatnonzero(spread <= tol * 0.25).tolist()
         closed = []
         for i in due:
-            lo, hi = _ratio_bounds(*local[live[i]], x[firsts[i]:firsts[i] + spans[i]].tolist())
+            lo, hi = _ratio_bounds(local[live[i]], head[firsts[i]:firsts[i] + spans[i]].tolist())
             if hi - lo <= tol:
                 bounds[live[i]] = (lo, hi)
                 closed.append(i)
@@ -496,15 +491,14 @@ def _collatz_wielandt(
         if closed:
             keep_block = np.ones(len(live), dtype=bool)
             keep_block[closed] = False
-            keep = np.repeat(keep_block, spans)
+            keep = np.append(np.repeat(keep_block, spans), True)
             live = [b for b, k in zip(live, keep_block.tolist()) if k]
             spans = [sizes[b] for b in live]
             firsts = list(accumulate(spans[:-1], initial=0))
-            width = max(len(local[b][0]) for b in live)
-            renumber = np.cumsum(keep) - 1
-            slot_cols = renumber[slot_cols[:width, keep]]
-            slot_wts = slot_wts[:width, keep]
+            width = max(len(local[b]) for b in live)
+            slot_cols = (np.cumsum(keep) - 1)[slot_cols[:width, keep[:-1]]]
             x = x[keep]
+            head = x[:-1]
     raise ResourceLimitError(
         f"Perron bounds did not reach width {tol} in {max_iter} iterations"
     )
@@ -518,12 +512,13 @@ def perron_roots(
 
     The spectral radius of a block-triangular non-negative matrix is the max
     over its strongly connected components, each of which is irreducible, so
-    Collatz-Wielandt bounds per component are combined by max.  The matrix
-    is never built densely: the components are found on aut.succ, the
-    sorted successor table the automaton was built with, and each
-    component's successor lists are cut from it; their increasing order
-    fixes the order of every float sum.  Every state is reachable from
-    state 0 and accepts, so every component counts.
+    Collatz-Wielandt bounds per component are combined by max.  No matrix
+    is built, dense or weighted: Tarjan's algorithm finds the components on
+    aut.succ, the sorted successor table the automaton was built with, and
+    each component's successor lists are cut from it through one position
+    array; their increasing order fixes the order of every float sum.
+    Every state is reachable from state 0 and accepts, so every component
+    counts.
 
     One rule closes every component.  A single state with no loop has no
     cycle and is skipped, so a cycle-free automaton gets the -inf sentinel.
@@ -545,9 +540,14 @@ def perron_roots(
     blocks, owners = [], []
     for a, aut in enumerate(automata):
         succ = aut.succ
+        # pos[s]: s's place in the components listed so far, end to end; a
+        # successor outside comp lies in an earlier one, below comp's first
+        pos, first = [0] * aut.n_states, 0
         for comp in _strongly_connected_components(aut.n_states, succ):
-            local = {s: j for j, s in enumerate(comp)}
-            rows = [[local[t] for t in succ[s] if t in local] for s in comp]
+            for j, s in enumerate(comp, first):
+                pos[s] = j
+            rows = [[pos[t] - first for t in succ[s] if pos[t] >= first] for s in comp]
+            first += len(comp)
             degree = len(rows[0])
             if not degree:
                 continue  # one state with no loop: no cycle

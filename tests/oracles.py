@@ -235,6 +235,24 @@ def ghat_member(g: str, h: str, K: int) -> bool:
     return all(length < K for _, _, length in diagonal_runs(g, root))
 
 
+def mutual_reachability_classes(succ: list[list[int]]) -> list[tuple[int, ...]]:
+    """The strongly connected components of the graph in which state s has
+    the successors succ[s], each a sorted tuple, in the order of their least
+    states: s and t share one when each reaches the other (every state
+    reaches itself).  Each state's reach is found by its own search."""
+    reach = []
+    for s in range(len(succ)):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in succ[todo.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach.append(seen)
+    classes = {tuple(t for t in sorted(reach[s]) if s in reach[t]) for s in range(len(succ))}
+    return sorted(classes)
+
+
 class NotConverged(Exception):
     """collatz_wielandt_bounds did not close to width tol within max_iter."""
 

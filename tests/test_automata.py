@@ -511,6 +511,14 @@ class TestCollatzWielandtKernel:
     @example(blocks=[SLOW_CYCLE, [[(1, 2)], [(0, 1)]], [[(0, 3)]]], tol=1e-9, max_iter=200_000)
     @example(blocks=[[[(1, 2)], [(0, 1)]], SLOW_CYCLE], tol=1e-9, max_iter=511)
     @example(blocks=[[[(0, 3)]], [[(0, 3)]], SLOW_CYCLE, [[(0, 1)]]], tol=1e-12, max_iter=200_000)
+    # the widest block (rows of 4 slots) closes at the first iteration, with
+    # narrower slow blocks on both sides of it: the layout loses two slots
+    # and the live blocks' pads move to the renumbered zero column
+    @example(
+        blocks=[SLOW_CYCLE, [[(0, 1), (1, 3)], [(0, 3), (1, 1)]], SLOW_CYCLE[:23] + [[(0, 1)]]],
+        tol=1e-9,
+        max_iter=200_000,
+    )
     def test_batch_matches_reference_per_block(self, blocks, tol, max_iter):
         # a batch fails exactly when some block alone fails, and otherwise
         # gives every block the bounds it gets alone
@@ -543,7 +551,7 @@ class TestRatioBounds:
         assert [float(r) for r in exact] == [2.0, 3.0, 2.0, 3.0]
         assert exact[0] == 2 and exact[2] < 2 and exact[1] > 3 and exact[3] == 3
         succ, unit_rows = as_successors(TIED_CYCLE)
-        bounds = _ratio_bounds(*_ellpack(succ), TIED_VECTOR)
+        bounds = _ratio_bounds(_ellpack(succ), TIED_VECTOR)
         assert bounds == (math.nextafter(2.0, 0.0), math.nextafter(3.0, 4.0))
         assert bounds == oracles.exact_ratio_bounds(unit_rows, TIED_VECTOR)
         # the Perron root of the cycle is (2 * 2 * 3 * 3) ** (1 / 4)
@@ -556,7 +564,7 @@ class TestRatioBounds:
     )
     def test_entries_spanning_more_than_2_to_the_600(self, vec):
         succ, unit_rows = as_successors([[(1, 1), (3, 2)], [(2, 1)], [(3, 1)], [(0, 1)]])
-        bounds = _ratio_bounds(*_ellpack(succ), vec)
+        bounds = _ratio_bounds(_ellpack(succ), vec)
         assert all(type(b) is float for b in bounds)
         assert bounds == oracles.exact_ratio_bounds(unit_rows, vec)
         # 1 / 5e-324 is 2**1074: no float holds that ratio
@@ -881,6 +889,58 @@ class TestCountRecurrence:
         monkeypatch.setattr(automata, "_linear_recurrence", refuse)
         for aut, r_max in [(BASE2, 30), (free_group(3), 24), (avoid2("ab"), 10)]:
             assert list(count_lengths(aut, r_max).spheres) == dp_counts(aut, r_max)
+
+
+@st.composite
+def digraphs(draw):
+    """Successor lists of a random graph on 1-30 states, each in increasing
+    order; loops, parallel edges and states no other reaches are all drawn."""
+    n = draw(st.integers(1, 30))
+    return [sorted(draw(st.lists(st.integers(0, n - 1), max_size=4))) for _ in range(n)]
+
+
+def assert_components(succ: list[list[int]]) -> None:
+    """Tarjan's components are the mutual-reachability classes of
+    oracles.py, each in increasing order, and each listed after every
+    component it reaches (perron_roots cuts a component's rows by that
+    order): every edge leads to the same component or an earlier one."""
+    components = automata._strongly_connected_components(len(succ), succ)
+    assert all(comp == sorted(comp) for comp in components)
+    assert sorted(map(tuple, components)) == oracles.mutual_reachability_classes(succ)
+    listed = {s: i for i, comp in enumerate(components) for s in comp}
+    assert all(listed[t] <= listed[s] for s, targets in enumerate(succ) for t in targets)
+
+
+class TestStronglyConnectedComponents:
+    """_strongly_connected_components (iterative Tarjan) against plain
+    searches from every state."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(aut=counted_automata())
+    def test_counted_automata(self, aut):
+        assert_components(aut.succ)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=ghat_cases())
+    def test_ghat_automata(self, case):
+        rank, h, m = case
+        word = parse_word(RANKS[rank], oracles.to_lib_text(h))
+        assert_components(ghat_language(RANKS[rank], word, m).automaton.succ)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=forbidden_sets())
+    def test_avoid_automata(self, case):
+        rank, forbidden = case
+        alphabet = RANKS[rank]
+        words = [parse_word(alphabet, oracles.to_lib_text(f)) for f in forbidden]
+        assert_components(avoid_factors(alphabet, words).succ)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(succ=digraphs())
+    @example(succ=[[]])
+    @example(succ=[[1], [2], [0], [2, 4], [3]])
+    def test_any_graph(self, succ):
+        assert_components(succ)
 
 
 def bracket_of(lo: float, hi: float) -> tuple[float, float]:

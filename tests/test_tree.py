@@ -35,8 +35,7 @@ from growthtight import (
     walk_ghat_ball,
 )
 from growthtight import automata, tree
-from growthtight.tree import D_TREE, _frame_coordinate, _meet
-from growthtight.words import _reduce_concat
+from growthtight.tree import D_TREE, _meet
 
 import oracles
 from conftest import RANK2, RANK3, chars, report_fields, word2
@@ -398,6 +397,31 @@ class TestRandomFamilyAgainstPerAxisChecks:
         ) > 0
 
 
+def literal_orbit_rows(local_g, p, frame, base, n_max) -> tuple:
+    """(n, |coordinate of g^n p - base|) for n = 1..n_max, the orbit built
+    letter by letter in the axis frame.  x holds the letters of g^n p last
+    first, so prepending local_g pushes or cancels |local_g| letters at the
+    end of a list.  The coordinate is the length of the longest agreement of
+    x's first letters with the root's forward ray, or minus that with its
+    backward ray; the root is cyclically reduced, so at most one ray starts
+    with x's first letter."""
+    forward, backward = frame[2], frame[3]
+    x = list(reversed(p))
+    rows = []
+    for n in range(1, n_max + 1):
+        for a in reversed(local_g):
+            if x and x[-1] == a ^ 1:
+                x.pop()
+            else:
+                x.append(a)
+        sign, ray = (1, forward) if x and x[-1] == forward[0] else (-1, backward)
+        m = 0
+        while m < len(x) and x[-1 - m] == ray[m % len(ray)]:
+            m += 1
+        rows.append((n, abs(sign * m - base)))
+    return tuple(rows)
+
+
 class TestLemma31:
     def test_power_of_the_axis_element(self):
         rep = lemma31_bound_check(AB, word2("abab"), 6)
@@ -494,11 +518,8 @@ class TestLemma31:
                     if rep.branch != "bounded-projection":
                         continue
                     local_g = (~ax.origin * g * ax.origin).letters
-                    rows, x = [], p
-                    for n in range(1, 41):
-                        x = _reduce_concat(local_g, x)
-                        rows.append((n, abs(_frame_coordinate(x, ax.frame)[0] - base)))
-                    assert rep.rows == tuple(rows), (chars(h), t and chars(t), chars(g))
+                    rows = literal_orbit_rows(local_g, p, ax.frame, base, 40)
+                    assert rep.rows == rows, (chars(h), t and chars(t), chars(g))
                     checked += 1
         assert checked == 153_948
         # translated axes only: 268 powers of the line element pass the power
