@@ -56,30 +56,23 @@ from .quotients import (
 from .tree import (
     Axis,
     check_projection_axioms,
-    find_long_projections,
     ghat_language,
     ghat_membership_exact,
     lemma31_bound_check,
     lemma31_sweep,
-    project_axis_onto_axis,
-    project_to_axis,
     random_axis_family,
-    same_line,
     shorten,
     shorten_sweep,
     shorten_threshold,
-    walk_ghat_ball,
 )
 from .words import (
     Alphabet,
     ReducedWord,
-    cyclic_reduce,
     enumerate_ball,
     enumerate_sphere,
     format_word,
     free_reduce,
     parse_word,
-    primitive_root,
     sphere_size,
 )
 

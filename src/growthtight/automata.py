@@ -79,7 +79,7 @@ class CountingAutomaton:
     a breach is invalid input.
 
     The successor table that count_lengths, perron_roots and
-    tree.walk_ghat_ball read is built once, with the transitions: succ[s]
+    tree._walk_ghat_letters read is built once, with the transitions: succ[s]
     lists the target of each of s's transitions, one per letter, in
     increasing order, so a transfer-matrix weight M[s][t] > 1 is t repeated
     M[s][t] times and no weight is stored.  count_lengths pushes its exact

@@ -6,11 +6,11 @@ origin * (prefixes of t^infinity and t^-infinity).  Because t is cyclically
 reduced, the two rays leave the origin through different edges, so projections
 reduce to longest-common-prefix scans.  The scans read an axis through its
 letter frame (_letter_frame): the letters of the origin, of its inverse, of
-the root and of its inverse.  Axis-to-axis geometry (same_line, the
-projection of one axis onto another) is one scan from a shared vertex
-(_meet), and that scan gives the intervals of a pair on both axes, so the
-projection axioms scan each unordered pair once and score the intervals in
-one place (_score_axes).  Long projections of [o, g.o] onto translated
+the root and of its inverse.  Axis-to-axis geometry (whether two axes are
+one line, the projection of one axis onto another) is one scan from a shared
+vertex (_meet), and that scan gives the intervals of a pair on both axes, so
+the projection axioms scan each unordered pair once and score the intervals
+in one place (_score_axes).  Long projections of [o, g.o] onto translated
 axes (the restricted set Ghat, the shortening move) are the maximal runs of g
 reading the root forward, found by the same prefix scan; a run's witness is
 built only where it is returned, and a shortening step deletes one core's
@@ -121,21 +121,6 @@ class Axis:
             len(self.core) // len(self.root), coordinate, p, _inverse(p),
         )
 
-    def ray_prefix(self, coordinate: int) -> ReducedWord:
-        """Vertex at signed arc-length position in the axis frame (origin at 1)."""
-        return _word(self.alphabet, _ray_prefix(self.frame, coordinate))
-
-    def point(self, coordinate: int) -> ReducedWord:
-        """Vertex at signed arc-length position along the core direction."""
-        return self.origin * self.ray_prefix(coordinate)
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    foot: ReducedWord
-    distance: int
-    axis_coordinate: int
-
 
 def _agreement(letters: Sequence[int], ray: Sequence[int], phase: int = 0) -> int:
     """Length of the longest common prefix of letters and the periodic word
@@ -177,15 +162,6 @@ def _frame_coordinate(v: Sequence[int], frame: tuple) -> tuple[int, int]:
     return coordinate, len(v) - max(forward, backward)
 
 
-def project_to_axis(x: ReducedWord, ax: Axis) -> ProjectionResult:
-    """Nearest-point projection of the vertex x onto the axis (unique in a tree)."""
-    _check_same_alphabet(x, ax.element)
-    coordinate, distance = _frame_coordinate(_reduce_concat(ax.frame[1], x.letters), ax.frame)
-    return ProjectionResult(
-        foot=ax.point(coordinate), distance=distance, axis_coordinate=coordinate
-    )
-
-
 def _meet(source: tuple, target: tuple) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """(target-coordinate interval onto which the whole source line projects,
     source-coordinate interval onto which the whole target line projects),
@@ -196,9 +172,9 @@ def _meet(source: tuple, target: tuple) -> tuple[tuple[int, int], tuple[int, int
     meeting lines project to their shared segment, read in either frame.
     From a shared vertex each source ray follows at most one target ray, and
     distinct lines agree on fewer than |root_s| + |root_t| letters
-    (Fine-Wilf), so reaching that cap means the same line.  Every
-    axis-to-axis question (same_line, project_axis_onto_axis, the projection
-    axioms of explicit and of random axes) is answered by this scan.
+    (Fine-Wilf), so reaching that cap means the same line.  The projection
+    axioms of explicit and of random axes ask every axis-to-axis question
+    through this scan.
     """
     origin, _, s, s_back = source
     _, target_origin_inverse, t, t_back = target
@@ -231,19 +207,6 @@ def _meet(source: tuple, target: tuple) -> tuple[tuple[int, int], tuple[int, int
         spans.append(max(forward, backward))
         lo, hi = min(lo, c - backward), max(hi, c + forward)
     return (lo, hi), (j - spans[1], j + spans[0])
-
-
-def same_line(a: Axis, b: Axis) -> bool:
-    """Whether two axes are the same bi-infinite geodesic (as vertex sets)."""
-    return a.alphabet == b.alphabet and _meet(a.frame, b.frame) is None
-
-
-def project_axis_onto_axis(source: Axis, target: Axis) -> tuple[int, int]:
-    """Coordinate interval on target swept by projecting the whole source line."""
-    meet = _meet(source.frame, target.frame)
-    if meet is None:
-        raise InvalidInputError("source and target are the same line")
-    return meet[0]
 
 
 def _score_axes(
@@ -304,12 +267,16 @@ def check_projection_axioms(
     points feed an idempotence self-check of the projection map; (P2)
     finiteness is automatic for a finite family.  Each unordered pair is
     scanned once (_meet), lowest pair first, and the scans go to the scorer
-    that random_axis_family shares.
+    that random_axis_family shares.  The axes and the sample points must
+    share one alphabet.
     """
-    frames = [ax.frame for ax in axes]
     for ax in axes:
+        # the scans read letters only: an axis of another rank would be
+        # compared letter by letter, as a line of this alphabet
+        _check_same_alphabet(ax.element, axes[0].element)
         for x in sample:
             _check_same_alphabet(x, ax.element)
+    frames = [ax.frame for ax in axes]
     meets = {}
     for ti, target in enumerate(frames):
         for si in range(ti + 1, len(frames)):
@@ -562,7 +529,8 @@ class LongProjectionWitness:
 def _axis_parts(h: ReducedWord) -> tuple[ReducedWord, ReducedWord, ReducedWord]:
     """(core, conjugator, root) of non-trivial h: h = conjugator * core *
     conjugator^-1 with core cyclically reduced, a power of its primitive root.
-    Cached, since a sweep asks once per word for the same few h."""
+    Cached, since the section check asks once per word for the same few h
+    (ghat_membership_exact); the sweeps read h's parts once."""
     if not h:
         raise InvalidInputError("h must be non-trivial")
     conjugator, root, e = _root_key(h.letters)
@@ -571,10 +539,6 @@ def _axis_parts(h: ReducedWord) -> tuple[ReducedWord, ReducedWord, ReducedWord]:
         _word(h.alphabet, conjugator),
         _word(h.alphabet, root),
     )
-
-
-def _threshold(core: ReducedWord, conjugator: ReducedWord) -> int:
-    return 2 * (len(core) + 2 * len(conjugator)) + 2
 
 
 def _long_runs(letters: Sequence[int], ray: Sequence[int], K: int) -> list[tuple[int, int, int]]:
@@ -608,52 +572,20 @@ def _run_k(
     )
 
 
-def _witness(
-    alphabet: Alphabet, k: tuple[int, ...], run: tuple[int, int, int]
-) -> LongProjectionWitness:
-    """The witness of one long run, whose k has the given letters."""
-    start, phase, length = run
-    return LongProjectionWitness(
-        k=_word(alphabet, k), projection_diameter=length, start=start, phase=phase
-    )
-
-
-def _checked_runs(
-    g: ReducedWord, h: ReducedWord, K: int
-) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, int, int]]]:
-    """(conjugator^-1, root) letters and the long runs of g against h's
-    axis, after checking the alphabets, h and K."""
-    _check_same_alphabet(g, h)
-    _, conjugator, root = _axis_parts(h)
-    if K < 1:
-        raise InvalidInputError(f"K must be >= 1, got {K}")
-    return _inverse(conjugator.letters), root.letters, _long_runs(g.letters, root.letters, K)
-
-
-def find_long_projections(
-    g: ReducedWord, h: ReducedWord, K: int
-) -> list[LongProjectionWitness]:
-    """All K-long positive projections of the geodesic [o, g.o] onto translates
-    of h's axis.
-
-    In the tree the projection diameter onto a translated axis equals the
-    overlap of [o, g.o] with that line, and positively aligned overlaps are
-    exactly the maximal runs of g reading core^infinity forward.
-    """
-    conjugator_inverse, root, runs = _checked_runs(g, h, K)
-    return [
-        _witness(g.alphabet, _run_k(g.letters, run, root, conjugator_inverse), run)
-        for run in runs
-    ]
-
-
 def ghat_membership_exact(g: ReducedWord, h: ReducedWord, K: int) -> bool:
     """Whether no subsegment of [o, g.o] has a K-long positive h-projection.
 
+    In the tree the projection diameter onto a translated axis equals the
+    overlap of [o, g.o] with that line, and positively aligned overlaps are
+    exactly the maximal runs of g reading core^infinity forward (_long_runs).
     Subsegment witnesses are sub-runs of runs of the full geodesic, so this is
     simply whether g has no K-long run.
     """
-    return not _checked_runs(g, h, K)[2]
+    _check_same_alphabet(g, h)
+    root = _axis_parts(h)[2]
+    if K < 1:
+        raise InvalidInputError(f"K must be >= 1, got {K}")
+    return not _long_runs(g.letters, root.letters, K)
 
 
 def ghat_language(alphabet: Alphabet, h: ReducedWord, m: int) -> Language:
@@ -673,34 +605,6 @@ def ghat_language(alphabet: Alphabet, h: ReducedWord, m: int) -> Language:
     return Language(alphabet, [_word(alphabet, f) for f in sorted(factors)])
 
 
-def walk_ghat_ball(
-    alphabet: Alphabet,
-    h: ReducedWord,
-    K: int,
-    g_max: int,
-    outside: Callable[[ReducedWord], None],
-) -> tuple[int, int]:
-    """Count the reduced words of length <= g_max and those in Ghat(K);
-    returns (words checked, words in Ghat(K)) and calls outside(g) on every
-    other word, in lexicographic (not shortlex) order.
-
-    The walk runs depth first through the automaton of ghat_language(alphabet,
-    h, K), built at a smaller m when that accepts the same words of length
-    <= g_max (_walk_ghat_letters).  Ghat(K) is closed under taking subwords,
-    so a missing transition puts a word and its whole subtree outside, and
-    that subtree is listed without lookups.
-    At a word in Ghat(K) with r letters left, inside[r][state] counts the
-    words of length <= r the automaton reads from its state (the DP of
-    count_lengths) and free[r] all reduced words of length <= r after a
-    letter.  When the two agree the subtree lies in Ghat(K) and is counted
-    without being visited, so only the words outside and their prefixes are
-    walked.  Only the current root-to-leaf path is held.
-    """
-    return _walk_ghat_letters(
-        alphabet, h, K, g_max, lambda letters: outside(_word(alphabet, letters))
-    )
-
-
 def _walk_ghat_letters(
     alphabet: Alphabet,
     h: ReducedWord,
@@ -708,8 +612,20 @@ def _walk_ghat_letters(
     g_max: int,
     outside: Callable[[tuple[int, ...]], None],
 ) -> tuple[int, int]:
-    """walk_ghat_ball, calling outside on the letters of each word outside
-    Ghat(K).
+    """Count the reduced words of length <= g_max and those in Ghat(K);
+    returns (words checked, words in Ghat(K)) and calls outside on the
+    letters of every other word, in lexicographic (not shortlex) order.
+
+    The walk runs depth first through the automaton of ghat_language(alphabet,
+    h, K).  Ghat(K) is closed under taking subwords, so a missing transition
+    puts a word and its whole subtree outside, and that subtree is listed
+    without lookups.
+    At a word in Ghat(K) with r letters left, inside[r][state] counts the
+    words of length <= r the automaton reads from its state (the DP of
+    count_lengths) and free[r] all reduced words of length <= r after a
+    letter.  When the two agree the subtree lies in Ghat(K) and is counted
+    without being visited, so only the words outside and their prefixes are
+    walked.  Only the current root-to-leaf path is held.
 
     No word of length <= g_max has a run of length >= g_max + 1, so every K
     past that and past |core| (ghat_language's least m) gives the same
@@ -759,9 +675,11 @@ def _walk_ghat_letters(
 
 
 def shorten_threshold(h: ReducedWord) -> int:
-    """Smallest K accepted by shorten: 2 D' + 2 with D' = |core| + 2|conjugator|."""
-    core, conjugator, _ = _axis_parts(h)
-    return _threshold(core, conjugator)
+    """Smallest K accepted by shorten: 2 D' + 2 with D' = |core| + 2|conjugator|,
+    which is |h| for h = conjugator * core * conjugator^-1."""
+    if not h:
+        raise InvalidInputError("h must be non-trivial")
+    return 2 * len(h) + 2
 
 
 @dataclass(frozen=True)
@@ -803,16 +721,17 @@ def shorten(g: ReducedWord, h: ReducedWord, K: int) -> ShortenResult | None:
     builds the result's words and witness.
     """
     _check_same_alphabet(g, h)
-    core, conjugator, root = _axis_parts(h)
-    threshold = _threshold(core, conjugator)
+    threshold = shorten_threshold(h)
     if K < threshold:
         raise InvalidInputError(f"K={K} below shortening threshold {threshold}")
+    core, conjugator, root = _axis_parts(h)
     step = _shortened(g.letters, root.letters, _inverse(conjugator.letters), len(core), K)
     if step is None:
         return None
-    g_prime, k, run = step
-    witness = _witness(g.alphabet, k, run)
-    return ShortenResult(g_prime=_word(g.alphabet, g_prime), k=witness.k, witness=witness)
+    g_prime, k, (start, phase, length) = step
+    k = _word(g.alphabet, k)
+    witness = LongProjectionWitness(k=k, projection_diameter=length, start=start, phase=phase)
+    return ShortenResult(g_prime=_word(g.alphabet, g_prime), k=k, witness=witness)
 
 
 def shorten_sweep(
@@ -830,13 +749,13 @@ def shorten_sweep(
     """
     _check_cutoff("g_max", g_max, cutoff)
     _check_same_alphabet(h, alphabet.identity)
-    core, conjugator, root = _axis_parts(h)
-    threshold = _threshold(core, conjugator)
+    threshold = shorten_threshold(h)
     K = threshold if K is None else K
     if K < threshold:
         raise InvalidInputError(
             f"shorten_sweep K={K!r} below the shortening threshold {threshold} of h"
         )
+    core, conjugator, root = _axis_parts(h)
     root = root.letters
     core_length = len(core)
     conjugator_inverse = _inverse(conjugator.letters)

@@ -178,14 +178,6 @@ def free_reduce(alphabet: Alphabet, raw: Iterable[int | str]) -> ReducedWord:
     return _word(alphabet, tuple(letters))
 
 
-def cyclic_reduce(w: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
-    """Split w = conjugator * core * conjugator^-1 with core cyclically reduced."""
-    if not w:
-        return w, w
-    conjugator, root, e = _root_key(w.letters)
-    return _word(w.alphabet, root * e), _word(w.alphabet, conjugator)
-
-
 def _root_key(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(conjugator, root, e) of non-empty reduced letters w: w = conjugator
     root^e conjugator^-1 with root cyclically reduced and primitive, e >= 1
@@ -201,15 +193,6 @@ def _root_key(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...
         if m % d == 0 and core == core[:d] * (m // d):
             return letters[:i], core[:d], m // d
     raise AssertionError("unreachable: every word is a power of itself")
-
-
-def primitive_root(w: ReducedWord) -> tuple[ReducedWord, int]:
-    """Return (r, e) with w = r**e, e >= 1 maximal; w must be non-trivial."""
-    if not w:
-        raise InvalidInputError("identity has no primitive root")
-    conjugator, root, e = _root_key(w.letters)
-    # no letters cancel: root starts and ends like the core w conjugates
-    return _word(w.alphabet, conjugator + root + _inverse(conjugator)), e
 
 
 def parse_word(alphabet: Alphabet, text: str) -> ReducedWord:

@@ -29,7 +29,6 @@ from growthtight import (
     ghat_membership_exact,
     lemma31_bound_check,
     perron_root,
-    same_line,
     shorten,
     shorten_threshold,
     sphere_size,
@@ -173,13 +172,15 @@ def test_random_axis_triples_obey_the_projection_constant():
     projection quantities."""
     rng = random.Random(20260814)
     for _ in range(200):
-        axes: list[Axis] = []
-        while len(axes) < 3:
+        hs: list[str] = []
+        while len(hs) < 3:
             core = _random_reduced(rng, rng.randint(1, 3), cyclic=True)
             conj = _random_reduced(rng, rng.randint(0, 1), cyclic=False)
-            ax = Axis.from_element(word2(conj) * word2(core) * ~word2(conj))
-            if not any(same_line(ax, other) for other in axes):
-                axes.append(ax)
+            h = oracles.mult(oracles.mult(conj, core), oracles.invert(conj))
+            # distinct lines, told apart by the oracle's windowed projection
+            if all(oracles.axis_overlap(h, "", other, "") is not None for other in hs):
+                hs.append(h)
+        axes = [Axis.from_element(word2(h)) for h in hs]
         bound = max(len(a.core) for a in axes) + 2 * max(
             len(a.conjugator) for a in axes
         )

@@ -1365,8 +1365,8 @@ class TestShortenSweep:
 
         # every name the sweeps and the ghat job look their work up by
         for module, names in (
-            (tree, ("shorten", "_shortened", "walk_ghat_ball", "_walk_ghat_letters",
-                    "lemma31_bound_check", "_lemma31_orbit", "iter_sphere_letters")),
+            (tree, ("shorten", "_shortened", "_walk_ghat_letters", "lemma31_bound_check",
+                    "_lemma31_orbit", "iter_sphere_letters")),
             (words, ("enumerate_sphere", "iter_sphere_letters")),
             (automata, ("enumerate_sphere", "avoid_factors", "count_lengths", "perron_root",
                         "perron_roots")),
@@ -1383,7 +1383,7 @@ class TestShortenSweep:
         def untouchable(*args, **kwargs):
             raise AssertionError("the sweep ran before m was checked")
 
-        for name in ("shorten", "_shortened", "walk_ghat_ball", "_walk_ghat_letters"):
+        for name in ("shorten", "_shortened", "_walk_ghat_letters"):
             monkeypatch.setattr(tree, name, untouchable)
         job = write_job(
             tmp_path, "ghat", {"rank": 2, "h": "a b", "m": 1, "shorten_sweep": {"g_max": 13}}

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import growthtight
@@ -33,3 +35,22 @@ def test_only_automata_builds_counts_and_brackets_a_language():
             for alias in node.names
         }
         assert not imported & wrapped, module.__name__
+
+
+def test_every_trace_target_resolves():
+    # the traced benchmark wraps these functions by name and stops on a
+    # missing one; read its table from the file, as the benchmark runs it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert layertrace.PACKAGE == growthtight.__name__
+    missing = [
+        f"{module}.{function}"
+        for module, function, _, _ in layertrace.TARGETS
+        if not callable(
+            getattr(importlib.import_module(f"growthtight.{module}"), function, None)
+        )
+    ]
+    assert len(layertrace.TARGETS) > 0
+    assert missing == []

@@ -13,29 +13,32 @@ from growthtight import (
     AlphabetMismatchError,
     Axis,
     InvalidInputError,
+    ReducedWord,
     check_projection_axioms,
     count_lengths,
     enumerate_ball,
     enumerate_sphere,
-    find_long_projections,
     format_word,
     ghat_language,
     ghat_membership_exact,
     lemma31_bound_check,
     lemma31_sweep,
     parse_word,
-    primitive_root,
-    project_axis_onto_axis,
-    project_to_axis,
     random_axis_family,
-    same_line,
     shorten,
     shorten_sweep,
     shorten_threshold,
-    walk_ghat_ball,
 )
 from growthtight import automata, tree
-from growthtight.tree import D_TREE, _meet
+from growthtight.tree import (
+    D_TREE,
+    _frame_coordinate,
+    _long_runs,
+    _meet,
+    _ray_prefix,
+    _run_k,
+    _walk_ghat_letters,
+)
 
 import oracles
 from conftest import RANK2, RANK3, chars, report_fields, word2
@@ -57,12 +60,22 @@ def axis2(text: str, translate: str | None = None) -> Axis:
     return Axis.from_element(word2(text), t)
 
 
+def project(x: ReducedWord, ax: Axis) -> tuple[int, int]:
+    """(coordinate, distance) of the projection of the vertex x onto ax."""
+    return _frame_coordinate((~ax.origin * x).letters, ax.frame)
+
+
+def vertex(ax: Axis, coordinate: int) -> ReducedWord:
+    """The vertex of ax at a signed coordinate."""
+    return ax.origin * ReducedWord(ax.alphabet, _ray_prefix(ax.frame, coordinate))
+
+
 class TestAxis:
     @pytest.mark.parametrize("h", ["a", "ab", "baB", "aab", "abab"])
     def test_points_match_ray_walk(self, h):
         ax = axis2(h)
         for coord in range(-6, 7):
-            assert chars(ax.point(coord)) == oracles.axis_vertex(h, coord)
+            assert chars(vertex(ax, coord)) == oracles.axis_vertex(h, coord)
 
     @pytest.mark.parametrize("h", ["ab", "baB", "aa", "bAAb"])
     def test_powers_are_quasi_geodesic(self, h):
@@ -95,9 +108,8 @@ class TestProjection:
         ],
     )
     def test_frozen_projections_onto_ab_axis(self, x, coord, dist):
-        res = project_to_axis(word2(x), AB)
-        assert (res.axis_coordinate, res.distance) == (coord, dist)
-        assert res.foot == AB.point(coord)
+        assert project(word2(x), AB) == (coord, dist) == oracles.brute_project(x, "ab")
+        assert chars(vertex(AB, coord)) == oracles.axis_vertex("ab", coord)
 
     def test_matches_brute_nearest_vertex(self):
         rng = random.Random(8)
@@ -105,73 +117,96 @@ class TestProjection:
         for _ in range(300):
             h = rng.choice(pool)
             x = rand_chars(rng, 2, rng.randrange(9))
-            res = project_to_axis(word2(x), axis2(h))
-            assert (res.axis_coordinate, res.distance) == oracles.brute_project(x, h)
+            assert project(word2(x), axis2(h)) == oracles.brute_project(x, h)
 
     def test_projection_is_idempotent(self):
         rng = random.Random(9)
         for _ in range(60):
-            ax = axis2(rng.choice(["ab", "baB", "aab"]))
-            x = word2(rand_chars(rng, 2, rng.randrange(8)))
-            foot = project_to_axis(x, ax).foot
-            again = project_to_axis(foot, ax)
-            assert again.distance == 0 and again.foot == foot
+            h = rng.choice(["ab", "baB", "aab"])
+            ax = axis2(h)
+            coord, _ = project(word2(rand_chars(rng, 2, rng.randrange(8))), ax)
+            foot = vertex(ax, coord)
+            assert project(foot, ax) == (coord, 0) == oracles.brute_project(chars(foot), h)
 
     def test_equivariance_under_translation(self):
         rng = random.Random(10)
         for _ in range(60):
             w = word2(rand_chars(rng, 2, rng.randrange(6)))
             x = word2(rand_chars(rng, 2, rng.randrange(8)))
-            base = project_to_axis(x, AB)
-            moved = project_to_axis(w * x, Axis.from_element(AB.element, w * AB.translate))
-            assert moved.axis_coordinate == base.axis_coordinate
-            assert moved.distance == base.distance
-            assert moved.foot == w * base.foot
+            moved_axis = Axis.from_element(AB.element, w * AB.translate)
+            coord, dist = project(x, AB)
+            assert project(w * x, moved_axis) == (coord, dist)
+            assert vertex(moved_axis, coord) == w * vertex(AB, coord)
 
     def test_segment_off_the_line_projects_to_one_point(self):
         # every vertex of [b, baBA] hangs in the b-branch: single common foot
         path = ["b", "ba", "baB", "baBA"]
-        feet = {project_to_axis(word2(v), AB).foot for v in path}
-        assert feet == {AB.origin}
-        assert [project_to_axis(word2(v), AB).distance for v in path] == [1, 2, 3, 4]
+        got = [project(word2(v), AB) for v in path]
+        assert got == [oracles.brute_project(v, "ab") for v in path]
+        assert {vertex(AB, coord) for coord, _ in got} == {AB.origin}
+        assert [dist for _, dist in got] == [1, 2, 3, 4]
+
+
+def meets(source: Axis, target: Axis):
+    """_meet of two axes, read from their letter frames."""
+    return _meet(source.frame, target.frame)
 
 
 class TestSameLine:
+    """_meet returns None exactly on the pairs that oracles.axis_overlap
+    finds on one line."""
+
     def test_power_spans_the_same_line(self):
-        assert same_line(AB, axis2("abab"))
+        assert meets(AB, axis2("abab")) is None
+        assert oracles.axis_overlap("ab", "", "abab", "") is None
 
     def test_inverse_spans_the_same_line(self):
-        assert same_line(AB, axis2("BA"))
+        assert meets(AB, axis2("BA")) is None
+        assert oracles.axis_overlap("ab", "", "BA", "") is None
 
     def test_translate_along_the_line(self):
-        assert same_line(AB, axis2("ab", "abab"))
+        assert meets(AB, axis2("ab", "abab")) is None
+        assert oracles.axis_overlap("ab", "", "ab", "abab") is None
 
     def test_swapped_letters_differ(self):
-        assert not same_line(AB, axis2("ba"))
+        assert meets(AB, axis2("ba")) == ((0, 0), (0, 0))
+        assert oracles.axis_overlap("ab", "", "ba", "") == (0, 0)
+        assert oracles.axis_overlap("ba", "", "ab", "") == (0, 0)
 
     def test_translate_off_the_line_differs(self):
-        assert not same_line(AB, axis2("ab", "b"))
+        # the lines cross only at the identity: b B, coordinate -1 of the moved axis
+        assert meets(AB, axis2("ab", "b")) == ((-1, -1), (0, 0))
+        assert oracles.axis_overlap("ab", "", "ab", "b") == (-1, -1)
+        assert oracles.axis_overlap("ab", "b", "ab", "") == (0, 0)
 
     def test_alphabet_mismatch(self):
-        assert not same_line(AB, Axis.from_element(parse_word(RANK3, "a b")))
+        # the letter scans cannot tell alphabets apart, so the public entry refuses
+        with pytest.raises(AlphabetMismatchError):
+            check_projection_axioms([AB, Axis.from_element(parse_word(RANK3, "a b"))])
 
 
 class TestAxisOntoAxis:
+    """The first interval of _meet, against oracles.axis_overlap."""
+
     def test_crossing_lines_project_to_the_crossing(self):
-        assert project_axis_onto_axis(axis2("ba"), AB) == (0, 0)
+        assert meets(axis2("ba"), AB)[0] == (0, 0) == oracles.axis_overlap("ba", "", "ab", "")
 
     def test_shared_segment_is_the_interval(self):
         # axis(aba) runs along a, ab, aba before branching off
-        assert project_axis_onto_axis(axis2("aba"), AB) == (0, 3)
-        assert project_axis_onto_axis(AB, axis2("aba")) == (0, 3)
+        assert meets(axis2("aba"), AB) == ((0, 3), (0, 3))
+        assert oracles.axis_overlap("aba", "", "ab", "") == (0, 3)
+        assert oracles.axis_overlap("ab", "", "aba", "") == (0, 3)
 
     def test_far_translate_projects_to_a_point(self):
-        lo, hi = project_axis_onto_axis(axis2("ab", "bbb"), AB)
+        lo, hi = meets(axis2("ab", "bbb"), AB)[0]
         assert hi - lo == 0
+        assert (lo, hi) == oracles.axis_overlap("ab", "bbb", "ab", "")
 
     def test_same_line_is_rejected(self):
-        with pytest.raises(InvalidInputError):
-            project_axis_onto_axis(AB, axis2("abab"))
+        assert meets(AB, axis2("abab")) is None
+        assert oracles.axis_overlap("abab", "", "ab", "") is None
+        with pytest.raises(InvalidInputError, match="same line"):
+            check_projection_axioms([axis2("abab"), AB])
 
 
 @st.composite
@@ -248,16 +283,12 @@ class TestOverlapReference:
 
         source, target = axis(source_h, source_t), axis(target_h, target_t)
         want = oracles.axis_overlap(source_h, source_t, target_h, target_t)
-        assert same_line(source, target) == (want is None)
         if want is None:
-            with pytest.raises(InvalidInputError, match="same line"):
-                project_axis_onto_axis(source, target)
-            assert _meet(source.frame, target.frame) is None
+            assert meets(source, target) is None
         else:
-            assert project_axis_onto_axis(source, target) == want
             # the same scan gives the interval of target's line on source
             reverse = oracles.axis_overlap(target_h, target_t, source_h, source_t)
-            assert _meet(source.frame, target.frame) == (want, reverse)
+            assert meets(source, target) == (want, reverse)
 
 
 class TestProjectionAxioms:
@@ -300,13 +331,22 @@ class TestProjectionAxioms:
         with pytest.raises(InvalidInputError, match="axes 1 and 3 are the same line"):
             check_projection_axioms(family)
 
+    def test_axes_of_another_rank_are_rejected(self):
+        # these axes were once scored as three lines of one alphabet, with no
+        # error; a rank-2 and a rank-3 a b were once called the same line
+        # (TestSameLine::test_alphabet_mismatch)
+        family = [(2, "a b"), (3, "c"), (2, "b")]
+        axes = [Axis.from_element(parse_word(Alphabet(rank), h)) for rank, h in family]
+        with pytest.raises(AlphabetMismatchError):
+            check_projection_axioms(axes)
+
 
 def per_axis_random_family(alphabet, samples, candidate_xi, *, seed, triples, core_max,
                            conjugator_max) -> dict:
     """random_axis_family as it ran on Axis objects: the same draws, one
-    Axis.from_element per distinct h, lines told apart by same_line, and
-    each triple scored by the projection axioms written on the public
-    per-axis functions."""
+    Axis.from_element per distinct h, lines told apart by _meet, and each
+    triple scored by the projection axioms written out per axis on _meet
+    and _frame_coordinate."""
     rng = random.Random(seed)
     options = tree._letter_options(alphabet)
     drawn = {}
@@ -325,7 +365,7 @@ def per_axis_random_family(alphabet, samples, candidate_xi, *, seed, triples, co
                     break
             if h not in drawn:
                 drawn[h] = Axis.from_element(h)
-            if not any(same_line(drawn[h], other) for other in axes):
+            if all(meets(drawn[h], other) is not None for other in axes):
                 axes.append(drawn[h])
         xi, violations = per_axis_projection_axioms(axes, samples, candidate_xi)
         xi_max = max(xi_max, xi)
@@ -338,10 +378,11 @@ def per_axis_random_family(alphabet, samples, candidate_xi, *, seed, triples, co
 
 
 def per_axis_projection_axioms(axes, sample, candidate_xi) -> tuple[int, int]:
-    """(xi, number of violations) of check_projection_axioms, written on
-    project_axis_onto_axis and project_to_axis."""
+    """(xi, number of violations) of check_projection_axioms, written out
+    per axis: every ordered pair scanned by _meet, every sample point
+    projected by _frame_coordinate."""
     intervals = {
-        (t, s): project_axis_onto_axis(axes[s], axes[t])
+        (t, s): meets(axes[s], axes[t])[0]
         for t in range(len(axes)) for s in range(len(axes)) if s != t
     }
     diams = [hi - lo for lo, hi in intervals.values()]
@@ -359,9 +400,8 @@ def per_axis_projection_axioms(axes, sample, candidate_xi) -> tuple[int, int]:
     violations += sum(sum(q > candidate for q in qs) >= 2 for qs in triples)
     for x in sample:
         for ax in axes:
-            foot = project_to_axis(x, ax).foot
-            again = project_to_axis(foot, ax)
-            violations += again.distance != 0 or again.foot != foot
+            coord, _ = project(x, ax)
+            violations += project(vertex(ax, coord), ax) != (coord, 0)
     return xi, violations
 
 
@@ -420,6 +460,14 @@ def literal_orbit_rows(local_g, p, frame, base, n_max) -> tuple:
             m += 1
         rows.append((n, abs(sign * m - base)))
     return tuple(rows)
+
+
+def oracle_primitive_root(w: str) -> str:
+    """The primitive root r of w = r^e, e maximal: the primitive root of w's
+    cyclic core, conjugated as the core is."""
+    core, conjugator = oracles.cyclic_peel(w)
+    root, _ = oracles.prim_root(core)
+    return oracles.mult(oracles.mult(conjugator, root), oracles.invert(conjugator))
 
 
 class TestLemma31:
@@ -504,9 +552,9 @@ class TestLemma31:
         gs = enumerate_ball(RANK2, 5)[1:]
         checked = 0
         moved = {}
-        roots = {g: primitive_root(g)[0] for g in gs}
+        roots = {g: oracle_primitive_root(chars(g)) for g in gs}
         for i, h in enumerate(enumerate_ball(RANK2, 4)[1:]):
-            h_roots = (roots[h], ~roots[h])
+            h_roots = (roots[h], oracles.invert(roots[h]))
             for t in (None, letters[i % len(letters)]):
                 ax = Axis.from_element(h, t)
                 base, p = ax.base
@@ -542,19 +590,24 @@ TWO_RUNS = "abababbbababab"  # forward ab-runs of lengths 6 (at 0) and 7 (at 7)
 
 
 class TestFindLongProjections:
+    """The run scan (_long_runs) and the k of a run (_run_k) against the
+    oracles' run scans and projections."""
+
     def test_pure_power_is_a_single_witness(self):
-        g = word2("ab") ** 6
-        (w,) = find_long_projections(g, word2("ab"), 6)
-        assert not w.k
-        assert (w.start, w.phase) == (0, 0)
-        assert w.projection_diameter == 12
+        g = (word2("ab") ** 6).letters
+        (run,) = _long_runs(g, AB.root.letters, 6)
+        assert run == (0, 0, 12)
+        assert oracles.maximal_pos_runs("ab" * 6, "ab") == [(0, 12, 0)]
+        assert _run_k(g, run, AB.root.letters, ()) == ()
 
     def test_two_separated_runs(self):
-        got = find_long_projections(word2(TWO_RUNS), word2("ab"), 6)
-        summary = [(w.start, w.phase, w.projection_diameter) for w in got]
-        assert summary == [(0, 0, 6), (7, 1, 7)]
-        assert chars(got[0].k) == ""
-        assert chars(got[1].k) == "abababbA"
+        g = word2(TWO_RUNS).letters
+        runs = _long_runs(g, AB.root.letters, 6)
+        assert runs == [(0, 0, 6), (7, 1, 7)]
+        want = oracles.maximal_pos_runs(TWO_RUNS, "ab")
+        assert runs == [(s, p, n) for s, n, p in want if n >= 6]
+        ks = [chars(ReducedWord(RANK2, _run_k(g, run, AB.root.letters, ()))) for run in runs]
+        assert ks == ["", "abababbA"]
 
     @pytest.mark.parametrize("h,k_min", [("a", 2), ("ab", 3)])
     def test_runs_match_brute_scan(self, h, k_min):
@@ -563,26 +616,24 @@ class TestFindLongProjections:
         for _ in range(200):
             g = rand_chars(rng, 2, rng.randrange(1, 13))
             want = [
-                (s, length, phase)
+                (s, phase, length)
                 for s, length, phase in oracles.maximal_pos_runs(g, root)
                 if length >= k_min
             ]
-            got = [
-                (w.start, w.projection_diameter, w.phase)
-                for w in find_long_projections(word2(g), word2(h), k_min)
-            ]
-            assert got == want, g
+            assert _long_runs(word2(g).letters, axis2(h).root.letters, k_min) == want, g
 
     def test_witness_marks_an_overlap_with_a_translated_axis(self):
-        g = word2(TWO_RUNS)
-        for w in find_long_projections(g, word2("ab"), 6):
-            ax = Axis.from_element(word2("ab"), w.k)
+        # every vertex of a run lies on the line of k h k^-1, at consecutive
+        # coordinates of the axis of h moved by k
+        g = word2(TWO_RUNS).letters
+        for run in _long_runs(g, AB.root.letters, 6):
+            start, _, length = run
+            k = chars(ReducedWord(RANK2, _run_k(g, run, AB.root.letters, ())))
             coords = []
-            for i in range(w.projection_diameter + 1):
-                prefix = word2(TWO_RUNS[: w.start + i])
-                res = project_to_axis(prefix, ax)
-                assert res.distance == 0
-                coords.append(res.axis_coordinate)
+            for i in range(length + 1):
+                coord, dist = oracles.brute_project(TWO_RUNS[: start + i], "ab", translate=k)
+                assert dist == 0
+                coords.append(coord)
             assert coords == list(range(coords[0], coords[0] + len(coords)))
 
     def test_membership_is_emptiness(self):
@@ -590,19 +641,19 @@ class TestFindLongProjections:
         for _ in range(150):
             g = rand_chars(rng, 2, rng.randrange(10))
             member = ghat_membership_exact(word2(g), word2("ab"), 4)
-            assert member == (not find_long_projections(word2(g), word2("ab"), 4))
+            assert member == (not _long_runs(word2(g).letters, AB.root.letters, 4))
             assert member == oracles.ghat_member(g, "ab", 4)
 
-    @pytest.mark.parametrize("check", [find_long_projections, ghat_membership_exact])
+    @pytest.mark.parametrize("check", [shorten, ghat_membership_exact])
     def test_word_of_another_rank_is_rejected(self, check):
         with pytest.raises(AlphabetMismatchError):
             check(parse_word(RANK3, "c a a a a a b"), word2("a"), 4)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInputError):
-            find_long_projections(word2("ab"), RANK2.identity, 3)
+            ghat_membership_exact(word2("ab"), RANK2.identity, 3)
         with pytest.raises(InvalidInputError):
-            find_long_projections(word2("ab"), word2("ab"), 0)
+            ghat_membership_exact(word2("ab"), word2("ab"), 0)
 
 
 def conjugated_h(draw, rank: int, core_max: int) -> tuple[str, str, str]:
@@ -668,11 +719,7 @@ class TestRunsAgainstAnyRoot:
         alphabet = Alphabet(rank)
         g_word = parse_word(alphabet, oracles.to_lib_text(g))
         h_word = parse_word(alphabet, oracles.to_lib_text(h))
-        got = [
-            (w.start, w.phase, w.projection_diameter)
-            for w in find_long_projections(g_word, h_word, K)
-        ]
-        assert got == want
+        assert _long_runs(g_word.letters, Axis.from_element(h_word).root.letters, K) == want
         assert ghat_membership_exact(g_word, h_word, K) == (not want)
 
 
@@ -707,14 +754,14 @@ class TestGhatAutomaton:
     @pytest.mark.parametrize("h,m", [("ab", 6), ("a", 4), ("baB", 8)])
     def test_walk_visits_the_ball_and_lists_the_complement(self, h, m):
         outside = []
-        checked, in_ghat = walk_ghat_ball(RANK2, word2(h), m, 6, outside.append)
+        checked, in_ghat = _walk_ghat_letters(RANK2, word2(h), m, 6, outside.append)
         ball = [g for r in range(7) for g in enumerate_sphere(RANK2, r)]
         assert checked == len(ball) == 1457
         aut = ghat_language(RANK2, word2(h), m).automaton
         assert in_ghat == sum(count_lengths(aut, 6))
-        expected = [g for g in ball if not ghat_membership_exact(g, word2(h), m)]
+        expected = [g for g in ball if not oracles.ghat_member(chars(g), h, m)]
         assert len(outside) == checked - in_ghat
-        assert outside == sorted(expected, key=lambda g: g.letters)
+        assert outside == sorted(g.letters for g in expected)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(walk_cases())
@@ -729,16 +776,16 @@ class TestGhatAutomaton:
         ball = [g for sphere in oracles.words_by_radius(rank, g_max) for g in sphere]
         want = sorted((g for g in ball if not oracles.ghat_member(g, h, K)), key=oracles.lex_key)
         outside = []
-        counts = walk_ghat_ball(Alphabet(rank), lib_word(rank, h), K, g_max, outside.append)
+        counts = _walk_ghat_letters(Alphabet(rank), lib_word(rank, h), K, g_max, outside.append)
         assert counts == (len(ball), len(ball) - len(want))
-        assert [chars(g) for g in outside] == want
+        assert [chars(ReducedWord(Alphabet(rank), g)) for g in outside] == want
 
     def test_walk_of_the_identity_ball(self):
         seen = []
-        assert walk_ghat_ball(RANK2, word2("ab"), 6, 0, seen.append) == (1, 1)
+        assert _walk_ghat_letters(RANK2, word2("ab"), 6, 0, seen.append) == (1, 1)
         assert seen == []
         with pytest.raises(InvalidInputError, match="g_max"):
-            walk_ghat_ball(RANK2, word2("ab"), 6, -1, seen.append)
+            _walk_ghat_letters(RANK2, word2("ab"), 6, -1, seen.append)
 
     def test_cutoff_below_core_is_rejected(self):
         with pytest.raises(InvalidInputError, match="below core length"):
@@ -752,13 +799,30 @@ class TestGhatAutomaton:
         with pytest.raises(AlphabetMismatchError):
             ghat_language(alphabet, h, 4)
         with pytest.raises(AlphabetMismatchError):
-            walk_ghat_ball(alphabet, h, 4, 3, lambda g: None)
+            _walk_ghat_letters(alphabet, h, 4, 3, lambda g: None)
 
 
 class TestShorten:
     @pytest.mark.parametrize("h,k", [("a", 4), ("ab", 6), ("baB", 8), ("abab", 10)])
     def test_threshold(self, h, k):
         assert shorten_threshold(word2(h)) == k
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_threshold_is_twice_the_length_plus_2(self, data):
+        # 2 D' + 2 with D' = |core| + 2 |conjugator|, which is |h|
+        rank = data.draw(st.integers(1, 3))
+        h, core, conjugator = conjugated_h(data.draw, rank, 6)
+        threshold = shorten_threshold(lib_word(rank, h))
+        assert threshold == 2 * len(h) + 2 == 2 * (len(core) + 2 * len(conjugator)) + 2
+
+    def test_identity_has_no_threshold(self):
+        with pytest.raises(InvalidInputError, match="non-trivial"):
+            shorten_threshold(RANK2.identity)
+        with pytest.raises(InvalidInputError, match="non-trivial"):
+            shorten(word2("ab"), RANK2.identity, 6)
+        with pytest.raises(InvalidInputError, match="non-trivial"):
+            shorten_sweep(RANK2, RANK2.identity, 3, cutoff=6)
 
     def test_default_alpha_is_one(self):
         # the step removes one copy of h: g' = k h^-1 k^-1 g

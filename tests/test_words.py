@@ -13,13 +13,11 @@ from growthtight import (
     InvalidInputError,
     ReducedWord,
     ResourceLimitError,
-    cyclic_reduce,
     enumerate_ball,
     enumerate_sphere,
     format_word,
     free_reduce,
     parse_word,
-    primitive_root,
     sphere_size,
 )
 from growthtight.words import _root_key
@@ -170,31 +168,29 @@ class TestReducedWordConstructor:
 
 
 class TestCyclicReduce:
+    """The (conjugator, root^e) split of _root_key: w = conjugator core
+    conjugator^-1 with core = root^e cyclically reduced."""
+
     def test_single_conjugating_letter(self):
-        core, conj = cyclic_reduce(word2("baB"))
-        assert (chars(core), chars(conj)) == ("a", "b")
+        assert _root_key(word2("baB").letters) == (word2("b").letters, word2("a").letters, 1)
 
     def test_already_reduced(self):
-        core, conj = cyclic_reduce(word2("ab"))
-        assert (chars(core), chars(conj)) == ("ab", "")
+        assert _root_key(word2("ab").letters) == ((), word2("ab").letters, 1)
 
     def test_two_peels(self):
-        core, conj = cyclic_reduce(word2("abaBA"))
-        assert (chars(core), chars(conj)) == ("a", "ab")
+        assert _root_key(word2("abaBA").letters) == (word2("ab").letters, word2("a").letters, 1)
 
     def test_recompose_random(self):
         rng = random.Random(23)
         for _ in range(200):
             w = word2(rand_chars(rng, 2, rng.randint(0, 10)))
-            core, conj = cyclic_reduce(w)
+            if not w:  # the identity has no root key
+                continue
+            conjugator, root, e = _root_key(w.letters)
+            conj, core = ReducedWord(RANK2, conjugator), ReducedWord(RANK2, root * e)
             assert conj * core * ~conj == w
-            assert not core or core.letters[0] != Alphabet.inverse(core.letters[-1])
-            ref_core, ref_conj = oracles.cyclic_peel(chars(w))
-            assert chars(core) == ref_core and chars(conj) == ref_conj
-
-    def test_identity_core_empty(self):
-        core, conj = cyclic_reduce(RANK2.identity)
-        assert not core
+            assert core.letters[0] != Alphabet.inverse(core.letters[-1])
+            assert (chars(core), chars(conj)) == oracles.cyclic_peel(chars(w))
 
 
 class TestPrimitiveRoot:
@@ -203,15 +199,17 @@ class TestPrimitiveRoot:
         [("ababab", "ab", 3), ("a", "a", 1), ("ab", "ab", 1), ("aabaab", "aab", 2)],
     )
     def test_examples(self, text, root, exponent):
-        r, e = primitive_root(word2(text))
-        assert (chars(r), e) == (root, exponent)
+        assert _root_key(word2(text).letters) == ((), word2(root).letters, exponent)
+        assert oracles.prim_root(text) == (root, exponent)
 
     def test_power_recomposes(self):
+        # w is (conjugator root conjugator^-1)^e
         rng = random.Random(29)
         for _ in range(100):
             w = word2(rand_chars(rng, 2, rng.randint(1, 8)))
-            root, e = primitive_root(w)
-            assert root**e == w
+            conjugator, root, e = _root_key(w.letters)
+            conj = ReducedWord(RANK2, conjugator)
+            assert (conj * ReducedWord(RANK2, root) * ~conj) ** e == w
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
